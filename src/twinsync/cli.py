@@ -7,8 +7,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .harness import measure_latency, replay, simulate
 from .latency import export_stats, format_table
 from .robot import UrdfError, forward_kinematics, parse_urdf

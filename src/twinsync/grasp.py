@@ -9,7 +9,7 @@ point-mass physics fallback while tracking is unavailable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,18 +10,18 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Pose, quat_from_axis_angle
-from .grasp import AssetTracker, GraspConfig, GraspPhase, GripperTracker
+from .grasp import AssetTracker, GraspPhase, GripperTracker
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
-from .mocap import FilterConfig, MocapFilter, PoseStatus
+from .mocap import MocapFilter, PoseStatus
 from .network import DatagramLink, StreamLink, Throttle
-from .recordlog import (CHANNEL_COMMAND, CHANNEL_MOCAP, CHANNEL_TELEMETRY,
-                        LogRecord, LogWriter, read_log)
+from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
+                        CHANNEL_TELEMETRY, LogRecord, LogWriter, read_log)
 from .robot import (JointState, RobotModel, apply_joint_state, forward_kinematics,
                     parse_urdf)
 from .scenario import ScenarioConfig
@@ -30,14 +30,10 @@ from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_traje
 from .wire import (CommandFrame, MocapPacket, TelemetryPacket, decode_command,
                    decode_mocap, decode_telemetry, encode_command, encode_mocap,
                    encode_telemetry)
-from .zones import ProhibitedZone, Repulsion, counterforce, make_command, query, \
-    update_dynamic
+from .zones import Repulsion, counterforce, make_command, query, update_dynamic
 
 CONTROL_TICK_NS = 1_000_000
 MERGE_HZ = 60
-
-# heartbeat records carry no payload; they pin the final merge tick for replay
-CHANNEL_HEARTBEAT = 0
 
 
 def merge_tick_time(k: int) -> int:
@@ -269,10 +265,9 @@ def simulate(config: ScenarioConfig) -> SimResult:
     engine = TwinEngine(model, config)
     throttle = Throttle(target_hz=MERGE_HZ)
     recorder = LatencyRecorder()
-    recv_times: dict[int, int] = {}
 
     log_buf = io.BytesIO()
-    writer = _BufWriter(log_buf, config.seed)
+    writer = LogWriter(log_buf, config.seed)
     trace = io.StringIO()
     trace.write("time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
                 + ",".join(f"follower_q{i}" for i in range(dof)) + "\n")
@@ -394,28 +389,6 @@ def _reseed(link_cfg, seed_seq: np.random.SeedSequence):
     if link_cfg.seed != 0:
         return link_cfg
     return dataclasses.replace(link_cfg, seed=int(seed_seq.generate_state(1)[0]))
-
-
-class _BufWriter:
-    """LogWriter twin over an in-memory buffer (emulated runs hash the log)."""
-
-    def __init__(self, buf: io.BytesIO, seed: int):
-        from .recordlog import _HEADER, FORMAT_VERSION, MAGIC
-        self._buf = buf
-        self._buf.write(_HEADER.pack(MAGIC, FORMAT_VERSION, seed, 0))
-        self.last_time = 0
-
-    def append(self, record: LogRecord) -> None:
-        from .recordlog import _RECORD_HEAD, LogError
-        if record.time_ns < self.last_time:
-            raise LogError("record time regression")
-        self._buf.write(_RECORD_HEAD.pack(record.time_ns, record.channel,
-                                          len(record.payload)))
-        self._buf.write(record.payload)
-        self.last_time = record.time_ns
-
-    def close(self) -> None:
-        pass
 
 
 @dataclass

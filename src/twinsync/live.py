@@ -1,7 +1,10 @@
-"""Live-socket bridge: the same codecs and pipelines over real sockets.
+"""Live-socket bridge: the wire codecs over real sockets.
 
 One receiver thread per channel feeds a single merge queue; the merge
-loop is the only mutator of twin counters/state. Datagram channels
+loop is the only mutator of the bridge's counters and state. It keeps
+only the latest telemetry packet and the latest mocap packet per object:
+it runs no TwinEngine, writes no .dtrl log and discards command-stream
+bytes unread, so a live session cannot be replayed. Datagram channels
 survive peer errors; a command-stream disconnect marks that channel down
 without affecting telemetry.
 """
@@ -12,7 +15,7 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .wire import WireError, decode_mocap, decode_telemetry
 

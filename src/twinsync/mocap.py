@@ -86,7 +86,6 @@ class MocapFilter:
         self._prev_accepted: np.ndarray | None = None
         self._prev_time_ns: int | None = None
         self._last_output: FilteredPose | None = None
-        self._accepted_total = 0
         self._warmed_up = False
         self.relocations = 0
 
@@ -152,19 +151,9 @@ class MocapFilter:
         self._dropped.clear()
         self._prev_accepted = pos
         self._window.append(pos)
-        self._accepted_total += 1
         if len(self._window) >= self.config.window:
             self._warmed_up = True
         status = PoseStatus.STABLE if self._warmed_up else PoseStatus.WARMING_UP
         rot = constrain_upright(raw.quaternion, self.config.up_axis)
         self._last_output = FilteredPose(self._mean(), rot, status, raw.time_ns)
         return self._last_output
-
-
-def sliding_mean(window: deque, position: np.ndarray) -> np.ndarray:
-    """Append to the window and return the running component-wise mean."""
-    position = np.asarray(position, dtype=float)
-    if not np.all(np.isfinite(position)):
-        raise ValueError("non-finite position")
-    window.append(position)
-    return np.mean(np.asarray(window), axis=0)

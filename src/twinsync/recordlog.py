@@ -3,10 +3,14 @@
 Layout (little-endian):
   header: magic "DTRL", version u16, scenario seed u64, created time u64
   record: time u64, channel u16, payload length u32, payload bytes
+
+LogWriter writes to a path, or to a binary file object such as an
+io.BytesIO that the caller owns and keeps open.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +23,8 @@ _RECORD_HEAD = struct.Struct("<QHI")
 CHANNEL_TELEMETRY = 1
 CHANNEL_MOCAP = 2
 CHANNEL_COMMAND = 3
+# heartbeat records carry no payload; they pin the final merge tick for replay
+CHANNEL_HEARTBEAT = 0
 
 
 class LogError(ValueError):
@@ -40,28 +46,33 @@ class LogRecord:
 
 
 class LogWriter:
-    def __init__(self, path, seed: int, created_ns: int = 0):
-        self.path = Path(path)
-        self._f = open(self.path, "wb")
+    """Writes a log to a path, or to a binary file object left open on close."""
+
+    def __init__(self, target, seed: int, created_ns: int = 0):
+        self._owns_file = isinstance(target, (str, os.PathLike))
+        self._f = open(target, "wb") if self._owns_file else target
         self._f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, seed, created_ns))
-        self._last_time = None
+        self.last_time = 0  # time of the newest record, 0 before the first
         self.count = 0
+        self.closed = False
 
     def append(self, record: LogRecord) -> None:
-        if self._f.closed:
+        if self.closed:
             raise LogError("writer closed")
-        if self._last_time is not None and record.time_ns < self._last_time:
+        if record.time_ns < self.last_time:
             raise LogError("record time regression")
         self._f.write(_RECORD_HEAD.pack(record.time_ns, record.channel,
                                         len(record.payload)))
         self._f.write(record.payload)
-        self._last_time = record.time_ns
+        self.last_time = record.time_ns
         self.count += 1
 
     def close(self) -> None:
-        if not self._f.closed:
+        if not self.closed:
+            self.closed = True
             self._f.flush()
-            self._f.close()
+            if self._owns_file:
+                self._f.close()
 
     def __enter__(self):
         return self

@@ -9,7 +9,7 @@ ignored.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,10 +262,3 @@ def apply_joint_state(model: RobotModel, state: JointState,
             if clamp:
                 out[i] = min(max(out[i], j.lower), j.upper)
     return out, report
-
-
-def gripper_width_to_fingers(width: float) -> tuple[float, float]:
-    """Split the published gripper width onto the two symmetric finger joints."""
-    if width < 0:
-        raise ValueError("gripper width must be >= 0")
-    return width / 2.0, width / 2.0

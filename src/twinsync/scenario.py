@@ -8,7 +8,7 @@ full surface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,12 +203,7 @@ def load_config(path) -> ScenarioConfig:
         # robot paths may be given relative to the config file
         candidate = path.parent / cfg.robot_path
         if candidate.exists():
-            cfg = replace_robot_path(cfg, str(candidate))
+            cfg = replace(cfg, robot_path=str(candidate))
         else:
             raise ConfigError(f"robot description not found: {cfg.robot_path}")
     return cfg
-
-
-def replace_robot_path(cfg: ScenarioConfig, new_path: str) -> ScenarioConfig:
-    import dataclasses
-    return dataclasses.replace(cfg, robot_path=new_path)

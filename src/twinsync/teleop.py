@@ -2,22 +2,17 @@
 
 The leader is a trajectory source (sinusoid or scripted steps); the
 follower runs a per-joint PD impedance law over unit inertia, integrated
-with semi-implicit Euler. External joint torques on the follower are
-reported back as force feedback for the leader.
+with semi-implicit Euler. External joint torques, such as zone repulsion,
+enter the follower's law as an extra torque term.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DatagramLink, LinkConfig, Throttle
 from .robot import JointState
-from .wire import TelemetryPacket, encode_telemetry
-
-TICK_NS = 1_000_000  # 1 kHz control rate
 
 
 @dataclass(frozen=True)
@@ -119,71 +114,3 @@ def pd_step(leader: JointState, follower: FollowerState, gains: ControllerGains,
     dq = follower.dq + tau * dt
     q = follower.q + dq * dt
     return tau, FollowerState(q, dq)
-
-
-def force_feedback(ext_torque: np.ndarray) -> np.ndarray:
-    """Follower external joint torque, reported for application at the leader."""
-    ext_torque = np.asarray(ext_torque, dtype=float)
-    if not np.all(np.isfinite(ext_torque)):
-        raise ValueError("non-finite wrench")
-    return ext_torque.copy()
-
-
-@dataclass
-class TeleopTrace:
-    times_ns: list = field(default_factory=list)
-    leader_q: list = field(default_factory=list)
-    follower_q: list = field(default_factory=list)
-    follower_dq: list = field(default_factory=list)
-    telemetry_sent: list = field(default_factory=list)   # (time_ns, bytes)
-    telemetry_delivered: list = field(default_factory=list)  # Delivery
-
-    def hash(self) -> str:
-        h = hashlib.sha256()
-        for t, lq, fq in zip(self.times_ns, self.leader_q, self.follower_q):
-            h.update(t.to_bytes(8, "little"))
-            h.update(np.asarray(lq).tobytes())
-            h.update(np.asarray(fq).tobytes())
-        for t, b in self.telemetry_sent:
-            h.update(t.to_bytes(8, "little"))
-            h.update(b)
-        return h.hexdigest()
-
-
-def run_teleop(duration_s: float, telemetry_link: LinkConfig, gains: ControllerGains,
-               profile: LeaderProfile, robot_id: int = 0,
-               follower0: FollowerState | None = None,
-               throttle_hz: int = 60) -> TeleopTrace:
-    """Run the 1 kHz leader/follower loop, publishing throttled telemetry.
-
-    Telemetry flows through the keep-latest throttler, then the datagram
-    link; deliveries are polled once per control tick.
-    """
-    if duration_s < 0:
-        raise ValueError("duration must be >= 0")
-    dof = len(profile.centers)
-    follower = follower0 or FollowerState(leader_trajectory(0.0, profile).positions,
-                                          np.zeros(dof))
-    throttle = Throttle(target_hz=throttle_hz)
-    link = DatagramLink(telemetry_link)
-    trace = TeleopTrace()
-    seq = 0
-    ticks = int(round(duration_s * 1000))
-    for k in range(ticks):
-        t_ns = k * TICK_NS
-        leader = leader_trajectory(t_ns / 1e9, profile)
-        tau, follower = pd_step(leader, follower, gains, np.zeros(dof))
-        trace.times_ns.append(t_ns)
-        trace.leader_q.append(leader.positions.copy())
-        trace.follower_q.append(follower.q.copy())
-        trace.follower_dq.append(follower.dq.copy())
-        sample = TelemetryPacket(robot_id, seq, t_ns, follower.q, follower.dq,
-                                 tau, leader.gripper_width, leader.gripper_velocity)
-        seq += 1
-        for tick_time, pkt in throttle.offer(t_ns, sample):
-            data = encode_telemetry(pkt)
-            trace.telemetry_sent.append((tick_time, data))
-            link.send(tick_time, data)
-        trace.telemetry_delivered.extend(link.poll(t_ns))
-    trace.telemetry_delivered.extend(link.poll(ticks * TICK_NS + 10**12))
-    return trace

@@ -7,7 +7,7 @@ exact inverses on well-formed messages.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

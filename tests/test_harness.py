@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,36 @@ class TestReplay:
         simulate(cfg)
         rep = replay(log, cfg)
         assert rep.merge_ticks == 0 and rep.skipped == 0
+
+
+# Pinned outcomes of configs/example.yaml: the example as shipped never
+# touches its zone, and the "contact" variant moves the zone around the
+# end-effector so that the feedback path runs. A refactor that is meant to
+# keep behaviour must leave all three hashes unchanged.
+CONTACT_ZONE = ProhibitedZone("keepout", [0.93, 0.34, 0.61], [0.15, 0.27, 0.2],
+                              stiffness=500.0)
+GOLDEN = {
+    "example": ("e7fe383c50fe95a6f96ae4b11c498794cd4a51d7e26574fdcc539d8857ad8baa",
+                "6b4b5736ddc157ba4606d46235af0f2ee241e710f382d26fb2921a15f1bced5c",
+                "1c1e93f177758e4805b40f29e9d67c86bb66b9e24e48ed6ccc7ceded3c610441"),
+    "contact": ("c0b5d535cdb0f936db16d6dc80f11aba31e405ed5dcb0b68584c3717df1c97c4",
+                "cbfc0ef1ac78178adf425466b8a7b3d78db14b49da35c34630f29c723ced35cd",
+                "16696190ef0b7bd218063cab7862bba33c2af931bc6e90385e4d49b6899345e7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_hashes(name, tmp_path):
+    cfg = dataclasses.replace(load_config(CONFIGS / "example.yaml"),
+                              log_path=str(tmp_path / "run.dtrl"),
+                              trace_path=str(tmp_path / "run_trace.csv"),
+                              stats_path=str(tmp_path / "run_stats.jsonl"))
+    if name == "contact":
+        cfg = dataclasses.replace(cfg, zones=(CONTACT_ZONE,))
+    res = simulate(cfg)
+    assert (res.commands_sent > 0) == (name == "contact")
+    assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
+    assert replay(cfg.log_path, cfg).state_hash == res.state_hash
 
 
 class TestTwinEngine:

@@ -1,12 +1,11 @@
 import itertools
-from collections import deque
 
 import numpy as np
 import pytest
 
 from twinsync.geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
 from twinsync.mocap import (FilterConfig, MocapFilter, PoseStatus,
-                            constrain_upright, sliding_mean, velocity_gate)
+                            constrain_upright, velocity_gate)
 from twinsync.wire import MocapPacket
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -26,27 +25,29 @@ def feed(filt, positions, t0=0, dt_ns=10_000_000, quality=None):
 
 
 class TestSlidingMean:
+    """The accepted-sample window mean inside MocapFilter."""
+
     def test_constant_identity(self):
-        w = deque(maxlen=5)
-        for _ in range(10):
-            out = sliding_mean(w, [1.0, 2.0, 3.0])
-        assert np.allclose(out, [1.0, 2.0, 3.0])
+        f = MocapFilter(FilterConfig(window=5))
+        outs = feed(f, [[1.0, 2.0, 3.0]] * 10)
+        assert np.allclose(outs[-1].position, [1.0, 2.0, 3.0])
 
     def test_ramp_lag(self):
         # arithmetic ramp k*delta: steady-state mean lags by (w-1)/2 steps
-        w = deque(maxlen=5)
-        delta = 0.1
-        for k in range(50):
-            out = sliding_mean(w, [k * delta, 0, 0])
-        assert abs(out[0] - (49 - 2) * delta) < 1e-12
+        f = MocapFilter(FilterConfig(window=5))
+        delta = 0.001  # 0.1 m/s at 100 Hz, inside the default 2 m/s gate
+        outs = feed(f, [[k * delta, 0, 0] for k in range(50)])
+        assert all(o.status is not PoseStatus.HOLDING for o in outs)
+        assert abs(outs[-1].position[0] - (49 - 2) * delta) < 1e-12
 
     def test_first_sample_passthrough(self):
-        w = deque(maxlen=9)
-        assert np.allclose(sliding_mean(w, [7.0, 0, 0]), [7.0, 0, 0])
+        out = MocapFilter().process(packet(0, [7.0, 0, 0]))
+        assert np.array_equal(out.position, [7.0, 0, 0])
+        assert out.status is PoseStatus.WARMING_UP
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            sliding_mean(deque(maxlen=5), [np.nan, 0, 0])
+            MocapFilter().process(packet(0, [np.nan, 0, 0]))
 
 
 class TestConstrainUpright:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +59,19 @@ class TestWriter:
             w.append(LogRecord(100, 1, b""))
             w.append(LogRecord(100, 2, b""))
             assert w.count == 2
+
+    def test_file_object_matches_path(self, tmp_path):
+        recs = [LogRecord(100, CHANNEL_TELEMETRY, b"abc"),
+                LogRecord(150, CHANNEL_COMMAND, b"")]
+        buf = io.BytesIO()
+        with LogWriter(buf, seed=42) as w:
+            for r in recs:
+                w.append(r)
+            with pytest.raises(LogError):
+                w.append(LogRecord(149, CHANNEL_MOCAP, b""))
+            assert w.last_time == 150
+        path = write(tmp_path / "p.dtrl", recs, seed=42)
+        assert buf.getvalue() == path.read_bytes()  # the caller's file stays open
 
     def test_closed_writer_rejects(self, tmp_path):
         w = LogWriter(tmp_path / "c.dtrl", seed=0)

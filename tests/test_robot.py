@@ -6,8 +6,7 @@ import pytest
 
 from twinsync.geometry import Pose, quat_from_axis_angle, quat_to_matrix
 from twinsync.robot import (JointState, UrdfError, apply_joint_state,
-                            forward_kinematics, gripper_width_to_fingers,
-                            parse_urdf)
+                            forward_kinematics, parse_urdf)
 
 ASSETS = Path(__file__).parent.parent / "assets"
 
@@ -226,10 +225,3 @@ class TestApplyJointState:
         m = parse_urdf(TWO_LINK)
         with pytest.raises(ValueError):
             apply_joint_state(m, JointState(0, [0, 0], [0, 0], [0, 0]))
-
-
-def test_gripper_width_split():
-    assert gripper_width_to_fingers(0.08) == (0.04, 0.04)
-    assert gripper_width_to_fingers(0.0) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        gripper_width_to_fingers(-0.01)

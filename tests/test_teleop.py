@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
 
+from twinsync.harness import simulate
 from twinsync.network import DatagramLink, DelayModel, LinkConfig
+from twinsync.scenario import LeaderConfig, ScenarioConfig
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile,
-                             force_feedback, leader_trajectory, pd_step,
-                             run_teleop)
+                             leader_trajectory, pd_step)
+from twinsync.wire import TelemetryPacket, decode_telemetry, encode_telemetry
+
+ONE_JOINT = """
+<robot name='one_joint'>
+  <link name='base'/><link name='l1'/><link name='tip'/>
+  <joint name='j1' type='revolute'>
+    <parent link='base'/><child link='l1'/>
+    <axis xyz='0 0 1'/><limit lower='-3.2' upper='3.2'/>
+  </joint>
+  <joint name='jtip' type='fixed'>
+    <origin xyz='0.5 0 0'/>
+    <parent link='l1'/><child link='tip'/>
+  </joint>
+</robot>
+"""
 
 
 class TestLeaderTrajectory:
@@ -95,41 +111,56 @@ class TestPdStep:
         assert energies[-1] < 1e-9
 
 
-class TestForceFeedback:
-    def test_identity_mapping(self):
-        assert np.array_equal(force_feedback(np.zeros(3)), np.zeros(3))
-        tau = np.array([1.0, 0.0, -2.0])
-        assert np.array_equal(force_feedback(tau), tau)
 
+class TestForceFeedback:
     def test_delayed_over_link(self):
-        # 10 ms teleop-link delay: the bias appears at the leader 10 ms later
+        # the follower's joint torque, external term included, rides the
+        # telemetry packet; a 10 ms link delay shows it at the leader 10 ms later
+        leader = leader_trajectory(0.0, LeaderProfile.constant([0.0]))
+        tau, follower = pd_step(leader, FollowerState([0.0], [0.0]),
+                                ControllerGains([100.0], [20.0]), [1.0])
+        assert np.array_equal(tau, [1.0])
         link = DatagramLink(LinkConfig(delay=DelayModel.constant(10.0)))
-        tau = force_feedback(np.array([1.0]))
-        link.send(5_000_000, tau)
+        pkt = TelemetryPacket(0, 0, 5_000_000, follower.q, follower.dq, tau, 0.08, 0.0)
+        link.send(5_000_000, encode_telemetry(pkt))
         assert link.poll(14_999_999) == []
         out = link.poll(15_000_000)
-        assert len(out) == 1 and np.array_equal(out[0].payload, tau)
+        assert len(out) == 1
+        assert np.array_equal(decode_telemetry(out[0].payload).efforts, tau)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            force_feedback(np.array([np.nan]))
+
+@pytest.fixture
+def one_joint(tmp_path):
+    p = tmp_path / "one_joint.urdf"
+    p.write_text(ONE_JOINT)
+    return str(p)
+
+
+def teleop_scenario(robot_path, **kw):
+    defaults = dict(robot_path=robot_path,
+                    leader=LeaderConfig(centers=(0.0,), amplitudes=(0.1,),
+                                        frequencies=(0.5,), phases=(0.0,)))
+    defaults.update(kw)
+    return ScenarioConfig(**defaults)
 
 
 class TestRunTeleop:
-    def test_tick_count_and_throttled_deliveries(self):
-        profile = LeaderProfile([0.0], [0.1], [0.5], [0.0])
-        trace = run_teleop(1.0, LinkConfig(), ControllerGains.default(1), profile)
-        assert len(trace.times_ns) == 1000
-        assert len(trace.telemetry_delivered) <= 61
+    def test_tick_count_and_throttled_deliveries(self, one_joint):
+        res = simulate(teleop_scenario(one_joint, duration_s=1.0))
+        assert res.control_ticks == 1000
+        assert res.telemetry_sent <= 61
+        assert res.telemetry_delivered == res.telemetry_sent
 
-    def test_determinism(self):
-        profile = LeaderProfile([0.0], [0.1], [0.5], [0.0])
-        cfg = LinkConfig(delay=DelayModel.uniform(1, 5), loss=0.05, seed=3)
-        a = run_teleop(0.5, cfg, ControllerGains.default(1), profile)
-        b = run_teleop(0.5, cfg, ControllerGains.default(1), profile)
-        assert a.hash() == b.hash()
+    def test_determinism(self, one_joint):
+        cfg = teleop_scenario(one_joint, duration_s=0.5, seed=3,
+                              telemetry_link=LinkConfig(delay=DelayModel.uniform(1, 5),
+                                                        loss=0.05))
+        a = simulate(cfg)
+        b = simulate(cfg)
+        assert a.trace_hash == b.trace_hash
+        assert a.log_hash == b.log_hash
 
-    def test_zero_duration(self):
-        trace = run_teleop(0.0, LinkConfig(), ControllerGains.default(1),
-                           LeaderProfile.constant([0.0]))
-        assert trace.times_ns == [] and trace.telemetry_sent == []
+    def test_zero_duration(self, one_joint):
+        res = simulate(teleop_scenario(one_joint, duration_s=0.0))
+        assert res.control_ticks == 0
+        assert res.telemetry_sent == 0 and res.telemetry_delivered == 0
