@@ -33,6 +33,7 @@ def cmd_simulate(args) -> int:
     print(f"telemetry sent    {result.telemetry_sent}")
     print(f"telemetry applied {result.telemetry_delivered}")
     print(f"commands sent     {result.commands_sent}")
+    print(f"mocap stale       {result.mocap_stale}")
     print(f"state hash        {result.state_hash}")
     print(f"trace hash        {result.trace_hash}")
     print(f"log hash          {result.log_hash}")

@@ -42,16 +42,27 @@ def merge_tick_time(k: int) -> int:
 
 def numeric_jacobian(model: RobotModel, q: np.ndarray, link: str,
                      h: float = 1e-6) -> np.ndarray:
-    """3 x dof position Jacobian of a link origin by central differences."""
-    q = np.asarray(q, dtype=float)
-    J = np.zeros((3, len(q)))
-    for i in range(len(q)):
-        qp, qm = q.copy(), q.copy()
+    """3 x dof position Jacobian of a link origin by central differences.
+
+    Only the link's root path is walked and only the movable joints on it
+    are perturbed, each from its parent's unperturbed frame; every other
+    column is exactly zero, as differencing full forward kinematics gives.
+    """
+    chain = model.chain
+    positions = chain.check(q)
+    path = chain.path(link)
+    frames = chain.walk(path, positions)
+    J = np.zeros((3, len(positions)))
+    for k, joint in enumerate(path):
+        i = joint.dof
+        if i < 0:
+            continue
+        qp, qm = positions.copy(), positions.copy()
         qp[i] += h
         qm[i] -= h
-        pp = forward_kinematics(model, qp)[link].translation
-        pm = forward_kinematics(model, qm)[link].translation
-        J[:, i] = (pp - pm) / (2 * h)
+        pp = chain.walk(path[k:], qp, frames[k])[-1][0]
+        pm = chain.walk(path[k:], qm, frames[k])[-1][0]
+        J[:, i] = [(a - b) / (2 * h) for a, b in zip(pp, pm)]
     return J
 
 
@@ -198,6 +209,7 @@ class SimResult:
     telemetry_sent: int
     telemetry_delivered: int
     commands_sent: int
+    mocap_stale: int  # tracker frames dropped for arriving out of order
     log_path: str | None = None
 
 
@@ -331,8 +343,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
         tau_ext = ext_tau if t_ns < ext_expiry else np.zeros(dof)
 
         tau, follower = pd_step(latest_leader, follower, gains, tau_ext)
-        trace.write(f"{t_ns}," + ",".join(repr(v) for v in latest_leader.positions)
-                    + "," + ",".join(repr(v) for v in follower.q) + "\n")
+        trace.write(f"{t_ns}," + ",".join(map(repr, latest_leader.positions.tolist()))
+                    + "," + ",".join(map(repr, follower.q.tolist())) + "\n")
 
         sample = TelemetryPacket(config.robot_id, seq, t_ns, follower.q, follower.dq,
                                  tau, latest_leader.gripper_width,
@@ -379,6 +391,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
         telemetry_sent=telemetry_link.sent,
         telemetry_delivered=counters["delivered"],
         commands_sent=counters["commands"],
+        mocap_stale=engine.station_filter.stale
+        + sum(f.stale for f in engine.asset_filters.values()),
         log_path=config.log_path,
     )
 

@@ -4,7 +4,8 @@ Pipeline per tracked object: quality check -> inter-sample velocity gate
 -> sliding-window mean + upright-rotation constraint on accepted samples.
 Gated-out samples feed a stable-state buffer; once the last K dropped
 frames agree, the filter relocates to their mean. The gate runs before
-the mean so outliers never pollute the window.
+the mean so outliers never pollute the window. Frames that arrive older
+than the last one processed are counted as stale and dropped.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class MocapFilter:
         self._last_output: FilteredPose | None = None
         self._warmed_up = False
         self.relocations = 0
+        self.stale = 0
 
     @property
     def last_output(self) -> FilteredPose | None:
@@ -116,9 +118,15 @@ class MocapFilter:
 
     def process(self, raw: MocapPacket) -> FilteredPose | None:
         """Feed one tracker frame; returns the current pose, or None before
-        any frame was ever accepted."""
+        any frame was ever accepted.
+
+        A frame older than the last one processed, as a reordering link
+        delivers, is stale: it is counted in ``stale`` and dropped, and the
+        last output is returned unchanged.
+        """
         if self._prev_time_ns is not None and raw.time_ns < self._prev_time_ns:
-            raise ValueError("time regression in mocap stream")
+            self.stale += 1
+            return self._last_output
         dt = None
         if self._prev_time_ns is not None:
             dt = max((raw.time_ns - self._prev_time_ns) / 1e9, 1e-12)

@@ -4,16 +4,28 @@ Only the elements needed to mirror joint states are read: links with an
 optional visual mesh path, and joints with origin, axis, limits and the
 parent/child wiring. Collision, transmission and vendor extensions are
 ignored.
+
+Each ``RobotModel`` compiles its tree once into a ``Chain``
+(``model.chain``): the joints in traversal order with their parent link's
+index, origins and axes as float tuples, each axis's norm and each
+movable joint's position index. Forward kinematics evaluates the chain in
+plain float arithmetic that repeats the operations of ``Pose.compose``,
+``quat_rotate``, ``quat_multiply``, ``quat_from_axis_angle`` and ``Pose``'s
+renormalization in the same order, so its poses are bit-identical to
+composing ``Pose`` objects joint by joint. ``Chain.walk`` evaluates one
+root-to-link path the same way, for callers that need a single link.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose, quat_from_axis_angle
+from .geometry import Pose
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -55,6 +67,10 @@ class RobotModel:
     @property
     def dof(self) -> int:
         return len(self.movable_joints)
+
+    @cached_property
+    def chain(self) -> "Chain":
+        return Chain(self)
 
     def link(self, name: str) -> Link:
         for l in self.links:
@@ -196,12 +212,139 @@ def parse_urdf(xml_text: str) -> RobotModel:
     return RobotModel(root.get("name", ""), tuple(links), tuple(joints), roots[0])
 
 
-def _joint_motion(joint: Joint, position: float) -> Pose:
-    if joint.kind == "revolute":
-        return Pose(np.zeros(3), quat_from_axis_angle(joint.axis, position))
-    if joint.kind == "prismatic":
-        return Pose(joint.axis * position)
-    return Pose.identity()
+Frame = tuple[tuple[float, float, float], tuple[float, float, float, float]]
+IDENTITY_FRAME: Frame = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+
+
+def _unit(q: tuple) -> tuple:
+    """``Pose``'s renormalization of a rotation, in floats."""
+    w, x, y, z = q
+    if abs(w * w + x * x + y * y + z * z - 1.0) <= 1e-12:
+        # then |norm - 1| < 1e-12 as well, where Pose keeps q unchanged
+        return q
+    return tuple(Pose(np.zeros(3), q).rotation.tolist())
+
+
+def _compose(a: Frame, b: Frame) -> Frame:
+    """``Pose.compose`` in floats: the same operations in the same order.
+
+    Every term of ``quat_multiply`` is kept, products with the zero scalar
+    part of a rotated vector included, so signed zeros come out the same.
+    """
+    (tx, ty, tz), (w, x, y, z) = a
+    (vx, vy, vz), (bw, bx, by, bz) = b
+    # quat_rotate: (a.rotation * (0, v)) * conj(a.rotation), vector part
+    rw = w * 0.0 - x * vx - y * vy - z * vz
+    rx = w * vx + x * 0.0 + y * vz - z * vy
+    ry = w * vy - x * vz + y * 0.0 + z * vx
+    rz = w * vz + x * vy - y * vx + z * 0.0
+    cx, cy, cz = -x, -y, -z
+    t = (tx + (rw * cx + rx * w + ry * cz - rz * cy),
+         ty + (rw * cy - rx * cz + ry * w + rz * cx),
+         tz + (rw * cz + rx * cy - ry * cx + rz * w))
+    q = _unit((w * bw - x * bx - y * by - z * bz,
+               w * bx + x * bw + y * bz - z * by,
+               w * by - x * bz + y * bw + z * bx,
+               w * bz + x * by - y * bx + z * bw))
+    return t, q
+
+
+class ChainJoint(NamedTuple):
+    """One joint of a compiled chain, held as plain floats."""
+
+    parent: int  # index of the parent link in Chain.links
+    kind: str
+    origin: Frame
+    axis: tuple[float, float, float]  # zeros for a fixed joint
+    axis_norm: float  # np.linalg.norm(axis), as quat_from_axis_angle takes it
+    dof: int  # index of the joint's position, -1 for a fixed joint
+
+    def frame(self, parent: Frame, positions) -> Frame:
+        """Child link frame: parent o joint origin o joint motion."""
+        if self.kind == "revolute":
+            # quat_from_axis_angle, then Pose's renormalization
+            half = 0.5 * positions[self.dof]
+            s = float(np.sin(half)) / self.axis_norm
+            ax, ay, az = self.axis
+            motion = (IDENTITY_FRAME[0],
+                      _unit((float(np.cos(half)), ax * s, ay * s, az * s)))
+        elif self.kind == "prismatic":
+            p = positions[self.dof]
+            ax, ay, az = self.axis
+            motion = ((ax * p, ay * p, az * p), IDENTITY_FRAME[1])
+        else:
+            motion = IDENTITY_FRAME
+        return _compose(_compose(parent, self.origin), motion)
+
+
+class Chain:
+    """A robot's kinematic tree, compiled once for repeated evaluation.
+
+    ``links[0]`` is the root and ``joints[i]`` moves ``links[i + 1]``. The
+    joints are in depth-first order from the root, so every parent precedes
+    its children; ``forward_kinematics`` returns its poses in this order.
+    """
+
+    def __init__(self, model: RobotModel):
+        movable = {j.name: i for i, j in enumerate(model.movable_joints)}
+        self.dof = len(movable)
+        joints_of: dict[str, list[Joint]] = {}
+        for j in model.joints:
+            joints_of.setdefault(j.parent, []).append(j)
+        links = [model.root]
+        index = {model.root: 0}
+        joints = []
+        stack = [model.root]
+        while stack:
+            parent = stack.pop()
+            for j in joints_of.get(parent, []):
+                index[j.child] = len(links)
+                links.append(j.child)
+                axis = j.axis if j.axis is not None else np.zeros(3)
+                joints.append(ChainJoint(
+                    index[parent], j.kind,
+                    (tuple(j.origin.translation.tolist()),
+                     tuple(j.origin.rotation.tolist())),
+                    tuple(axis.tolist()), float(np.linalg.norm(axis)),
+                    movable.get(j.name, -1)))
+                stack.append(j.child)
+        self.links: tuple[str, ...] = tuple(links)
+        self.joints: tuple[ChainJoint, ...] = tuple(joints)
+        self._index = index
+
+    def check(self, positions) -> list[float]:
+        """Validated movable-joint positions as a list of floats."""
+        positions = np.asarray(positions, dtype=float)
+        if len(positions) != self.dof:
+            raise ValueError(f"expected {self.dof} positions, got {len(positions)}")
+        if not np.all(np.isfinite(positions)):
+            raise ValueError("non-finite joint position")
+        return positions.tolist()
+
+    def frames(self, positions, base: Frame = IDENTITY_FRAME) -> list[Frame]:
+        """Frame of every link, in ``links`` order."""
+        out = [base]
+        for j in self.joints:
+            out.append(j.frame(out[j.parent], positions))
+        return out
+
+    def path(self, link: str) -> tuple[ChainJoint, ...]:
+        """The joints from the root down to ``link``; KeyError if unknown."""
+        i = self._index[link]
+        path = []
+        while i:
+            j = self.joints[i - 1]
+            path.append(j)
+            i = j.parent
+        return tuple(reversed(path))
+
+    def walk(self, path, positions, start: Frame = IDENTITY_FRAME) -> list[Frame]:
+        """Frames along ``path`` from ``start``: ``start`` first, the last
+        joint's child last."""
+        out = [start]
+        for j in path:
+            out.append(j.frame(out[-1], positions))
+        return out
 
 
 def forward_kinematics(model: RobotModel, positions,
@@ -211,25 +354,14 @@ def forward_kinematics(model: RobotModel, positions,
     Child pose = parent pose o joint origin o joint motion. The root link
     takes ``base_pose`` (identity by default).
     """
-    positions = np.asarray(positions, dtype=float)
-    movable = model.movable_joints
-    if len(positions) != len(movable):
-        raise ValueError(f"expected {len(movable)} positions, got {len(positions)}")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("non-finite joint position")
-    pos_of = {j.name: positions[i] for i, j in enumerate(movable)}
-
-    poses: dict[str, Pose] = {model.root: base_pose or Pose.identity()}
-    joints_of: dict[str, list[Joint]] = {}
-    for j in model.joints:
-        joints_of.setdefault(j.parent, []).append(j)
-    stack = [model.root]
-    while stack:
-        parent = stack.pop()
-        for j in joints_of.get(parent, []):
-            motion = _joint_motion(j, pos_of.get(j.name, 0.0))
-            poses[j.child] = poses[parent].compose(j.origin).compose(motion)
-            stack.append(j.child)
+    chain = model.chain
+    positions = chain.check(positions)
+    base = base_pose or Pose.identity()
+    frames = chain.frames(positions, (tuple(base.translation.tolist()),
+                                      tuple(base.rotation.tolist())))
+    poses = {chain.links[0]: base}
+    for name, (t, q) in zip(chain.links[1:], frames[1:]):
+        poses[name] = Pose(np.array(t), np.array(q))
     return poses
 
 

@@ -13,12 +13,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from twinsync.geometry import Pose, quat_rotate
-from twinsync.grasp import (AssetSource, AssetTracker, FallbackState,
-                            GraspConfig, GraspPhase, GripperTracker,
-                            fallback_step)
+from twinsync.grasp import (AssetTracker, FallbackState, GraspConfig,
+                            GraspPhase, GripperTracker, fallback_step)
 from twinsync.harness import measure_latency, replay, simulate
 from twinsync.latency import LatencyRecorder, Stage
 from twinsync.mocap import FilteredPose, FilterConfig, MocapFilter, PoseStatus

@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinsync.harness import (CONTROL_TICK_NS, MERGE_HZ, TwinEngine,
-                              measure_latency, merge_tick_time,
+from twinsync.harness import (TwinEngine, measure_latency, merge_tick_time,
                               numeric_jacobian, replay, simulate)
 from twinsync.latency import parse_stats
 from twinsync.network import DelayModel, LinkConfig
@@ -164,33 +163,56 @@ class TestReplay:
         assert rep.merge_ticks == 0 and rep.skipped == 0
 
 
-# Pinned outcomes of configs/example.yaml: the example as shipped never
-# touches its zone, and the "contact" variant moves the zone around the
+# Pinned outcomes of configs/example.yaml, which never touches its zone, and
+# of configs/contact.yaml, the same scenario with the zone around the
 # end-effector so that the feedback path runs. A refactor that is meant to
 # keep behaviour must leave all three hashes unchanged.
-CONTACT_ZONE = ProhibitedZone("keepout", [0.93, 0.34, 0.61], [0.15, 0.27, 0.2],
-                              stiffness=500.0)
 GOLDEN = {
     "example": ("e7fe383c50fe95a6f96ae4b11c498794cd4a51d7e26574fdcc539d8857ad8baa",
-                "6b4b5736ddc157ba4606d46235af0f2ee241e710f382d26fb2921a15f1bced5c",
+                "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
                 "1c1e93f177758e4805b40f29e9d67c86bb66b9e24e48ed6ccc7ceded3c610441"),
     "contact": ("c0b5d535cdb0f936db16d6dc80f11aba31e405ed5dcb0b68584c3717df1c97c4",
-                "cbfc0ef1ac78178adf425466b8a7b3d78db14b49da35c34630f29c723ced35cd",
+                "c8572f34c8320f81efeb6fd2c556438541a56cf2ceb20ff79fa452a2559a8b29",
                 "16696190ef0b7bd218063cab7862bba33c2af931bc6e90385e4d49b6899345e7"),
 }
 
 
+def with_outputs(cfg, tmp_path):
+    return dataclasses.replace(cfg, log_path=str(tmp_path / "run.dtrl"),
+                               trace_path=str(tmp_path / "run_trace.csv"),
+                               stats_path=str(tmp_path / "run_stats.jsonl"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_hashes(name, tmp_path):
-    cfg = dataclasses.replace(load_config(CONFIGS / "example.yaml"),
-                              log_path=str(tmp_path / "run.dtrl"),
-                              trace_path=str(tmp_path / "run_trace.csv"),
-                              stats_path=str(tmp_path / "run_stats.jsonl"))
-    if name == "contact":
-        cfg = dataclasses.replace(cfg, zones=(CONTACT_ZONE,))
+    cfg = with_outputs(load_config(CONFIGS / f"{name}.yaml"), tmp_path)
     res = simulate(cfg)
     assert (res.commands_sent > 0) == (name == "contact")
     assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
+    assert replay(cfg.log_path, cfg).state_hash == res.state_hash
+
+
+def test_trace_cells_are_plain_floats(robot_file, tmp_path):
+    cfg = scenario(robot_file, trace_path=str(tmp_path / "trace.csv"))
+    dof = parse_urdf(PLANAR).dof
+    simulate(cfg)
+    header, *rows = Path(cfg.trace_path).read_text().splitlines()
+    assert len(header.split(",")) == 1 + 2 * dof
+    assert len(rows) == 500
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == 1 + 2 * dof
+        for cell in cells:
+            float(cell)
+
+
+def test_reordering_mocap_link(tmp_path):
+    # a uniform 0-20 ms delay on 120 Hz frames delivers some out of order
+    cfg = with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path)
+    cfg = dataclasses.replace(cfg, mocap_link=dataclasses.replace(
+        cfg.mocap_link, delay=DelayModel.uniform(0.0, 20.0)))
+    res = simulate(cfg)
+    assert res.mocap_stale > 0
     assert replay(cfg.log_path, cfg).state_hash == res.state_hash
 
 

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinsync.geometry import Pose, quat_from_axis_angle, quat_to_matrix
+from twinsync.geometry import Pose, quat_from_axis_angle
+from twinsync.harness import numeric_jacobian
 from twinsync.robot import (JointState, UrdfError, apply_joint_state,
                             forward_kinematics, parse_urdf)
 
@@ -183,6 +185,143 @@ class TestForwardKinematics:
             forward_kinematics(m, [0.0])
         with pytest.raises(ValueError):
             forward_kinematics(m, [np.nan, 0.0])
+
+
+def reference_fk(model, positions, base_pose=None):
+    """Forward kinematics as a walk of ``Pose.compose`` over the tree, in the
+    order the compiled chain keeps: the oracle it must match bit for bit."""
+    positions = np.asarray(positions, dtype=float)
+    pos_of = {j.name: positions[i] for i, j in enumerate(model.movable_joints)}
+    joints_of = {}
+    for j in model.joints:
+        joints_of.setdefault(j.parent, []).append(j)
+    poses = {model.root: base_pose or Pose.identity()}
+    stack = [model.root]
+    while stack:
+        parent = stack.pop()
+        for j in joints_of.get(parent, []):
+            if j.kind == "revolute":
+                motion = Pose(np.zeros(3), quat_from_axis_angle(j.axis, pos_of[j.name]))
+            elif j.kind == "prismatic":
+                motion = Pose(j.axis * pos_of[j.name])
+            else:
+                motion = Pose.identity()
+            poses[j.child] = poses[parent].compose(j.origin).compose(motion)
+            stack.append(j.child)
+    return poses
+
+
+def reference_jacobian(model, q, link, h=1e-6):
+    """Central differences of ``reference_fk`` over every joint."""
+    q = np.asarray(q, dtype=float)
+    J = np.zeros((3, len(q)))
+    for i in range(len(q)):
+        qp, qm = q.copy(), q.copy()
+        qp[i] += h
+        qm[i] -= h
+        J[:, i] = (reference_fk(model, qp)[link].translation
+                   - reference_fk(model, qm)[link].translation) / (2 * h)
+    return J
+
+
+# oblique axes, full rpy origins, a branch, and a revolute joint below a
+# prismatic and a fixed one: no term of a product is zero by construction
+SKEW = """
+<robot name='skew'>
+  <link name='base'/><link name='a'/><link name='b'/><link name='c'/>
+  <link name='d'/><link name='e'/>
+  <joint name='ja' type='revolute'>
+    <origin xyz='0.1 -0.2 0.3' rpy='0.3 -0.7 1.1'/>
+    <parent link='base'/><child link='a'/>
+    <axis xyz='0.3 -0.5 0.8'/><limit lower='-3' upper='3'/>
+  </joint>
+  <joint name='jb' type='prismatic'>
+    <origin xyz='0.25 0.05 -0.1' rpy='-1.2 0.4 0.2'/>
+    <parent link='a'/><child link='b'/>
+    <axis xyz='1 2 -2'/><limit lower='-1' upper='1'/>
+  </joint>
+  <joint name='jc' type='fixed'>
+    <origin xyz='-0.3 0.2 0.15' rpy='0.5 0.5 -0.5'/>
+    <parent link='b'/><child link='c'/>
+  </joint>
+  <joint name='jd' type='revolute'>
+    <origin xyz='0 0.4 0' rpy='2.0 -0.3 0.9'/>
+    <parent link='a'/><child link='d'/>
+    <axis xyz='-0.6 0.1 0.2'/><limit lower='-3' upper='3'/>
+  </joint>
+  <joint name='je' type='revolute'>
+    <origin xyz='0.2 0.2 -0.4' rpy='-0.4 1.3 0.6'/>
+    <parent link='c'/><child link='e'/>
+    <axis xyz='0.7 0.7 0.1'/><limit lower='-3' upper='3'/>
+  </joint>
+</robot>
+"""
+
+MODELS = {"panda": parse_urdf((ASSETS / "panda.urdf").read_text()),
+          "planar": parse_urdf(PLANAR_2LINK), "skew": parse_urdf(SKEW)}
+
+# a station yawed about z and offset, as TwinEngine's base pose is; yaws
+# beyond pi give quaternions with a negative scalar part
+BASES = st.none() | st.builds(
+    lambda yaw, xyz: Pose(list(xyz), quat_from_axis_angle([0.0, 0.0, 1.0], yaw)),
+    st.floats(-2 * np.pi, 2 * np.pi), st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+
+
+def draw_positions(data, model):
+    return np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=model.dof,
+                                       max_size=model.dof)))
+
+
+class TestCompiledChain:
+    """The compiled chain against the ``Pose.compose`` walk, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(data=st.data(), base=BASES)
+    @settings(max_examples=60, deadline=None)
+    def test_fk_matches_compose_walk(self, name, data, base):
+        model = MODELS[name]
+        q = draw_positions(data, model)
+        got = forward_kinematics(model, q, base)
+        want = reference_fk(model, q, base)
+        assert list(got) == list(want)
+        for link, pose in want.items():
+            assert got[link].translation.tobytes() == pose.translation.tobytes()
+            assert got[link].rotation.tobytes() == pose.rotation.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_jacobian_matches_central_differences(self, name, data):
+        model = MODELS[name]
+        q = draw_positions(data, model)
+        link = data.draw(st.sampled_from([l.name for l in model.links]))
+        got = numeric_jacobian(model, q, link)
+        assert got.tobytes() == reference_jacobian(model, q, link).tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_off_path_column_exactly_zero(self, data):
+        model = MODELS["panda"]
+        q = draw_positions(data, model)
+        col = [j.name for j in model.movable_joints].index("panda_finger_joint2")
+        J = numeric_jacobian(model, q, "panda_leftfinger")
+        assert J[:, col].tobytes() == np.zeros(3).tobytes()
+        assert np.any(J[:, :col] != 0.0)
+
+    def test_chain_order_and_parents(self):
+        model = MODELS["panda"]
+        chain = model.chain
+        assert chain is model.chain  # compiled once per model
+        assert list(chain.links) == list(forward_kinematics(model, np.zeros(model.dof)))
+        by_child = {j.child: j for j in model.joints}
+        for i, cj in enumerate(chain.joints):
+            joint = by_child[chain.links[i + 1]]
+            assert chain.links[cj.parent] == joint.parent
+            assert cj.parent <= i
+
+    def test_path_of_unknown_link(self):
+        with pytest.raises(KeyError):
+            numeric_jacobian(MODELS["planar"], [0.0, 0.0], "nowhere")
 
 
 class TestApplyJointState:
