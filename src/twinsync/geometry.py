@@ -2,10 +2,21 @@
 
 Quaternions are numpy arrays in (w, x, y, z) order. Rotations compose
 left-to-right as ``parent o child``.
+
+The small-vector kernels run on Python floats, not numpy scalars, so a
+call costs arithmetic rather than numpy's per-call dispatch, and they keep
+numpy's operation order term for term, so their results are bit-identical
+to the array expressions they replace: ``qmul``/``qrot`` are the
+quaternion product and rotation (the zero scalar part of a rotated vector
+included), and ``norm`` is what ``np.linalg.norm`` computes for a 1-D
+array. Every dot product stays a numpy ``.dot``, because a Python-float
+sum of products can round differently. Inputs are float64 or integer
+vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,38 +24,69 @@ import numpy as np
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def norm(v) -> float:
+    """Euclidean norm of a vector, bit-equal to ``np.linalg.norm``, whose
+    1-D path is ``sqrt(x.dot(x))``."""
+    x = np.asarray(v, dtype=float)
+    return math.sqrt(x.dot(x))
+
+
+def _floats(v):
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+def qmul(a, b) -> tuple:
+    """Quaternion product ``a * b`` of two 4-sequences, as a tuple."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def qrot(q, v) -> tuple:
+    """``v`` rotated by ``q``: the vector part of ``(q * (0, v)) * conj(q)``.
+
+    Every term of both products is kept, those with the zero scalar part
+    of ``(0, v)`` included, so signed zeros come out as numpy's do.
+    """
+    w, x, y, z = q
+    vx, vy, vz = v
+    rw = w * 0.0 - x * vx - y * vy - z * vz
+    rx = w * vx + x * 0.0 + y * vz - z * vy
+    ry = w * vy - x * vz + y * 0.0 + z * vx
+    rz = w * vz + x * vy - y * vx + z * 0.0
+    cx, cy, cz = -x, -y, -z
+    return (rw * cx + rx * w + ry * cz - rz * cy,
+            rw * cy - rx * cz + ry * w + rz * cx,
+            rw * cz + rx * cy - ry * cx + rz * w)
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(q)
+    n = norm(q)
     if n == 0.0:
         raise ValueError("zero quaternion")
     return q / n
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    return np.array(qmul(_floats(a), _floats(b)))
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    w, x, y, z = _floats(q)
+    return np.array([w, -x, -y, -z])
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector v by quaternion q."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    r = quat_multiply(quat_multiply(q, qv), quat_conjugate(q))
-    return r[1:]
+    return np.array(qrot(_floats(q), _floats(v)))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = norm(axis)
     if n == 0.0:
         raise ValueError("zero-length axis")
     half = 0.5 * angle
@@ -75,12 +117,12 @@ def swing_twist(q: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray
     q = swing o twist. For q orthogonal to the axis the twist is identity.
     """
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    if np.linalg.norm(q) == 0.0:
+    axis = axis / norm(axis)
+    if norm(q) == 0.0:
         raise ValueError("zero quaternion")
     proj = np.dot(q[1:], axis) * axis
     twist = np.array([q[0], proj[0], proj[1], proj[2]])
-    n = np.linalg.norm(twist)
+    n = norm(twist)
     if n < 1e-12:
         # 180 degree swing, twist degenerate: pick identity
         twist = IDENTITY_QUAT.copy()
@@ -100,7 +142,7 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
         q = np.asarray(self.rotation, dtype=float)
-        n = np.linalg.norm(q)
+        n = norm(q)
         if abs(n - 1.0) > 1e-12:
             if n == 0.0:
                 raise ValueError("zero quaternion")

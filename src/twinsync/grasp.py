@@ -9,11 +9,12 @@ point-mass physics fallback while tracking is unavailable.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, norm
 from .mocap import FilteredPose, PoseStatus
 
 GRAVITY = 9.81
@@ -54,7 +55,7 @@ class GripperTracker:
         self.grasp_width: float | None = None
 
     def step(self, width: float, d_width: float) -> GraspPhase:
-        if not (np.isfinite(width) and np.isfinite(d_width)):
+        if not (math.isfinite(width) and math.isfinite(d_width)):
             raise ValueError("non-finite gripper sample")
         if width < 0:
             raise ValueError("width must be >= 0")
@@ -96,7 +97,7 @@ class FallbackState:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.velocity))):
+        if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
             raise ValueError("non-finite fallback state")
 
 
@@ -111,7 +112,7 @@ def fallback_step(state: FallbackState, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     up = np.asarray(up_axis, dtype=float)
-    up = up / np.linalg.norm(up)
+    up = up / norm(up)
     p = state.position + state.velocity * dt - 0.5 * GRAVITY * dt * dt * up
     v = state.velocity - GRAVITY * dt * up
     height = np.dot(p, up)
@@ -179,7 +180,7 @@ class AssetTracker:
         elif self.source is AssetSource.MOCAP:
             if not switching:
                 self._blend = self._blend * self.blend_decay
-                if np.linalg.norm(self._blend) < 1e-12:
+                if norm(self._blend) < 1e-12:
                     self._blend = np.zeros(3)
             new = Pose(mocap.position + self._blend, mocap.rotation)
         else:

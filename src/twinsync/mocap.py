@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import swing_twist
+from .geometry import norm, swing_twist
 from .wire import MocapPacket
 
 QUALITY_LOST = 0
@@ -48,7 +48,7 @@ class FilterConfig:
         if self.stable_tol <= 0:
             raise ValueError("stable_tol must be positive")
         axis = np.asarray(self.up_axis, dtype=float)
-        n = np.linalg.norm(axis)
+        n = norm(axis)
         if n == 0:
             raise ValueError("up_axis must be non-zero")
         object.__setattr__(self, "up_axis", axis / n)
@@ -73,8 +73,21 @@ def velocity_gate(prev_accepted: np.ndarray, candidate: np.ndarray,
     """True iff the implied speed is within vmax (boundary inclusive)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    speed = np.linalg.norm(np.asarray(candidate) - np.asarray(prev_accepted)) / dt
+    speed = norm(np.asarray(candidate) - np.asarray(prev_accepted)) / dt
     return speed <= vmax
+
+
+def _mean(rows) -> np.ndarray:
+    """Mean of 3-vectors given as float sequences: ``np.mean(rows, axis=0)``
+    bit for bit, which sums the rows in order onto +0.0 and divides by the
+    count."""
+    sx = sy = sz = 0.0
+    for x, y, z in rows:
+        sx += x
+        sy += y
+        sz += z
+    n = len(rows)
+    return np.array([sx / n, sy / n, sz / n])
 
 
 class MocapFilter:
@@ -95,16 +108,13 @@ class MocapFilter:
     def last_output(self) -> FilteredPose | None:
         return self._last_output
 
-    def _mean(self) -> np.ndarray:
-        return np.mean(np.asarray(self._window), axis=0)
-
     def _stable(self) -> bool:
         if len(self._dropped) < self.config.stable_count:
             return False
         pts = np.asarray(self._dropped)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if np.linalg.norm(pts[i] - pts[j]) > self.config.stable_tol:
+                if norm(pts[i] - pts[j]) > self.config.stable_tol:
                     return False
         return True
 
@@ -136,7 +146,7 @@ class MocapFilter:
             return self._hold(raw.time_ns)
 
         pos = np.asarray(raw.position, dtype=float)
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise ValueError("non-finite mocap position")
 
         accepted = (self._prev_accepted is None
@@ -144,10 +154,10 @@ class MocapFilter:
         if not accepted:
             self._dropped.append(pos)
             if self._stable():
-                mean = np.mean(np.asarray(self._dropped), axis=0)
+                mean = _mean([p.tolist() for p in self._dropped])
                 self._dropped.clear()
                 self._window.clear()
-                self._window.append(mean)
+                self._window.append(mean.tolist())
                 self._prev_accepted = mean
                 self.relocations += 1
                 rot = constrain_upright(raw.quaternion, self.config.up_axis)
@@ -158,10 +168,10 @@ class MocapFilter:
 
         self._dropped.clear()
         self._prev_accepted = pos
-        self._window.append(pos)
+        self._window.append(pos.tolist())
         if len(self._window) >= self.config.window:
             self._warmed_up = True
         status = PoseStatus.STABLE if self._warmed_up else PoseStatus.WARMING_UP
         rot = constrain_upright(raw.quaternion, self.config.up_axis)
-        self._last_output = FilteredPose(self._mean(), rot, status, raw.time_ns)
+        self._last_output = FilteredPose(_mean(self._window), rot, status, raw.time_ns)
         return self._last_output

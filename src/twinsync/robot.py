@@ -9,8 +9,8 @@ Each ``RobotModel`` compiles its tree once into a ``Chain``
 (``model.chain``): the joints in traversal order with their parent link's
 index, origins and axes as float tuples, each axis's norm and each
 movable joint's position index. Forward kinematics evaluates the chain in
-plain float arithmetic that repeats the operations of ``Pose.compose``,
-``quat_rotate``, ``quat_multiply``, ``quat_from_axis_angle`` and ``Pose``'s
+plain floats on the geometry kernels that ``Pose.compose`` itself runs
+(``qrot``, ``qmul``), and repeats ``quat_from_axis_angle`` and ``Pose``'s
 renormalization in the same order, so its poses are bit-identical to
 composing ``Pose`` objects joint by joint. ``Chain.walk`` evaluates one
 root-to-link path the same way, for callers that need a single link.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, norm, qmul, qrot
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -178,10 +178,10 @@ def parse_urdf(xml_text: str) -> RobotModel:
             axis_el = el.find("axis")
             axis = _parse_floats(axis_el.get("xyz"), 3, "axis") if axis_el is not None \
                 else np.array([1.0, 0.0, 0.0])
-            norm = np.linalg.norm(axis)
-            if norm < 1e-12:
+            n = norm(axis)
+            if n < 1e-12:
                 raise UrdfError(f"zero-length axis on joint {name!r}")
-            axis = axis / norm
+            axis = axis / n
             limit_el = el.find("limit")
             if limit_el is not None:
                 lower = float(limit_el.get("lower", 0.0))
@@ -226,27 +226,11 @@ def _unit(q: tuple) -> tuple:
 
 
 def _compose(a: Frame, b: Frame) -> Frame:
-    """``Pose.compose`` in floats: the same operations in the same order.
-
-    Every term of ``quat_multiply`` is kept, products with the zero scalar
-    part of a rotated vector included, so signed zeros come out the same.
-    """
-    (tx, ty, tz), (w, x, y, z) = a
-    (vx, vy, vz), (bw, bx, by, bz) = b
-    # quat_rotate: (a.rotation * (0, v)) * conj(a.rotation), vector part
-    rw = w * 0.0 - x * vx - y * vy - z * vz
-    rx = w * vx + x * 0.0 + y * vz - z * vy
-    ry = w * vy - x * vz + y * 0.0 + z * vx
-    rz = w * vz + x * vy - y * vx + z * 0.0
-    cx, cy, cz = -x, -y, -z
-    t = (tx + (rw * cx + rx * w + ry * cz - rz * cy),
-         ty + (rw * cy - rx * cz + ry * w + rz * cx),
-         tz + (rw * cz + rx * cy - ry * cx + rz * w))
-    q = _unit((w * bw - x * bx - y * by - z * bz,
-               w * bx + x * bw + y * bz - z * by,
-               w * by - x * bz + y * bw + z * bx,
-               w * bz + x * by - y * bx + z * bw))
-    return t, q
+    """``Pose.compose`` in floats, on the same kernels."""
+    (tx, ty, tz), q = a
+    v, bq = b
+    rx, ry, rz = qrot(q, v)
+    return (tx + rx, ty + ry, tz + rz), _unit(qmul(q, bq))
 
 
 class ChainJoint(NamedTuple):
@@ -256,7 +240,7 @@ class ChainJoint(NamedTuple):
     kind: str
     origin: Frame
     axis: tuple[float, float, float]  # zeros for a fixed joint
-    axis_norm: float  # np.linalg.norm(axis), as quat_from_axis_angle takes it
+    axis_norm: float  # norm(axis), as quat_from_axis_angle takes it
     dof: int  # index of the joint's position, -1 for a fixed joint
 
     def frame(self, parent: Frame, positions) -> Frame:
@@ -305,7 +289,7 @@ class Chain:
                     index[parent], j.kind,
                     (tuple(j.origin.translation.tolist()),
                      tuple(j.origin.rotation.tolist())),
-                    tuple(axis.tolist()), float(np.linalg.norm(axis)),
+                    tuple(axis.tolist()), norm(axis),
                     movable.get(j.name, -1)))
                 stack.append(j.child)
         self.links: tuple[str, ...] = tuple(links)
@@ -317,7 +301,7 @@ class Chain:
         positions = np.asarray(positions, dtype=float)
         if len(positions) != self.dof:
             raise ValueError(f"expected {self.dof} positions, got {len(positions)}")
-        if not np.all(np.isfinite(positions)):
+        if not np.isfinite(positions).all():
             raise ValueError("non-finite joint position")
         return positions.tolist()
 
@@ -384,7 +368,7 @@ def apply_joint_state(model: RobotModel, state: JointState,
     movable = model.movable_joints
     if len(state.positions) != len(movable):
         raise ValueError(f"expected {len(movable)} positions, got {len(state.positions)}")
-    if not (np.all(np.isfinite(state.positions)) and np.all(np.isfinite(state.velocities))):
+    if not (np.isfinite(state.positions).all() and np.isfinite(state.velocities).all()):
         raise ValueError("non-finite joint state")
     out = state.positions.copy()
     report: list[LimitViolation] = []

@@ -106,8 +106,8 @@ def pd_step(leader: JointState, follower: FollowerState, gains: ControllerGains,
     ext_torque = np.asarray(ext_torque, dtype=float)
     if not (len(leader.positions) == len(follower.q) == len(gains.kp) == len(ext_torque)):
         raise ValueError("dimension mismatch")
-    if not (np.all(np.isfinite(leader.positions)) and np.all(np.isfinite(follower.q))
-            and np.all(np.isfinite(ext_torque))):
+    if not (np.isfinite(leader.positions).all() and np.isfinite(follower.q).all()
+            and np.isfinite(ext_torque).all()):
         raise ValueError("non-finite input")
     tau = gains.kp * (leader.positions - follower.q) \
         + gains.kd * (leader.velocities - follower.dq) + ext_torque

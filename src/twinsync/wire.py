@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import norm
+
 TELEMETRY_MAGIC = 0x4A54
 MOCAP_MAGIC = 0x4D43
 COMMAND_MAGIC = 0x434D
@@ -60,7 +62,7 @@ class MocapPacket:
         object.__setattr__(self, "quaternion", np.asarray(self.quaternion, dtype=float))
         if self.quality not in (0, 1):
             raise ValueError("quality must be 0 or 1")
-        if self.quality == 1 and abs(np.linalg.norm(self.quaternion) - 1.0) > 1e-6:
+        if self.quality == 1 and abs(norm(self.quaternion) - 1.0) > 1e-6:
             raise ValueError("tracked sample requires a unit quaternion")
 
 
@@ -124,8 +126,11 @@ def decode_mocap(buf: bytes) -> MocapPacket:
         raise WireError(f"bad mocap magic 0x{magic:04X}")
     if version != WIRE_VERSION:
         raise WireError(f"unsupported mocap version {version}")
-    return MocapPacket(object_id, seq, time_ns, np.array(vals[5:8]),
-                       np.array(vals[8:12]), vals[12])
+    try:
+        return MocapPacket(object_id, seq, time_ns, np.array(vals[5:8]),
+                           np.array(vals[8:12]), vals[12])
+    except ValueError as e:  # a quality byte or quaternion the packet rejects
+        raise WireError(f"invalid mocap sample: {e}") from e
 
 
 def encode_command(f: CommandFrame) -> bytes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, quat_rotate
+from .geometry import Pose, norm, quat_rotate
 from .wire import CMD_KIND_ZONE_REPULSION, CommandFrame
 
 
@@ -41,7 +41,7 @@ class ProhibitedZone:
         object.__setattr__(self, "half_extents",
                            np.asarray(self.half_extents, dtype=float))
         q = np.asarray(self.orientation, dtype=float)
-        n = np.linalg.norm(q)
+        n = norm(q)
         if n == 0:
             raise ValueError("zero orientation quaternion")
         object.__setattr__(self, "orientation", q / n)
@@ -64,7 +64,7 @@ def query(zone: ProhibitedZone, point: np.ndarray) -> Repulsion | None:
     depth 0 with that face's normal.
     """
     point = np.asarray(point, dtype=float)
-    if not np.all(np.isfinite(point)):
+    if not np.isfinite(point).all():
         raise ValueError("non-finite query point")
     local = zone.pose.inverse().transform_point(point)
     margins = zone.half_extents - np.abs(local)

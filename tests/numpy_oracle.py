@@ -1,0 +1,86 @@
+"""The array versions of the geometry kernels: numpy expressions on numpy
+scalars, as twinsync computed them before its kernels moved to Python
+floats. Tests compare the library with these byte for byte."""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def quat_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def quat_conjugate(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def quat_rotate(q, v):
+    qv = np.array([0.0, v[0], v[1], v[2]])
+    r = quat_multiply(quat_multiply(q, qv), quat_conjugate(q))
+    return r[1:]
+
+
+def quat_from_axis_angle(axis, angle):
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n == 0.0:
+        raise ValueError("zero-length axis")
+    half = 0.5 * angle
+    s = np.sin(half) / n
+    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+
+
+def swing_twist(q, axis):
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    if np.linalg.norm(q) == 0.0:
+        raise ValueError("zero quaternion")
+    proj = np.dot(q[1:], axis) * axis
+    twist = np.array([q[0], proj[0], proj[1], proj[2]])
+    n = np.linalg.norm(twist)
+    if n < 1e-12:
+        twist = IDENTITY_QUAT.copy()
+    else:
+        twist = twist / n
+    swing = quat_multiply(q, quat_conjugate(twist))
+    return swing, twist
+
+
+@dataclass(frozen=True)
+class Pose:
+    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    rotation: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT.copy())
+
+    def __post_init__(self):
+        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
+        q = np.asarray(self.rotation, dtype=float)
+        n = np.linalg.norm(q)
+        if abs(n - 1.0) > 1e-12:
+            if n == 0.0:
+                raise ValueError("zero quaternion")
+            q = q / n
+        object.__setattr__(self, "rotation", q)
+
+    def compose(self, other):
+        t = self.translation + quat_rotate(self.rotation, other.translation)
+        q = quat_multiply(self.rotation, other.rotation)
+        return Pose(t, q)
+
+    def inverse(self):
+        qi = quat_conjugate(self.rotation)
+        return Pose(-quat_rotate(qi, self.translation), qi)
+
+
+def filter_mean(rows):
+    """The mocap filter's window and relocation mean."""
+    return np.mean(np.asarray(rows), axis=0)

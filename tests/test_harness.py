@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinsync.grasp import AssetSource, GraspPhase
 from twinsync.harness import (TwinEngine, measure_latency, merge_tick_time,
                               numeric_jacobian, replay, simulate)
 from twinsync.latency import parse_stats
@@ -174,6 +175,9 @@ GOLDEN = {
     "contact": ("c0b5d535cdb0f936db16d6dc80f11aba31e405ed5dcb0b68584c3717df1c97c4",
                 "c8572f34c8320f81efeb6fd2c556438541a56cf2ceb20ff79fa452a2559a8b29",
                 "16696190ef0b7bd218063cab7862bba33c2af931bc6e90385e4d49b6899345e7"),
+    "multi_asset": ("852fd682950e40b59c1d415fa381c341e2001ec26f985d9d667756791834f5ef",
+                    "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
+                    "6c1b01e6b88626d1533146b714695b6d9fbe378a51d95b4c5f8a07393bdc62d9"),
 }
 
 
@@ -190,6 +194,28 @@ def test_golden_hashes(name, tmp_path):
     assert (res.commands_sent > 0) == (name == "contact")
     assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
     assert replay(cfg.log_path, cfg).state_hash == res.state_hash
+
+
+def test_multi_asset_reaches_grasp_and_relocation(tmp_path, monkeypatch):
+    # the multi_asset pin covers grasp attachment, the physics fallback, a
+    # relocation and an attached zone; check the scenario still gets there
+    phases, sources, relocations = set(), set(), []
+    merge_tick = TwinEngine.merge_tick
+
+    def spy(self, *args):
+        out = merge_tick(self, *args)
+        phases.add(self.gripper.phase)
+        sources.update(t.source for t in self.asset_trackers.values())
+        relocations.append(sum(f.relocations for f in self.asset_filters.values()))
+        return out
+
+    monkeypatch.setattr(TwinEngine, "merge_tick", spy)
+    cfg = with_outputs(load_config(CONFIGS / "multi_asset.yaml"), tmp_path)
+    assert any(z.attached_asset == "tray" for z in cfg.zones)
+    simulate(cfg)
+    assert GraspPhase.GRASPED in phases
+    assert {AssetSource.GRIPPER_ATTACHED, AssetSource.PHYSICS_FALLBACK} <= sources
+    assert relocations[-1] >= 1
 
 
 def test_trace_cells_are_plain_floats(robot_file, tmp_path):

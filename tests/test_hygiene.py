@@ -1,0 +1,81 @@
+"""Static checks over the source tree: no import left unread, and no
+``np.linalg.norm`` in the package outside ``geometry.norm``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "twinsync"
+
+
+def modules(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def unused_imports(tree):
+    """(line, name) of each name an import binds and the module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def linalg_norms(tree, allowed_in=()):
+    """Lines that reach ``numpy.linalg.norm``, by attribute or by import,
+    outside the module-level functions named in ``allowed_in``."""
+    exempt = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in allowed_in:
+            exempt.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and dotted(node).endswith("linalg.norm"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") \
+                and any(a.name in ("norm", "linalg") for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path, tree in modules(ROOT / "src", ROOT / "tests")
+             for line, name in unused_imports(tree)]
+    assert found == []
+
+
+def test_norm_only_through_geometry():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in modules(PACKAGE)
+             for line in linalg_norms(
+                 tree, ("norm",) if path == PACKAGE / "geometry.py" else ())]
+    assert found == []
+
+
+def test_checks_see_what_they_look_for():
+    tree = ast.parse("import os\nimport numpy as np\nfrom numpy.linalg import norm\n"
+                     "def f(v):\n    return np.linalg.norm(v)\n")
+    assert unused_imports(tree) == [(1, "os"), (3, "norm")]
+    assert linalg_norms(tree) == [3, 5]
+    geometry = ast.parse("import numpy as np\ndef norm(v):\n"
+                         "    return np.linalg.norm(v)\n")
+    assert linalg_norms(geometry) == [3]
+    assert linalg_norms(geometry, ("norm",)) == []

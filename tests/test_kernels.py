@@ -1,0 +1,163 @@
+"""The float geometry kernels and the mocap filter mean against their numpy
+versions (``numpy_oracle``), byte for byte."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import numpy_oracle as oracle
+from twinsync import mocap
+from twinsync.geometry import (Pose, norm, quat_conjugate, quat_multiply,
+                               quat_rotate, swing_twist)
+from twinsync.mocap import FilterConfig, MocapFilter
+from twinsync.wire import MocapPacket
+
+# zeros of both signs, subnormals, tiny, ordinary and huge magnitudes,
+# whose products underflow or overflow
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-160, 1.0, -1.0,
+           1e150, -1e160, 1e300, -1.7976931348623157e308]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+INTS = st.integers(-1000, 1000)
+
+
+def vectors(n):
+    """float64 arrays, int64 arrays and tuples of Python ints of length n."""
+    return (st.lists(FLOATS, min_size=n, max_size=n).map(np.array)
+            | st.lists(INTS, min_size=n, max_size=n).map(np.array)
+            | st.tuples(*[INTS] * n))
+
+
+def same(got, want):
+    """Equal dtype, shape and bytes. A NaN counts as equal to any NaN: its
+    sign bit comes from whichever operand the machine code puts first, and
+    means nothing (a zero axis turns swing_twist's whole output to NaN)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    if got.dtype.kind == "f":
+        assert (np.isnan(got) == np.isnan(want)).all()
+        got, want = np.where(np.isnan(got), np.nan, got), np.where(np.isnan(want), np.nan, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def both(fn, oracle_fn, *args):
+    """Results of both, or the exception type both raise."""
+    with np.errstate(all="ignore"):
+        try:
+            want = oracle_fn(*args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fn(*args)
+            return None
+        return fn(*args), want
+
+
+@given(v=vectors(3) | vectors(4) | st.lists(FLOATS, min_size=0, max_size=8))
+def test_norm(v):
+    with np.errstate(all="ignore"):
+        same(np.float64(norm(v)), np.linalg.norm(v))
+
+
+@given(a=vectors(4), b=vectors(4))
+def test_quat_multiply(a, b):
+    same(*both(quat_multiply, oracle.quat_multiply, a, b))
+
+
+@given(q=vectors(4))
+def test_quat_conjugate(q):
+    same(*both(quat_conjugate, oracle.quat_conjugate, q))
+
+
+@given(q=vectors(4), v=vectors(3))
+def test_quat_rotate(q, v):
+    same(*both(quat_rotate, oracle.quat_rotate, q, v))
+
+
+@given(q=vectors(4), axis=vectors(3))
+def test_swing_twist(q, axis):
+    out = both(swing_twist, oracle.swing_twist, q, axis)
+    if out is not None:
+        (swing, twist), (want_swing, want_twist) = out
+        same(swing, want_swing)
+        same(twist, want_twist)
+
+
+@given(t=vectors(3), q=vectors(4))
+def test_pose_normalisation(t, q):
+    out = both(Pose, oracle.Pose, t, q)
+    if out is not None:
+        got, want = out
+        same(got.translation, want.translation)
+        same(got.rotation, want.rotation)
+
+
+UNIT = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 1e-3)
+
+
+@given(ta=vectors(3), qa=UNIT, tb=vectors(3), qb=UNIT)
+def test_pose_compose_and_inverse(ta, qa, tb, qb):
+    with np.errstate(all="ignore"):
+        a, b = Pose(ta, qa), Pose(tb, qb)
+        oa, ob = oracle.Pose(ta, qa), oracle.Pose(tb, qb)
+        for got, want in ((a.compose(b), oa.compose(ob)), (a.inverse(), oa.inverse()),
+                          (a.inverse().compose(b), oa.inverse().compose(ob))):
+            same(got.translation, want.translation)
+            same(got.rotation, want.rotation)
+
+
+# one frame of a tracker stream: ("move", noise) stays near the current
+# spot, ("jump", noise) moves the spot 0.5 m, beyond the velocity gate, so
+# the filter holds and then relocates; ("lost", _) is an untracked frame
+NOISE = st.tuples(*[st.floats(-1e-3, 1e-3)] * 3)
+STEPS = st.lists(st.tuples(st.sampled_from(["move", "move", "move", "jump", "lost"]),
+                           NOISE), min_size=1, max_size=60)
+
+
+@given(window=st.integers(5, 15), stable_count=st.integers(2, 12),
+       start=st.tuples(*[st.floats(-50.0, 50.0)] * 3), steps=STEPS,
+       quat=UNIT)
+@settings(max_examples=150, deadline=None)
+# a stream that relocates once, so every run compares a relocation mean
+@example(window=5, stable_count=3, start=(0.3, -0.2, 0.1),
+         steps=[("move", (1e-4, -2e-4, 3e-4))] * 6 + [("jump", (0.0, 0.0, 0.0))]
+         + [("move", (-1e-4, 1e-4, 0.0))] * 4, quat=[0.9, 0.1, -0.2, 0.3])
+def test_filter_matches_np_mean(window, stable_count, start, steps, quat):
+    cfg = FilterConfig(window=window, stable_count=stable_count)
+    quat = np.asarray(quat) / np.linalg.norm(quat)
+    spot = np.asarray(start)
+    packets = []
+    for i, (kind, noise) in enumerate(steps):
+        if kind == "jump":
+            spot = spot + 0.5
+        pos = spot + np.asarray(noise)
+        packets.append(MocapPacket(1, i, i * 10_000_000, pos, quat,
+                                   0 if kind == "lost" else 1))
+
+    def run():
+        f = MocapFilter(cfg)
+        return [f.process(p) for p in packets], f.relocations
+
+    got, relocations = run()
+    with mock.patch.object(mocap, "_mean", oracle.filter_mean):
+        want, want_relocations = run()
+    assert relocations == want_relocations
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert (g.status, g.time_ns) == (w.status, w.time_ns)
+            same(g.position, w.position)
+            same(g.rotation, w.rotation)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_mean_of_random_windows(n):
+    rng = np.random.default_rng(n)
+    signed_zeros = np.array([[-0.0, 0.0, -0.0]] * n)
+    same(mocap._mean(signed_zeros.tolist()), np.mean(signed_zeros, axis=0))
+    for scale in (1e-6, 1.0, 1e3):
+        for _ in range(500):
+            rows = rng.normal(size=(n, 3)) * scale
+            same(mocap._mean(rows.tolist()), np.mean(rows, axis=0))

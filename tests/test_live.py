@@ -1,11 +1,13 @@
 import socket
+import struct
 import time
 
 import numpy as np
+import pytest
 
 from twinsync.live import LiveBridge, loopback_self_test
-from twinsync.wire import MocapPacket, TelemetryPacket, encode_mocap, \
-    encode_telemetry
+from twinsync.wire import (MOCAP_MAGIC, WIRE_VERSION, MocapPacket, TelemetryPacket,
+                           encode_mocap, encode_telemetry)
 
 
 def wait_until(predicate, timeout_s=2.0):
@@ -43,6 +45,35 @@ def test_mocap_channel_and_latest_wins():
         assert wait_until(lambda: (bridge.merge_once(),
                                    bridge.counters.mocap_applied >= 20)[1])
         assert bridge.latest_mocap[1].seq == 19
+    finally:
+        sender.close()
+        bridge.stop()
+
+
+def raw_mocap(quaternion, quality):
+    """A mocap datagram that no ``MocapPacket`` can hold."""
+    return struct.pack("<HBBIQ3d4dB", MOCAP_MAGIC, WIRE_VERSION, 1, 0, 0,
+                       0.0, 0.0, 0.0, *quaternion, quality)
+
+
+@pytest.mark.parametrize("bad", [raw_mocap((2.0, 0.0, 0.0, 0.0), 1),
+                                 raw_mocap((1.0, 0.0, 0.0, 0.0), 2)],
+                         ids=["non_unit_quaternion", "quality_2"])
+def test_bad_mocap_datagram_keeps_channel_alive(bad):
+    n = 20
+    bridge = LiveBridge()
+    bridge.start()
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sender.sendto(bad, bridge.mocap_addr)
+        for i in range(n):
+            pkt = MocapPacket(1, i, i * 1_000_000, [0.0, 0.0, 0.0], [1.0, 0, 0, 0], 1)
+            sender.sendto(encode_mocap(pkt), bridge.mocap_addr)
+        assert wait_until(lambda: (bridge.merge_once(),
+                                   bridge.counters.mocap_applied >= n)[1])
+        assert bridge.counters.malformed == 1
+        assert bridge.counters.mocap_applied == n
+        assert all(t.is_alive() for t in bridge._threads)
     finally:
         sender.close()
         bridge.stop()

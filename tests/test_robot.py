@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy_oracle as oracle
 from twinsync.geometry import Pose, quat_from_axis_angle
 from twinsync.harness import numeric_jacobian
 from twinsync.robot import (JointState, UrdfError, apply_joint_state,
@@ -188,25 +189,29 @@ class TestForwardKinematics:
 
 
 def reference_fk(model, positions, base_pose=None):
-    """Forward kinematics as a walk of ``Pose.compose`` over the tree, in the
-    order the compiled chain keeps: the oracle it must match bit for bit."""
+    """Forward kinematics as a walk of the numpy oracle's ``Pose.compose``
+    over the tree, in the order the compiled chain keeps: the oracle it must
+    match bit for bit."""
     positions = np.asarray(positions, dtype=float)
     pos_of = {j.name: positions[i] for i, j in enumerate(model.movable_joints)}
     joints_of = {}
     for j in model.joints:
         joints_of.setdefault(j.parent, []).append(j)
-    poses = {model.root: base_pose or Pose.identity()}
+    base = base_pose or Pose.identity()
+    poses = {model.root: oracle.Pose(base.translation, base.rotation)}
     stack = [model.root]
     while stack:
         parent = stack.pop()
         for j in joints_of.get(parent, []):
             if j.kind == "revolute":
-                motion = Pose(np.zeros(3), quat_from_axis_angle(j.axis, pos_of[j.name]))
+                motion = oracle.Pose(np.zeros(3),
+                                     oracle.quat_from_axis_angle(j.axis, pos_of[j.name]))
             elif j.kind == "prismatic":
-                motion = Pose(j.axis * pos_of[j.name])
+                motion = oracle.Pose(j.axis * pos_of[j.name])
             else:
-                motion = Pose.identity()
-            poses[j.child] = poses[parent].compose(j.origin).compose(motion)
+                motion = oracle.Pose()
+            origin = oracle.Pose(j.origin.translation, j.origin.rotation)
+            poses[j.child] = poses[parent].compose(origin).compose(motion)
             stack.append(j.child)
     return poses
 

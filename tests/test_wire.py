@@ -74,6 +74,16 @@ def test_bad_magic_and_version():
         decode_telemetry(bytes(data))
 
 
+def test_mocap_sample_the_packet_rejects_is_a_wire_error():
+    good = encode_mocap(MocapPacket(0, 0, 0, [0, 0, 0], [1, 0, 0, 0], 1))
+    quality_2 = good[:-1] + bytes([2])
+    non_unit = bytearray(good)
+    non_unit[40:48] = np.float64(2.0).tobytes()  # w of the quaternion
+    for data in (quality_2, bytes(non_unit)):
+        with pytest.raises(WireError, match="invalid mocap sample"):
+            decode_mocap(data)
+
+
 def test_dof_overflow():
     big = np.zeros(256)
     with pytest.raises(WireError, match="dof"):
