@@ -25,8 +25,8 @@ from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
 from .robot import (JointState, RobotModel, apply_joint_state, forward_kinematics,
                     parse_urdf)
 from .scenario import ScenarioConfig
-from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_trajectory,
-                     pd_step)
+from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_samples,
+                     leader_trajectory, pd_step)
 from .wire import (CommandFrame, MocapPacket, TelemetryPacket, decode_command,
                    decode_mocap, decode_telemetry, encode_command, encode_mocap,
                    encode_telemetry)
@@ -284,15 +284,16 @@ def simulate(config: ScenarioConfig) -> SimResult:
     trace.write("time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
                 + ",".join(f"follower_q{i}" for i in range(dof)) + "\n")
 
-    follower = FollowerState(leader_trajectory(0.0, profile).positions, np.zeros(dof))
-    latest_leader = leader_trajectory(0.0, profile)
-    ext_tau = np.zeros(dof)
+    leader0 = leader_trajectory(0.0, profile)
+    follower = FollowerState(leader0.positions, [0.0] * dof)
+    latest_leader = leader0
+    no_torque = [0.0] * dof
+    ext_tau = no_torque
     ext_expiry = -1
     control_ticks = int(round(config.duration_s * 1000))
     merge_ticks = int(round(config.duration_s * MERGE_HZ))
     mocap_src = _mocap_schedule(config, noise_rng)
     next_mocap = next(mocap_src, None)
-    seq = 0
     counters = {"commands": 0, "delivered": 0}
     merge_k = 1
 
@@ -318,7 +319,10 @@ def simulate(config: ScenarioConfig) -> SimResult:
             writer.append(LogRecord(mk_ns, CHANNEL_COMMAND, data))
             counters["commands"] += 1
 
-    for k in range(control_ticks):
+    # the leader generator runs out with the loop, so its last chunk is freed
+    # before the outputs below are built
+    for k, leader_now in enumerate(leader_samples(profile, control_ticks,
+                                                  CONTROL_TICK_NS)):
         t_ns = k * CONTROL_TICK_NS
         # world-side mocap frames due at or before this control tick
         while next_mocap is not None and next_mocap[0] <= t_ns:
@@ -327,7 +331,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
             next_mocap = next(mocap_src, None)
 
         # leader -> follower over the teleop link (latest-sample semantics)
-        leader_now = leader_trajectory(t_ns / 1e9, profile)
         teleop_link.send(t_ns, leader_now)
         for d in teleop_link.poll(t_ns):
             latest_leader = d.payload
@@ -338,20 +341,20 @@ def simulate(config: ScenarioConfig) -> SimResult:
             force = counterforce(Repulsion(frame.direction, frame.depth),
                                  frame.stiffness)
             J = numeric_jacobian(model, follower.q, engine.ee_link)
-            ext_tau = J.T @ force
+            ext_tau = (J.T @ force).tolist()
             ext_expiry = t_ns + (1_000_000_000 // MERGE_HZ)
-        tau_ext = ext_tau if t_ns < ext_expiry else np.zeros(dof)
+        tau_ext = ext_tau if t_ns < ext_expiry else no_torque
 
         tau, follower = pd_step(latest_leader, follower, gains, tau_ext)
-        trace.write(f"{t_ns}," + ",".join(map(repr, latest_leader.positions.tolist()))
-                    + "," + ",".join(map(repr, follower.q.tolist())) + "\n")
+        trace.write(f"{t_ns}," + ",".join(map(repr, latest_leader.positions))
+                    + "," + ",".join(map(repr, follower.q)) + "\n")
 
-        sample = TelemetryPacket(config.robot_id, seq, t_ns, follower.q, follower.dq,
-                                 tau, latest_leader.gripper_width,
-                                 latest_leader.gripper_velocity)
-        seq += 1
-        for tick_time, pkt in throttle.offer(t_ns, sample):
-            recorder.record(pkt.seq, Stage.INGRESS, tick_time)
+        # the packet is built only for the samples the throttle emits
+        sample = (k, t_ns, follower.q, follower.dq, tau,
+                  latest_leader.gripper_width, latest_leader.gripper_velocity)
+        for tick_time, s in throttle.offer(t_ns, sample):
+            recorder.record(s[0], Stage.INGRESS, tick_time)
+            pkt = TelemetryPacket(config.robot_id, *s)
             telemetry_link.send(tick_time, encode_telemetry(pkt))
 
         # twin merge ticks due by now

@@ -157,9 +157,21 @@ class LiveBridge:
             s.close()
 
 
+LOOPBACK_WINDOW = 32
+LOOPBACK_STALL_S = 2.0
+
+
 def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> LiveCounters:
     """Send n telemetry packets over real loopback sockets and count
-    correct decode-and-apply at the merge loop."""
+    correct decode-and-apply at the merge loop.
+
+    The sender is a closed loop: it keeps at most ``LOOPBACK_WINDOW``
+    datagrams outstanding (sent, but not yet applied or counted malformed)
+    and runs the merge loop while it waits, so a busy host slows the test
+    down instead of overflowing the kernel's socket buffer. A datagram the
+    kernel drops anyway stops being waited for after ``LOOPBACK_STALL_S``
+    without progress.
+    """
     import numpy as np
 
     from .wire import TelemetryPacket, encode_telemetry
@@ -167,23 +179,34 @@ def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> Live
     bridge = LiveBridge()
     bridge.start()
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    counters = bridge.counters
+    sent = 0
+
+    def settle(limit: int) -> None:
+        last, since = -1, 0.0
+        while (done := counters.telemetry_applied + counters.malformed) < sent - limit:
+            if done != last:
+                last, since = done, time.monotonic()
+            elif time.monotonic() - since > LOOPBACK_STALL_S:
+                return
+            bridge.merge_once()
+            time.sleep(0)  # let the receiver threads take the GIL
+
     try:
         addr = bridge.telemetry_addr
+        every = max(1, n_packets // inject_malformed) if inject_malformed else 0
         for i in range(n_packets):
             pkt = TelemetryPacket(0, i, i * 1_000_000, np.zeros(7), np.zeros(7),
                                   np.zeros(7), 0.08, 0.0)
-            sender.sendto(encode_telemetry(pkt), addr)
-            if inject_malformed and i % max(1, n_packets // inject_malformed) == 0:
-                sender.sendto(b"\x00\x01garbage", addr)
-            if i % 50 == 49:
-                bridge.merge_once()
-                time.sleep(0.001)
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline and \
-                bridge.counters.telemetry_applied < n_packets:
-            bridge.merge_once()
-            time.sleep(0.01)
+            datagrams = [encode_telemetry(pkt)]
+            if every and i % every == 0:
+                datagrams.append(b"\x00\x01garbage")
+            for data in datagrams:
+                settle(LOOPBACK_WINDOW - 1)
+                sender.sendto(data, addr)
+                sent += 1
+        settle(0)
     finally:
         sender.close()
         bridge.stop()
-    return bridge.counters
+    return counters

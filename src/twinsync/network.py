@@ -8,7 +8,10 @@ due. All randomness comes from the per-link seed.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +73,33 @@ class DelayModel:
         return DelayModel("empirical", (tuple(samples_ms),))
 
 
+def _doubles(rng: np.random.Generator):
+    """The doubles successive ``rng.random()`` calls return, drawn 64 at a
+    time: ``Generator.random(n)`` fills from the same stream."""
+    while True:
+        yield from array("d", rng.random(64).tobytes())
+
+
+def _link_draws(delay: DelayModel, rng: np.random.Generator):
+    """``(random, delay_ms)``: zero-argument callables that draw a link's
+    loss double and its delay from ``rng`` in per-send order.
+
+    A constant delay draws nothing and a uniform one a single double,
+    ``Generator.uniform``'s ``lo + (hi - lo) * u``, so both links read one
+    stream of doubles drawn in blocks. Normal and empirical delays draw
+    from ``rng`` on each send.
+    """
+    if delay.kind == "constant":
+        (d,) = delay.params
+        return partial(next, _doubles(rng)), lambda: d
+    if delay.kind == "uniform":
+        u = _doubles(rng)
+        lo, hi = map(float, delay.params)
+        span = hi - lo
+        return partial(next, u), lambda: lo + span * next(u)
+    return rng.random, partial(delay.sample_ms, rng)
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     delay: DelayModel = field(default_factory=lambda: DelayModel.constant(0.0))
@@ -95,6 +125,7 @@ class Throttle:
         self.target_hz = target_hz
         self.start_ns = start_time_ns
         self._tick = 0
+        self._next_ns = start_time_ns
         self._last_time = None
         self._latest = None
         self._latest_idx = -1
@@ -105,12 +136,12 @@ class Throttle:
         return self.start_ns + (k * 1_000_000_000) // self.target_hz
 
     def _drain(self, until_ns: int, out: list):
-        while self._tick_time(self._tick) <= until_ns:
-            t = self._tick_time(self._tick)
+        while self._next_ns <= until_ns:
             if self._latest_idx > self._emitted_idx:
-                out.append((t, self._latest))
+                out.append((self._next_ns, self._latest))
                 self._emitted_idx = self._latest_idx
             self._tick += 1
+            self._next_ns = self._tick_time(self._tick)
 
     def offer(self, time_ns: int, sample) -> list:
         if self._last_time is not None and time_ns < self._last_time:
@@ -132,8 +163,7 @@ class Throttle:
         return out
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     time_ns: int
     send_time_ns: int
     payload: object
@@ -144,7 +174,8 @@ class DatagramLink:
 
     def __init__(self, config: LinkConfig):
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        self._random, self._delay_ms = _link_draws(
+            config.delay, np.random.default_rng(config.seed))
         self._heap: list[tuple[int, int, Delivery]] = []
         self._count = 0
         self.sent = 0
@@ -152,8 +183,8 @@ class DatagramLink:
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        lost = self._rng.random() < self.config.loss
-        delay_ns = int(round(self.config.delay.sample_ms(self._rng) * NS_PER_MS))
+        lost = self._random() < self.config.loss
+        delay_ns = int(round(self._delay_ms() * NS_PER_MS))
         if lost:
             self.dropped += 1
             return
@@ -182,14 +213,15 @@ class StreamLink:
         if config.loss != 0.0:
             raise ValueError("stream links cannot be lossy")
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        _, self._delay_ms = _link_draws(config.delay,
+                                        np.random.default_rng(config.seed))
         self._queue: list[Delivery] = []
         self._last_delivery_ns = 0
         self.sent = 0
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        delay_ns = int(round(self.config.delay.sample_ms(self._rng) * NS_PER_MS))
+        delay_ns = int(round(self._delay_ms() * NS_PER_MS))
         t = max(time_ns + delay_ns, self._last_delivery_ns)
         self._last_delivery_ns = t
         self._queue.append(Delivery(t, time_ns, payload))

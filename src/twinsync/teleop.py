@@ -4,41 +4,58 @@ The leader is a trajectory source (sinusoid or scripted steps); the
 follower runs a per-joint PD impedance law over unit inertia, integrated
 with semi-implicit Euler. External joint torques, such as zone repulsion,
 enter the follower's law as an extra torque term.
+
+The control tick runs on Python floats. ``leader_samples`` evaluates the
+leader for a chunk of ticks with one numpy ``sin``/``cos`` and hands out
+one row per tick as float lists; ``pd_step`` does its per-joint arithmetic
+on floats in the elementwise order of the array expressions it replaced,
+so every value is bit for bit what numpy computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
-from .robot import JointState
+LEADER_CHUNK = 64  # ticks per batched leader evaluation
 
 
 @dataclass(frozen=True)
 class ControllerGains:
-    kp: np.ndarray
-    kd: np.ndarray
+    kp: tuple[float, ...]
+    kd: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kp", np.asarray(self.kp, dtype=float))
-        object.__setattr__(self, "kd", np.asarray(self.kd, dtype=float))
-        if np.any(self.kp < 0) or np.any(self.kd < 0):
+        kp = tuple(np.asarray(self.kp, dtype=float).tolist())
+        kd = tuple(np.asarray(self.kd, dtype=float).tolist())
+        if len(kp) != len(kd):
+            raise ValueError("kp and kd must have equal length")
+        if any(k < 0 for k in kp + kd):
             raise ValueError("gains must be >= 0")
+        object.__setattr__(self, "kp", kp)
+        object.__setattr__(self, "kd", kd)
 
     @staticmethod
     def default(dof: int, kp: float = 100.0, kd: float = 20.0) -> "ControllerGains":
-        return ControllerGains(np.full(dof, kp), np.full(dof, kd))
+        return ControllerGains([kp] * dof, [kd] * dof)
 
 
-@dataclass(frozen=True)
-class FollowerState:
-    q: np.ndarray
-    dq: np.ndarray
+class FollowerState(NamedTuple):
+    q: list[float]
+    dq: list[float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "dq", np.asarray(self.dq, dtype=float))
+
+class LeaderSample(NamedTuple):
+    """The leader's joint positions and velocities plus its gripper channel."""
+
+    positions: list[float]
+    velocities: list[float]
+    gripper_width: float
+    gripper_velocity: float
 
 
 @dataclass(frozen=True)
@@ -85,32 +102,52 @@ class LeaderProfile:
         return width
 
 
-def leader_trajectory(t: float, profile: LeaderProfile) -> JointState:
-    """Leader joint state at time t (analytic position and velocity)."""
-    if t < 0:
+def _leader_rows(times: list[float], profile: LeaderProfile):
+    """Leader samples at each of ``times`` (analytic position and velocity),
+    from one ``sin`` and one ``cos`` over a (len(times), dof) array."""
+    if min(times) < 0:
         raise ValueError("t must be >= 0")
+    t = np.array(times)[:, None]
     w = 2.0 * np.pi * profile.frequencies
     q = profile.centers + profile.amplitudes * np.sin(w * t + profile.phases)
     dq = profile.amplitudes * w * np.cos(w * t + profile.phases)
-    width = profile.gripper_at(t)
-    prev_width = profile.gripper_at(max(0.0, t - 1e-3))
-    return JointState(int(round(t * 1e9)), q, dq, np.zeros_like(q),
-                      width, (width - prev_width) / 1e-3)
+    for ti, q_row, dq_row in zip(times, q, dq):
+        width = profile.gripper_at(ti)
+        prev_width = profile.gripper_at(max(0.0, ti - 1e-3))
+        yield LeaderSample(q_row.tolist(), dq_row.tolist(), width,
+                           (width - prev_width) / 1e-3)
 
 
-def pd_step(leader: JointState, follower: FollowerState, gains: ControllerGains,
-            ext_torque: np.ndarray, dt: float = 1e-3) -> tuple[np.ndarray, FollowerState]:
-    """One PD impedance step over unit inertia (semi-implicit Euler)."""
+def leader_trajectory(t: float, profile: LeaderProfile) -> LeaderSample:
+    """Leader sample at time t (analytic position and velocity)."""
+    return next(_leader_rows([t], profile))
+
+
+def leader_samples(profile: LeaderProfile, n_ticks: int, tick_ns: int):
+    """The leader sample of each control tick k < n_ticks, at k * tick_ns,
+    evaluated ``LEADER_CHUNK`` ticks at a time."""
+    for k0 in range(0, n_ticks, LEADER_CHUNK):
+        ks = range(k0, min(k0 + LEADER_CHUNK, n_ticks))
+        yield from _leader_rows([k * tick_ns / 1e9 for k in ks], profile)
+
+
+def pd_step(leader: LeaderSample, follower: FollowerState, gains: ControllerGains,
+            ext_torque, dt: float = 1e-3) -> tuple[list[float], FollowerState]:
+    """One PD impedance step over unit inertia (semi-implicit Euler).
+
+    Per joint, on floats: tau = kp*(lq - q) + kd*(ldq - dq) + ext, then
+    dq' = dq + tau*dt, then q' = q + dq'*dt.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ext_torque = np.asarray(ext_torque, dtype=float)
-    if not (len(leader.positions) == len(follower.q) == len(gains.kp) == len(ext_torque)):
+    lq, ldq = leader.positions, leader.velocities
+    q, dq = follower.q, follower.dq
+    if not (len(lq) == len(ldq) == len(q) == len(dq) == len(gains.kp)
+            == len(ext_torque)):
         raise ValueError("dimension mismatch")
-    if not (np.isfinite(leader.positions).all() and np.isfinite(follower.q).all()
-            and np.isfinite(ext_torque).all()):
+    if not all(map(isfinite, chain(lq, q, ext_torque))):
         raise ValueError("non-finite input")
-    tau = gains.kp * (leader.positions - follower.q) \
-        + gains.kd * (leader.velocities - follower.dq) + ext_torque
-    dq = follower.dq + tau * dt
-    q = follower.q + dq * dt
-    return tau, FollowerState(q, dq)
+    tau = [kp * (a - b) + kd * (c - d) + e for kp, kd, a, b, c, d, e
+           in zip(gains.kp, gains.kd, lq, q, ldq, dq, ext_torque)]
+    dq = [v + f * dt for v, f in zip(dq, tau)]
+    return tau, FollowerState([x + v * dt for x, v in zip(q, dq)], dq)

@@ -6,6 +6,7 @@ exact inverses on well-formed messages.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -62,8 +63,12 @@ class MocapPacket:
         object.__setattr__(self, "quaternion", np.asarray(self.quaternion, dtype=float))
         if self.quality not in (0, 1):
             raise ValueError("quality must be 0 or 1")
-        if self.quality == 1 and abs(norm(self.quaternion) - 1.0) > 1e-6:
-            raise ValueError("tracked sample requires a unit quaternion")
+        if self.quality == 1:
+            # written so that a NaN norm fails it too
+            if not abs(norm(self.quaternion) - 1.0) <= 1e-6:
+                raise ValueError("tracked sample requires a unit quaternion")
+            if not all(map(math.isfinite, self.position.tolist())):
+                raise ValueError("tracked sample requires a finite position")
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def decode_mocap(buf: bytes) -> MocapPacket:
     try:
         return MocapPacket(object_id, seq, time_ns, np.array(vals[5:8]),
                            np.array(vals[8:12]), vals[12])
-    except ValueError as e:  # a quality byte or quaternion the packet rejects
+    except ValueError as e:  # a sample the packet rejects
         raise WireError(f"invalid mocap sample: {e}") from e
 
 

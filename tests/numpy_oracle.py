@@ -1,6 +1,7 @@
-"""The array versions of the geometry kernels: numpy expressions on numpy
-scalars, as twinsync computed them before its kernels moved to Python
-floats. Tests compare the library with these byte for byte."""
+"""The array versions of the geometry kernels and of the control tick:
+numpy expressions on numpy scalars, as twinsync computed them before its
+kernels moved to Python floats, and a link that draws its randomness one
+call per send. Tests compare the library with these byte for byte."""
 
 from dataclasses import dataclass, field
 
@@ -84,3 +85,52 @@ class Pose:
 def filter_mean(rows):
     """The mocap filter's window and relocation mean."""
     return np.mean(np.asarray(rows), axis=0)
+
+
+def leader_trajectory(t, profile):
+    """The leader's joint positions and velocities at time t."""
+    w = 2.0 * np.pi * profile.frequencies
+    q = profile.centers + profile.amplitudes * np.sin(w * t + profile.phases)
+    dq = profile.amplitudes * w * np.cos(w * t + profile.phases)
+    return q, dq
+
+
+def pd_step(lq, ldq, q, dq, kp, kd, ext, dt=1e-3):
+    """One PD step on float64 arrays: (tau, q, dq)."""
+    tau = kp * (lq - q) + kd * (ldq - dq) + ext
+    dq = dq + tau * dt
+    q = q + dq * dt
+    return tau, q, dq
+
+
+class DatagramLink:
+    """A datagram link that draws its loss and delay from the generator on
+    every send: ``random()``, then ``uniform(lo, hi)`` for a uniform delay.
+    ``outcomes`` holds (delivery time or None, send time, dropped) per send."""
+
+    def __init__(self, config):
+        self.config = config
+        self._rng = np.random.default_rng(config.seed)
+        self.outcomes = []
+
+    def delay_ns(self):
+        delay = self.config.delay
+        ms = delay.params[0] if delay.kind == "constant" else self._rng.uniform(*delay.params)
+        return int(round(ms * 1_000_000))
+
+    def send(self, time_ns):
+        lost = self._rng.random() < self.config.loss
+        delay_ns = self.delay_ns()
+        self.outcomes.append((None if lost else time_ns + delay_ns, time_ns, lost))
+
+
+class StreamLink(DatagramLink):
+    """The stream link's delivery times, one delay draw per send."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._last = 0
+
+    def send(self, time_ns):
+        self._last = max(time_ns + self.delay_ns(), self._last)
+        self.outcomes.append((self._last, time_ns, False))

@@ -1,15 +1,18 @@
 import dataclasses
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twinsync import harness
 from twinsync.grasp import AssetSource, GraspPhase
 from twinsync.harness import (TwinEngine, measure_latency, merge_tick_time,
                               numeric_jacobian, replay, simulate)
 from twinsync.latency import parse_stats
 from twinsync.network import DelayModel, LinkConfig
-from twinsync.robot import parse_urdf
+from twinsync.recordlog import CHANNEL_MOCAP, LogRecord, LogWriter, read_log
+from twinsync.robot import JointState, parse_urdf
 from twinsync.scenario import (AssetConfig, ConfigError, LeaderConfig,
                                ScenarioConfig, config_from_dict, load_config)
 from twinsync.wire import TelemetryPacket
@@ -156,6 +159,28 @@ class TestReplay:
         rep = replay(log, cfg, skip_bad=True)
         assert rep.merge_ticks >= 1
 
+    def test_skip_bad_drops_a_non_finite_mocap_record(self, robot_file, tmp_path):
+        log = tmp_path / "run.dtrl"
+        cfg = scenario(robot_file, duration_s=0.5, log_path=str(log))
+        res = simulate(cfg)
+        records = read_log(log).records
+        i = next(k for k, r in enumerate(records)
+                 if r.channel == CHANNEL_MOCAP and r.time_ns > 100_000_000)
+        good = records[i].payload
+        nan_x = good[:16] + struct.pack("<d", np.nan) + good[24:]  # position x
+        bad = tmp_path / "bad.dtrl"
+        with LogWriter(bad, cfg.seed) as writer:
+            for r in records[:i + 1]:
+                writer.append(r)
+            writer.append(LogRecord(records[i].time_ns, CHANNEL_MOCAP, nan_x))
+            for r in records[i + 1:]:
+                writer.append(r)
+        with pytest.raises(ValueError, match="undecodable payload"):
+            replay(bad, cfg)
+        rep = replay(bad, cfg, skip_bad=True)
+        assert rep.skipped == 1
+        assert rep.state_hash == res.state_hash
+
     def test_empty_log(self, robot_file, tmp_path):
         log = tmp_path / "empty.dtrl"
         cfg = scenario(robot_file, duration_s=0.0, log_path=str(log))
@@ -216,6 +241,38 @@ def test_multi_asset_reaches_grasp_and_relocation(tmp_path, monkeypatch):
     assert GraspPhase.GRASPED in phases
     assert {AssetSource.GRIPPER_ATTACHED, AssetSource.PHYSICS_FALLBACK} <= sources
     assert relocations[-1] >= 1
+
+
+def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
+    # the control loop builds a telemetry packet only for the samples the
+    # throttle emits, and no JointState: the only ones are the merge tick's,
+    # one per telemetry packet it applies
+    built = {"telemetry": 0, "joint_state": 0}
+    engines = []
+
+    def telemetry_packet(*args):
+        built["telemetry"] += 1
+        return TelemetryPacket(*args)
+
+    post_init = JointState.__post_init__
+
+    def joint_state_post_init(self):
+        built["joint_state"] += 1
+        post_init(self)
+
+    merge_tick = TwinEngine.merge_tick
+
+    def merge_tick_spy(self, *args):
+        engines.append(self)
+        return merge_tick(self, *args)
+
+    monkeypatch.setattr(harness, "TelemetryPacket", telemetry_packet)
+    monkeypatch.setattr(JointState, "__post_init__", joint_state_post_init)
+    monkeypatch.setattr(TwinEngine, "merge_tick", merge_tick_spy)
+    res = simulate(with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path))
+    assert res.control_ticks == 2000
+    assert built["telemetry"] == res.telemetry_sent <= 121
+    assert built["joint_state"] == engines[-1].telemetry_applied <= res.merge_ticks
 
 
 def test_trace_cells_are_plain_floats(robot_file, tmp_path):

@@ -1,5 +1,6 @@
-"""The float geometry kernels and the mocap filter mean against their numpy
-versions (``numpy_oracle``), byte for byte."""
+"""The float geometry kernels, the mocap filter mean and the control tick's
+leader and PD step against their numpy versions (``numpy_oracle``), byte
+for byte."""
 
 from unittest import mock
 
@@ -12,6 +13,8 @@ from twinsync import mocap
 from twinsync.geometry import (Pose, norm, quat_conjugate, quat_multiply,
                                quat_rotate, swing_twist)
 from twinsync.mocap import FilterConfig, MocapFilter
+from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
+                             leader_samples, leader_trajectory, pd_step)
 from twinsync.wire import MocapPacket
 
 # zeros of both signs, subnormals, tiny, ordinary and huge magnitudes,
@@ -161,3 +164,55 @@ def test_mean_of_random_windows(n):
         for _ in range(500):
             rows = rng.normal(size=(n, 3)) * scale
             same(mocap._mean(rows.tolist()), np.mean(rows, axis=0))
+
+
+@st.composite
+def leader_profiles(draw):
+    dof = draw(st.integers(1, 9))
+
+    def row(lo, hi):
+        return draw(st.lists(st.floats(lo, hi) | st.sampled_from([0.0, -0.0]),
+                             min_size=dof, max_size=dof))
+    return LeaderProfile(row(-3.0, 3.0), row(-2.0, 2.0), row(0.0, 50.0), row(-7.0, 7.0))
+
+
+# 200 ticks cross the leader's 64-tick chunks
+@given(profile=leader_profiles(), n=st.integers(0, 200))
+@settings(max_examples=60, deadline=None)
+def test_leader_samples_match_numpy(profile, n):
+    rows = list(leader_samples(profile, n, 1_000_000))
+    assert len(rows) == n
+    for k, row in enumerate(rows):
+        q, dq = oracle.leader_trajectory(k * 1_000_000 / 1e9, profile)
+        same(row.positions, q)
+        same(row.velocities, dq)
+
+
+@given(profile=leader_profiles(), t=st.floats(0.0, 1e5))
+def test_leader_trajectory_matches_numpy(profile, t):
+    q, dq = oracle.leader_trajectory(t, profile)
+    row = leader_trajectory(t, profile)
+    same(row.positions, q)
+    same(row.velocities, dq)
+
+
+GAINS = st.floats(0.0, 1e6) | st.sampled_from([0.0, 5e-324, 1e300])
+
+
+@st.composite
+def pd_inputs(draw):
+    dof = draw(st.integers(1, 9))
+    vecs = [draw(st.lists(FLOATS, min_size=dof, max_size=dof)) for _ in range(5)]
+    gains = [draw(st.lists(GAINS, min_size=dof, max_size=dof)) for _ in range(2)]
+    return (*vecs, *gains, draw(st.floats(1e-6, 1.0) | st.just(1e-3)))
+
+
+@given(pd_inputs())
+def test_pd_step_matches_numpy(inputs):
+    lq, ldq, q, dq, ext, kp, kd, dt = inputs
+    tau, follower = pd_step(LeaderSample(lq, ldq, 0.08, 0.0), FollowerState(q, dq),
+                            ControllerGains(kp, kd), ext, dt)
+    with np.errstate(all="ignore"):
+        want = oracle.pd_step(*map(np.array, (lq, ldq, q, dq, kp, kd, ext)), dt)
+    for got, w in zip((tau, follower.q, follower.dq), want):
+        same(got, w)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from twinsync.live import LiveBridge, loopback_self_test
+from twinsync.live import LOOPBACK_WINDOW, LiveBridge, loopback_self_test
 from twinsync.wire import (MOCAP_MAGIC, WIRE_VERSION, MocapPacket, TelemetryPacket,
                            encode_mocap, encode_telemetry)
 
@@ -33,6 +33,23 @@ def test_malformed_counted_and_skipped():
     assert counters.telemetry_applied >= 190
 
 
+def test_loopback_sender_keeps_a_bounded_window(monkeypatch):
+    # every datagram the merge loop finds queued is one the sender has not
+    # seen settle, so the queue can never outgrow the sender's window
+    queued = []
+    merge_once = LiveBridge.merge_once
+
+    def spy(self):
+        time.sleep(0.001)  # let the receiver thread queue what has arrived
+        queued.append(self._queue.qsize())
+        return merge_once(self)
+
+    monkeypatch.setattr(LiveBridge, "merge_once", spy)
+    counters = loopback_self_test(n_packets=300)
+    assert counters.telemetry_applied >= 297
+    assert 0 < max(queued) <= LOOPBACK_WINDOW
+
+
 def test_mocap_channel_and_latest_wins():
     bridge = LiveBridge()
     bridge.start()
@@ -50,15 +67,18 @@ def test_mocap_channel_and_latest_wins():
         bridge.stop()
 
 
-def raw_mocap(quaternion, quality):
+def raw_mocap(quaternion, quality, position=(0.0, 0.0, 0.0)):
     """A mocap datagram that no ``MocapPacket`` can hold."""
     return struct.pack("<HBBIQ3d4dB", MOCAP_MAGIC, WIRE_VERSION, 1, 0, 0,
-                       0.0, 0.0, 0.0, *quaternion, quality)
+                       *position, *quaternion, quality)
 
 
 @pytest.mark.parametrize("bad", [raw_mocap((2.0, 0.0, 0.0, 0.0), 1),
-                                 raw_mocap((1.0, 0.0, 0.0, 0.0), 2)],
-                         ids=["non_unit_quaternion", "quality_2"])
+                                 raw_mocap((1.0, 0.0, 0.0, 0.0), 2),
+                                 raw_mocap((1.0, 0.0, 0.0, 0.0), 1, (np.nan, 0.0, 0.0)),
+                                 raw_mocap((np.nan, 0.0, 0.0, 0.0), 1)],
+                         ids=["non_unit_quaternion", "quality_2", "nan_position",
+                              "nan_quaternion"])
 def test_bad_mocap_datagram_keeps_channel_alive(bad):
     n = 20
     bridge = LiveBridge()

@@ -1,5 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import numpy_oracle as oracle
 
 from twinsync.network import (DatagramLink, DelayModel, LinkConfig, StreamLink,
                               Throttle)
@@ -94,7 +100,7 @@ class TestStreamLink:
     def test_head_of_line_blocking(self):
         # A delayed 5 ms, B delayed 1 ms: B waits for A
         link = StreamLink(LinkConfig(delay=DelayModel.empirical([5.0, 1.0]), seed=0))
-        link._rng = _SequenceRng([0, 1])
+        link._delay_ms = iter([5.0, 1.0]).__next__
         link.send(0, "A")
         link.send(0, "B")
         out = link.poll(10**9)
@@ -120,16 +126,6 @@ class TestStreamLink:
         assert times == sorted(times)
 
 
-class _SequenceRng:
-    """Deterministic index feeder for empirical delay sampling in tests."""
-
-    def __init__(self, indices):
-        self._it = iter(indices)
-
-    def integers(self, _n):
-        return next(self._it)
-
-
 def test_delay_model_validation():
     with pytest.raises(ValueError):
         DelayModel.constant(-1)
@@ -145,3 +141,38 @@ def test_truncated_normal_clamps_at_zero():
     m = DelayModel.normal(0.1, 50.0)
     rng = np.random.default_rng(0)
     assert min(m.sample_ms(rng) for _ in range(1000)) >= 0.0
+
+
+DELAY_MS = st.floats(0.0, 50.0) | st.integers(0, 20)
+
+
+def delays(kind, lo, span):
+    return DelayModel.constant(lo) if kind == "constant" else DelayModel.uniform(lo, lo + span)
+
+
+# the links draw their doubles 64 at a time; up to 300 sends cross several blocks
+@given(kind=st.sampled_from(["constant", "uniform"]), lo=DELAY_MS, span=DELAY_MS,
+       loss=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+       seed=st.integers(0, 2**63), gaps=st.lists(st.integers(0, 3 * MS), max_size=300))
+def test_block_draws_give_the_per_send_stream(kind, lo, span, loss, seed, gaps):
+    cfg = LinkConfig(delay=delays(kind, lo, span), loss=loss, seed=seed)
+    link, ref = DatagramLink(cfg), oracle.DatagramLink(cfg)
+    times = list(itertools.accumulate(gaps))
+    outcomes = []
+    for i, t in enumerate(times):
+        dropped = link.dropped
+        link.send(t, i)
+        ref.send(t)
+        outcomes.append([None, t, link.dropped > dropped])
+    for d in link.poll(10**15):
+        assert d.send_time_ns == times[d.payload]
+        outcomes[d.payload][0] = d.time_ns
+    assert [tuple(o) for o in outcomes] == ref.outcomes
+
+    stream, ref = StreamLink(dataclasses.replace(cfg, loss=0.0)), \
+        oracle.StreamLink(dataclasses.replace(cfg, loss=0.0))
+    for i, t in enumerate(times):
+        stream.send(t, i)
+        ref.send(t)
+    got = [(d.time_ns, d.send_time_ns, False) for d in stream.poll(10**15)]
+    assert got == ref.outcomes

@@ -74,14 +74,27 @@ def test_bad_magic_and_version():
         decode_telemetry(bytes(data))
 
 
+def with_double(data, offset, value):
+    out = bytearray(data)
+    out[offset:offset + 8] = np.float64(value).tobytes()
+    return bytes(out)
+
+
 def test_mocap_sample_the_packet_rejects_is_a_wire_error():
     good = encode_mocap(MocapPacket(0, 0, 0, [0, 0, 0], [1, 0, 0, 0], 1))
     quality_2 = good[:-1] + bytes([2])
-    non_unit = bytearray(good)
-    non_unit[40:48] = np.float64(2.0).tobytes()  # w of the quaternion
-    for data in (quality_2, bytes(non_unit)):
+    # position x at byte 16, quaternion w at byte 40
+    bad = [quality_2, with_double(good, 40, 2.0), with_double(good, 40, np.nan),
+           with_double(good, 16, np.nan), with_double(good, 16, -np.inf)]
+    for data in bad:
         with pytest.raises(WireError, match="invalid mocap sample"):
             decode_mocap(data)
+
+
+def test_lost_mocap_sample_may_carry_nan():
+    lost = encode_mocap(MocapPacket(0, 0, 0, [0, 0, 0], [1, 0, 0, 0], 0))
+    for data in (with_double(lost, 16, np.nan), with_double(lost, 40, np.nan)):
+        assert decode_mocap(data).quality == 0
 
 
 def test_dof_overflow():
