@@ -3,14 +3,21 @@
 Emulated mode runs entirely on a simulated nanosecond clock: the teleop
 loop ticks at 1 kHz, the twin merge at 60 Hz, and all inbound twin
 traffic is logged so a recorded run can be replayed bit-identically.
+``simulate`` and ``replay`` feed the twin through one function,
+``merge_records``: ``simulate`` logs the records due at a merge tick and
+merges exactly those, and ``replay`` merges the same slices of the log.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import struct
+import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +29,13 @@ from .mocap import MocapFilter, PoseStatus
 from .network import DatagramLink, StreamLink, Throttle
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, LogRecord, LogWriter, read_log)
-from .robot import (JointState, RobotModel, apply_joint_state, forward_kinematics,
-                    parse_urdf)
+from .robot import RobotModel, apply_joint_state, forward_kinematics, parse_urdf
 from .scenario import ScenarioConfig
 from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_samples,
                      leader_trajectory, pd_step)
-from .wire import (CommandFrame, MocapPacket, TelemetryPacket, decode_command,
-                   decode_mocap, decode_telemetry, encode_command, encode_mocap,
-                   encode_telemetry)
+from .wire import (CommandFrame, MocapPacket, TelemetryPacket, WireError,
+                   decode_command, decode_mocap, decode_telemetry, encode_command,
+                   encode_mocap, encode_telemetry)
 from .zones import Repulsion, counterforce, make_command, query, update_dynamic
 
 CONTROL_TICK_NS = 1_000_000
@@ -128,12 +134,8 @@ class TwinEngine:
         if latest is not None and latest.seq > self.applied_seq:
             self.applied_seq = latest.seq
             self.telemetry_applied += 1
-            self.positions, _ = apply_joint_state(
-                self.model,
-                JointState(latest.time_ns, latest.positions, latest.velocities,
-                           latest.efforts, max(latest.gripper_width, 0.0),
-                           latest.gripper_velocity),
-                clamp=True)
+            self.positions, _ = apply_joint_state(self.model, latest.positions,
+                                                  clamp=True)
             self.gripper.step(max(latest.gripper_width, 0.0), latest.gripper_velocity)
 
         for pkt in mocap:
@@ -198,6 +200,37 @@ class TwinEngine:
         return h.hexdigest()
 
 
+def merge_records(engine: TwinEngine, tick_ns: int, records,
+                  skip_bad: bool = False
+                  ) -> tuple[list[TelemetryPacket], list[CommandFrame], int]:
+    """Decode the log records due at a merge tick, in log order, and run
+    the tick on their telemetry and mocap (command and heartbeat records
+    are twin output and markers). An undecodable payload raises
+    ``ValueError``, or with ``skip_bad`` is skipped and counted. Returns
+    the decoded telemetry, the tick's command frames and the skip count.
+    """
+    telemetry, mocap = [], []
+    skipped = 0
+    for rec in records:
+        try:
+            if rec.channel == CHANNEL_TELEMETRY:
+                telemetry.append(decode_telemetry(rec.payload))
+            elif rec.channel == CHANNEL_MOCAP:
+                mocap.append(decode_mocap(rec.payload))
+        except WireError as e:
+            if not skip_bad:
+                raise ValueError(f"undecodable payload on channel {rec.channel} "
+                                 f"at {rec.time_ns} ns: {e}") from e
+            skipped += 1
+    return telemetry, engine.merge_tick(tick_ns, telemetry, mocap), skipped
+
+
+def _load_model(config: ScenarioConfig) -> RobotModel:
+    if config.robot_path is None:
+        raise ValueError("scenario requires a robot description path")
+    return parse_urdf(Path(config.robot_path).read_text())
+
+
 @dataclass
 class SimResult:
     state_hash: str
@@ -255,9 +288,7 @@ def _mocap_schedule(config: ScenarioConfig, rng: np.random.Generator):
 
 def simulate(config: ScenarioConfig) -> SimResult:
     """Run a full emulated scenario; returns hashes, stats and counters."""
-    if config.robot_path is None:
-        raise ValueError("scenario requires a robot description path")
-    model = parse_urdf(Path(config.robot_path).read_text())
+    model = _load_model(config)
     dof = model.dof
     profile = _profile_from_config(config, dof)
     lowers = [j.lower for j in model.movable_joints]
@@ -298,22 +329,23 @@ def simulate(config: ScenarioConfig) -> SimResult:
     merge_k = 1
 
     def run_merge_tick(mk_ns: int) -> None:
-        pending: list[tuple[int, int, bytes]] = []
-        tel_pkts, mocap_pkts = [], []
-        for d in telemetry_link.poll(mk_ns):
-            pkt = decode_telemetry(d.payload)
-            recorder.record(pkt.seq, Stage.SOCKET_RECV, d.time_ns)
+        # log order is by time, then channel; the sort is stable, so each
+        # link's records keep the delivery order it polled them in
+        due = sorted([LogRecord(d.time_ns, CHANNEL_TELEMETRY, d.payload)
+                      for d in telemetry_link.poll(mk_ns)]
+                     + [LogRecord(d.time_ns, CHANNEL_MOCAP, d.payload)
+                        for d in mocap_link.poll(mk_ns)],
+                     key=lambda r: (r.time_ns, r.channel))
+        for rec in due:
+            writer.append(rec)
+        telemetry, commands, _ = merge_records(engine, mk_ns, due)
+        received = [r.time_ns for r in due if r.channel == CHANNEL_TELEMETRY]
+        for recv_ns, pkt in zip(received, telemetry):
+            recorder.record(pkt.seq, Stage.SOCKET_RECV, recv_ns)
             proc_ns = int(round(config.processing_delay.sample_ms(proc_rng) * 1e6))
-            recorder.record(pkt.seq, Stage.APPLIED, d.time_ns + proc_ns)
-            pending.append((d.time_ns, CHANNEL_TELEMETRY, d.payload))
-            tel_pkts.append(pkt)
-            counters["delivered"] += 1
-        for d in mocap_link.poll(mk_ns):
-            pending.append((d.time_ns, CHANNEL_MOCAP, d.payload))
-            mocap_pkts.append(decode_mocap(d.payload))
-        for t_rec, ch, payload in sorted(pending, key=lambda r: (r[0], r[1])):
-            writer.append(LogRecord(t_rec, ch, payload))
-        for frame in engine.merge_tick(mk_ns, tel_pkts, mocap_pkts):
+            recorder.record(pkt.seq, Stage.APPLIED, recv_ns + proc_ns)
+        counters["delivered"] += len(telemetry)
+        for frame in commands:
             data = encode_command(frame)
             command_link.send(mk_ns, data)
             writer.append(LogRecord(mk_ns, CHANNEL_COMMAND, data))
@@ -402,7 +434,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
 
 def _reseed(link_cfg, seed_seq: np.random.SeedSequence):
     """Derive a per-link seed from the scenario seed unless one was pinned."""
-    import dataclasses
     if link_cfg.seed != 0:
         return link_cfg
     return dataclasses.replace(link_cfg, seed=int(seed_seq.generate_state(1)[0]))
@@ -420,50 +451,30 @@ def replay(log_path, config: ScenarioConfig, mode: str = "immediate",
            skip_bad: bool = False) -> ReplayResult:
     """Re-drive the twin merge loop from a recorded log.
 
-    Immediate mode steps merge ticks back-to-back in simulated time;
-    timed mode additionally sleeps to preserve original gaps (only
-    meaningful interactively). The final twin state matches the live run.
+    Each merge tick runs ``merge_records``, as in ``simulate``, on the
+    records logged since the previous tick, so the final twin state
+    matches the recorded run. Immediate mode steps merge ticks
+    back-to-back in simulated time; timed mode additionally sleeps to
+    preserve original gaps (only meaningful interactively).
     """
-    if config.robot_path is None:
-        raise ValueError("replay requires the robot description path")
     scan = read_log(log_path)
     if scan.truncated and not skip_bad:
         raise ValueError(f"truncated tail record; {len(scan.records)} valid "
                          f"records recovered (pass skip_bad to proceed)")
-    model = parse_urdf(Path(config.robot_path).read_text())
-    engine = TwinEngine(model, config)
+    engine = TwinEngine(_load_model(config), config)
 
-    if not scan.records:
-        return ReplayResult(engine.state_hash(), 0, 0, 0)
-
-    end_ns = scan.records[-1].time_ns
-    idx = 0
-    skipped = 0
+    records = scan.records
+    end_ns = records[-1].time_ns if records else -1
+    start = skipped = 0
     merge_k = 1
-    import time as _time
-    prev_ns = 0
-    while merge_tick_time(merge_k) <= end_ns:
-        mk_ns = merge_tick_time(merge_k)
-        tel_pkts, mocap_pkts = [], []
-        while idx < len(scan.records) and scan.records[idx].time_ns <= mk_ns:
-            rec = scan.records[idx]
-            idx += 1
-            try:
-                if rec.channel == CHANNEL_TELEMETRY:
-                    tel_pkts.append(decode_telemetry(rec.payload))
-                elif rec.channel == CHANNEL_MOCAP:
-                    mocap_pkts.append(decode_mocap(rec.payload))
-                # command and heartbeat records are twin output / markers
-            except Exception as e:
-                if not skip_bad:
-                    raise ValueError(f"undecodable payload at record {idx - 1}: {e}")
-                skipped += 1
+    while (mk_ns := merge_tick_time(merge_k)) <= end_ns:
+        stop = bisect_right(records, mk_ns, lo=start, key=attrgetter("time_ns"))
         if mode == "timed":
-            _time.sleep((mk_ns - prev_ns) / 1e9)
-        engine.merge_tick(mk_ns, tel_pkts, mocap_pkts)
-        prev_ns = mk_ns
+            time.sleep((mk_ns - merge_tick_time(merge_k - 1)) / 1e9)
+        skipped += merge_records(engine, mk_ns, records[start:stop], skip_bad)[2]
+        start = stop
         merge_k += 1
-    return ReplayResult(engine.state_hash(), engine.tick, len(scan.records), skipped)
+    return ReplayResult(engine.state_hash(), engine.tick, len(records), skipped)
 
 
 def measure_latency(config: ScenarioConfig, n_samples: int = 20_000) -> LatencyStats:

@@ -119,13 +119,12 @@ class Throttle:
     emission emits nothing.
     """
 
-    def __init__(self, target_hz: int = 60, start_time_ns: int = 0):
+    def __init__(self, target_hz: int = 60):
         if target_hz <= 0:
             raise ValueError("target_hz must be positive")
         self.target_hz = target_hz
-        self.start_ns = start_time_ns
         self._tick = 0
-        self._next_ns = start_time_ns
+        self._next_ns = 0
         self._last_time = None
         self._latest = None
         self._latest_idx = -1
@@ -133,7 +132,7 @@ class Throttle:
         self._offered = 0
 
     def _tick_time(self, k: int) -> int:
-        return self.start_ns + (k * 1_000_000_000) // self.target_hz
+        return (k * 1_000_000_000) // self.target_hz
 
     def _drain(self, until_ns: int, out: list):
         while self._next_ns <= until_ns:

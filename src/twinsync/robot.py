@@ -79,27 +79,6 @@ class RobotModel:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class JointState:
-    """One sensor sample: per movable joint plus the gripper channel."""
-
-    time_ns: int
-    positions: np.ndarray
-    velocities: np.ndarray
-    efforts: np.ndarray
-    gripper_width: float = 0.0
-    gripper_velocity: float = 0.0
-
-    def __post_init__(self):
-        for name in ("positions", "velocities", "efforts"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = len(self.positions)
-        if len(self.velocities) != n or len(self.efforts) != n:
-            raise ValueError("positions/velocities/efforts length mismatch")
-        if self.gripper_width < 0:
-            raise ValueError("gripper_width must be >= 0")
-
-
 def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
     parts = text.split()
     if len(parts) != n:
@@ -358,19 +337,19 @@ class LimitViolation:
     clamped: bool
 
 
-def apply_joint_state(model: RobotModel, state: JointState,
+def apply_joint_state(model: RobotModel, positions,
                       clamp: bool = True) -> tuple[np.ndarray, list[LimitViolation]]:
-    """Map a joint-state sample onto per-joint positions, checking limits.
+    """Map one sample's joint positions onto the model, checking limits.
 
     No interpolation between frames is performed; the sample is applied
     as-is. Out-of-limit joints are clamped (if ``clamp``) and reported.
     """
     movable = model.movable_joints
-    if len(state.positions) != len(movable):
-        raise ValueError(f"expected {len(movable)} positions, got {len(state.positions)}")
-    if not (np.isfinite(state.positions).all() and np.isfinite(state.velocities).all()):
+    out = np.array(positions, dtype=float)
+    if len(out) != len(movable):
+        raise ValueError(f"expected {len(movable)} positions, got {len(out)}")
+    if not np.isfinite(out).all():
         raise ValueError("non-finite joint state")
-    out = state.positions.copy()
     report: list[LimitViolation] = []
     for i, j in enumerate(movable):
         if out[i] < j.lower or out[i] > j.upper:

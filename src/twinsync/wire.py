@@ -47,6 +47,12 @@ class TelemetryPacket:
         n = len(self.positions)
         if len(self.velocities) != n or len(self.efforts) != n:
             raise ValueError("per-joint array length mismatch")
+        values = [*self.positions.tolist(), *self.velocities.tolist(),
+                  *self.efforts.tolist(), self.gripper_width, self.gripper_velocity]
+        # a finite sum has only finite terms; only a sum that overflows
+        # needs the value-by-value check
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise ValueError("non-finite joint state")
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,11 @@ def decode_telemetry(buf: bytes) -> TelemetryPacket:
     rows = np.frombuffer(buf, dtype="<f8", count=3 * dof,
                          offset=_TELEMETRY_HEAD.size).reshape(dof, 3)
     gw, gv = struct.unpack_from("<2d", buf, _TELEMETRY_HEAD.size + dof * 24)
-    return TelemetryPacket(robot_id, seq, time_ns, rows[:, 0].copy(),
-                           rows[:, 1].copy(), rows[:, 2].copy(), gw, gv)
+    try:
+        return TelemetryPacket(robot_id, seq, time_ns, rows[:, 0].copy(),
+                               rows[:, 1].copy(), rows[:, 2].copy(), gw, gv)
+    except ValueError as e:  # a sample the packet rejects
+        raise WireError(f"invalid telemetry sample: {e}") from e
 
 
 def encode_mocap(p: MocapPacket) -> bytes:

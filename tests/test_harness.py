@@ -11,8 +11,9 @@ from twinsync.harness import (TwinEngine, measure_latency, merge_tick_time,
                               numeric_jacobian, replay, simulate)
 from twinsync.latency import parse_stats
 from twinsync.network import DelayModel, LinkConfig
-from twinsync.recordlog import CHANNEL_MOCAP, LogRecord, LogWriter, read_log
-from twinsync.robot import JointState, parse_urdf
+from twinsync.recordlog import (CHANNEL_MOCAP, CHANNEL_TELEMETRY, LogRecord,
+                                LogWriter, read_log)
+from twinsync.robot import parse_urdf
 from twinsync.scenario import (AssetConfig, ConfigError, LeaderConfig,
                                ScenarioConfig, config_from_dict, load_config)
 from twinsync.wire import TelemetryPacket
@@ -159,20 +160,25 @@ class TestReplay:
         rep = replay(log, cfg, skip_bad=True)
         assert rep.merge_ticks >= 1
 
-    def test_skip_bad_drops_a_non_finite_mocap_record(self, robot_file, tmp_path):
+    # the byte offset of the first position value: mocap x, telemetry joint 0
+    @pytest.mark.parametrize("channel, offset", [(CHANNEL_MOCAP, 16),
+                                                 (CHANNEL_TELEMETRY, 17)],
+                             ids=["mocap", "telemetry"])
+    def test_skip_bad_drops_a_non_finite_mocap_record(self, robot_file, tmp_path,
+                                                      channel, offset):
         log = tmp_path / "run.dtrl"
         cfg = scenario(robot_file, duration_s=0.5, log_path=str(log))
         res = simulate(cfg)
         records = read_log(log).records
         i = next(k for k, r in enumerate(records)
-                 if r.channel == CHANNEL_MOCAP and r.time_ns > 100_000_000)
+                 if r.channel == channel and r.time_ns > 100_000_000)
         good = records[i].payload
-        nan_x = good[:16] + struct.pack("<d", np.nan) + good[24:]  # position x
+        nan = good[:offset] + struct.pack("<d", np.nan) + good[offset + 8:]
         bad = tmp_path / "bad.dtrl"
         with LogWriter(bad, cfg.seed) as writer:
             for r in records[:i + 1]:
                 writer.append(r)
-            writer.append(LogRecord(records[i].time_ns, CHANNEL_MOCAP, nan_x))
+            writer.append(LogRecord(records[i].time_ns, channel, nan))
             for r in records[i + 1:]:
                 writer.append(r)
         with pytest.raises(ValueError, match="undecodable payload"):
@@ -212,13 +218,40 @@ def with_outputs(cfg, tmp_path):
                                stats_path=str(tmp_path / "run_stats.jsonl"))
 
 
+def merge_inputs(monkeypatch):
+    """What each ``TwinEngine.merge_tick`` call is given, appended as it
+    runs: the tick time, telemetry ``(seq, time_ns)`` and mocap
+    ``(object_id, seq, time_ns)``."""
+    calls = []
+    merge_tick = TwinEngine.merge_tick
+
+    def spy(self, tick_ns, telemetry, mocap):
+        calls.append((tick_ns, [(p.seq, p.time_ns) for p in telemetry],
+                      [(p.object_id, p.seq, p.time_ns) for p in mocap]))
+        return merge_tick(self, tick_ns, telemetry, mocap)
+
+    monkeypatch.setattr(TwinEngine, "merge_tick", spy)
+    return calls
+
+
+def assert_replay_merges_alike(cfg, res, calls):
+    """Replaying the run's log gives every merge tick the inputs the run
+    gave it, and so the run's final state."""
+    simulated = calls[:]
+    calls.clear()
+    assert replay(cfg.log_path, cfg).state_hash == res.state_hash
+    assert len(simulated) == res.merge_ticks
+    assert calls == simulated
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_hashes(name, tmp_path):
+def test_golden_hashes(name, tmp_path, monkeypatch):
     cfg = with_outputs(load_config(CONFIGS / f"{name}.yaml"), tmp_path)
+    calls = merge_inputs(monkeypatch)
     res = simulate(cfg)
     assert (res.commands_sent > 0) == (name == "contact")
     assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
-    assert replay(cfg.log_path, cfg).state_hash == res.state_hash
+    assert_replay_merges_alike(cfg, res, calls)
 
 
 def test_multi_asset_reaches_grasp_and_relocation(tmp_path, monkeypatch):
@@ -245,20 +278,20 @@ def test_multi_asset_reaches_grasp_and_relocation(tmp_path, monkeypatch):
 
 def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
     # the control loop builds a telemetry packet only for the samples the
-    # throttle emits, and no JointState: the only ones are the merge tick's,
-    # one per telemetry packet it applies
-    built = {"telemetry": 0, "joint_state": 0}
+    # throttle emits, and applies no joint state: only the merge tick does,
+    # once per telemetry packet it applies
+    built = {"telemetry": 0, "applied": 0}
     engines = []
 
     def telemetry_packet(*args):
         built["telemetry"] += 1
         return TelemetryPacket(*args)
 
-    post_init = JointState.__post_init__
+    apply_joint_state = harness.apply_joint_state
 
-    def joint_state_post_init(self):
-        built["joint_state"] += 1
-        post_init(self)
+    def apply_joint_state_spy(*args, **kw):
+        built["applied"] += 1
+        return apply_joint_state(*args, **kw)
 
     merge_tick = TwinEngine.merge_tick
 
@@ -267,12 +300,12 @@ def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
         return merge_tick(self, *args)
 
     monkeypatch.setattr(harness, "TelemetryPacket", telemetry_packet)
-    monkeypatch.setattr(JointState, "__post_init__", joint_state_post_init)
+    monkeypatch.setattr(harness, "apply_joint_state", apply_joint_state_spy)
     monkeypatch.setattr(TwinEngine, "merge_tick", merge_tick_spy)
     res = simulate(with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path))
     assert res.control_ticks == 2000
     assert built["telemetry"] == res.telemetry_sent <= 121
-    assert built["joint_state"] == engines[-1].telemetry_applied <= res.merge_ticks
+    assert built["applied"] == engines[-1].telemetry_applied <= res.merge_ticks
 
 
 def test_trace_cells_are_plain_floats(robot_file, tmp_path):
@@ -289,14 +322,28 @@ def test_trace_cells_are_plain_floats(robot_file, tmp_path):
             float(cell)
 
 
-def test_reordering_mocap_link(tmp_path):
+def test_reordering_mocap_link(tmp_path, monkeypatch):
     # a uniform 0-20 ms delay on 120 Hz frames delivers some out of order
     cfg = with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path)
     cfg = dataclasses.replace(cfg, mocap_link=dataclasses.replace(
         cfg.mocap_link, delay=DelayModel.uniform(0.0, 20.0)))
+    calls = merge_inputs(monkeypatch)
     res = simulate(cfg)
     assert res.mocap_stale > 0
-    assert replay(cfg.log_path, cfg).state_hash == res.state_hash
+    assert_replay_merges_alike(cfg, res, calls)
+
+
+def test_records_on_a_merge_tick_are_merged_at_it(robot_file, tmp_path, monkeypatch):
+    # undelayed telemetry and mocap land exactly on merge tick times
+    cfg = scenario(robot_file, log_path=str(tmp_path / "run.dtrl"),
+                   telemetry_link=LinkConfig(), mocap_link=LinkConfig())
+    calls = merge_inputs(monkeypatch)
+    res = simulate(cfg)
+    ticks = {merge_tick_time(k) for k in range(1, res.merge_ticks + 1)}
+    on_tick = [r for r in read_log(cfg.log_path).records
+               if r.channel in (CHANNEL_TELEMETRY, CHANNEL_MOCAP) and r.time_ns in ticks]
+    assert {r.channel for r in on_tick} == {CHANNEL_TELEMETRY, CHANNEL_MOCAP}
+    assert_replay_merges_alike(cfg, res, calls)
 
 
 class TestTwinEngine:

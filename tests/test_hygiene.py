@@ -1,5 +1,6 @@
-"""Static checks over the source tree: no import left unread, and no
-``np.linalg.norm`` in the package outside ``geometry.norm``."""
+"""Static checks over the source tree: no import left unread, no
+``np.linalg.norm`` in the package outside ``geometry.norm``, and no broad
+``except`` in the package."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,20 @@ def linalg_norms(tree, allowed_in=()):
     return lines
 
 
+def broad_excepts(tree):
+    """Lines of each bare ``except:`` and each handler that names
+    ``Exception`` or ``BaseException``, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(dotted(t).split(".")[-1] in ("Exception", "BaseException")
+                                    for t in caught):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
              for path, tree in modules(ROOT / "src", ROOT / "tests")
@@ -70,6 +85,13 @@ def test_norm_only_through_geometry():
     assert found == []
 
 
+def test_no_broad_except():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in modules(PACKAGE)
+             for line in broad_excepts(tree)]
+    assert found == []
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import os\nimport numpy as np\nfrom numpy.linalg import norm\n"
                      "def f(v):\n    return np.linalg.norm(v)\n")
@@ -79,3 +101,8 @@ def test_checks_see_what_they_look_for():
                          "    return np.linalg.norm(v)\n")
     assert linalg_norms(geometry) == [3]
     assert linalg_norms(geometry, ("norm",)) == []
+    handlers = ast.parse("try:\n    pass\nexcept ValueError:\n    pass\n"
+                         "except (KeyError, Exception):\n    pass\n"
+                         "except builtins.BaseException:\n    pass\n"
+                         "except:\n    pass\n")
+    assert broad_excepts(handlers) == [5, 7, 9]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from twinsync.live import LOOPBACK_WINDOW, LiveBridge, loopback_self_test
-from twinsync.wire import (MOCAP_MAGIC, WIRE_VERSION, MocapPacket, TelemetryPacket,
-                           encode_mocap, encode_telemetry)
+from twinsync.wire import (MOCAP_MAGIC, TELEMETRY_MAGIC, WIRE_VERSION, MocapPacket,
+                           TelemetryPacket, encode_mocap, encode_telemetry)
 
 
 def wait_until(predicate, timeout_s=2.0):
@@ -93,6 +93,37 @@ def test_bad_mocap_datagram_keeps_channel_alive(bad):
                                    bridge.counters.mocap_applied >= n)[1])
         assert bridge.counters.malformed == 1
         assert bridge.counters.mocap_applied == n
+        assert all(t.is_alive() for t in bridge._threads)
+    finally:
+        sender.close()
+        bridge.stop()
+
+
+def raw_telemetry(position=0.0, gripper_width=0.04):
+    """A one-joint telemetry datagram that no ``TelemetryPacket`` can hold
+    when a value is not finite."""
+    return struct.pack("<HBBIQB5d", TELEMETRY_MAGIC, WIRE_VERSION, 0, 0, 0, 1,
+                       position, 0.0, 0.0, gripper_width, 0.0)
+
+
+@pytest.mark.parametrize("bad", [raw_telemetry(position=np.nan),
+                                 raw_telemetry(position=np.inf),
+                                 raw_telemetry(gripper_width=np.nan)],
+                         ids=["nan_position", "inf_position", "nan_gripper_width"])
+def test_bad_telemetry_datagram_keeps_channel_alive(bad):
+    n = 20
+    bridge = LiveBridge()
+    bridge.start()
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sender.sendto(bad, bridge.telemetry_addr)
+        for i in range(n):
+            pkt = TelemetryPacket(0, i, i * 1_000_000, [0.0], [0.0], [0.0], 0.04, 0.0)
+            sender.sendto(encode_telemetry(pkt), bridge.telemetry_addr)
+        assert wait_until(lambda: (bridge.merge_once(),
+                                   bridge.counters.telemetry_applied >= n)[1])
+        assert bridge.counters.telemetry_applied == n
+        assert bridge.counters.malformed == 1
         assert all(t.is_alive() for t in bridge._threads)
     finally:
         sender.close()

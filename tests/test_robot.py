@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 import numpy_oracle as oracle
 from twinsync.geometry import Pose, quat_from_axis_angle
 from twinsync.harness import numeric_jacobian
-from twinsync.robot import (JointState, UrdfError, apply_joint_state,
-                            forward_kinematics, parse_urdf)
+from twinsync.robot import UrdfError, apply_joint_state, forward_kinematics, parse_urdf
 
 ASSETS = Path(__file__).parent.parent / "assets"
 
@@ -330,24 +329,22 @@ class TestCompiledChain:
 
 
 class TestApplyJointState:
-    def state(self, m, positions):
-        n = m.dof
-        return JointState(0, positions, np.zeros(n), np.zeros(n))
-
     def test_inside_limits_unchanged(self):
         m = parse_urdf(TWO_LINK)
-        out, report = apply_joint_state(m, self.state(m, [1.0]))
+        out, report = apply_joint_state(m, [1.0])
         assert out[0] == 1.0 and report == []
 
     def test_clamp_above_upper(self):
         m = parse_urdf(TWO_LINK)
-        out, report = apply_joint_state(m, self.state(m, [5.0]), clamp=True)
+        positions = np.array([5.0])
+        out, report = apply_joint_state(m, positions, clamp=True)
         assert out[0] == 3.14
         assert report[0].joint == "j1" and report[0].clamped
+        assert positions[0] == 5.0  # the caller's sample is not clamped in place
 
     def test_flag_without_clamp(self):
         m = parse_urdf(TWO_LINK)
-        out, report = apply_joint_state(m, self.state(m, [5.0]), clamp=False)
+        out, report = apply_joint_state(m, [5.0], clamp=False)
         assert out[0] == 5.0
         assert len(report) == 1 and not report[0].clamped
 
@@ -361,11 +358,16 @@ class TestApplyJointState:
         positions = np.zeros(m.dof)
         positions[0] = 3.0
         positions[3] = -1.5  # joint4 cannot reach 0
-        out, report = apply_joint_state(m, self.state(m, positions), clamp=True)
+        out, report = apply_joint_state(m, positions, clamp=True)
         assert out[0] == upper == 2.8973
         assert any(v.joint == "panda_joint1" for v in report)
 
     def test_dimension_mismatch(self):
         m = parse_urdf(TWO_LINK)
         with pytest.raises(ValueError):
-            apply_joint_state(m, JointState(0, [0, 0], [0, 0], [0, 0]))
+            apply_joint_state(m, [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_joint_state(parse_urdf(TWO_LINK), [bad])

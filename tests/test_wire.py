@@ -91,6 +91,22 @@ def test_mocap_sample_the_packet_rejects_is_a_wire_error():
             decode_mocap(data)
 
 
+def test_non_finite_telemetry_is_a_wire_error():
+    good = encode_telemetry(TelemetryPacket(0, 0, 0, [0.1, 0.2], [0.0, 0.0],
+                                            [0.0, 0.0], 0.04, 0.0))
+    # rows of (position, velocity, effort) from byte 17, then gripper width
+    # and velocity at bytes 65 and 73
+    for offset in (17, 25, 33, 41, 65, 73):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(WireError, match="invalid telemetry sample"):
+                decode_telemetry(with_double(good, offset, value))
+    with pytest.raises(ValueError, match="non-finite"):
+        TelemetryPacket(0, 0, 0, [np.nan], [0.0], [0.0], 0.0, 0.0)
+    # finite values whose sum overflows are still a valid sample
+    huge = TelemetryPacket(0, 0, 0, [1e308, 1e308], [0.0, 0.0], [0.0, 0.0], 0.0, 0.0)
+    assert decode_telemetry(encode_telemetry(huge)).positions.tolist() == [1e308, 1e308]
+
+
 def test_lost_mocap_sample_may_carry_nan():
     lost = encode_mocap(MocapPacket(0, 0, 0, [0, 0, 0], [1, 0, 0, 0], 0))
     for data in (with_double(lost, 16, np.nan), with_double(lost, 40, np.nan)):
