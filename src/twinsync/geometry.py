@@ -1,42 +1,56 @@
 """Quaternion and rigid-transform math shared by all modules.
 
-Quaternions are numpy arrays in (w, x, y, z) order. Rotations compose
-left-to-right as ``parent o child``.
+Vectors and quaternions are tuples of Python floats; quaternions are in
+(w, x, y, z) order. Rotations compose left-to-right as ``parent o child``.
+Constructors accept any sequence or numpy array and convert it with
+``floats``; the kernels take any sequence and do no conversion.
 
-The small-vector kernels run on Python floats, not numpy scalars, so a
-call costs arithmetic rather than numpy's per-call dispatch, and they keep
-numpy's operation order term for term, so their results are bit-identical
-to the array expressions they replace: ``qmul``/``qrot`` are the
-quaternion product and rotation (the zero scalar part of a rotated vector
-included), and ``norm`` is what ``np.linalg.norm`` computes for a 1-D
-array. Every dot product stays a numpy ``.dot``, because a Python-float
-sum of products can round differently. Inputs are float64 or integer
-vectors.
+The kernels run on Python floats, not numpy scalars, so a call costs
+arithmetic rather than numpy's per-call dispatch. Each keeps the operation
+order of the numpy expression it replaced, term for term, so its result is
+bit-identical to it: ``quat_multiply`` and ``quat_rotate`` keep every term
+of the quaternion product (the zero scalar part of a rotated vector
+included), and ``Pose`` renormalizes a rotation only when its norm is more
+than 1e-12 from 1. Every dot product, and so every ``norm``, is ``dot``,
+which still hands the sum to numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+ZERO3 = (0.0, 0.0, 0.0)
+IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
+
+
+def floats(v) -> tuple:
+    """``v``, a sequence or numpy array, as a tuple of Python floats."""
+    return (*map(float, v),)
+
+
+def dot(a, b) -> float:
+    """The dot product of two equal-length vectors, as ``ndarray.dot``."""
+    return float(np.asarray(a, dtype=float).dot(np.asarray(b, dtype=float)))
 
 
 def norm(v) -> float:
-    """Euclidean norm of a vector, bit-equal to ``np.linalg.norm``, whose
-    1-D path is ``sqrt(x.dot(x))``."""
-    x = np.asarray(v, dtype=float)
-    return math.sqrt(x.dot(x))
+    """Euclidean norm of a vector: ``sqrt(dot(v, v))``."""
+    return math.sqrt(dot(v, v))
 
 
-def _floats(v):
-    return v.tolist() if isinstance(v, np.ndarray) else v
+def unit(v) -> tuple:
+    """``v`` divided by its norm; ValueError for a zero vector."""
+    n = norm(v)
+    if n == 0.0:
+        raise ValueError("zero-length vector")
+    return tuple([x / n for x in v])
 
 
-def qmul(a, b) -> tuple:
-    """Quaternion product ``a * b`` of two 4-sequences, as a tuple."""
+def quat_multiply(a, b) -> tuple:
+    """Quaternion product ``a * b`` of two 4-sequences."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return (aw * bw - ax * bx - ay * by - az * bz,
@@ -45,14 +59,23 @@ def qmul(a, b) -> tuple:
             aw * bz + ax * by - ay * bx + az * bw)
 
 
-def qrot(q, v) -> tuple:
+def quat_conjugate(q) -> tuple:
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def quat_rotate(q, v) -> tuple:
     """``v`` rotated by ``q``: the vector part of ``(q * (0, v)) * conj(q)``.
 
     Every term of both products is kept, those with the zero scalar part
-    of ``(0, v)`` included, so signed zeros come out as numpy's do.
+    of ``(0, v)`` included, and ``v`` is taken as floats, so signed zeros
+    come out as numpy's do.
     """
+    return _rotate(q, *map(float, v))
+
+
+def _rotate(q, vx: float, vy: float, vz: float) -> tuple:
     w, x, y, z = q
-    vx, vy, vz = v
     rw = w * 0.0 - x * vx - y * vy - z * vz
     rx = w * vx + x * 0.0 + y * vz - z * vy
     ry = w * vy - x * vz + y * 0.0 + z * vx
@@ -63,91 +86,85 @@ def qrot(q, v) -> tuple:
             rw * cz + rx * cy - ry * cx + rz * w)
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = norm(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    return q / n
+def unit_quat(q) -> tuple:
+    """``Pose``'s renormalization: ``q / norm(q)`` when the norm is more
+    than 1e-12 from 1, else ``q`` itself."""
+    n = math.sqrt(dot(q, q))
+    if abs(n - 1.0) > 1e-12:
+        if n == 0.0:
+            raise ValueError("zero quaternion")
+        w, x, y, z = q
+        return (w / n, x / n, y / n, z / n)
+    return q
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array(qmul(_floats(a), _floats(b)))
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = _floats(q)
-    return np.array([w, -x, -y, -z])
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by quaternion q."""
-    return np.array(qrot(_floats(q), _floats(v)))
-
-
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = norm(axis)
+def quat_from_axis_angle(axis, angle: float) -> tuple:
+    ax, ay, az = floats(axis)
+    n = norm((ax, ay, az))
     if n == 0.0:
         raise ValueError("zero-length axis")
     half = 0.5 * angle
-    s = np.sin(half) / n
-    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+    s = math.sin(half) / n
+    return (math.cos(half), ax * s, ay * s, az * s)
 
 
-def quat_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
+def quat_from_rpy(roll: float, pitch: float, yaw: float) -> tuple:
     """Fixed-axis XYZ convention: R = Rz(yaw) * Ry(pitch) * Rx(roll)."""
-    qx = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), roll)
-    qy = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), pitch)
-    qz = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
+    qx = quat_from_axis_angle((1.0, 0.0, 0.0), roll)
+    qy = quat_from_axis_angle((0.0, 1.0, 0.0), pitch)
+    qz = quat_from_axis_angle((0.0, 0.0, 1.0), yaw)
     return quat_multiply(qz, quat_multiply(qy, qx))
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+def twist(q, u) -> tuple:
+    """The twist of ``q`` about the unit vector ``u``: the rotation about
+    ``u`` that ``swing_twist`` splits off."""
+    if norm(q) == 0.0:
+        raise ValueError("zero quaternion")
+    ux, uy, uz = u
+    p = dot(q[1:], u)
+    t = (q[0], p * ux, p * uy, p * uz)
+    n = norm(t)
+    if n < 1e-12:
+        # 180 degree swing, twist degenerate: pick identity
+        return IDENTITY_QUAT
+    return (t[0] / n, t[1] / n, t[2] / n, t[3] / n)
 
 
-def swing_twist(q: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def swing_twist(q, axis) -> tuple[tuple, tuple]:
     """Split q into (swing, twist) with twist the rotation about ``axis``.
 
     q = swing o twist. For q orthogonal to the axis the twist is identity.
     """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / norm(axis)
-    if norm(q) == 0.0:
-        raise ValueError("zero quaternion")
-    proj = np.dot(q[1:], axis) * axis
-    twist = np.array([q[0], proj[0], proj[1], proj[2]])
-    n = norm(twist)
-    if n < 1e-12:
-        # 180 degree swing, twist degenerate: pick identity
-        twist = IDENTITY_QUAT.copy()
-    else:
-        twist = twist / n
-    swing = quat_multiply(q, quat_conjugate(twist))
-    return swing, twist
+    t = twist(q, unit(axis))
+    return quat_multiply(q, quat_conjugate(t)), t
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform: rotation (unit quaternion, wxyz) then translation."""
+class _Pose(NamedTuple):
+    translation: tuple
+    rotation: tuple
 
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rotation: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT.copy())
 
-    def __post_init__(self):
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-        q = np.asarray(self.rotation, dtype=float)
-        n = norm(q)
-        if abs(n - 1.0) > 1e-12:
-            if n == 0.0:
-                raise ValueError("zero quaternion")
-            q = q / n
-        object.__setattr__(self, "rotation", q)
+class Pose(_Pose):
+    """Rigid transform: rotation (unit quaternion, wxyz) then translation.
+
+    A named tuple whose constructor converts both parts to float tuples
+    and renormalizes the rotation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, translation=ZERO3, rotation=IDENTITY_QUAT):
+        t, q = floats(translation), floats(rotation)
+        if len(t) != 3 or len(q) != 4:
+            raise ValueError("pose needs a 3-vector and a quaternion")
+        return tuple.__new__(cls, (t, unit_quat(q)))
+
+    @staticmethod
+    def of(translation: tuple, rotation: tuple) -> "Pose":
+        """A pose of a float 3-tuple and a float 4-tuple that ``Pose``
+        would keep as they are: no conversion, no renormalization."""
+        return tuple.__new__(Pose, (translation, rotation))
 
     @staticmethod
     def identity() -> "Pose":
@@ -155,16 +172,22 @@ class Pose:
 
     @staticmethod
     def from_rpy(xyz, rpy) -> "Pose":
-        return Pose(np.asarray(xyz, dtype=float), quat_from_rpy(*rpy))
+        return Pose(xyz, quat_from_rpy(*rpy))
 
-    def compose(self, other: "Pose") -> "Pose":
-        t = self.translation + quat_rotate(self.rotation, other.translation)
-        q = quat_multiply(self.rotation, other.rotation)
-        return Pose(t, q)
+    def compose(self, other) -> "Pose":
+        """``self o other``, where ``other`` may be any (translation,
+        rotation) pair."""
+        (tx, ty, tz), q = self
+        (vx, vy, vz), oq = other
+        rx, ry, rz = _rotate(q, vx, vy, vz)
+        return Pose.of((tx + rx, ty + ry, tz + rz), unit_quat(quat_multiply(q, oq)))
 
     def inverse(self) -> "Pose":
         qi = quat_conjugate(self.rotation)
-        return Pose(-quat_rotate(qi, self.translation), qi)
+        x, y, z = _rotate(qi, *self.translation)
+        return Pose.of((-x, -y, -z), unit_quat(qi))
 
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.translation + quat_rotate(self.rotation, np.asarray(p, dtype=float))
+    def transform_point(self, p) -> tuple:
+        tx, ty, tz = self.translation
+        rx, ry, rz = quat_rotate(self.rotation, p)
+        return (tx + rx, ty + ry, tz + rz)

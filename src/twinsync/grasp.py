@@ -12,9 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import Pose, norm
+from .geometry import ZERO3, Pose, dot, floats, norm, unit, unit_quat
 from .mocap import FilteredPose, PoseStatus
 
 GRAVITY = 9.81
@@ -91,18 +89,17 @@ class GripperTracker:
 
 @dataclass(frozen=True)
 class FallbackState:
-    position: np.ndarray
-    velocity: np.ndarray
+    position: tuple
+    velocity: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
+        object.__setattr__(self, "position", floats(self.position))
+        object.__setattr__(self, "velocity", floats(self.velocity))
+        if not all(map(math.isfinite, self.position + self.velocity)):
             raise ValueError("non-finite fallback state")
 
 
-def fallback_step(state: FallbackState, dt: float,
-                  up_axis: np.ndarray = np.array([0.0, 0.0, 1.0]),
+def fallback_step(state: FallbackState, dt: float, up_axis=(0.0, 0.0, 1.0),
                   ground_height: float = 0.0) -> FallbackState:
     """Point mass under gravity with a resting ground plane.
 
@@ -111,14 +108,15 @@ def fallback_step(state: FallbackState, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    up = np.asarray(up_axis, dtype=float)
-    up = up / norm(up)
-    p = state.position + state.velocity * dt - 0.5 * GRAVITY * dt * dt * up
-    v = state.velocity - GRAVITY * dt * up
-    height = np.dot(p, up)
+    up = unit(up_axis)
+    fall = 0.5 * GRAVITY * dt * dt
+    gdt = GRAVITY * dt
+    p = tuple(x + v * dt - fall * u for x, v, u in zip(state.position, state.velocity, up))
+    v = tuple(v - gdt * u for v, u in zip(state.velocity, up))
+    height = dot(p, up)
     if height < ground_height:
-        p = p + (ground_height - height) * up
-        v = np.zeros(3)
+        p = tuple(x + (ground_height - height) * u for x, u in zip(p, up))
+        v = ZERO3
     return FallbackState(p, v)
 
 
@@ -131,11 +129,10 @@ class AssetTracker:
     emitted position is continuous at the switching instant.
     """
 
-    def __init__(self, name: str, initial_pose: Pose,
-                 up_axis: np.ndarray = np.array([0.0, 0.0, 1.0]),
+    def __init__(self, name: str, initial_pose: Pose, up_axis=(0.0, 0.0, 1.0),
                  ground_height: float = 0.0, blend_decay: float = 0.8):
         self.name = name
-        self.up_axis = np.asarray(up_axis, dtype=float)
+        self.up_axis = floats(up_axis)
         self.ground_height = ground_height
         self.blend_decay = blend_decay
         self.source = AssetSource.MOCAP
@@ -143,12 +140,13 @@ class AssetTracker:
         self._prev_pose = initial_pose
         self._attach_offset: Pose | None = None
         self._fallback: FallbackState | None = None
-        self._blend = np.zeros(3)
+        self._blend = ZERO3
 
-    def _velocity_estimate(self, dt: float) -> np.ndarray:
+    def _velocity_estimate(self, dt: float) -> tuple:
         if dt <= 0:
-            return np.zeros(3)
-        return (self.pose.translation - self._prev_pose.translation) / dt
+            return ZERO3
+        return tuple((a - b) / dt for a, b in zip(self.pose.translation,
+                                                 self._prev_pose.translation))
 
     def update(self, grasped: bool, gripper_pose: Pose,
                mocap: FilteredPose | None, dt: float) -> tuple[Pose, AssetSource]:
@@ -171,7 +169,8 @@ class AssetTracker:
                 self._fallback = FallbackState(self.pose.translation,
                                                self._velocity_estimate(dt))
             else:  # MOCAP takeover: decaying offset bridges any residual gap
-                self._blend = self.pose.translation - mocap.position
+                self._blend = tuple(a - b for a, b in zip(self.pose.translation,
+                                                          mocap.position))
             self.source = desired
 
         self._prev_pose = self.pose
@@ -179,14 +178,17 @@ class AssetTracker:
             new = gripper_pose.compose(self._attach_offset)
         elif self.source is AssetSource.MOCAP:
             if not switching:
-                self._blend = self._blend * self.blend_decay
+                d = self.blend_decay
+                bx, by, bz = self._blend
+                self._blend = (bx * d, by * d, bz * d)
                 if norm(self._blend) < 1e-12:
-                    self._blend = np.zeros(3)
-            new = Pose(mocap.position + self._blend, mocap.rotation)
+                    self._blend = ZERO3
+            (px, py, pz), (bx, by, bz) = mocap.position, self._blend
+            new = Pose.of((px + bx, py + by, pz + bz), unit_quat(mocap.rotation))
         else:
             if not switching:
                 self._fallback = fallback_step(self._fallback, dt,
                                                self.up_axis, self.ground_height)
-            new = Pose(self._fallback.position, self.pose.rotation)
+            new = Pose.of(self._fallback.position, unit_quat(self.pose.rotation))
         self.pose = new
         return new, self.source

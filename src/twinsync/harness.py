@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Pose, quat_from_axis_angle
+from .geometry import IDENTITY_QUAT, ZERO3, Pose, dot, quat_from_axis_angle
 from .grasp import AssetTracker, GraspPhase, GripperTracker
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
 from .mocap import MocapFilter, PoseStatus
@@ -103,7 +103,7 @@ class TwinEngine:
         self.tick = 0
         self.last_tick_ns = 0
         self.applied_seq = -1
-        self.positions = np.zeros(model.dof)
+        self.positions = [0.0] * model.dof
         self.base_pose = Pose(config.station_position,
                               quat_from_axis_angle(config.filter.up_axis,
                                                    config.station_yaw))
@@ -112,14 +112,12 @@ class TwinEngine:
         self.gripper = GripperTracker(config.grasp)
         self.asset_filters = {a.object_id: MocapFilter(config.filter)
                               for a in config.assets}
-        self.asset_names = {a.object_id: a.name for a in config.assets}
         up = config.filter.up_axis
         self.asset_trackers = {
             a.object_id: AssetTracker(a.name, Pose(a.position), up_axis=up)
             for a in config.assets}
         self.zones = list(config.zones)
-        self._zone_local = {z.zone_id: (z.center.copy(), z.orientation.copy())
-                            for z in self.zones}
+        self._zone_local = {z.zone_id: (z.center, z.orientation) for z in self.zones}
         self.active_repulsions: list[tuple[str, Repulsion]] = []
         self.telemetry_applied = 0
 
@@ -179,24 +177,23 @@ class TwinEngine:
     def state_hash(self) -> str:
         h = hashlib.sha256()
         h.update(struct.pack("<qq", self.tick, self.applied_seq))
+
+        def pose(p: Pose) -> bytes:
+            return struct.pack("<3d4d", *p.translation, *p.rotation)
+
         for name in sorted(self.link_poses):
-            p = self.link_poses[name]
             h.update(name.encode())
-            h.update(np.ascontiguousarray(p.translation).tobytes())
-            h.update(np.ascontiguousarray(p.rotation).tobytes())
-        h.update(np.ascontiguousarray(self.base_pose.translation).tobytes())
-        h.update(np.ascontiguousarray(self.base_pose.rotation).tobytes())
+            h.update(pose(self.link_poses[name]))
+        h.update(pose(self.base_pose))
         h.update(self.gripper.phase.value.encode())
         for oid in sorted(self.asset_trackers):
             t = self.asset_trackers[oid]
             h.update(t.name.encode())
             h.update(t.source.value.encode())
-            h.update(np.ascontiguousarray(t.pose.translation).tobytes())
-            h.update(np.ascontiguousarray(t.pose.rotation).tobytes())
+            h.update(pose(t.pose))
         for zone_id, rep in self.active_repulsions:
             h.update(zone_id.encode())
-            h.update(np.ascontiguousarray(rep.direction).tobytes())
-            h.update(struct.pack("<d", rep.depth))
+            h.update(struct.pack("<3dd", *rep.direction, rep.depth))
         return h.hexdigest()
 
 
@@ -277,13 +274,11 @@ def _mocap_schedule(config: ScenarioConfig, rng: np.random.Generator):
             seq = seqs.get(a.object_id, 0)
             seqs[a.object_id] = seq + 1
             if a.occluded(t):
-                yield t_ns, MocapPacket(a.object_id, seq, t_ns, np.zeros(3),
-                                        np.array([1.0, 0, 0, 0]), 0)
+                yield t_ns, MocapPacket(a.object_id, seq, t_ns, ZERO3, IDENTITY_QUAT, 0)
             else:
                 noise = rng.normal(0.0, config.tracker_noise_sigma, 3)
                 yield t_ns, MocapPacket(a.object_id, seq, t_ns,
-                                        a.true_position(t) + noise,
-                                        np.array([1.0, 0, 0, 0]), 1)
+                                        a.true_position(t) + noise, IDENTITY_QUAT, 1)
 
 
 def simulate(config: ScenarioConfig) -> SimResult:
@@ -373,7 +368,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
             force = counterforce(Repulsion(frame.direction, frame.depth),
                                  frame.stiffness)
             J = numeric_jacobian(model, follower.q, engine.ee_link)
-            ext_tau = (J.T @ force).tolist()
+            ext_tau = [dot(column, force) for column in J.T.tolist()]
             ext_expiry = t_ns + (1_000_000_000 // MERGE_HZ)
         tau_ext = ext_tau if t_ns < ext_expiry else no_torque
 
@@ -457,6 +452,8 @@ def replay(log_path, config: ScenarioConfig, mode: str = "immediate",
     back-to-back in simulated time; timed mode additionally sleeps to
     preserve original gaps (only meaningful interactively).
     """
+    if mode not in ("immediate", "timed"):
+        raise ValueError(f"unknown replay mode {mode!r} (immediate or timed)")
     scan = read_log(log_path)
     if scan.truncated and not skip_bad:
         raise ValueError(f"truncated tail record; {len(scan.records)} valid "

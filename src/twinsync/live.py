@@ -172,8 +172,6 @@ def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> Live
     kernel drops anyway stops being waited for after ``LOOPBACK_STALL_S``
     without progress.
     """
-    import numpy as np
-
     from .wire import TelemetryPacket, encode_telemetry
 
     bridge = LiveBridge()
@@ -196,8 +194,8 @@ def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> Live
         addr = bridge.telemetry_addr
         every = max(1, n_packets // inject_malformed) if inject_malformed else 0
         for i in range(n_packets):
-            pkt = TelemetryPacket(0, i, i * 1_000_000, np.zeros(7), np.zeros(7),
-                                  np.zeros(7), 0.08, 0.0)
+            zeros = (0.0,) * 7
+            pkt = TelemetryPacket(0, i, i * 1_000_000, zeros, zeros, zeros, 0.08, 0.0)
             datagrams = [encode_telemetry(pkt)]
             if every and i % every == 0:
                 datagrams.append(b"\x00\x01garbage")

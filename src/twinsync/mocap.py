@@ -11,12 +11,12 @@ than the last one processed are counted as stale and dropped.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import norm, swing_twist
+from .geometry import floats, norm, twist, unit
 from .wire import MocapPacket
 
 QUALITY_LOST = 0
@@ -34,7 +34,7 @@ class PoseStatus(enum.Enum):
 class FilterConfig:
     window: int = 9
     vmax: float = 2.0  # m/s
-    up_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    up_axis: tuple = (0.0, 0.0, 1.0)
     stable_count: int = 10
     stable_tol: float = 0.005  # m
 
@@ -47,37 +47,35 @@ class FilterConfig:
             raise ValueError("stable_count must be >= 2")
         if self.stable_tol <= 0:
             raise ValueError("stable_tol must be positive")
-        axis = np.asarray(self.up_axis, dtype=float)
-        n = norm(axis)
-        if n == 0:
-            raise ValueError("up_axis must be non-zero")
-        object.__setattr__(self, "up_axis", axis / n)
+        object.__setattr__(self, "up_axis", unit(floats(self.up_axis)))
 
 
-@dataclass(frozen=True)
-class FilteredPose:
-    position: np.ndarray
-    rotation: np.ndarray  # yaw-only quaternion about up_axis
+class FilteredPose(NamedTuple):
+    position: tuple
+    rotation: tuple  # yaw-only quaternion about up_axis
     status: PoseStatus
     time_ns: int
 
 
-def constrain_upright(q: np.ndarray, up_axis: np.ndarray) -> np.ndarray:
+def constrain_upright(q, up_axis) -> tuple:
     """Twist component of q about up_axis (swing discarded)."""
-    _, twist = swing_twist(np.asarray(q, dtype=float), up_axis)
-    return twist
+    return twist(q, unit(up_axis))
 
 
-def velocity_gate(prev_accepted: np.ndarray, candidate: np.ndarray,
-                  dt: float, vmax: float) -> bool:
+def _distance(a, b) -> float:
+    ax, ay, az = a
+    bx, by, bz = b
+    return norm((ax - bx, ay - by, az - bz))
+
+
+def velocity_gate(prev_accepted, candidate, dt: float, vmax: float) -> bool:
     """True iff the implied speed is within vmax (boundary inclusive)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    speed = norm(np.asarray(candidate) - np.asarray(prev_accepted)) / dt
-    return speed <= vmax
+    return _distance(candidate, prev_accepted) / dt <= vmax
 
 
-def _mean(rows) -> np.ndarray:
+def _mean(rows) -> tuple:
     """Mean of 3-vectors given as float sequences: ``np.mean(rows, axis=0)``
     bit for bit, which sums the rows in order onto +0.0 and divides by the
     count."""
@@ -87,7 +85,7 @@ def _mean(rows) -> np.ndarray:
         sy += y
         sz += z
     n = len(rows)
-    return np.array([sx / n, sy / n, sz / n])
+    return (sx / n, sy / n, sz / n)
 
 
 class MocapFilter:
@@ -95,9 +93,10 @@ class MocapFilter:
 
     def __init__(self, config: FilterConfig | None = None):
         self.config = config or FilterConfig()
+        self._up = unit(self.config.up_axis)  # as constrain_upright takes it
         self._window: deque = deque(maxlen=self.config.window)
         self._dropped: deque = deque(maxlen=self.config.stable_count)
-        self._prev_accepted: np.ndarray | None = None
+        self._prev_accepted: tuple | None = None
         self._prev_time_ns: int | None = None
         self._last_output: FilteredPose | None = None
         self._warmed_up = False
@@ -111,10 +110,10 @@ class MocapFilter:
     def _stable(self) -> bool:
         if len(self._dropped) < self.config.stable_count:
             return False
-        pts = np.asarray(self._dropped)
+        pts = self._dropped
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if norm(pts[i] - pts[j]) > self.config.stable_tol:
+                if _distance(pts[i], pts[j]) > self.config.stable_tol:
                     return False
         return True
 
@@ -145,8 +144,8 @@ class MocapFilter:
         if raw.quality == QUALITY_LOST:
             return self._hold(raw.time_ns)
 
-        pos = np.asarray(raw.position, dtype=float)
-        if not np.isfinite(pos).all():
+        pos = raw.position
+        if not all(map(math.isfinite, pos)):
             raise ValueError("non-finite mocap position")
 
         accepted = (self._prev_accepted is None
@@ -154,24 +153,24 @@ class MocapFilter:
         if not accepted:
             self._dropped.append(pos)
             if self._stable():
-                mean = _mean([p.tolist() for p in self._dropped])
+                mean = _mean(self._dropped)
                 self._dropped.clear()
                 self._window.clear()
-                self._window.append(mean.tolist())
+                self._window.append(mean)
                 self._prev_accepted = mean
                 self.relocations += 1
-                rot = constrain_upright(raw.quaternion, self.config.up_axis)
-                self._last_output = FilteredPose(mean, rot, PoseStatus.RELOCATED,
-                                                 raw.time_ns)
+                self._last_output = FilteredPose(mean, twist(raw.quaternion, self._up),
+                                                 PoseStatus.RELOCATED, raw.time_ns)
                 return self._last_output
             return self._hold(raw.time_ns)
 
         self._dropped.clear()
         self._prev_accepted = pos
-        self._window.append(pos.tolist())
+        self._window.append(pos)
         if len(self._window) >= self.config.window:
             self._warmed_up = True
         status = PoseStatus.STABLE if self._warmed_up else PoseStatus.WARMING_UP
-        rot = constrain_upright(raw.quaternion, self.config.up_axis)
-        self._last_output = FilteredPose(_mean(self._window), rot, status, raw.time_ns)
+        self._last_output = FilteredPose(_mean(self._window),
+                                         twist(raw.quaternion, self._up), status,
+                                         raw.time_ns)
         return self._last_output

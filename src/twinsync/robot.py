@@ -7,25 +7,24 @@ ignored.
 
 Each ``RobotModel`` compiles its tree once into a ``Chain``
 (``model.chain``): the joints in traversal order with their parent link's
-index, origins and axes as float tuples, each axis's norm and each
-movable joint's position index. Forward kinematics evaluates the chain in
-plain floats on the geometry kernels that ``Pose.compose`` itself runs
-(``qrot``, ``qmul``), and repeats ``quat_from_axis_angle`` and ``Pose``'s
-renormalization in the same order, so its poses are bit-identical to
-composing ``Pose`` objects joint by joint. ``Chain.walk`` evaluates one
-root-to-link path the same way, for callers that need a single link.
+index, origin pose, axis as a float tuple, the axis's norm and each
+movable joint's position index. Forward kinematics composes each link's
+pose as ``Pose.compose`` does, with the joint motion built as
+``quat_from_axis_angle`` and ``Pose``'s renormalization build it, so its
+poses are bit-identical to composing ``Pose`` objects joint by joint.
+``Chain.walk`` evaluates one root-to-link path the same way, for callers
+that need a single link.
 """
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import Pose, norm, qmul, qrot
+from .geometry import IDENTITY_QUAT, ZERO3, Pose, floats, norm, unit_quat
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -48,7 +47,7 @@ class Joint:
     parent: str
     child: str
     origin: Pose
-    axis: np.ndarray | None = None  # unit vector, None for fixed joints
+    axis: tuple | None = None  # unit vector, None for fixed joints
     lower: float = 0.0
     upper: float = 0.0
 
@@ -79,17 +78,16 @@ class RobotModel:
         raise KeyError(name)
 
 
-def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
+def _parse_floats(text: str, n: int, what: str) -> tuple:
     parts = text.split()
     if len(parts) != n:
         raise UrdfError(f"expected {n} values in {what}, got {text!r}")
-    return np.array([float(p) for p in parts])
+    return tuple(float(p) for p in parts)
 
 
 def _origin_pose(elem) -> Pose:
     origin = elem.find("origin")
-    xyz = np.zeros(3)
-    rpy = np.zeros(3)
+    xyz = rpy = ZERO3
     if origin is not None:
         if origin.get("xyz"):
             xyz = _parse_floats(origin.get("xyz"), 3, "origin xyz")
@@ -156,11 +154,11 @@ def parse_urdf(xml_text: str) -> RobotModel:
         if kind in MOVABLE_KINDS:
             axis_el = el.find("axis")
             axis = _parse_floats(axis_el.get("xyz"), 3, "axis") if axis_el is not None \
-                else np.array([1.0, 0.0, 0.0])
+                else (1.0, 0.0, 0.0)
             n = norm(axis)
             if n < 1e-12:
                 raise UrdfError(f"zero-length axis on joint {name!r}")
-            axis = axis / n
+            axis = tuple(a / n for a in axis)
             limit_el = el.find("limit")
             if limit_el is not None:
                 lower = float(limit_el.get("lower", 0.0))
@@ -191,25 +189,7 @@ def parse_urdf(xml_text: str) -> RobotModel:
     return RobotModel(root.get("name", ""), tuple(links), tuple(joints), roots[0])
 
 
-Frame = tuple[tuple[float, float, float], tuple[float, float, float, float]]
-IDENTITY_FRAME: Frame = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-
-
-def _unit(q: tuple) -> tuple:
-    """``Pose``'s renormalization of a rotation, in floats."""
-    w, x, y, z = q
-    if abs(w * w + x * x + y * y + z * z - 1.0) <= 1e-12:
-        # then |norm - 1| < 1e-12 as well, where Pose keeps q unchanged
-        return q
-    return tuple(Pose(np.zeros(3), q).rotation.tolist())
-
-
-def _compose(a: Frame, b: Frame) -> Frame:
-    """``Pose.compose`` in floats, on the same kernels."""
-    (tx, ty, tz), q = a
-    v, bq = b
-    rx, ry, rz = qrot(q, v)
-    return (tx + rx, ty + ry, tz + rz), _unit(qmul(q, bq))
+IDENTITY = Pose()
 
 
 class ChainJoint(NamedTuple):
@@ -217,27 +197,26 @@ class ChainJoint(NamedTuple):
 
     parent: int  # index of the parent link in Chain.links
     kind: str
-    origin: Frame
+    origin: Pose
     axis: tuple[float, float, float]  # zeros for a fixed joint
     axis_norm: float  # norm(axis), as quat_from_axis_angle takes it
     dof: int  # index of the joint's position, -1 for a fixed joint
 
-    def frame(self, parent: Frame, positions) -> Frame:
-        """Child link frame: parent o joint origin o joint motion."""
+    def frame(self, parent: Pose, positions) -> Pose:
+        """Child link pose: parent o joint origin o joint motion."""
         if self.kind == "revolute":
             # quat_from_axis_angle, then Pose's renormalization
             half = 0.5 * positions[self.dof]
-            s = float(np.sin(half)) / self.axis_norm
+            s = math.sin(half) / self.axis_norm
             ax, ay, az = self.axis
-            motion = (IDENTITY_FRAME[0],
-                      _unit((float(np.cos(half)), ax * s, ay * s, az * s)))
+            motion = (ZERO3, unit_quat((math.cos(half), ax * s, ay * s, az * s)))
         elif self.kind == "prismatic":
             p = positions[self.dof]
             ax, ay, az = self.axis
-            motion = ((ax * p, ay * p, az * p), IDENTITY_FRAME[1])
+            motion = ((ax * p, ay * p, az * p), IDENTITY_QUAT)
         else:
-            motion = IDENTITY_FRAME
-        return _compose(_compose(parent, self.origin), motion)
+            motion = IDENTITY
+        return parent.compose(self.origin).compose(motion)
 
 
 class Chain:
@@ -263,13 +242,9 @@ class Chain:
             for j in joints_of.get(parent, []):
                 index[j.child] = len(links)
                 links.append(j.child)
-                axis = j.axis if j.axis is not None else np.zeros(3)
-                joints.append(ChainJoint(
-                    index[parent], j.kind,
-                    (tuple(j.origin.translation.tolist()),
-                     tuple(j.origin.rotation.tolist())),
-                    tuple(axis.tolist()), norm(axis),
-                    movable.get(j.name, -1)))
+                axis = j.axis or ZERO3
+                joints.append(ChainJoint(index[parent], j.kind, j.origin, axis,
+                                         norm(axis), movable.get(j.name, -1)))
                 stack.append(j.child)
         self.links: tuple[str, ...] = tuple(links)
         self.joints: tuple[ChainJoint, ...] = tuple(joints)
@@ -277,15 +252,15 @@ class Chain:
 
     def check(self, positions) -> list[float]:
         """Validated movable-joint positions as a list of floats."""
-        positions = np.asarray(positions, dtype=float)
+        positions = list(floats(positions))
         if len(positions) != self.dof:
             raise ValueError(f"expected {self.dof} positions, got {len(positions)}")
-        if not np.isfinite(positions).all():
+        if not all(map(math.isfinite, positions)):
             raise ValueError("non-finite joint position")
-        return positions.tolist()
+        return positions
 
-    def frames(self, positions, base: Frame = IDENTITY_FRAME) -> list[Frame]:
-        """Frame of every link, in ``links`` order."""
+    def frames(self, positions, base: Pose = IDENTITY) -> list[Pose]:
+        """Pose of every link, in ``links`` order."""
         out = [base]
         for j in self.joints:
             out.append(j.frame(out[j.parent], positions))
@@ -301,8 +276,8 @@ class Chain:
             i = j.parent
         return tuple(reversed(path))
 
-    def walk(self, path, positions, start: Frame = IDENTITY_FRAME) -> list[Frame]:
-        """Frames along ``path`` from ``start``: ``start`` first, the last
+    def walk(self, path, positions, start: Pose = IDENTITY) -> list[Pose]:
+        """Poses along ``path`` from ``start``: ``start`` first, the last
         joint's child last."""
         out = [start]
         for j in path:
@@ -318,14 +293,8 @@ def forward_kinematics(model: RobotModel, positions,
     takes ``base_pose`` (identity by default).
     """
     chain = model.chain
-    positions = chain.check(positions)
-    base = base_pose or Pose.identity()
-    frames = chain.frames(positions, (tuple(base.translation.tolist()),
-                                      tuple(base.rotation.tolist())))
-    poses = {chain.links[0]: base}
-    for name, (t, q) in zip(chain.links[1:], frames[1:]):
-        poses[name] = Pose(np.array(t), np.array(q))
-    return poses
+    return dict(zip(chain.links, chain.frames(chain.check(positions),
+                                              base_pose or IDENTITY)))
 
 
 @dataclass(frozen=True)
@@ -338,18 +307,14 @@ class LimitViolation:
 
 
 def apply_joint_state(model: RobotModel, positions,
-                      clamp: bool = True) -> tuple[np.ndarray, list[LimitViolation]]:
+                      clamp: bool = True) -> tuple[list[float], list[LimitViolation]]:
     """Map one sample's joint positions onto the model, checking limits.
 
     No interpolation between frames is performed; the sample is applied
     as-is. Out-of-limit joints are clamped (if ``clamp``) and reported.
     """
     movable = model.movable_joints
-    out = np.array(positions, dtype=float)
-    if len(out) != len(movable):
-        raise ValueError(f"expected {len(movable)} positions, got {len(out)}")
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite joint state")
+    out = model.chain.check(positions)
     report: list[LimitViolation] = []
     for i, j in enumerate(movable):
         if out[i] < j.lower or out[i] > j.upper:

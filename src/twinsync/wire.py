@@ -9,10 +9,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import norm
+from .geometry import floats, norm
 
 TELEMETRY_MAGIC = 0x4A54
 MOCAP_MAGIC = 0x4D43
@@ -30,51 +30,61 @@ class WireError(ValueError):
     """Framing or validation failure while decoding a wire message."""
 
 
-@dataclass(frozen=True)
-class TelemetryPacket:
+# The packets are named tuples, cheap to build per datagram, whose
+# constructors convert their vectors to float tuples and validate them.
+
+class _Telemetry(NamedTuple):
     robot_id: int
     seq: int
     time_ns: int
-    positions: np.ndarray
-    velocities: np.ndarray
-    efforts: np.ndarray
+    positions: tuple
+    velocities: tuple
+    efforts: tuple
     gripper_width: float
     gripper_velocity: float
 
-    def __post_init__(self):
-        for name in ("positions", "velocities", "efforts"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = len(self.positions)
-        if len(self.velocities) != n or len(self.efforts) != n:
+
+class TelemetryPacket(_Telemetry):
+    __slots__ = ()
+
+    def __new__(cls, robot_id, seq, time_ns, positions, velocities, efforts,
+                gripper_width, gripper_velocity):
+        positions, velocities, efforts = floats(positions), floats(velocities), floats(efforts)
+        n = len(positions)
+        if len(velocities) != n or len(efforts) != n:
             raise ValueError("per-joint array length mismatch")
-        values = [*self.positions.tolist(), *self.velocities.tolist(),
-                  *self.efforts.tolist(), self.gripper_width, self.gripper_velocity]
+        values = [*positions, *velocities, *efforts, gripper_width, gripper_velocity]
         # a finite sum has only finite terms; only a sum that overflows
         # needs the value-by-value check
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError("non-finite joint state")
+        return tuple.__new__(cls, (robot_id, seq, time_ns, positions, velocities, efforts,
+                                   gripper_width, gripper_velocity))
 
 
-@dataclass(frozen=True)
-class MocapPacket:
+class _Mocap(NamedTuple):
     object_id: int
     seq: int
     time_ns: int
-    position: np.ndarray
-    quaternion: np.ndarray  # (w, x, y, z)
+    position: tuple
+    quaternion: tuple  # (w, x, y, z)
     quality: int  # 0 = lost, 1 = tracked
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "quaternion", np.asarray(self.quaternion, dtype=float))
-        if self.quality not in (0, 1):
+
+class MocapPacket(_Mocap):
+    __slots__ = ()
+
+    def __new__(cls, object_id, seq, time_ns, position, quaternion, quality):
+        position, quaternion = floats(position), floats(quaternion)
+        if quality not in (0, 1):
             raise ValueError("quality must be 0 or 1")
-        if self.quality == 1:
+        if quality == 1:
             # written so that a NaN norm fails it too
-            if not abs(norm(self.quaternion) - 1.0) <= 1e-6:
+            if not abs(norm(quaternion) - 1.0) <= 1e-6:
                 raise ValueError("tracked sample requires a unit quaternion")
-            if not all(map(math.isfinite, self.position.tolist())):
+            if not all(map(math.isfinite, position)):
                 raise ValueError("tracked sample requires a finite position")
+        return tuple.__new__(cls, (object_id, seq, time_ns, position, quaternion, quality))
 
 
 @dataclass(frozen=True)
@@ -82,12 +92,12 @@ class CommandFrame:
     kind: int
     robot_id: int
     time_ns: int
-    direction: np.ndarray
+    direction: tuple
     depth: float
     stiffness: float
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
+        object.__setattr__(self, "direction", floats(self.direction))
         if self.kind != CMD_KIND_ZONE_REPULSION:
             raise ValueError(f"unsupported command kind {self.kind}")
 
@@ -98,11 +108,10 @@ def encode_telemetry(p: TelemetryPacket) -> bytes:
         raise WireError("dof overflow (max 255)")
     head = _TELEMETRY_HEAD.pack(TELEMETRY_MAGIC, WIRE_VERSION, p.robot_id, p.seq,
                                 p.time_ns, dof)
-    body = bytearray()
-    for i in range(dof):
-        body += struct.pack("<3d", p.positions[i], p.velocities[i], p.efforts[i])
-    body += struct.pack("<2d", p.gripper_width, p.gripper_velocity)
-    return head + bytes(body)
+    return head + struct.pack(f"<{3 * dof + 2}d",
+                              *chain.from_iterable(zip(p.positions, p.velocities,
+                                                       p.efforts)),
+                              p.gripper_width, p.gripper_velocity)
 
 
 def decode_telemetry(buf: bytes) -> TelemetryPacket:
@@ -116,12 +125,10 @@ def decode_telemetry(buf: bytes) -> TelemetryPacket:
     expected = _TELEMETRY_HEAD.size + dof * 24 + 16
     if len(buf) != expected:
         raise WireError(f"telemetry length {len(buf)} != expected {expected}")
-    rows = np.frombuffer(buf, dtype="<f8", count=3 * dof,
-                         offset=_TELEMETRY_HEAD.size).reshape(dof, 3)
-    gw, gv = struct.unpack_from("<2d", buf, _TELEMETRY_HEAD.size + dof * 24)
+    vals = struct.unpack_from(f"<{3 * dof + 2}d", buf, _TELEMETRY_HEAD.size)
     try:
-        return TelemetryPacket(robot_id, seq, time_ns, rows[:, 0].copy(),
-                               rows[:, 1].copy(), rows[:, 2].copy(), gw, gv)
+        return TelemetryPacket(robot_id, seq, time_ns, vals[0:-2:3], vals[1:-2:3],
+                               vals[2:-2:3], vals[-2], vals[-1])
     except ValueError as e:  # a sample the packet rejects
         raise WireError(f"invalid telemetry sample: {e}") from e
 
@@ -141,8 +148,7 @@ def decode_mocap(buf: bytes) -> MocapPacket:
     if version != WIRE_VERSION:
         raise WireError(f"unsupported mocap version {version}")
     try:
-        return MocapPacket(object_id, seq, time_ns, np.array(vals[5:8]),
-                           np.array(vals[8:12]), vals[12])
+        return MocapPacket(object_id, seq, time_ns, vals[5:8], vals[8:12], vals[12])
     except ValueError as e:  # a sample the packet rejects
         raise WireError(f"invalid mocap sample: {e}") from e
 
@@ -169,4 +175,4 @@ def decode_command(buf: bytes) -> CommandFrame:
         raise WireError(f"unsupported command version {version}")
     if kind != CMD_KIND_ZONE_REPULSION:
         raise WireError(f"unknown command kind {kind}")
-    return CommandFrame(kind, robot_id, time_ns, np.array(vals[5:8]), vals[8], vals[9])
+    return CommandFrame(kind, robot_id, time_ns, vals[5:8], vals[8], vals[9])

@@ -8,21 +8,20 @@ vanishes continuously at the surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import Pose, norm, quat_rotate
+from .geometry import IDENTITY_QUAT, Pose, floats, quat_rotate, unit, unit_quat
 from .wire import CMD_KIND_ZONE_REPULSION, CommandFrame
 
 
 @dataclass(frozen=True)
 class Repulsion:
-    direction: np.ndarray  # unit, outward, world frame
+    direction: tuple  # unit, outward, world frame
     depth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
+        object.__setattr__(self, "direction", floats(self.direction))
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
 
@@ -30,32 +29,27 @@ class Repulsion:
 @dataclass(frozen=True)
 class ProhibitedZone:
     zone_id: str
-    center: np.ndarray
-    half_extents: np.ndarray
-    orientation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0, 0, 0]))
+    center: tuple
+    half_extents: tuple
+    orientation: tuple = IDENTITY_QUAT
     stiffness: float = 500.0  # N/m
     attached_asset: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "half_extents",
-                           np.asarray(self.half_extents, dtype=float))
-        q = np.asarray(self.orientation, dtype=float)
-        n = norm(q)
-        if n == 0:
-            raise ValueError("zero orientation quaternion")
-        object.__setattr__(self, "orientation", q / n)
-        if np.any(self.half_extents <= 0):
+        object.__setattr__(self, "center", floats(self.center))
+        object.__setattr__(self, "half_extents", floats(self.half_extents))
+        object.__setattr__(self, "orientation", unit(floats(self.orientation)))
+        if any(h <= 0 for h in self.half_extents):
             raise ValueError("half_extents must be positive")
         if self.stiffness < 0:
             raise ValueError("stiffness must be >= 0")
 
     @property
     def pose(self) -> Pose:
-        return Pose(self.center, self.orientation)
+        return Pose.of(self.center, unit_quat(self.orientation))
 
 
-def query(zone: ProhibitedZone, point: np.ndarray) -> Repulsion | None:
+def query(zone: ProhibitedZone, point) -> Repulsion | None:
     """Outward repulsion for a point, or None when strictly outside.
 
     depth = min over axes of (half_extent - |local coord|); the direction
@@ -63,24 +57,22 @@ def query(zone: ProhibitedZone, point: np.ndarray) -> Repulsion | None:
     lowest axis index; sign(0) counts as +1. Boundary contact returns
     depth 0 with that face's normal.
     """
-    point = np.asarray(point, dtype=float)
-    if not np.isfinite(point).all():
+    point = floats(point)
+    if not all(map(math.isfinite, point)):
         raise ValueError("non-finite query point")
     local = zone.pose.inverse().transform_point(point)
-    margins = zone.half_extents - np.abs(local)
-    if np.any(margins < 0):
+    margins = [h - abs(c) for h, c in zip(zone.half_extents, local)]
+    if any(m < 0 for m in margins):
         return None
-    i = int(np.argmin(margins))  # argmin takes the lowest index on ties
-    sign = 1.0 if local[i] >= 0 else -1.0
-    axis = np.zeros(3)
-    axis[i] = sign
-    direction = quat_rotate(zone.orientation, axis)
-    return Repulsion(direction, float(margins[i]))
+    i = margins.index(min(margins))  # the lowest index on ties
+    axis = [0.0, 0.0, 0.0]
+    axis[i] = 1.0 if local[i] >= 0 else -1.0
+    return Repulsion(quat_rotate(zone.orientation, axis), margins[i])
 
 
-def counterforce(rep: Repulsion, stiffness: float) -> np.ndarray:
+def counterforce(rep: Repulsion, stiffness: float) -> tuple:
     """Linear spring pushing outward: F = stiffness * depth * direction."""
-    return stiffness * rep.depth * rep.direction
+    return tuple(stiffness * rep.depth * d for d in rep.direction)
 
 
 def make_command(robot_id: int, rep: Repulsion, stiffness: float,
@@ -90,8 +82,7 @@ def make_command(robot_id: int, rep: Repulsion, stiffness: float,
 
 
 def update_dynamic(zone: ProhibitedZone, asset_pose: Pose,
-                   local_center: np.ndarray | None = None,
-                   local_orientation: np.ndarray | None = None) -> ProhibitedZone:
+                   local_center=None, local_orientation=None) -> ProhibitedZone:
     """Re-pose an attached zone into its asset's current frame.
 
     The box geometry is fixed in the asset frame (``local_*``, defaulting

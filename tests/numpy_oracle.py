@@ -41,9 +41,22 @@ def quat_from_axis_angle(axis, angle):
     return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
 
+def quat_to_matrix(q):
+    """The rotation matrix of a unit quaternion."""
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 def swing_twist(q, axis):
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    n = np.linalg.norm(axis)
+    if n == 0.0:
+        raise ValueError("zero-length axis")
+    axis = axis / n
     if np.linalg.norm(q) == 0.0:
         raise ValueError("zero quaternion")
     proj = np.dot(q[1:], axis) * axis

@@ -246,7 +246,7 @@ def test_06_fallback_physics_and_continuity():
                 if r < 0.3:
                     mocap = None  # occluded
                 elif r < 0.5:
-                    mocap = FilteredPose(last.copy(), IDENT,
+                    mocap = FilteredPose(last, IDENT,
                                          PoseStatus.HOLDING, k)
                 else:
                     mocap = FilteredPose(start + rng.normal(0, 0.02, 3),
@@ -254,7 +254,7 @@ def test_06_fallback_physics_and_continuity():
                 pose, src = tracker.update(grasped, grip, mocap, 1 / 60)
                 if src is not prev_src:
                     # continuous up to float round-off in the frame change
-                    jump = np.linalg.norm(pose.translation - last)
+                    jump = np.linalg.norm(np.subtract(pose.translation, last))
                     assert jump < 1e-12, (scenario, k, src)
                 last, prev_src = pose.translation, src
 

@@ -150,6 +150,14 @@ class TestReplay:
         assert rep.state_hash == live.state_hash
         assert rep.merge_ticks == live.merge_ticks
 
+    @pytest.mark.parametrize("mode", ["tmied", "", "Immediate"])
+    def test_unknown_mode_rejected(self, robot_file, tmp_path, mode):
+        log = tmp_path / "run.dtrl"
+        cfg = scenario(robot_file, duration_s=0.1, log_path=str(log))
+        simulate(cfg)
+        with pytest.raises(ValueError, match="replay mode"):
+            replay(log, cfg, mode=mode)
+
     def test_truncated_log_handling(self, robot_file, tmp_path):
         log = tmp_path / "run.dtrl"
         cfg = scenario(robot_file, duration_s=0.5, log_path=str(log))

@@ -35,7 +35,8 @@ def vectors(n):
 def same(got, want):
     """Equal dtype, shape and bytes. A NaN counts as equal to any NaN: its
     sign bit comes from whichever operand the machine code puts first, and
-    means nothing (a zero axis turns swing_twist's whole output to NaN)."""
+    means nothing (an infinite component can turn swing_twist's whole output
+    to NaN)."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype
     assert got.shape == want.shape

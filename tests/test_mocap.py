@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from twinsync.geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
+from numpy_oracle import quat_to_matrix
+from twinsync.geometry import quat_from_axis_angle, quat_multiply
 from twinsync.mocap import (FilterConfig, MocapFilter, PoseStatus,
                             constrain_upright, velocity_gate)
 from twinsync.wire import MocapPacket

@@ -150,8 +150,10 @@ class TestForwardKinematics:
         a = forward_kinematics(m, [0.3, -0.7])
         b = forward_kinematics(m, [0.3, -0.7])
         for name in a:
-            assert (a[name].translation == b[name].translation).all()
-            assert (a[name].rotation == b[name].rotation).all()
+            assert np.asarray(a[name].translation).tobytes() == \
+                np.asarray(b[name].translation).tobytes()
+            assert np.asarray(a[name].rotation).tobytes() == \
+                np.asarray(b[name].rotation).tobytes()
 
     def test_zero_config_equals_origin_composition(self):
         m = parse_urdf((ASSETS / "panda.urdf").read_text())
@@ -206,7 +208,7 @@ def reference_fk(model, positions, base_pose=None):
                 motion = oracle.Pose(np.zeros(3),
                                      oracle.quat_from_axis_angle(j.axis, pos_of[j.name]))
             elif j.kind == "prismatic":
-                motion = oracle.Pose(j.axis * pos_of[j.name])
+                motion = oracle.Pose(np.asarray(j.axis) * pos_of[j.name])
             else:
                 motion = oracle.Pose()
             origin = oracle.Pose(j.origin.translation, j.origin.rotation)
@@ -289,8 +291,8 @@ class TestCompiledChain:
         want = reference_fk(model, q, base)
         assert list(got) == list(want)
         for link, pose in want.items():
-            assert got[link].translation.tobytes() == pose.translation.tobytes()
-            assert got[link].rotation.tobytes() == pose.rotation.tobytes()
+            assert np.asarray(got[link].translation).tobytes() == pose.translation.tobytes()
+            assert np.asarray(got[link].rotation).tobytes() == pose.rotation.tobytes()
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @given(data=st.data())

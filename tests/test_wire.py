@@ -104,7 +104,7 @@ def test_non_finite_telemetry_is_a_wire_error():
         TelemetryPacket(0, 0, 0, [np.nan], [0.0], [0.0], 0.0, 0.0)
     # finite values whose sum overflows are still a valid sample
     huge = TelemetryPacket(0, 0, 0, [1e308, 1e308], [0.0, 0.0], [0.0, 0.0], 0.0, 0.0)
-    assert decode_telemetry(encode_telemetry(huge)).positions.tolist() == [1e308, 1e308]
+    assert list(decode_telemetry(encode_telemetry(huge)).positions) == [1e308, 1e308]
 
 
 def test_lost_mocap_sample_may_carry_nan():

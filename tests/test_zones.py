@@ -133,7 +133,7 @@ class TestQueryProperties:
             point = rng.uniform(-0.15, 0.15, 3)
             rep = query(z, point)
             eps = 1e-4
-            rep2 = query(z, point + eps * rep.direction)
+            rep2 = query(z, point + np.multiply(eps, rep.direction))
             assert rep2 is not None
             assert rep2.depth <= rep.depth - eps + 1e-9
 
