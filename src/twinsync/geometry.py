@@ -6,21 +6,21 @@ Constructors accept any sequence or numpy array and convert it with
 ``floats``; the kernels take any sequence and do no conversion.
 
 The kernels run on Python floats, not numpy scalars, so a call costs
-arithmetic rather than numpy's per-call dispatch. Each keeps the operation
-order of the numpy expression it replaced, term for term, so its result is
-bit-identical to it: ``quat_multiply`` and ``quat_rotate`` keep every term
-of the quaternion product (the zero scalar part of a rotated vector
-included), and ``Pose`` renormalizes a rotation only when its norm is more
-than 1e-12 from 1. Every dot product, and so every ``norm``, is ``dot``,
-which still hands the sum to numpy.
+arithmetic rather than numpy's per-call dispatch. Every product and sum is
+rounded on its own, in a fixed order, so a result depends only on IEEE-754
+double arithmetic and, for the trigonometry, on libm's ``sin`` and
+``cos``; no BLAS kernel is involved. Every dot product, and so every
+``norm``, is ``dot``, a left-to-right sum. ``quat_multiply`` and
+``quat_rotate`` keep every term of the quaternion product (the zero scalar
+part of a rotated vector included), and ``Pose`` renormalizes a rotation
+only when its norm is more than 1e-12 from 1.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 ZERO3 = (0.0, 0.0, 0.0)
 IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
@@ -32,8 +32,26 @@ def floats(v) -> tuple:
 
 
 def dot(a, b) -> float:
-    """The dot product of two equal-length vectors, as ``ndarray.dot``."""
-    return float(np.asarray(a, dtype=float).dot(np.asarray(b, dtype=float)))
+    """The dot product of two equal-length vectors (else ValueError), summed
+    left to right: ``((a0*b0 + a1*b1) + a2*b2) + ...``, each product and
+    sum rounded on its own. Without a fused multiply-add, which Python 3.10
+    lacks, that is the one order every IEEE-754 machine computes alike."""
+    n = len(a)
+    if n == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    if n == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        return a0 * b0 + a1 * b1 + a2 * b2
+    if n != len(b):
+        raise ValueError(f"dot of vectors of lengths {n} and {len(b)}")
+    products = map(mul, a, b)
+    total = next(products, 0.0)
+    for p in products:
+        total += p
+    return total
 
 
 def norm(v) -> float:

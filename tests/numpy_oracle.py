@@ -1,13 +1,28 @@
 """The array versions of the geometry kernels and of the control tick:
 numpy expressions on numpy scalars, as twinsync computed them before its
 kernels moved to Python floats, and a link that draws its randomness one
-call per send. Tests compare the library with these byte for byte."""
+call per send. Tests compare the library with these byte for byte.
+
+Every dot product and norm here is ``dot``: the products summed left to
+right by ``np.add.accumulate``, which is the order ``geometry.dot``
+promises. ``ndarray.dot`` and ``np.linalg.norm`` are not used, because
+they hand the sum to the BLAS, which may fuse multiply and add."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def dot(a, b):
+    """``((a0*b0 + a1*b1) + a2*b2) + ...`` as a float64."""
+    products = np.multiply(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.add.accumulate(products)[-1] if len(products) else np.float64(0.0)
+
+
+def norm(v):
+    return np.sqrt(dot(v, v))
 
 
 def quat_multiply(a, b):
@@ -33,7 +48,7 @@ def quat_rotate(q, v):
 
 def quat_from_axis_angle(axis, angle):
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = norm(axis)
     if n == 0.0:
         raise ValueError("zero-length axis")
     half = 0.5 * angle
@@ -53,15 +68,15 @@ def quat_to_matrix(q):
 
 def swing_twist(q, axis):
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = norm(axis)
     if n == 0.0:
         raise ValueError("zero-length axis")
     axis = axis / n
-    if np.linalg.norm(q) == 0.0:
+    if norm(q) == 0.0:
         raise ValueError("zero quaternion")
-    proj = np.dot(q[1:], axis) * axis
+    proj = dot(q[1:], axis) * axis
     twist = np.array([q[0], proj[0], proj[1], proj[2]])
-    n = np.linalg.norm(twist)
+    n = norm(twist)
     if n < 1e-12:
         twist = IDENTITY_QUAT.copy()
     else:
@@ -78,7 +93,7 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
         q = np.asarray(self.rotation, dtype=float)
-        n = np.linalg.norm(q)
+        n = norm(q)
         if abs(n - 1.0) > 1e-12:
             if n == 0.0:
                 raise ValueError("zero quaternion")

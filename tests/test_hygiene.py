@@ -1,6 +1,6 @@
-"""Static checks over the source tree: no import left unread, no
-``np.linalg.norm`` in the package outside ``geometry.norm``, and no broad
-``except`` in the package."""
+"""Static checks over the source tree: no import left unread, no dot
+product in the package outside ``geometry.dot``, and no broad ``except``
+in the package."""
 
 import ast
 from pathlib import Path
@@ -37,9 +37,15 @@ def dotted(node):
     return ".".join(reversed(parts))
 
 
-def linalg_norms(tree, allowed_in=()):
-    """Lines that reach ``numpy.linalg.norm``, by attribute or by import,
-    outside the module-level functions named in ``allowed_in``."""
+# numpy's ways to a BLAS product; any object's ``.dot`` counts too
+PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def blas_products(tree, allowed_in=()):
+    """Lines that compute a product numpy may hand to the BLAS: ``.dot``
+    and the other names in ``PRODUCTS`` as attributes or numpy imports,
+    the ``@`` operator, and anything of ``numpy.linalg``; outside the
+    module-level functions named in ``allowed_in``."""
     exempt = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in allowed_in:
@@ -48,10 +54,16 @@ def linalg_norms(tree, allowed_in=()):
     for node in ast.walk(tree):
         if id(node) in exempt:
             continue
-        if isinstance(node, ast.Attribute) and dotted(node).endswith("linalg.norm"):
+        if isinstance(node, ast.Attribute) and node.attr in PRODUCTS | {"linalg"}:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") \
-                and any(a.name in ("norm", "linalg") for a in node.names):
+                and (node.module.startswith("numpy.linalg")
+                     or any(a.name in PRODUCTS | {"linalg"} for a in node.names)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg")
+                                                  for a in node.names):
             lines.append(node.lineno)
     return lines
 
@@ -77,11 +89,11 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_norm_only_through_geometry():
+def test_dot_only_through_geometry():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path, tree in modules(PACKAGE)
-             for line in linalg_norms(
-                 tree, ("norm",) if path == PACKAGE / "geometry.py" else ())]
+             for line in blas_products(
+                 tree, ("dot",) if path == PACKAGE / "geometry.py" else ())]
     assert found == []
 
 
@@ -96,11 +108,18 @@ def test_checks_see_what_they_look_for():
     tree = ast.parse("import os\nimport numpy as np\nfrom numpy.linalg import norm\n"
                      "def f(v):\n    return np.linalg.norm(v)\n")
     assert unused_imports(tree) == [(1, "os"), (3, "norm")]
-    assert linalg_norms(tree) == [3, 5]
-    geometry = ast.parse("import numpy as np\ndef norm(v):\n"
-                         "    return np.linalg.norm(v)\n")
-    assert linalg_norms(geometry) == [3]
-    assert linalg_norms(geometry, ("norm",)) == []
+    assert blas_products(tree) == [3, 5]
+    products = ast.parse("import numpy.linalg\nfrom numpy import dot\n"
+                         "from numpy.linalg import solve\n"
+                         "a = x.dot(y)\nb = np.dot(x, y)\nc = x @ y\nc @= y\n"
+                         "d = np.linalg.solve(x, y)\ne = np.einsum('i,i', x, y)\n"
+                         "f = sum(map(mul, x, y))\n")
+    assert sorted(set(blas_products(products))) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+    geometry = ast.parse("import numpy as np\ndef dot(a, b):\n"
+                         "    return np.asarray(a).dot(b)\n"
+                         "def norm(v):\n    return np.linalg.norm(v)\n")
+    assert blas_products(geometry) == [3, 5]
+    assert blas_products(geometry, ("dot",)) == [5]
     handlers = ast.parse("try:\n    pass\nexcept ValueError:\n    pass\n"
                          "except (KeyError, Exception):\n    pass\n"
                          "except builtins.BaseException:\n    pass\n"

@@ -1,6 +1,9 @@
 """The float geometry kernels, the mocap filter mean and the control tick's
 leader and PD step against their numpy versions (``numpy_oracle``), byte
-for byte."""
+for byte, and ``dot`` against the left-to-right sum it promises."""
+
+import struct
+from fractions import Fraction
 
 from unittest import mock
 
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy_oracle as oracle
 from twinsync import mocap
-from twinsync.geometry import (Pose, norm, quat_conjugate, quat_multiply,
+from twinsync.geometry import (Pose, dot, norm, quat_conjugate, quat_multiply,
                                quat_rotate, swing_twist)
 from twinsync.mocap import FilterConfig, MocapFilter
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
@@ -58,10 +61,43 @@ def both(fn, oracle_fn, *args):
         return fn(*args), want
 
 
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(1, 9))
+    return tuple(draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(2))
+
+
+@given(vector_pairs())
+def test_dot_is_the_sequential_sum(pair):
+    a, b = pair
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total = total + x * y
+    with np.errstate(all="ignore"):
+        want = oracle.dot(a, b)
+    same(np.float64(dot(a, b)), np.float64(total))
+    same(np.float64(dot(a, b)), want)
+
+
+def test_dot_does_not_fuse_multiply_and_add():
+    a, b = (0.1, 0.2, 0.7), (0.4, 0.5, 0.6)
+    # the chain fma(a2, b2, fma(a1, b1, a0*b0)), each step rounded once
+    fused = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        fused = float(Fraction(x) * Fraction(y) + Fraction(fused))
+    assert struct.pack("<d", fused) == struct.pack("<d", 0.5599999999999999)
+    assert struct.pack("<d", dot(a, b)) == struct.pack("<d", 0.56)
+
+
+def test_dot_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        dot((1.0, 2.0, 3.0), (1.0, 2.0))
+
+
 @given(v=vectors(3) | vectors(4) | st.lists(FLOATS, min_size=0, max_size=8))
 def test_norm(v):
     with np.errstate(all="ignore"):
-        same(np.float64(norm(v)), np.linalg.norm(v))
+        same(np.float64(norm(v)), oracle.norm(v))
 
 
 @given(a=vectors(4), b=vectors(4))
