@@ -2,8 +2,8 @@
 
 Vectors and quaternions are tuples of Python floats; quaternions are in
 (w, x, y, z) order. Rotations compose left-to-right as ``parent o child``.
-Constructors accept any sequence or numpy array and convert it with
-``floats``; the kernels take any sequence and do no conversion.
+Constructors convert any sequence or numpy array with ``floats``; the
+kernels take any sequence and convert only ``quat_rotate``'s vector.
 
 The kernels run on Python floats, not numpy scalars, so a call costs
 arithmetic rather than numpy's per-call dispatch. Every product and sum is
