@@ -57,8 +57,8 @@ class DelayModel:
         return samples[rng.integers(len(samples))]
 
     @staticmethod
-    def constant(d_ms: float) -> "DelayModel":
-        return DelayModel("constant", (d_ms,))
+    def constant(ms: float = 0.0) -> "DelayModel":
+        return DelayModel("constant", (ms,))
 
     @staticmethod
     def uniform(lo_ms: float, hi_ms: float) -> "DelayModel":

@@ -1,19 +1,24 @@
 """Scenario configuration: schema, defaults, validation, file loading.
 
-Config files are YAML (or JSON) mappings; every field has a default so a
-scenario only states what it changes. See configs/example.yaml for the
-full surface.
+Config files are YAML (or JSON) mappings. The config dataclasses are the
+schema: each key of a section names a field, which holds the default, and
+``__post_init__`` converts (vectors to float tuples) and checks. An unknown
+key or a non-mapping section is a ``ConfigError`` naming the section. A link
+``seed`` of 0, the default, has ``simulate`` derive one from the scenario
+seed. See configs/example.yaml for the full surface.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from .geometry import floats
 from .grasp import GraspConfig
 from .mocap import FilterConfig
 from .network import DelayModel, LinkConfig
@@ -28,26 +33,27 @@ class ConfigError(ValueError):
 class AssetConfig:
     name: str
     object_id: int
-    position: np.ndarray
+    position: tuple
     # piecewise-linear ground-truth motion: list of (t_s, xyz) waypoints
     waypoints: tuple = ()
     # tracker occlusion windows: list of (t0_s, t1_s)
     occlusions: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "position", floats(self.position))
+        object.__setattr__(self, "waypoints",
+                           tuple((float(t), floats(p)) for t, p in self.waypoints))
+        object.__setattr__(self, "occlusions",
+                           tuple((float(t0), float(t1)) for t0, t1 in self.occlusions))
 
-    def true_position(self, t: float) -> np.ndarray:
-        if not self.waypoints:
-            return self.position
-        pts = [(0.0, self.position)] + [(ts, np.asarray(p, dtype=float))
-                                        for ts, p in self.waypoints]
+    def true_position(self, t: float) -> tuple:
+        pts = ((0.0, self.position), *self.waypoints)
         for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
             if t <= t1:
                 if t <= t0:
                     return p0
                 a = (t - t0) / (t1 - t0)
-                return p0 + a * (p1 - p0)
+                return tuple(x0 + a * (x1 - x0) for x0, x1 in zip(p0, p1))
         return pts[-1][1]
 
     def occluded(self, t: float) -> bool:
@@ -61,6 +67,12 @@ class LeaderConfig:
     frequencies: tuple = (0.0,)
     phases: tuple = (0.0,)
     gripper_schedule: tuple = ((0.0, 0.08),)
+
+    def __post_init__(self):
+        for name in ("centers", "amplitudes", "frequencies", "phases"):
+            object.__setattr__(self, name, floats(getattr(self, name)))
+        object.__setattr__(self, "gripper_schedule",
+                           tuple((float(t), float(w)) for t, w in self.gripper_schedule))
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ class ScenarioConfig:
     grasp: GraspConfig = field(default_factory=GraspConfig)
     zones: tuple[ProhibitedZone, ...] = ()
     assets: tuple[AssetConfig, ...] = ()
-    station_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    station_position: tuple = (0.0, 0.0, 0.0)
     station_yaw: float = 0.0
     tracker_noise_sigma: float = 1e-4  # m, per axis
     mocap_rate_hz: int = 120
@@ -91,8 +103,7 @@ class ScenarioConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "station_position",
-                           np.asarray(self.station_position, dtype=float))
+        object.__setattr__(self, "station_position", floats(self.station_position))
         if self.duration_s < 0:
             raise ConfigError("duration must be >= 0")
         if self.mocap_rate_hz <= 0:
@@ -106,88 +117,59 @@ class ScenarioConfig:
 
 
 def _delay_from_dict(d: dict) -> DelayModel:
-    kind = d.get("kind", "constant")
-    if kind == "constant":
-        return DelayModel.constant(d.get("ms", 0.0))
-    if kind == "uniform":
-        return DelayModel.uniform(d["lo_ms"], d["hi_ms"])
-    if kind == "normal":
-        return DelayModel.normal(d["mu_ms"], d["sigma_ms"])
-    if kind == "empirical":
-        if "samples_ms" in d:
-            return DelayModel.empirical(d["samples_ms"])
-        # evenly spaced grid shorthand for symmetric empirical distributions
-        return DelayModel.empirical(
-            np.linspace(d["lo_ms"], d["hi_ms"], d["count"]).tolist())
-    raise ConfigError(f"unknown delay kind {kind!r}")
+    """A ``kind`` and the keyword arguments of its ``DelayModel`` factory;
+    ``empirical`` also takes a ``lo_ms``/``hi_ms``/``count`` evenly spaced
+    grid shorthand in place of ``samples_ms``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"expected a mapping, got {d!r}")
+    params = dict(d)
+    kind = params.pop("kind", "constant")
+    if kind not in ("constant", "uniform", "normal", "empirical"):
+        raise ConfigError(f"unknown delay kind {kind!r}")
+    if kind == "empirical" and "samples_ms" not in params:
+        params["samples_ms"] = np.linspace(params.pop("lo_ms"), params.pop("hi_ms"),
+                                           params.pop("count")).tolist()
+    return getattr(DelayModel, kind)(**params)
 
 
-def _link_from_dict(d: dict, default_seed: int) -> LinkConfig:
-    return LinkConfig(delay=_delay_from_dict(d.get("delay", {})),
-                      loss=d.get("loss", 0.0),
-                      seed=d.get("seed", default_seed))
+def _build(cls, mapping, **converters):
+    """``cls(**mapping)`` for a config section, each value first passed
+    through its key's converter if it has one; errors name the key."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"expected a mapping, got {mapping!r}")
+    names = {f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in mapping.items():
+        if key not in names:
+            raise ConfigError(f"unknown {cls.__name__} key {key!r}")
+        try:
+            kwargs[key] = converters[key](value) if key in converters else value
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{key}: {e}") from e
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {cls.__name__}: {e}") from e
+
+
+def _zone(d) -> ProhibitedZone:
+    # the one YAML key that is not its field's name: ``id`` is ``zone_id``
+    if isinstance(d, dict):
+        d = {("zone_id" if k == "id" else k): v for k, v in d.items()}
+    return _build(ProhibitedZone, d)
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    try:
-        kwargs: dict = {}
-        for key in ("seed", "duration_s", "robot_path", "robot_id", "gains_kp",
-                    "gains_kd", "tracker_noise_sigma", "mocap_rate_hz", "ee_link",
-                    "station_yaw", "stats_path", "trace_path", "log_path"):
-            if key in d:
-                kwargs[key] = d[key]
-        seed = kwargs.get("seed", 0)
-        if "station_position" in d:
-            kwargs["station_position"] = np.asarray(d["station_position"], dtype=float)
-        for link in ("teleop_link", "telemetry_link", "mocap_link", "command_link"):
-            if link in d:
-                kwargs[link] = _link_from_dict(d[link], seed)
-        if "processing_delay" in d:
-            kwargs["processing_delay"] = _delay_from_dict(d["processing_delay"])
-        if "leader" in d:
-            ld = d["leader"]
-            kwargs["leader"] = LeaderConfig(
-                centers=tuple(ld.get("centers", (0.0,))),
-                amplitudes=tuple(ld.get("amplitudes", (0.0,))),
-                frequencies=tuple(ld.get("frequencies", (0.0,))),
-                phases=tuple(ld.get("phases", (0.0,))),
-                gripper_schedule=tuple((float(t), float(w)) for t, w in
-                                       ld.get("gripper_schedule", ((0.0, 0.08),))))
-        if "filter" in d:
-            fd = d["filter"]
-            kwargs["filter"] = FilterConfig(
-                window=fd.get("window", 9), vmax=fd.get("vmax", 2.0),
-                up_axis=np.asarray(fd.get("up_axis", (0.0, 0.0, 1.0)), dtype=float),
-                stable_count=fd.get("stable_count", 10),
-                stable_tol=fd.get("stable_tol", 0.005))
-        if "grasp" in d:
-            gd = d["grasp"]
-            kwargs["grasp"] = GraspConfig(
-                stall_eps=gd.get("stall_eps", 1e-3),
-                stall_count=gd.get("stall_count", 5),
-                closed_threshold=gd.get("closed_threshold", 1e-3),
-                release_eps=gd.get("release_eps", 2e-3))
-        if "zones" in d:
-            kwargs["zones"] = tuple(
-                ProhibitedZone(z["id"], np.asarray(z["center"], dtype=float),
-                               np.asarray(z["half_extents"], dtype=float),
-                               np.asarray(z.get("orientation", (1, 0, 0, 0)), dtype=float),
-                               z.get("stiffness", 500.0),
-                               z.get("attached_asset"))
-                for z in d["zones"])
-        if "assets" in d:
-            kwargs["assets"] = tuple(
-                AssetConfig(a["name"], a["object_id"],
-                            np.asarray(a["position"], dtype=float),
-                            tuple((float(t), tuple(p)) for t, p in a.get("waypoints", ())),
-                            tuple((float(t0), float(t1)) for t0, t1 in
-                                  a.get("occlusions", ())))
-                for a in d["assets"])
-        return ScenarioConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"invalid scenario config: {e}") from e
+    seed = d.get("seed", 0) if isinstance(d, dict) else 0
+    link = partial(_build, LinkConfig, delay=_delay_from_dict)
+    links = {name: lambda ld: link({"seed": seed, **ld}) for name in
+             ("teleop_link", "telemetry_link", "mocap_link", "command_link")}
+    return _build(ScenarioConfig, d, **links, leader=partial(_build, LeaderConfig),
+                  processing_delay=_delay_from_dict,
+                  filter=partial(_build, FilterConfig),
+                  grasp=partial(_build, GraspConfig),
+                  zones=lambda zs: tuple(map(_zone, zs)),
+                  assets=lambda zs: tuple(_build(AssetConfig, a) for a in zs))
 
 
 def load_config(path) -> ScenarioConfig:
