@@ -160,12 +160,10 @@ def _zone(d) -> ProhibitedZone:
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    seed = d.get("seed", 0) if isinstance(d, dict) else 0
     link = partial(_build, LinkConfig, delay=_delay_from_dict)
-    links = {name: lambda ld: link({"seed": seed, **ld}) for name in
-             ("teleop_link", "telemetry_link", "mocap_link", "command_link")}
-    return _build(ScenarioConfig, d, **links, leader=partial(_build, LeaderConfig),
-                  processing_delay=_delay_from_dict,
+    return _build(ScenarioConfig, d, leader=partial(_build, LeaderConfig),
+                  teleop_link=link, telemetry_link=link, mocap_link=link,
+                  command_link=link, processing_delay=_delay_from_dict,
                   filter=partial(_build, FilterConfig),
                   grasp=partial(_build, GraspConfig),
                   zones=lambda zs: tuple(map(_zone, zs)),

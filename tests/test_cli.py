@@ -108,17 +108,21 @@ def test_simulate_then_replay_hashes_match(capsys, tmp_path, robot_file):
 
 
 def test_simulate_seed_override_changes_hash(capsys, tmp_path, robot_file):
-    cfg = {"duration_s": 0.2, "robot_path": robot_file,
+    # the file states a seed; --seed must still reach the link it declares
+    cfg = {"seed": 5, "duration_s": 0.2, "robot_path": robot_file,
+           "tracker_noise_sigma": 0.0,
            "telemetry_link": {"delay": {"kind": "uniform",
                                         "lo_ms": 0.5, "hi_ms": 4.0}}}
     cfg_path = tmp_path / "s.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
-    hashes = []
+    hashes, delays = [], []
     for seed in ("1", "2"):
         assert main(["simulate", "--config", str(cfg_path), "--seed", seed]) == 0
         out = capsys.readouterr().out
         hashes.append(re.search(r"log hash\s+([0-9a-f]{64})", out).group(1))
+        delays.append(re.search(r"^ingress_to_socket .*$", out, re.M).group(0))
     assert hashes[0] != hashes[1]
+    assert delays[0] != delays[1]
 
 
 def test_live_self_test(capsys):

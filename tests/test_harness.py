@@ -211,18 +211,18 @@ class TestReplay:
 # of its hashes, where the other scenarios' stay the same. A refactor that
 # is meant to keep behaviour must leave all three hashes unchanged.
 GOLDEN = {
-    "example": ("e7fe383c50fe95a6f96ae4b11c498794cd4a51d7e26574fdcc539d8857ad8baa",
+    "example": ("70540877518109fcc791947349b9f4303dec1ad8434aca17742826d21c7a288d",
                 "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
-                "1c1e93f177758e4805b40f29e9d67c86bb66b9e24e48ed6ccc7ceded3c610441"),
-    "contact": ("c0b5d535cdb0f936db16d6dc80f11aba31e405ed5dcb0b68584c3717df1c97c4",
-                "c8572f34c8320f81efeb6fd2c556438541a56cf2ceb20ff79fa452a2559a8b29",
-                "16696190ef0b7bd218063cab7862bba33c2af931bc6e90385e4d49b6899345e7"),
-    "multi_asset": ("852fd682950e40b59c1d415fa381c341e2001ec26f985d9d667756791834f5ef",
+                "e0c061cf1fa4db42841855d2f78f9c8951458af4d448725fb671a06c9647fbba"),
+    "contact": ("d2a24ceae2e4d32309646912eefb1c687dca625ac21e0793d558bd0d3e5a3bec",
+                "2811f4d50fe5da0735253d06da22761cbd6413ed626c46e1531a1cbc2102267c",
+                "829aa396d3c7c7abef1a922a9111a057309260070af48b48630a1f81b0a66b82"),
+    "multi_asset": ("2018c4e76250d4fcef1bbf29d4e4e7de934ee416c0497a94c56e9b817938e7d2",
                     "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
-                    "6c1b01e6b88626d1533146b714695b6d9fbe378a51d95b4c5f8a07393bdc62d9"),
-    "contact_turned": ("27e3c4fe26cfffc8a1de11eb95df3aba71e636f7b63cd18f66dc152a29c12940",
-                       "05a5ee42ff06fa243afd626ab02181952efed82e97e5cec0c378aabfbd80a115",
-                       "426c681e3dbaf4691c946268d61b2620a97a12f05fd21682a08a13368683d9ba"),
+                    "69bf62dab54b5133c2a4eb754af3d44a724beacdf4220957969b9a48e82af023"),
+    "contact_turned": ("beaf6c2812de14a52eaa5c4616c506da71a04d51a85ca5ae746ec52898c33142",
+                       "65bb48cec6fe3107c0b57b55c5137c616664a2255ca6e3536afa697423a55c28",
+                       "a1744093777f655b012d1e0e3d61a4d65b70594a5232cb084d9e5f49cd116ff5"),
 }
 
 
