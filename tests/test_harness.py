@@ -452,3 +452,96 @@ class TestScenarioLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("no_such_file.yaml")
+
+    ZONE = {"id": "z", "center": [0, 0, 0], "half_extents": [1, 1, 1]}
+    ASSET = {"name": "a", "object_id": 1, "position": [0, 0, 0]}
+
+    # (case, config, what the error says): a misspelt key or a value that is
+    # not a mapping, in each section
+    BAD_SECTIONS = [
+        ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
+        ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
+        ("link", {"telemetry_link": {"lss": 0.1}}, "telemetry_link: unknown"),
+        ("delay", {"mocap_link": {"delay": {"kind": "constant", "msx": 1.0}}},
+         "mocap_link: delay: .*'msx'"),
+        ("filter", {"filter": {"windw": 9}}, "filter: unknown"),
+        ("grasp", {"grasp": {"stall_cnt": 5}}, "grasp: unknown"),
+        ("zone", {"zones": [{**ZONE, "stifness": 5.0}]}, "zones: unknown"),
+        ("asset", {"assets": [{**ASSET, "ocllusions": []}]}, "assets: unknown"),
+        ("filter-not-mapping", {"filter": 5}, "filter: expected a mapping"),
+        ("leader-not-mapping", {"leader": [0.0]}, "leader: expected a mapping"),
+        ("link-not-mapping", {"command_link": "fast"},
+         "command_link: expected a mapping"),
+        ("delay-not-mapping", {"telemetry_link": {"delay": 3}},
+         "telemetry_link: delay: expected a mapping"),
+        ("processing-delay-not-mapping", {"processing_delay": 3},
+         "processing_delay: expected a mapping"),
+        ("zone-not-mapping", {"zones": [5]}, "zones: expected a mapping"),
+        ("asset-not-mapping", {"assets": ["vase"]}, "assets: expected a mapping"),
+    ]
+
+    @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],
+                             ids=[case[0] for case in BAD_SECTIONS])
+    def test_unknown_key_or_non_mapping_section(self, d, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(d)
+
+    def test_every_field_loads(self):
+        # a value other than the default for every field of the schema
+        given = {
+            "seed": 3, "duration_s": 0.5, "robot_path": "r.urdf", "robot_id": 2,
+            "gains_kp": 50.0, "gains_kd": 5.0,
+            "leader": {"centers": [0.1, 0.2], "amplitudes": [0.3, 0.4],
+                       "frequencies": [0.5, 0.6], "phases": [0.7, 0.8],
+                       "gripper_schedule": [[0, 0.04], [1, 0.02]]},
+            "teleop_link": {"delay": {"kind": "constant", "ms": 1.5},
+                            "loss": 0.1, "seed": 11},
+            "telemetry_link": {"delay": {"kind": "uniform", "lo_ms": 1, "hi_ms": 2},
+                               "loss": 0.2, "seed": 12},
+            "mocap_link": {"delay": {"kind": "normal", "mu_ms": 2, "sigma_ms": 0.5},
+                           "loss": 0.3, "seed": 13},
+            "command_link": {"delay": {"kind": "empirical", "samples_ms": [1, 2]},
+                             "loss": 0.4, "seed": 14},
+            "processing_delay": {"kind": "constant", "ms": 0.5},
+            "filter": {"window": 7, "vmax": 1.0, "up_axis": [0, 1, 0],
+                       "stable_count": 4, "stable_tol": 0.01},
+            "grasp": {"stall_eps": 2e-3, "stall_count": 3, "closed_threshold": 2e-3,
+                      "release_eps": 3e-3},
+            "zones": [{"id": "z", "center": [1, 2, 3], "half_extents": [0.1, 0.2, 0.3],
+                       "orientation": [0, 1, 0, 0], "stiffness": 100.0,
+                       "attached_asset": "a"}],
+            "assets": [{"name": "a", "object_id": 1, "position": [1, 2, 3],
+                        "waypoints": [[1, [2, 3, 4]]], "occlusions": [[0.5, 0.6]]}],
+            "station_position": [1, 2, 3], "station_yaw": 0.5,
+            "tracker_noise_sigma": 0.0, "mocap_rate_hz": 60, "ee_link": "tip",
+            "stats_path": "s.jsonl", "trace_path": "t.csv", "log_path": "l.dtrl",
+        }
+
+        def tuples(v):
+            return tuple(map(tuples, v)) if isinstance(v, list) else v
+
+        def all_floats(v):
+            return all(all_floats(x) if isinstance(x, tuple) else type(x) is float
+                       for x in v)
+
+        def check(obj, stated):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                default = (f.default if f.default_factory is dataclasses.MISSING
+                           else f.default_factory())
+                assert value != default, f.name
+                want = stated["id" if f.name == "zone_id" else f.name]
+                if isinstance(value, DelayModel):
+                    kind, *params = want.values()
+                    assert value == getattr(DelayModel, kind)(*params), f.name
+                elif dataclasses.is_dataclass(value):
+                    check(value, want)
+                elif f.name in ("zones", "assets"):
+                    assert len(value) == len(want)
+                    for v, w in zip(value, want):
+                        check(v, w)
+                else:
+                    assert value == tuples(want), f.name
+                    assert not isinstance(value, tuple) or all_floats(value), f.name
+
+        check(config_from_dict(given), given)
