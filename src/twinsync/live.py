@@ -22,9 +22,7 @@ from .wire import WireError, decode_mocap, decode_telemetry
 
 @dataclass
 class LiveCounters:
-    telemetry_received: int = 0
     telemetry_applied: int = 0
-    mocap_received: int = 0
     mocap_applied: int = 0
     malformed: int = 0
     command_channel_up: bool = True
@@ -128,12 +126,10 @@ class LiveBridge:
             if channel == "malformed":
                 self.counters.malformed += 1
             elif channel == "telemetry":
-                self.counters.telemetry_received += 1
                 self.latest_telemetry = msg
                 self.counters.telemetry_applied += 1
                 applied += 1
             elif channel == "mocap":
-                self.counters.mocap_received += 1
                 self.latest_mocap[msg.object_id] = msg
                 self.counters.mocap_applied += 1
                 applied += 1

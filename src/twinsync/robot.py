@@ -71,12 +71,6 @@ class RobotModel:
     def chain(self) -> "Chain":
         return Chain(self)
 
-    def link(self, name: str) -> Link:
-        for l in self.links:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
     parts = text.split()
