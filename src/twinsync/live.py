@@ -1,23 +1,32 @@
 """Live-socket bridge: the wire codecs over real sockets.
 
-One receiver thread per channel feeds a single merge queue; the merge
-loop is the only mutator of the bridge's counters and state. It keeps
-only the latest telemetry packet and the latest mocap packet per object:
-it runs no TwinEngine, writes no .dtrl log and discards command-stream
-bytes unread, so a live session cannot be replayed. Datagram channels
-survive peer errors; a command-stream disconnect marks that channel down
-without affecting telemetry.
+The bridge is single-threaded. Its sockets are non-blocking and
+``merge_once``, the only mutator of the bridge's counters and state, is
+their only reader: each call drains the telemetry and mocap sockets until
+the kernel holds nothing more, then reads the command stream. It keeps only
+the latest telemetry packet and the latest mocap packet per object: it runs
+no TwinEngine, writes no .dtrl log and discards command-stream bytes unread,
+so a live session cannot be replayed.
+
+The backlog between two drains is each socket's kernel receive buffer, not a
+Python queue; a datagram that arrives while it is full is dropped. Linux's
+default ``SO_RCVBUF`` of 212,992 bytes holds 166 Panda telemetry datagrams,
+so at ``run()``'s 60 Hz a channel takes about 10k datagrams/s; the paper's
+heaviest mocap stream is 600/s (120 Hz for the station and four assets).
+Channels fail apart: a malformed datagram is counted and skipped, a socket
+fault ends only its own channel's drain, and a command-stream disconnect
+marks that channel down without affecting telemetry.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
-import threading
 import time
 from dataclasses import dataclass
 
-from .wire import WireError, decode_mocap, decode_telemetry
+from .harness import MERGE_HZ
+from .wire import (TelemetryPacket, WireError, decode_mocap, decode_telemetry,
+                   encode_telemetry)
 
 
 @dataclass
@@ -28,31 +37,27 @@ class LiveCounters:
     command_channel_up: bool = True
 
 
+def _bound(kind: int, host: str, port: int) -> socket.socket:
+    sock = socket.socket(socket.AF_INET, kind)
+    if kind == socket.SOCK_STREAM:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind((host, port))
+    sock.setblocking(False)
+    return sock
+
+
 class LiveBridge:
     """Binds telemetry/mocap UDP sockets and a TCP command listener."""
 
     def __init__(self, host: str = "127.0.0.1", telemetry_port: int = 0,
-                 mocap_port: int = 0, command_port: int = 0,
-                 merge_hz: int = 60):
+                 mocap_port: int = 0, command_port: int = 0):
         self.counters = LiveCounters()
-        self.merge_hz = merge_hz
-        self._queue: queue.Queue = queue.Queue()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self.latest_telemetry = None
         self.latest_mocap: dict[int, object] = {}
-
-        self._telemetry_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._telemetry_sock.bind((host, telemetry_port))
-        self._telemetry_sock.settimeout(0.1)
-        self._mocap_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._mocap_sock.bind((host, mocap_port))
-        self._mocap_sock.settimeout(0.1)
-        self._command_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._command_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._command_sock.bind((host, command_port))
-        self._command_sock.listen(1)
-        self._command_sock.settimeout(0.1)
+        self._telemetry_sock = _bound(socket.SOCK_DGRAM, host, telemetry_port)
+        self._mocap_sock = _bound(socket.SOCK_DGRAM, host, mocap_port)
+        self._command_sock = _bound(socket.SOCK_STREAM, host, command_port)
+        self._command_conn: socket.socket | None = None
 
     @property
     def telemetry_addr(self):
@@ -66,90 +71,61 @@ class LiveBridge:
     def command_addr(self):
         return self._command_sock.getsockname()
 
-    def _recv_datagrams(self, sock: socket.socket, decoder, channel: str):
-        while not self._stop.is_set():
-            try:
-                data, _ = sock.recvfrom(65536)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                msg = decoder(data)
-            except WireError:
-                self._queue.put(("malformed", None))
-                continue
-            self._queue.put((channel, msg))
-
-    def _accept_commands(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._command_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(0.1)
-            try:
-                while not self._stop.is_set():
-                    try:
-                        data = conn.recv(65536)
-                    except socket.timeout:
-                        continue
-                    if not data:
-                        break
-                    self._queue.put(("command_bytes", data))
-            finally:
-                conn.close()
-                self._queue.put(("command_down", None))
-
     def start(self):
-        for target in ((self._recv_datagrams, self._telemetry_sock,
-                        decode_telemetry, "telemetry"),
-                       (self._recv_datagrams, self._mocap_sock,
-                        decode_mocap, "mocap")):
-            t = threading.Thread(target=target[0], args=target[1:], daemon=True)
-            t.start()
-            self._threads.append(t)
-        t = threading.Thread(target=self._accept_commands, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._command_sock.listen(1)
 
-    def merge_once(self) -> int:
-        """Drain the queue once; returns the number of applied messages."""
-        applied = 0
+    def _drain(self, sock: socket.socket, decoder) -> list:
+        """Every datagram ``sock`` holds, decoded; malformed ones are skipped."""
+        msgs = []
         while True:
             try:
-                channel, msg = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if channel == "malformed":
+                data = sock.recv(65536)
+            except OSError:  # empty (BlockingIOError), or a fault on this socket
+                return msgs
+            try:
+                msgs.append(decoder(data))
+            except WireError:
                 self.counters.malformed += 1
-            elif channel == "telemetry":
-                self.latest_telemetry = msg
-                self.counters.telemetry_applied += 1
-                applied += 1
-            elif channel == "mocap":
-                self.latest_mocap[msg.object_id] = msg
-                self.counters.mocap_applied += 1
-                applied += 1
-            elif channel == "command_down":
-                self.counters.command_channel_up = False
-        return applied
+
+    def _read_commands(self) -> None:
+        try:
+            if self._command_conn is None:
+                self._command_conn = self._command_sock.accept()[0]
+                self._command_conn.setblocking(False)
+            while self._command_conn.recv(65536):
+                pass  # command bytes are discarded unread
+        except BlockingIOError:  # no peer waiting, or no bytes yet
+            return
+        except OSError:  # a reset ends the stream as a close does
+            if self._command_conn is None:  # the listener is not listening
+                return
+        self._command_conn.close()
+        self._command_conn = None
+        self.counters.command_channel_up = False
+
+    def merge_once(self) -> int:
+        """Drain every socket once; returns the number of applied messages."""
+        telemetry = self._drain(self._telemetry_sock, decode_telemetry)
+        if telemetry:
+            self.latest_telemetry = telemetry[-1]
+        mocap = self._drain(self._mocap_sock, decode_mocap)
+        for msg in mocap:
+            self.latest_mocap[msg.object_id] = msg
+        self.counters.telemetry_applied += len(telemetry)
+        self.counters.mocap_applied += len(mocap)
+        self._read_commands()
+        return len(telemetry) + len(mocap)
 
     def run(self, duration_s: float):
-        period = 1.0 / self.merge_hz
         deadline = time.monotonic() + duration_s
-        while time.monotonic() < deadline and not self._stop.is_set():
+        while time.monotonic() < deadline:
             self.merge_once()
-            time.sleep(period)
+            time.sleep(1.0 / MERGE_HZ)
         self.merge_once()
 
     def stop(self):
-        self._stop.set()
-        for t in self._threads:
-            t.join(timeout=1.0)
-        for s in (self._telemetry_sock, self._mocap_sock, self._command_sock):
+        for s in filter(None, (self._telemetry_sock, self._mocap_sock,
+                               self._command_sock, self._command_conn)):
             s.close()
 
 
@@ -168,8 +144,6 @@ def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> Live
     kernel drops anyway stops being waited for after ``LOOPBACK_STALL_S``
     without progress.
     """
-    from .wire import TelemetryPacket, encode_telemetry
-
     bridge = LiveBridge()
     bridge.start()
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -184,7 +158,7 @@ def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> Live
             elif time.monotonic() - since > LOOPBACK_STALL_S:
                 return
             bridge.merge_once()
-            time.sleep(0)  # let the receiver threads take the GIL
+            time.sleep(0)  # yield the CPU while the kernel delivers
 
     try:
         addr = bridge.telemetry_addr

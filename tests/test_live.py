@@ -1,5 +1,6 @@
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -34,20 +35,31 @@ def test_malformed_counted_and_skipped():
 
 
 def test_loopback_sender_keeps_a_bounded_window(monkeypatch):
-    # every datagram the merge loop finds queued is one the sender has not
-    # seen settle, so the queue can never outgrow the sender's window
-    queued = []
+    # every datagram one drain applies is one the sender has not seen
+    # settle, so a drain can never outgrow the sender's window
+    applied = []
     merge_once = LiveBridge.merge_once
 
     def spy(self):
-        time.sleep(0.001)  # let the receiver thread queue what has arrived
-        queued.append(self._queue.qsize())
-        return merge_once(self)
+        applied.append(merge_once(self))
+        return applied[-1]
 
     monkeypatch.setattr(LiveBridge, "merge_once", spy)
     counters = loopback_self_test(n_packets=300)
     assert counters.telemetry_applied >= 297
-    assert 0 < max(queued) <= LOOPBACK_WINDOW
+    assert 0 < max(applied) <= LOOPBACK_WINDOW
+
+
+def test_bridge_starts_no_thread():
+    before = threading.active_count()
+    bridge = LiveBridge()
+    bridge.start()
+    try:
+        bridge.merge_once()
+        assert threading.active_count() == before
+    finally:
+        bridge.stop()
+    assert threading.active_count() == before
 
 
 def test_mocap_channel_and_latest_wins():
@@ -93,7 +105,6 @@ def test_bad_mocap_datagram_keeps_channel_alive(bad):
                                    bridge.counters.mocap_applied >= n)[1])
         assert bridge.counters.malformed == 1
         assert bridge.counters.mocap_applied == n
-        assert all(t.is_alive() for t in bridge._threads)
     finally:
         sender.close()
         bridge.stop()
@@ -124,7 +135,6 @@ def test_bad_telemetry_datagram_keeps_channel_alive(bad):
                                    bridge.counters.telemetry_applied >= n)[1])
         assert bridge.counters.telemetry_applied == n
         assert bridge.counters.malformed == 1
-        assert all(t.is_alive() for t in bridge._threads)
     finally:
         sender.close()
         bridge.stop()
@@ -149,6 +159,24 @@ def test_command_disconnect_marks_channel_down_only():
         assert not bridge.counters.command_channel_up
     finally:
         tele.close()
+        bridge.stop()
+
+
+def test_socket_fault_stays_on_its_channel():
+    bridge = LiveBridge()
+    bridge.start()
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        bridge._telemetry_sock.close()  # recv on it now fails with EBADF
+        pkt = MocapPacket(1, 0, 0, [0.0, 0.0, 0.0], [1.0, 0, 0, 0], 1)
+        sender.sendto(encode_mocap(pkt), bridge.mocap_addr)
+        assert wait_until(lambda: (bridge.merge_once(),
+                                   bridge.counters.mocap_applied >= 1)[1])
+        assert bridge.counters.mocap_applied == 1
+        assert bridge.counters.telemetry_applied == 0
+        assert bridge.counters.command_channel_up
+    finally:
+        sender.close()
         bridge.stop()
 
 
