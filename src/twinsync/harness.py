@@ -156,7 +156,7 @@ class TwinEngine:
             asset_poses[tracker.name] = pose
 
         for i, z in enumerate(self.zones):
-            if z.attached_asset and z.attached_asset in asset_poses:
+            if z.attached_asset is not None:
                 lc, lo = self._zone_local[z.zone_id]
                 self.zones[i] = update_dynamic(z, asset_poses[z.attached_asset],
                                                lc, lo)

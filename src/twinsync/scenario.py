@@ -114,6 +114,14 @@ class ScenarioConfig:
         if 0 in ids or len(set(ids)) != len(ids):
             raise ConfigError("asset object_ids must be unique and nonzero "
                               "(0 is the station)")
+        zone_ids = [z.zone_id for z in self.zones]
+        if len(set(zone_ids)) != len(zone_ids):
+            raise ConfigError(f"zone ids must be unique, got {zone_ids}")
+        names = {a.name for a in self.assets}
+        for z in self.zones:
+            if z.attached_asset is not None and z.attached_asset not in names:
+                raise ConfigError(f"zone {z.zone_id!r}: attached_asset "
+                                  f"{z.attached_asset!r} names no asset")
 
 
 def _delay_from_dict(d: dict) -> DelayModel:

@@ -457,7 +457,7 @@ class TestScenarioLoading:
     ASSET = {"name": "a", "object_id": 1, "position": [0, 0, 0]}
 
     # (case, config, what the error says): a misspelt key or a value that is
-    # not a mapping, in each section
+    # not a mapping, in each section, and zones that clash or attach to nothing
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -478,6 +478,11 @@ class TestScenarioLoading:
          "processing_delay: expected a mapping"),
         ("zone-not-mapping", {"zones": [5]}, "zones: expected a mapping"),
         ("asset-not-mapping", {"assets": ["vase"]}, "assets: expected a mapping"),
+        ("duplicate-zone-id", {"zones": [ZONE, {**ZONE, "center": [5, 0, 0]}]},
+         "zone ids must be unique"),
+        ("unknown-attached-asset", {"assets": [ASSET],
+                                    "zones": [{**ZONE, "attached_asset": "b"}]},
+         "zone 'z': attached_asset 'b' names no asset"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],
