@@ -16,6 +16,8 @@ from .geometry import ZERO3, Pose, dot, floats, norm, unit, unit_quat
 from .mocap import FilteredPose, PoseStatus
 
 GRAVITY = 9.81
+GROUND_HEIGHT = 0.0  # m along the up axis: the fallback's resting plane
+BLEND_DECAY = 0.8  # per-tick factor of the mocap handover offset
 
 
 class GraspPhase(enum.Enum):
@@ -99,8 +101,8 @@ class FallbackState:
             raise ValueError("non-finite fallback state")
 
 
-def fallback_step(state: FallbackState, dt: float, up_axis=(0.0, 0.0, 1.0),
-                  ground_height: float = 0.0) -> FallbackState:
+def fallback_step(state: FallbackState, dt: float,
+                  up_axis=(0.0, 0.0, 1.0)) -> FallbackState:
     """Point mass under gravity with a resting ground plane.
 
     Constant-acceleration step (exact for free fall):
@@ -114,8 +116,8 @@ def fallback_step(state: FallbackState, dt: float, up_axis=(0.0, 0.0, 1.0),
     p = tuple(x + v * dt - fall * u for x, v, u in zip(state.position, state.velocity, up))
     v = tuple(v - gdt * u for v, u in zip(state.velocity, up))
     height = dot(p, up)
-    if height < ground_height:
-        p = tuple(x + (ground_height - height) * u for x, u in zip(p, up))
+    if height < GROUND_HEIGHT:
+        p = tuple(x + (GROUND_HEIGHT - height) * u for x, u in zip(p, up))
         v = ZERO3
     return FallbackState(p, v)
 
@@ -129,12 +131,9 @@ class AssetTracker:
     emitted position is continuous at the switching instant.
     """
 
-    def __init__(self, name: str, initial_pose: Pose, up_axis=(0.0, 0.0, 1.0),
-                 ground_height: float = 0.0, blend_decay: float = 0.8):
+    def __init__(self, name: str, initial_pose: Pose, up_axis=(0.0, 0.0, 1.0)):
         self.name = name
         self.up_axis = floats(up_axis)
-        self.ground_height = ground_height
-        self.blend_decay = blend_decay
         self.source = AssetSource.MOCAP
         self.pose = initial_pose
         self._prev_pose = initial_pose
@@ -178,7 +177,7 @@ class AssetTracker:
             new = gripper_pose.compose(self._attach_offset)
         elif self.source is AssetSource.MOCAP:
             if not switching:
-                d = self.blend_decay
+                d = BLEND_DECAY
                 bx, by, bz = self._blend
                 self._blend = (bx * d, by * d, bz * d)
                 if norm(self._blend) < 1e-12:
@@ -187,8 +186,7 @@ class AssetTracker:
             new = Pose.of((px + bx, py + by, pz + bz), unit_quat(mocap.rotation))
         else:
             if not switching:
-                self._fallback = fallback_step(self._fallback, dt,
-                                               self.up_axis, self.ground_height)
+                self._fallback = fallback_step(self._fallback, dt, self.up_axis)
             new = Pose.of(self._fallback.position, unit_quat(self.pose.rotation))
         self.pose = new
         return new, self.source

@@ -2,6 +2,7 @@
 
 Layout (little-endian):
   header: magic "DTRL", version u16, scenario seed u64, created time u64
+          (written as 0, so a log's bytes depend only on its run)
   record: time u64, channel u16, payload length u32, payload bytes
 
 LogWriter writes to a path, or to a binary file object such as an
@@ -48,10 +49,10 @@ class LogRecord:
 class LogWriter:
     """Writes a log to a path, or to a binary file object left open on close."""
 
-    def __init__(self, target, seed: int, created_ns: int = 0):
+    def __init__(self, target, seed: int):
         self._owns_file = isinstance(target, (str, os.PathLike))
         self._f = open(target, "wb") if self._owns_file else target
-        self._f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, seed, created_ns))
+        self._f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, seed, 0))
         self.last_time = 0  # time of the newest record, 0 before the first
         self.count = 0
         self.closed = False
