@@ -7,10 +7,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import measure_latency, replay, simulate
-from .latency import export_stats, format_table
 from .robot import UrdfError, forward_kinematics, parse_urdf
 from .scenario import ConfigError, ScenarioConfig, load_config
+from .twin import replay
 
 
 def _load(args) -> ScenarioConfig:
@@ -26,6 +25,8 @@ def _load(args) -> ScenarioConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .harness import simulate  # the emulator needs numpy; replay does not
+    from .latency import format_table
     cfg = _load(args)
     result = simulate(cfg)
     print(f"control ticks     {result.control_ticks}")
@@ -43,6 +44,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure_latency(args) -> int:
+    from .harness import measure_latency
+    from .latency import export_stats, format_table
     cfg = _load(args)
     stats = measure_latency(cfg, n_samples=args.samples)
     if cfg.stats_path:

@@ -16,6 +16,8 @@ heaviest mocap stream is 600/s (120 Hz for the station and four assets).
 Channels fail apart: a malformed datagram is counted and skipped, a socket
 fault ends only its own channel's drain, and a command-stream disconnect
 marks that channel down without affecting telemetry.
+It imports only the twin side (``twin`` for ``MERGE_HZ``, never ``harness``),
+so a live process loads neither numpy nor yaml.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import socket
 import time
 from dataclasses import dataclass
 
-from .harness import MERGE_HZ
+from .twin import MERGE_HZ
 from .wire import (TelemetryPacket, WireError, decode_mocap, decode_telemetry,
                    encode_telemetry)
 

@@ -20,7 +20,6 @@ from .geometry import floats, norm, twist, unit
 from .wire import MocapPacket
 
 QUALITY_LOST = 0
-QUALITY_TRACKED = 1
 
 
 class PoseStatus(enum.Enum):

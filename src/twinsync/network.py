@@ -2,75 +2,23 @@
 
 Links are driven by an external discrete-event clock in nanoseconds:
 ``send(t, payload)`` schedules deliveries, ``poll(now)`` drains everything
-due. All randomness comes from the per-link seed.
+due. All randomness comes from the per-link seed. A link's schema,
+``LinkConfig`` and its ``DelayModel``, is declared in ``scenario``.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from .scenario import DelayModel, LinkConfig
+from .twin import merge_tick_time
+
 NS_PER_MS = 1_000_000
-
-
-@dataclass(frozen=True)
-class DelayModel:
-    """One-way delay distribution, parameters in milliseconds."""
-
-    kind: str  # constant | uniform | normal | empirical
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.kind == "constant":
-            (d,) = self.params
-            if d < 0:
-                raise ValueError("constant delay must be >= 0")
-        elif self.kind == "uniform":
-            lo, hi = self.params
-            if lo < 0 or hi < lo:
-                raise ValueError("uniform delay requires 0 <= lo <= hi")
-        elif self.kind == "normal":
-            mu, sigma = self.params
-            if sigma < 0:
-                raise ValueError("normal delay requires sigma >= 0")
-        elif self.kind == "empirical":
-            samples = self.params[0]
-            if len(samples) == 0 or min(samples) < 0:
-                raise ValueError("empirical delay requires non-empty, non-negative samples")
-        else:
-            raise ValueError(f"unknown delay model {self.kind!r}")
-
-    def sample_ms(self, rng: np.random.Generator) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            return rng.uniform(*self.params)
-        if self.kind == "normal":
-            # truncated at zero
-            return max(0.0, rng.normal(*self.params))
-        samples = self.params[0]
-        return samples[rng.integers(len(samples))]
-
-    @staticmethod
-    def constant(ms: float = 0.0) -> "DelayModel":
-        return DelayModel("constant", (ms,))
-
-    @staticmethod
-    def uniform(lo_ms: float, hi_ms: float) -> "DelayModel":
-        return DelayModel("uniform", (lo_ms, hi_ms))
-
-    @staticmethod
-    def normal(mu_ms: float, sigma_ms: float) -> "DelayModel":
-        return DelayModel("normal", (mu_ms, sigma_ms))
-
-    @staticmethod
-    def empirical(samples_ms) -> "DelayModel":
-        return DelayModel("empirical", (tuple(samples_ms),))
 
 
 def _doubles(rng: np.random.Generator):
@@ -100,29 +48,15 @@ def _link_draws(delay: DelayModel, rng: np.random.Generator):
     return rng.random, partial(delay.sample_ms, rng)
 
 
-@dataclass(frozen=True)
-class LinkConfig:
-    delay: DelayModel = field(default_factory=lambda: DelayModel.constant(0.0))
-    loss: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError("loss probability must be in [0, 1]")
-
-
 class Throttle:
-    """Downsample a timestamped stream to ``target_hz`` by keep-latest.
+    """Downsample a timestamped stream to ``merge_tick_time``'s ticks by keep-latest.
 
     ``offer`` returns the (tick_time, sample) emissions due up to the
     sample's timestamp. A tick with no new sample since the previous
     emission emits nothing.
     """
 
-    def __init__(self, target_hz: int = 60):
-        if target_hz <= 0:
-            raise ValueError("target_hz must be positive")
-        self.target_hz = target_hz
+    def __init__(self):
         self._tick = 0
         self._next_ns = 0
         self._last_time = None
@@ -131,16 +65,13 @@ class Throttle:
         self._emitted_idx = -1
         self._offered = 0
 
-    def _tick_time(self, k: int) -> int:
-        return (k * 1_000_000_000) // self.target_hz
-
     def _drain(self, until_ns: int, out: list):
         while self._next_ns <= until_ns:
             if self._latest_idx > self._emitted_idx:
                 out.append((self._next_ns, self._latest))
                 self._emitted_idx = self._latest_idx
             self._tick += 1
-            self._next_ns = self._tick_time(self._tick)
+            self._next_ns = merge_tick_time(self._tick)
 
     def offer(self, time_ns: int, sample) -> list:
         if self._last_time is not None and time_ns < self._last_time:

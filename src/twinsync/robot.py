@@ -1,9 +1,8 @@
 """URDF-subset parsing and forward kinematics over the kinematic tree.
 
-Only the elements needed to mirror joint states are read: links with an
-optional visual mesh path, and joints with origin, axis, limits and the
-parent/child wiring. Collision, transmission and vendor extensions are
-ignored.
+Only the elements needed to mirror joint states are read: link names, and
+joints with origin, axis, limits and the parent/child wiring. Visual,
+collision, transmission and vendor extensions are ignored.
 
 Each ``RobotModel`` compiles its tree once into a ``Chain``
 (``model.chain``): the joints in traversal order with their parent link's
@@ -37,7 +36,6 @@ class UrdfError(ValueError):
 @dataclass(frozen=True)
 class Link:
     name: str
-    visual: str | None = None
 
 
 @dataclass(frozen=True)
@@ -108,11 +106,7 @@ def parse_urdf(xml_text: str) -> RobotModel:
         if name in seen_links:
             raise UrdfError(f"duplicate link name {name!r}")
         seen_links.add(name)
-        visual = None
-        mesh = el.find("./visual/geometry/mesh")
-        if mesh is not None:
-            visual = mesh.get("filename")
-        links.append(Link(name, visual))
+        links.append(Link(name))
     if not links:
         raise UrdfError("robot has no links")
 
@@ -297,22 +291,20 @@ class LimitViolation:
     value: float
     lower: float
     upper: float
-    clamped: bool
 
 
-def apply_joint_state(model: RobotModel, positions,
-                      clamp: bool = True) -> tuple[list[float], list[LimitViolation]]:
+def apply_joint_state(model: RobotModel,
+                      positions) -> tuple[list[float], list[LimitViolation]]:
     """Map one sample's joint positions onto the model, checking limits.
 
     No interpolation between frames is performed; the sample is applied
-    as-is. Out-of-limit joints are clamped (if ``clamp``) and reported.
+    as-is. Out-of-limit joints are clamped to their limits and reported.
     """
     movable = model.movable_joints
     out = model.chain.check(positions)
     report: list[LimitViolation] = []
     for i, j in enumerate(movable):
         if out[i] < j.lower or out[i] > j.upper:
-            report.append(LimitViolation(j.name, out[i], j.lower, j.upper, clamp))
-            if clamp:
-                out[i] = min(max(out[i], j.lower), j.upper)
+            report.append(LimitViolation(j.name, out[i], j.lower, j.upper))
+            out[i] = min(max(out[i], j.lower), j.upper)
     return out, report

@@ -5,7 +5,8 @@ schema: each key of a section names a field, which holds the default, and
 ``__post_init__`` converts (vectors to float tuples) and checks. An unknown
 key or a non-mapping section is a ``ConfigError`` naming the section. A link
 ``seed`` of 0, the default, has ``simulate`` derive one from the scenario
-seed. See configs/example.yaml for the full surface.
+seed. See configs/example.yaml for the full surface. The module needs
+neither numpy nor yaml: yaml is imported only to read a non-JSON file.
 """
 
 from __future__ import annotations
@@ -15,18 +16,80 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-import yaml
-
 from .geometry import floats
 from .grasp import GraspConfig
 from .mocap import FilterConfig
-from .network import DelayModel, LinkConfig
 from .zones import ProhibitedZone
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class DelayModel:
+    """One-way delay distribution, parameters in milliseconds."""
+
+    kind: str  # constant | uniform | normal | empirical
+    params: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "constant":
+            (d,) = self.params
+            if d < 0:
+                raise ValueError("constant delay must be >= 0")
+        elif self.kind == "uniform":
+            lo, hi = self.params
+            if lo < 0 or hi < lo:
+                raise ValueError("uniform delay requires 0 <= lo <= hi")
+        elif self.kind == "normal":
+            mu, sigma = self.params
+            if sigma < 0:
+                raise ValueError("normal delay requires sigma >= 0")
+        elif self.kind == "empirical":
+            samples = self.params[0]
+            if len(samples) == 0 or min(samples) < 0:
+                raise ValueError("empirical delay requires non-empty, non-negative samples")
+        else:
+            raise ValueError(f"unknown delay model {self.kind!r}")
+
+    def sample_ms(self, rng) -> float:  # rng: a numpy.random.Generator
+        if self.kind == "constant":
+            return self.params[0]
+        if self.kind == "uniform":
+            return rng.uniform(*self.params)
+        if self.kind == "normal":
+            # truncated at zero
+            return max(0.0, rng.normal(*self.params))
+        samples = self.params[0]
+        return samples[rng.integers(len(samples))]
+
+    @staticmethod
+    def constant(ms: float = 0.0) -> "DelayModel":
+        return DelayModel("constant", (ms,))
+
+    @staticmethod
+    def uniform(lo_ms: float, hi_ms: float) -> "DelayModel":
+        return DelayModel("uniform", (lo_ms, hi_ms))
+
+    @staticmethod
+    def normal(mu_ms: float, sigma_ms: float) -> "DelayModel":
+        return DelayModel("normal", (mu_ms, sigma_ms))
+
+    @staticmethod
+    def empirical(samples_ms) -> "DelayModel":
+        return DelayModel("empirical", (tuple(samples_ms),))
+
+
+@dataclass(frozen=True)
+class LinkConfig:
+    delay: DelayModel = field(default_factory=lambda: DelayModel.constant(0.0))
+    loss: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.loss <= 1.0:
+            raise ValueError("loss probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -110,14 +173,20 @@ class ScenarioConfig:
             raise ConfigError("mocap_rate_hz must be positive")
         if self.tracker_noise_sigma < 0:
             raise ConfigError("tracker_noise_sigma must be >= 0")
+        # the wire codecs carry robot_id in one unsigned byte
+        if not (isinstance(self.robot_id, int) and 0 <= self.robot_id <= 255):
+            raise ConfigError(f"robot_id must be an integer in 0-255, got {self.robot_id!r}")
         ids = [a.object_id for a in self.assets]
         if 0 in ids or len(set(ids)) != len(ids):
             raise ConfigError("asset object_ids must be unique and nonzero "
                               "(0 is the station)")
+        # the twin keys asset poses, which attached zones follow, by name
+        names = [a.name for a in self.assets]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"asset names must be unique, got {names}")
         zone_ids = [z.zone_id for z in self.zones]
         if len(set(zone_ids)) != len(zone_ids):
             raise ConfigError(f"zone ids must be unique, got {zone_ids}")
-        names = {a.name for a in self.assets}
         for z in self.zones:
             if z.attached_asset is not None and z.attached_asset not in names:
                 raise ConfigError(f"zone {z.zone_id!r}: attached_asset "
@@ -135,9 +204,20 @@ def _delay_from_dict(d: dict) -> DelayModel:
     if kind not in ("constant", "uniform", "normal", "empirical"):
         raise ConfigError(f"unknown delay kind {kind!r}")
     if kind == "empirical" and "samples_ms" not in params:
-        params["samples_ms"] = np.linspace(params.pop("lo_ms"), params.pop("hi_ms"),
-                                           params.pop("count")).tolist()
+        params["samples_ms"] = _linspace(params.pop("lo_ms"), params.pop("hi_ms"),
+                                         params.pop("count"))
     return getattr(DelayModel, kind)(**params)
+
+
+def _linspace(lo, hi, count: int) -> list[float]:
+    """``numpy.linspace(lo, hi, count).tolist()`` in floats, bit for bit:
+    ``i * step + lo``, or ``i / div * span + lo`` if the step underflows to
+    0, with the last point ``hi``."""
+    lo, hi, div = float(lo), float(hi), max(count - 1, 1)
+    span = hi - lo
+    step = span / div
+    grid = [(i / div * span if step == 0 else i * step) + lo for i in range(count)]
+    return grid[:-1] + [hi] if count > 1 else grid
 
 
 def _build(cls, mapping, **converters):
@@ -182,8 +262,11 @@ def load_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    data = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+    else:
+        import yaml  # only for YAML files, so JSON configs load without it
+        data = yaml.safe_load(path.read_text())
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     cfg = config_from_dict(data)

@@ -17,14 +17,16 @@ import numpy as np
 from twinsync.geometry import Pose, quat_rotate
 from twinsync.grasp import (AssetTracker, FallbackState, GraspConfig,
                             GraspPhase, GripperTracker, fallback_step)
-from twinsync.harness import measure_latency, replay, simulate
+from twinsync.harness import measure_latency, simulate
 from twinsync.latency import LatencyRecorder, Stage
 from twinsync.mocap import FilteredPose, FilterConfig, MocapFilter, PoseStatus
-from twinsync.network import DelayModel, LinkConfig, Throttle
+from twinsync.network import Throttle
 from twinsync.robot import forward_kinematics, parse_urdf
-from twinsync.scenario import (LeaderConfig, ScenarioConfig, load_config)
+from twinsync.scenario import (DelayModel, LeaderConfig, LinkConfig, ScenarioConfig,
+                               load_config)
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile,
                              leader_trajectory, pd_step)
+from twinsync.twin import replay
 from twinsync.wire import MocapPacket
 from twinsync.zones import ProhibitedZone, counterforce, query
 
@@ -83,7 +85,7 @@ def test_01_latency_replication():
 
 def test_02_throttle():
     with criterion(2, "telemetry throttle"):
-        th = Throttle(target_hz=60)
+        th = Throttle()
         samples = {}
         emissions = []
         for k in range(10_000):  # 1000 Hz for 10 simulated seconds

@@ -1,25 +1,30 @@
 import dataclasses
+import json
+import os
 import struct
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from twinsync import harness
+from twinsync import harness, twin
 from twinsync.grasp import AssetSource, GraspPhase
-from twinsync.harness import (TwinEngine, measure_latency, merge_tick_time,
-                              numeric_jacobian, replay, simulate)
+from twinsync.harness import measure_latency, numeric_jacobian, simulate
 from twinsync.latency import parse_stats
-from twinsync.network import DelayModel, LinkConfig
 from twinsync.recordlog import (CHANNEL_MOCAP, CHANNEL_TELEMETRY, LogRecord,
                                 LogWriter, read_log)
 from twinsync.robot import parse_urdf
-from twinsync.scenario import (AssetConfig, ConfigError, LeaderConfig,
-                               ScenarioConfig, config_from_dict, load_config)
+from twinsync.scenario import (AssetConfig, ConfigError, DelayModel, LeaderConfig,
+                               LinkConfig, ScenarioConfig, config_from_dict,
+                               load_config)
+from twinsync.twin import TwinEngine, merge_tick_time, replay
 from twinsync.wire import TelemetryPacket
 from twinsync.zones import ProhibitedZone
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 PLANAR = """
 <robot name='planar'>
@@ -268,6 +273,42 @@ def test_golden_hashes(name, tmp_path, monkeypatch):
     assert_replay_merges_alike(cfg, res, calls)
 
 
+# every pyenv CPython the package supports (3.10+); older ones are skipped
+PYTHONS = [exe for exe in sorted(Path.home().glob(".pyenv/versions/3.*/bin/python"))
+           if int(exe.parent.parent.name.split(".")[1]) >= 10]
+
+# replays (log, JSON config) argument pairs through the CLI, one hash a line
+REPLAY = """
+import sys
+from twinsync.cli import main
+for log, cfg in zip(sys.argv[1::2], sys.argv[2::2]):
+    main(["replay", log, "--config", cfg])
+"""
+
+
+@pytest.mark.skipif(not PYTHONS, reason="no pyenv Python 3.10+ installed")
+def test_pinned_logs_replay_on_every_python(tmp_path):
+    # each pinned config, as JSON, simulates to its pin and its log replays
+    # to the same state hash under every Python, numpy and yaml or not
+    args = []
+    for name in sorted(GOLDEN):
+        data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+        data["robot_path"] = str((CONFIGS / data["robot_path"]).resolve())
+        data["log_path"] = str(tmp_path / f"{name}.dtrl")
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert simulate(load_config(path)).state_hash == GOLDEN[name][0], name
+        args += [data["log_path"], str(path)]
+    want = [GOLDEN[name][0] for name in sorted(GOLDEN)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for exe in PYTHONS:
+        out = subprocess.run([str(exe), "-c", REPLAY, *args], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        got = [line.split()[-1] for line in out.splitlines()
+               if line.startswith("state hash")]
+        assert got == want, exe
+
+
 def test_multi_asset_reaches_grasp_and_relocation(tmp_path, monkeypatch):
     # the multi_asset pin covers grasp attachment, the physics fallback, a
     # relocation and an attached zone; check the scenario still gets there
@@ -301,7 +342,7 @@ def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
         built["telemetry"] += 1
         return TelemetryPacket(*args)
 
-    apply_joint_state = harness.apply_joint_state
+    apply_joint_state = twin.apply_joint_state
 
     def apply_joint_state_spy(*args, **kw):
         built["applied"] += 1
@@ -314,7 +355,7 @@ def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
         return merge_tick(self, *args)
 
     monkeypatch.setattr(harness, "TelemetryPacket", telemetry_packet)
-    monkeypatch.setattr(harness, "apply_joint_state", apply_joint_state_spy)
+    monkeypatch.setattr(twin, "apply_joint_state", apply_joint_state_spy)
     monkeypatch.setattr(TwinEngine, "merge_tick", merge_tick_spy)
     res = simulate(with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path))
     assert res.control_ticks == 2000
@@ -457,7 +498,8 @@ class TestScenarioLoading:
     ASSET = {"name": "a", "object_id": 1, "position": [0, 0, 0]}
 
     # (case, config, what the error says): a misspelt key or a value that is
-    # not a mapping, in each section, and zones that clash or attach to nothing
+    # not a mapping, in each section, zones that clash or attach to nothing,
+    # assets that share a name, and a robot_id the wire's one byte cannot carry
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -483,6 +525,11 @@ class TestScenarioLoading:
         ("unknown-attached-asset", {"assets": [ASSET],
                                     "zones": [{**ZONE, "attached_asset": "b"}]},
          "zone 'z': attached_asset 'b' names no asset"),
+        ("duplicate-asset-name", {"assets": [ASSET, {**ASSET, "object_id": 2}],
+                                  "zones": [{**ZONE, "attached_asset": "a"}]},
+         "asset names must be unique"),
+        ("robot-id-above-byte", {"robot_id": 300}, "robot_id must be an integer in 0-255"),
+        ("robot-id-negative", {"robot_id": -1}, "robot_id must be an integer in 0-255"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

@@ -1,8 +1,11 @@
 """Static checks over the source tree: no import left unread, no dot
-product in the package outside ``geometry.dot``, and no broad ``except``
-in the package."""
+product in the package outside ``geometry.dot``, no broad ``except`` in the
+package, and no numpy or yaml on the twin side."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -102,6 +105,26 @@ def test_no_broad_except():
              for path, tree in modules(PACKAGE)
              for line in broad_excepts(tree)]
     assert found == []
+
+
+# the twin side and the CLI that runs replay and live on it
+TWIN_SIDE = ("twinsync.twin", "twinsync.live", "twinsync.scenario",
+             "twinsync.recordlog", "twinsync.cli")
+
+
+def test_twin_side_imports_neither_numpy_nor_yaml():
+    script = (f"import sys\nimport {', '.join(TWIN_SIDE)}\n"
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('numpy', 'yaml', 'twinsync')))")
+    out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    loaded = set(out.split())
+    assert {"numpy", "yaml"} & loaded == set()
+    # nor any of the emulator's modules
+    emulator = {"twinsync.harness", "twinsync.network", "twinsync.teleop",
+                "twinsync.latency"}
+    assert emulator & loaded == set()
 
 
 def test_checks_see_what_they_look_for():

@@ -1,6 +1,7 @@
-"""The float geometry kernels, the mocap filter mean and the control tick's
-leader and PD step against their numpy versions (``numpy_oracle``), byte
-for byte, and ``dot`` against the left-to-right sum it promises."""
+"""The float geometry kernels, the mocap filter mean, the control tick's
+leader and PD step and the empirical-delay grid against their numpy
+versions (``numpy_oracle``, ``np.linspace``), byte for byte, and ``dot``
+against the left-to-right sum it promises."""
 
 import struct
 from fractions import Fraction
@@ -16,6 +17,7 @@ from twinsync import mocap
 from twinsync.geometry import (Pose, dot, norm, quat_conjugate, quat_multiply,
                                quat_rotate, swing_twist)
 from twinsync.mocap import FilterConfig, MocapFilter
+from twinsync.scenario import _linspace
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
                              leader_samples, leader_trajectory, pd_step)
 from twinsync.wire import MocapPacket
@@ -92,6 +94,18 @@ def test_dot_does_not_fuse_multiply_and_add():
 def test_dot_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         dot((1.0, 2.0, 3.0), (1.0, 2.0))
+
+
+@given(lo=FLOATS | INTS, hi=FLOATS | INTS, count=st.integers(0, 40))
+@example(lo=0.12, hi=2.04, count=199)
+@example(lo=0.5, hi=2.0, count=1)
+@example(lo=1.5, hi=1.5, count=5)
+@example(lo=-0.0, hi=-0.0, count=3)
+@example(lo=0.0, hi=5e-324, count=4)  # the step underflows to 0
+def test_empirical_grid_is_linspace(lo, hi, count):
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, count)
+        same(np.array(_linspace(lo, hi, count), dtype=float), want)
 
 
 @given(v=vectors(3) | vectors(4) | st.lists(FLOATS, min_size=0, max_size=8))

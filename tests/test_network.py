@@ -7,15 +7,15 @@ from hypothesis import given, strategies as st
 
 import numpy_oracle as oracle
 
-from twinsync.network import (DatagramLink, DelayModel, LinkConfig, StreamLink,
-                              Throttle)
+from twinsync.network import DatagramLink, StreamLink, Throttle
+from twinsync.scenario import DelayModel, LinkConfig
 
 MS = 1_000_000
 
 
 class TestThrottle:
     def test_1khz_for_one_second(self):
-        th = Throttle(target_hz=60)
+        th = Throttle()
         emissions = []
         for k in range(1000):
             emissions += th.offer(k * MS, k)
@@ -25,7 +25,7 @@ class TestThrottle:
             assert sample * MS <= tick_time < (sample + 1) * MS
 
     def test_10hz_no_duplication(self):
-        th = Throttle(target_hz=60)
+        th = Throttle()
         emissions = []
         for k in range(10):
             emissions += th.offer(k * 100 * MS, k)
@@ -34,7 +34,7 @@ class TestThrottle:
         assert [s for _, s in emissions] == list(range(10))
 
     def test_single_sample(self):
-        th = Throttle(target_hz=60)
+        th = Throttle()
         out = th.offer(0, "x")
         out += th.flush(10**9)
         assert len(out) == 1 and out[0][1] == "x"
@@ -49,7 +49,7 @@ class TestThrottle:
         # random arrivals, rate over any 1 s window stays <= 60
         rng = np.random.default_rng(3)
         times = np.cumsum(rng.integers(1, 5 * MS, 5000))
-        th = Throttle(target_hz=60)
+        th = Throttle()
         emitted = []
         offered = set()
         for i, t in enumerate(times):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import numpy_oracle as oracle
 from twinsync.geometry import Pose, quat_from_axis_angle
 from twinsync.harness import numeric_jacobian
-from twinsync.robot import UrdfError, apply_joint_state, forward_kinematics, parse_urdf
+from twinsync.robot import (LimitViolation, UrdfError, apply_joint_state,
+                            forward_kinematics, parse_urdf)
 
 ASSETS = Path(__file__).parent.parent / "assets"
 
@@ -339,16 +340,10 @@ class TestApplyJointState:
     def test_clamp_above_upper(self):
         m = parse_urdf(TWO_LINK)
         positions = np.array([5.0])
-        out, report = apply_joint_state(m, positions, clamp=True)
+        out, report = apply_joint_state(m, positions)
         assert out[0] == 3.14
-        assert report[0].joint == "j1" and report[0].clamped
+        assert report == [LimitViolation("j1", 5.0, -3.14, 3.14)]
         assert positions[0] == 5.0  # the caller's sample is not clamped in place
-
-    def test_flag_without_clamp(self):
-        m = parse_urdf(TWO_LINK)
-        out, report = apply_joint_state(m, [5.0], clamp=False)
-        assert out[0] == 5.0
-        assert len(report) == 1 and not report[0].clamped
 
     def test_panda_joint1_clamped_to_parsed_limit(self):
         text = (ASSETS / "panda.urdf").read_text()
@@ -360,7 +355,7 @@ class TestApplyJointState:
         positions = np.zeros(m.dof)
         positions[0] = 3.0
         positions[3] = -1.5  # joint4 cannot reach 0
-        out, report = apply_joint_state(m, positions, clamp=True)
+        out, report = apply_joint_state(m, positions)
         assert out[0] == upper == 2.8973
         assert any(v.joint == "panda_joint1" for v in report)
 

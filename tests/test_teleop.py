@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from twinsync.harness import simulate
-from twinsync.network import DatagramLink, DelayModel, LinkConfig
-from twinsync.scenario import LeaderConfig, ScenarioConfig
+from twinsync.network import DatagramLink
+from twinsync.scenario import DelayModel, LeaderConfig, LinkConfig, ScenarioConfig
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile,
                              leader_trajectory, pd_step)
 from twinsync.wire import TelemetryPacket, decode_telemetry, encode_telemetry
