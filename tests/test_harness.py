@@ -302,9 +302,10 @@ def test_pinned_logs_replay_on_every_python(tmp_path):
     want = [GOLDEN[name][0] for name in sorted(GOLDEN)]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for exe in PYTHONS:
-        out = subprocess.run([str(exe), "-c", REPLAY, *args], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        got = [line.split()[-1] for line in out.splitlines()
+        proc = subprocess.run([str(exe), "-c", REPLAY, *args], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (exe, proc.stderr)
+        got = [line.split()[-1] for line in proc.stdout.splitlines()
                if line.startswith("state hash")]
         assert got == want, exe
 
