@@ -1,5 +1,6 @@
-"""The emulated workcell, on numpy's seeded draws: the 1 kHz leader and
-follower, the links, and ``measure_latency``'s three stages.
+"""The emulated workcell, on seeded draws from ``network.doubles``: the
+1 kHz leader and follower, the links, and ``measure_latency``'s three
+stages.
 
 ``simulate`` runs it on a simulated nanosecond clock; at each 60 Hz merge
 tick it logs the records that arrived and hands exactly those to the twin
@@ -19,7 +20,7 @@ import numpy as np
 from . import twin
 from .geometry import IDENTITY_QUAT, ZERO3, dot, quat_from_axis_angle
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
-from .network import DatagramLink, StreamLink, Throttle
+from .network import DatagramLink, StreamLink, Throttle, delay_ms, doubles, normal
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, LogRecord, LogWriter)
 from .robot import RobotModel
@@ -91,29 +92,26 @@ def _profile_from_config(config: ScenarioConfig, dof: int) -> LeaderProfile:
                          config.leader.gripper_schedule)
 
 
-def _mocap_schedule(config: ScenarioConfig, rng: np.random.Generator):
-    """Generator of ground-truth tracker packets on the mocap clock."""
+def _mocap_schedule(config: ScenarioConfig, u):
+    """Generator of tracker packets on the mocap clock: ground truth plus
+    normal noise per axis, drawn from the double source ``u``."""
+    def noisy(position):
+        return tuple(x + normal(u, 0.0, config.tracker_noise_sigma) for x in position)
+
     period = 1_000_000_000 // config.mocap_rate_hz
     station_q = quat_from_axis_angle(config.filter.up_axis, config.station_yaw)
-    seqs: dict[int, int] = {}
     n_frames = int(round(config.duration_s * config.mocap_rate_hz))
+    # every frame holds one packet per object, so frame m is each one's seq
     for m in range(n_frames):
         t_ns = m * period
         t = t_ns / 1e9
-        noise = rng.normal(0.0, config.tracker_noise_sigma, 3)
-        seq = seqs.get(0, 0)
-        seqs[0] = seq + 1
-        yield t_ns, MocapPacket(0, seq, t_ns, config.station_position + noise,
-                                station_q, 1)
+        yield t_ns, MocapPacket(0, m, t_ns, noisy(config.station_position), station_q, 1)
         for a in config.assets:
-            seq = seqs.get(a.object_id, 0)
-            seqs[a.object_id] = seq + 1
             if a.occluded(t):
-                yield t_ns, MocapPacket(a.object_id, seq, t_ns, ZERO3, IDENTITY_QUAT, 0)
+                yield t_ns, MocapPacket(a.object_id, m, t_ns, ZERO3, IDENTITY_QUAT, 0)
             else:
-                noise = rng.normal(0.0, config.tracker_noise_sigma, 3)
-                yield t_ns, MocapPacket(a.object_id, seq, t_ns,
-                                        a.true_position(t) + noise, IDENTITY_QUAT, 1)
+                yield t_ns, MocapPacket(a.object_id, m, t_ns,
+                                        noisy(a.true_position(t)), IDENTITY_QUAT, 1)
 
 
 def simulate(config: ScenarioConfig) -> SimResult:
@@ -126,10 +124,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
     profile.validate_against_limits(lowers, uppers)
     gains = ControllerGains.default(dof, config.gains_kp, config.gains_kd)
 
-    ss = np.random.SeedSequence(config.seed)
-    child = ss.spawn(6)
-    noise_rng = np.random.default_rng(child[0])
-    proc_rng = np.random.default_rng(child[1])
+    child = np.random.SeedSequence(config.seed).spawn(6)
+    noise_u, proc_u = map(doubles, child[:2])
     telemetry_link = DatagramLink(_reseed(config.telemetry_link, child[2]))
     mocap_link = DatagramLink(_reseed(config.mocap_link, child[3]))
     command_link = StreamLink(_reseed(config.command_link, child[4]))
@@ -153,7 +149,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
     ext_expiry = -1
     control_ticks = int(round(config.duration_s * 1000))
     merge_ticks = int(round(config.duration_s * MERGE_HZ))
-    mocap_src = _mocap_schedule(config, noise_rng)
+    mocap_src = _mocap_schedule(config, noise_u)
     next_mocap = next(mocap_src, None)
     counters = {"commands": 0, "delivered": 0}
     merge_k = 1
@@ -172,7 +168,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
         received = [r.time_ns for r in due if r.channel == CHANNEL_TELEMETRY]
         for recv_ns, pkt in zip(received, telemetry):
             recorder.record(pkt.seq, Stage.SOCKET_RECV, recv_ns)
-            proc_ns = int(round(config.processing_delay.sample_ms(proc_rng) * 1e6))
+            proc_ns = int(round(delay_ms(config.processing_delay, proc_u) * 1e6))
             recorder.record(pkt.seq, Stage.APPLIED, recv_ns + proc_ns)
         counters["delivered"] += len(telemetry)
         for frame in commands:
@@ -277,16 +273,13 @@ def measure_latency(config: ScenarioConfig, n_samples: int = 20_000) -> LatencyS
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    ss = np.random.SeedSequence(config.seed)
-    c_link, c_proc = ss.spawn(2)
-    link_rng = np.random.default_rng(c_link)
-    proc_rng = np.random.default_rng(c_proc)
+    link_u, proc_u = map(doubles, np.random.SeedSequence(config.seed).spawn(2))
     recorder = LatencyRecorder()
     for i in range(n_samples):
         t = merge_tick_time(i)
         recorder.record(i, Stage.INGRESS, t)
-        recv = t + int(round(config.telemetry_link.delay.sample_ms(link_rng) * 1e6))
+        recv = t + int(round(delay_ms(config.telemetry_link.delay, link_u) * 1e6))
         recorder.record(i, Stage.SOCKET_RECV, recv)
-        applied = recv + int(round(config.processing_delay.sample_ms(proc_rng) * 1e6))
+        applied = recv + int(round(delay_ms(config.processing_delay, proc_u) * 1e6))
         recorder.record(i, Stage.APPLIED, applied)
     return recorder.compute_stats()

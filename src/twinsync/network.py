@@ -2,15 +2,17 @@
 
 Links are driven by an external discrete-event clock in nanoseconds:
 ``send(t, payload)`` schedules deliveries, ``poll(now)`` drains everything
-due. All randomness comes from the per-link seed. A link's schema,
-``LinkConfig`` and its ``DelayModel``, is declared in ``scenario``.
+due. All randomness comes from the per-link seed through ``doubles``. A
+link's schema, ``LinkConfig`` and its ``DelayModel``, is declared in
+``scenario``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
-from functools import partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -21,31 +23,34 @@ from .twin import merge_tick_time
 NS_PER_MS = 1_000_000
 
 
-def _doubles(rng: np.random.Generator):
-    """The doubles successive ``rng.random()`` calls return, drawn 64 at a
-    time: ``Generator.random(n)`` fills from the same stream."""
-    while True:
-        yield from array("d", rng.random(64).tobytes())
+def doubles(seed):
+    """The emulator's one random source: a callable returning the doubles
+    successive ``default_rng(seed).random()`` calls would, drawn 64 at a time.
+    Draws transform these, so runs rest only on PCG64 and ``SeedSequence``."""
+    rng = np.random.default_rng(seed)
+    return chain.from_iterable(array("d", rng.random(n).tobytes()) for n in repeat(64)).__next__
 
 
-def _link_draws(delay: DelayModel, rng: np.random.Generator):
-    """``(random, delay_ms)``: zero-argument callables that draw a link's
-    loss double and its delay from ``rng`` in per-send order.
+def normal(u, mu: float, sigma: float) -> float:
+    """``mu + sigma * z``, ``z`` from the next two doubles of ``u`` by the
+    cosine branch of Box–Muller; ``1 - u`` is in (0, 1], so its log is finite."""
+    r = math.sqrt(-2.0 * math.log(1.0 - u()))
+    return mu + sigma * (r * math.cos(2.0 * math.pi * u()))
 
-    A constant delay draws nothing and a uniform one a single double,
-    ``Generator.uniform``'s ``lo + (hi - lo) * u``, so both links read one
-    stream of doubles drawn in blocks. Normal and empirical delays draw
-    from ``rng`` on each send.
-    """
+
+def delay_ms(delay: DelayModel, u) -> float:
+    """A delay drawn from the double source ``u``: a constant draws none, a
+    uniform one (``Generator.uniform``'s ``lo + (hi - lo) * u``), a normal
+    two, truncated at zero, and an empirical one, ``samples[int(u * n)]``."""
     if delay.kind == "constant":
-        (d,) = delay.params
-        return partial(next, _doubles(rng)), lambda: d
+        return delay.params[0]
     if delay.kind == "uniform":
-        u = _doubles(rng)
-        lo, hi = map(float, delay.params)
-        span = hi - lo
-        return partial(next, u), lambda: lo + span * next(u)
-    return rng.random, partial(delay.sample_ms, rng)
+        lo, hi = delay.params
+        return lo + (hi - lo) * u()
+    if delay.kind == "normal":
+        return max(0.0, normal(u, *delay.params))
+    samples = delay.params[0]
+    return samples[int(u() * len(samples))]
 
 
 class Throttle:
@@ -104,8 +109,7 @@ class DatagramLink:
 
     def __init__(self, config: LinkConfig):
         self.config = config
-        self._random, self._delay_ms = _link_draws(
-            config.delay, np.random.default_rng(config.seed))
+        self._u = doubles(config.seed)
         self._heap: list[tuple[int, int, Delivery]] = []
         self._count = 0
         self.sent = 0
@@ -113,8 +117,9 @@ class DatagramLink:
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        lost = self._random() < self.config.loss
-        delay_ns = int(round(self._delay_ms() * NS_PER_MS))
+        # the loss double, then the delay, on every send, lost or not
+        lost = self._u() < self.config.loss
+        delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
         if lost:
             self.dropped += 1
             return
@@ -143,15 +148,14 @@ class StreamLink:
         if config.loss != 0.0:
             raise ValueError("stream links cannot be lossy")
         self.config = config
-        _, self._delay_ms = _link_draws(config.delay,
-                                        np.random.default_rng(config.seed))
+        self._u = doubles(config.seed)
         self._queue: list[Delivery] = []
         self._last_delivery_ns = 0
         self.sent = 0
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        delay_ns = int(round(self._delay_ms() * NS_PER_MS))
+        delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
         t = max(time_ns + delay_ns, self._last_delivery_ns)
         self._last_delivery_ns = t
         self._queue.append(Delivery(t, time_ns, payload))

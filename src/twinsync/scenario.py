@@ -12,6 +12,7 @@ neither numpy nor yaml: yaml is imported only to read a non-JSON file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -28,41 +29,34 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DelayModel:
-    """One-way delay distribution, parameters in milliseconds."""
+    """One-way delay distribution, parameters in milliseconds as finite floats."""
 
     kind: str  # constant | uniform | normal | empirical
     params: tuple = ()
 
     def __post_init__(self):
+        empirical = self.kind == "empirical"
+        values = floats(self.params[0] if empirical else self.params)
+        object.__setattr__(self, "params", (values,) if empirical else values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{self.kind} delay parameters must be finite, got {values}")
         if self.kind == "constant":
-            (d,) = self.params
+            (d,) = values
             if d < 0:
                 raise ValueError("constant delay must be >= 0")
         elif self.kind == "uniform":
-            lo, hi = self.params
+            lo, hi = values
             if lo < 0 or hi < lo:
                 raise ValueError("uniform delay requires 0 <= lo <= hi")
         elif self.kind == "normal":
-            mu, sigma = self.params
+            mu, sigma = values
             if sigma < 0:
                 raise ValueError("normal delay requires sigma >= 0")
-        elif self.kind == "empirical":
-            samples = self.params[0]
-            if len(samples) == 0 or min(samples) < 0:
+        elif empirical:
+            if len(values) == 0 or min(values) < 0:
                 raise ValueError("empirical delay requires non-empty, non-negative samples")
         else:
             raise ValueError(f"unknown delay model {self.kind!r}")
-
-    def sample_ms(self, rng) -> float:  # rng: a numpy.random.Generator
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            return rng.uniform(*self.params)
-        if self.kind == "normal":
-            # truncated at zero
-            return max(0.0, rng.normal(*self.params))
-        samples = self.params[0]
-        return samples[rng.integers(len(samples))]
 
     @staticmethod
     def constant(ms: float = 0.0) -> "DelayModel":
@@ -78,7 +72,7 @@ class DelayModel:
 
     @staticmethod
     def empirical(samples_ms) -> "DelayModel":
-        return DelayModel("empirical", (tuple(samples_ms),))
+        return DelayModel("empirical", (samples_ms,))
 
 
 @dataclass(frozen=True)
@@ -108,6 +102,12 @@ class AssetConfig:
                            tuple((float(t), floats(p)) for t, p in self.waypoints))
         object.__setattr__(self, "occlusions",
                            tuple((float(t0), float(t1)) for t0, t1 in self.occlusions))
+        # written so that a NaN time fails the checks too
+        times = [0.0, *(t for t, _ in self.waypoints)]
+        if not all(a <= b for a, b in zip(times, times[1:])):
+            raise ValueError(f"waypoint times must not decrease from 0, got {times[1:]}")
+        if not all(t0 <= t1 for t0, t1 in self.occlusions):
+            raise ValueError(f"an occlusion window ends before it starts: {self.occlusions}")
 
     def true_position(self, t: float) -> tuple:
         pts = ((0.0, self.position), *self.waypoints)

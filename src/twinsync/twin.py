@@ -19,7 +19,7 @@ from .grasp import AssetTracker, GraspPhase, GripperTracker
 from .mocap import MocapFilter, PoseStatus
 from .recordlog import CHANNEL_MOCAP, CHANNEL_TELEMETRY, read_log
 from .robot import RobotModel, apply_joint_state, forward_kinematics, parse_urdf
-from .scenario import ScenarioConfig
+from .scenario import ConfigError, ScenarioConfig
 from .wire import (CommandFrame, MocapPacket, TelemetryPacket, WireError,
                    decode_mocap, decode_telemetry)
 from .zones import Repulsion, make_command, query, update_dynamic
@@ -183,7 +183,10 @@ def merge_records(engine: TwinEngine, tick_ns: int, records,
 def load_model(config: ScenarioConfig) -> RobotModel:
     if config.robot_path is None:
         raise ValueError("scenario requires a robot description path")
-    return parse_urdf(Path(config.robot_path).read_text())
+    model = parse_urdf(Path(config.robot_path).read_text())
+    if config.ee_link not in (None, *(link.name for link in model.links)):
+        raise ConfigError(f"ee_link {config.ee_link!r} names no link of {model.name!r}")
+    return model
 
 
 @dataclass

@@ -107,6 +107,24 @@ def test_simulate_then_replay_hashes_match(capsys, tmp_path, robot_file):
     assert sim_hash == rep_hash
 
 
+def test_misspelt_ee_link_stops_simulate_and_replay(capsys, tmp_path, robot_file):
+    cfg = {"duration_s": 0.2, "robot_path": robot_file,
+           "log_path": str(tmp_path / "run.dtrl")}
+    good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+    good.write_text(yaml.safe_dump(cfg))
+    bad.write_text(yaml.safe_dump({**cfg, "ee_link": "tpi"}))
+    assert main(["simulate", "--config", str(good)]) == 0
+    log = (tmp_path / "run.dtrl").read_bytes()
+    capsys.readouterr()
+    for argv in (["simulate", "--config", str(bad)],
+                 ["replay", str(tmp_path / "run.dtrl"), "--config", str(bad)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: ee_link 'tpi' names no link" in err
+    # the failed run stopped before its first tick: it wrote no log
+    assert (tmp_path / "run.dtrl").read_bytes() == log
+
+
 def test_simulate_seed_override_changes_hash(capsys, tmp_path, robot_file):
     # the file states a seed; --seed must still reach the link it declares
     cfg = {"seed": 5, "duration_s": 0.2, "robot_path": robot_file,

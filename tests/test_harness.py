@@ -216,18 +216,18 @@ class TestReplay:
 # of its hashes, where the other scenarios' stay the same. A refactor that
 # is meant to keep behaviour must leave all three hashes unchanged.
 GOLDEN = {
-    "example": ("70540877518109fcc791947349b9f4303dec1ad8434aca17742826d21c7a288d",
+    "example": ("ae02234500e7cd5bfb20f7053757b6e9279af23b12c6484cf2fcf86fd3c3b5c3",
                 "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
-                "e0c061cf1fa4db42841855d2f78f9c8951458af4d448725fb671a06c9647fbba"),
-    "contact": ("d2a24ceae2e4d32309646912eefb1c687dca625ac21e0793d558bd0d3e5a3bec",
-                "2811f4d50fe5da0735253d06da22761cbd6413ed626c46e1531a1cbc2102267c",
-                "829aa396d3c7c7abef1a922a9111a057309260070af48b48630a1f81b0a66b82"),
-    "multi_asset": ("2018c4e76250d4fcef1bbf29d4e4e7de934ee416c0497a94c56e9b817938e7d2",
+                "1307a23e77ac95d2f80846fd07e4a43b05e2f6791aba0d31365afe6b098ac99c"),
+    "contact": ("eca2ba901958eb1ba423bf9f85b86be4ca1aec98bd1445d1e59b5d7c0f391db1",
+                "70d2b5e7247d084765bcdc597ef281ac1068ea600c48c5d502270aa5fd9d016b",
+                "fa46a28b4ae51253cfe22c74ba2889576ef03a4cc57b3f3ca5c199e1271c4f14"),
+    "multi_asset": ("b265b0c10138b379beb7777286713fd4467c8033de23a6e6b7a36a28f1690848",
                     "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
-                    "69bf62dab54b5133c2a4eb754af3d44a724beacdf4220957969b9a48e82af023"),
-    "contact_turned": ("beaf6c2812de14a52eaa5c4616c506da71a04d51a85ca5ae746ec52898c33142",
-                       "65bb48cec6fe3107c0b57b55c5137c616664a2255ca6e3536afa697423a55c28",
-                       "a1744093777f655b012d1e0e3d61a4d65b70594a5232cb084d9e5f49cd116ff5"),
+                    "77efcfbdf33da0e3d74b82e5b864f26ccd58fc803c8234daf087e9e7e0a33262"),
+    "contact_turned": ("2baf0f4f097c1eeaec7c88947ce605bb375375bcfc5f0feac275f7499da7a6b4",
+                       "ff37dfe926ab084237df6ef9a187ee52bbe162b09992ef72f061b27cddb96023",
+                       "388ec525c149b6ea22b01bd2de36995a0818f51ca02ab707f367c726488ca21e"),
 }
 
 
@@ -495,12 +495,14 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError):
             load_config("no_such_file.yaml")
 
+    NAN, INF = float("nan"), float("inf")
     ZONE = {"id": "z", "center": [0, 0, 0], "half_extents": [1, 1, 1]}
     ASSET = {"name": "a", "object_id": 1, "position": [0, 0, 0]}
 
     # (case, config, what the error says): a misspelt key or a value that is
     # not a mapping, in each section, zones that clash or attach to nothing,
-    # assets that share a name, and a robot_id the wire's one byte cannot carry
+    # assets that share a name, a robot_id the wire's one byte cannot carry,
+    # a non-finite delay parameter, and asset times that run backwards
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -531,6 +533,24 @@ class TestScenarioLoading:
          "asset names must be unique"),
         ("robot-id-above-byte", {"robot_id": 300}, "robot_id must be an integer in 0-255"),
         ("robot-id-negative", {"robot_id": -1}, "robot_id must be an integer in 0-255"),
+        ("uniform-nan", {"telemetry_link": {"delay": {"kind": "uniform", "lo_ms": NAN,
+                                                      "hi_ms": 1.0}}},
+         "telemetry_link: delay: uniform delay parameters must be finite"),
+        ("empirical-nan", {"processing_delay": {"kind": "empirical",
+                                                "samples_ms": [1.0, NAN]}},
+         "processing_delay: empirical delay parameters must be finite"),
+        ("constant-inf", {"mocap_link": {"delay": {"kind": "constant", "ms": INF}}},
+         "mocap_link: delay: constant delay parameters must be finite"),
+        ("normal-inf", {"command_link": {"delay": {"kind": "normal", "mu_ms": 1.0,
+                                                   "sigma_ms": INF}}},
+         "command_link: delay: normal delay parameters must be finite"),
+        ("occlusion-backwards", {"assets": [{**ASSET, "occlusions": [[0.6, 0.5]]}]},
+         "assets: .*an occlusion window ends before it starts"),
+        ("waypoint-backwards", {"assets": [{**ASSET, "waypoints": [[1.0, [0, 0, 1]],
+                                                                    [0.5, [0, 0, 2]]]}]},
+         "assets: .*waypoint times must not decrease from 0"),
+        ("waypoint-negative", {"assets": [{**ASSET, "waypoints": [[-0.5, [0, 0, 1]]]}]},
+         "assets: .*waypoint times must not decrease from 0"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

@@ -1,12 +1,15 @@
 """Static checks over the source tree: no import left unread, no dot
 product in the package outside ``geometry.dot``, no broad ``except`` in the
-package, and no numpy or yaml on the twin side."""
+package, no numpy ``Generator`` method but ``random`` in the package, and
+no numpy or yaml on the twin side."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "twinsync"
@@ -85,6 +88,19 @@ def broad_excepts(tree):
     return lines
 
 
+# numpy's Generator methods but ``random``, whose doubles NEP 19 keeps stable
+# across releases; ``spawn``, which SeedSequence shares, draws nothing
+DRAWS = {m for m in dir(np.random.Generator)
+         if not m.startswith("_")} - {"random", "spawn", "bit_generator"}
+
+
+def generator_draws(tree):
+    """Lines that call a method named in ``DRAWS``, on any object."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in DRAWS]
+
+
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
              for path, tree in modules(ROOT / "src", ROOT / "tests")
@@ -104,6 +120,14 @@ def test_no_broad_except():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path, tree in modules(PACKAGE)
              for line in broad_excepts(tree)]
+    assert found == []
+
+
+def test_only_random_of_numpys_generator():
+    # every other draw is a transform of its doubles in ``network``
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in modules(PACKAGE)
+             for line in generator_draws(tree)]
     assert found == []
 
 
@@ -148,3 +172,7 @@ def test_checks_see_what_they_look_for():
                          "except builtins.BaseException:\n    pass\n"
                          "except:\n    pass\n")
     assert broad_excepts(handlers) == [5, 7, 9]
+    draws = ast.parse("u = rng.random(64)\nz = rng.normal(0.0, 1.0, 3)\n"
+                      "c = ss.spawn(2)\nk = np.random.default_rng(s).integers(5)\n"
+                      "x = self._rng.choice(v)\ny = rng.standard_normal()\n")
+    assert generator_draws(draws) == [2, 4, 5, 6]

@@ -1,10 +1,14 @@
 """The float geometry kernels, the mocap filter mean, the control tick's
-leader and PD step and the empirical-delay grid against their numpy
-versions (``numpy_oracle``, ``np.linspace``), byte for byte, and ``dot``
-against the left-to-right sum it promises."""
+leader and PD step, the empirical-delay grid and the emulator's random
+draws against their numpy versions (``numpy_oracle``, ``np.linspace``,
+``Generator.random`` and ``uniform``), byte for byte, ``dot`` against the
+left-to-right sum it promises, and the transforms numpy has no twin for
+against their bounds."""
 
+import math
 import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 from unittest import mock
 
@@ -17,7 +21,8 @@ from twinsync import mocap
 from twinsync.geometry import (Pose, dot, norm, quat_conjugate, quat_multiply,
                                quat_rotate, swing_twist)
 from twinsync.mocap import FilterConfig, MocapFilter
-from twinsync.scenario import _linspace
+from twinsync.network import delay_ms, doubles, normal
+from twinsync.scenario import DelayModel, _linspace
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
                              leader_samples, leader_trajectory, pd_step)
 from twinsync.wire import MocapPacket
@@ -106,6 +111,79 @@ def test_empirical_grid_is_linspace(lo, hi, count):
     with np.errstate(all="ignore"):
         want = np.linspace(lo, hi, count)
         same(np.array(_linspace(lo, hi, count), dtype=float), want)
+
+
+SEEDS = st.integers(0, 2**128 - 1)
+# the largest double below 1, the top of the source's range
+TOP = 1.0 - 2.0**-53
+
+
+@given(seed=SEEDS, n=st.integers(1, 300))
+def test_doubles_are_the_generators_random(seed, n):
+    # call by call, across block boundaries, and the top 53 bits of each raw
+    # PCG64 output: the draws rest on the bit generator and SeedSequence only
+    u, rng = doubles(seed), np.random.default_rng(seed)
+    raw = np.random.default_rng(seed).bit_generator
+    for _ in range(n):
+        d = u()
+        assert type(d) is float
+        assert d == rng.random() == (raw.random_raw() >> 11) * 2.0**-53
+
+
+def test_doubles_of_a_spawned_seed_sequence():
+    child = np.random.SeedSequence(42).spawn(3)[2]
+    u, rng = doubles(child), np.random.default_rng(child)
+    assert [u() for _ in range(130)] == [rng.random() for _ in range(130)]
+
+
+@given(seed=SEEDS, lo=st.floats(0.0, 1e6) | st.integers(0, 20),
+       span=st.floats(0.0, 1e6) | st.integers(0, 20))
+def test_uniform_delay_is_the_generators_uniform(seed, lo, span):
+    u, rng = doubles(seed), np.random.default_rng(seed)
+    delay = DelayModel.uniform(lo, lo + span)
+    for _ in range(70):
+        same(np.float64(delay_ms(delay, u)), np.float64(rng.uniform(lo, lo + span)))
+
+
+def test_constant_delay_draws_nothing():
+    def source():
+        raise AssertionError("a constant delay drew a double")
+    assert delay_ms(DelayModel.constant(3.6), source) == 3.6
+
+
+def test_empirical_index_stays_below_n():
+    # a range stands in for n samples: indexing past its end raises
+    for n in range(1, 10**6 + 1):
+        assert delay_ms(SimpleNamespace(kind="empirical", params=(range(n),)),
+                        lambda: TOP) == n - 1
+    assert delay_ms(DelayModel.empirical([4.0, 5.0, 6.0]), lambda: 0.0) == 4.0
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (3.0, 2.0), (-1.0, 1e-4)])
+def test_box_muller_moments(mu, sigma):
+    # 200,000 seeded draws: the standard error of the mean is 0.0022 sigma,
+    # of the standard deviation 0.0016 sigma
+    u, drawn = doubles(7), [0]
+
+    def counted():
+        drawn[0] += 1
+        return u()
+    z = np.array([normal(counted, mu, sigma) for _ in range(200_000)])
+    assert drawn[0] == 400_000  # exactly two doubles a draw
+    assert abs(z.mean() - mu) < 0.01 * sigma
+    assert abs(z.std() - sigma) < 0.01 * sigma
+    # the tails reach past 4 sigma and stay inside the 8.6 sigma bound at TOP
+    assert 4.0 < np.abs(z - mu).max() / sigma <= math.sqrt(-2.0 * math.log(2.0**-53))
+
+
+UNIT_DOUBLES = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, TOP])
+
+
+@given(u1=UNIT_DOUBLES, u2=UNIT_DOUBLES, mu=st.floats(-1e3, 1e3), sigma=st.floats(0.0, 1e3))
+def test_truncated_normal_delay_is_never_negative(u1, u2, mu, sigma):
+    d = delay_ms(DelayModel.normal(mu, sigma), iter([u1, u2]).__next__)
+    assert math.isfinite(d) and d >= 0.0
+    assert d == max(0.0, normal(iter([u1, u2]).__next__, mu, sigma))
 
 
 @given(v=vectors(3) | vectors(4) | st.lists(FLOATS, min_size=0, max_size=8))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import numpy_oracle as oracle
 
-from twinsync.network import DatagramLink, StreamLink, Throttle
+from twinsync.network import DatagramLink, StreamLink, Throttle, delay_ms, doubles
 from twinsync.scenario import DelayModel, LinkConfig
 
 MS = 1_000_000
@@ -98,9 +98,13 @@ class TestDatagramLink:
 
 class TestStreamLink:
     def test_head_of_line_blocking(self):
-        # A delayed 5 ms, B delayed 1 ms: B waits for A
-        link = StreamLink(LinkConfig(delay=DelayModel.empirical([5.0, 1.0]), seed=0))
-        link._delay_ms = iter([5.0, 1.0]).__next__
+        # A delayed 5 ms, B delayed 1 ms: B waits for A. The seed is the
+        # first whose two doubles index the samples 5.0, then 1.0.
+        def indices(seed):
+            u = doubles(seed)
+            return [int(2 * u()), int(2 * u())]
+        seed = next(s for s in itertools.count() if indices(s) == [0, 1])
+        link = StreamLink(LinkConfig(delay=DelayModel.empirical([5.0, 1.0]), seed=seed))
         link.send(0, "A")
         link.send(0, "B")
         out = link.poll(10**9)
@@ -139,8 +143,8 @@ def test_delay_model_validation():
 
 def test_truncated_normal_clamps_at_zero():
     m = DelayModel.normal(0.1, 50.0)
-    rng = np.random.default_rng(0)
-    assert min(m.sample_ms(rng) for _ in range(1000)) >= 0.0
+    u = doubles(0)
+    assert min(delay_ms(m, u) for _ in range(1000)) >= 0.0
 
 
 DELAY_MS = st.floats(0.0, 50.0) | st.integers(0, 20)
