@@ -13,7 +13,10 @@ double arithmetic and, for the trigonometry, on libm's ``sin`` and
 ``norm``, is ``dot``, a left-to-right sum. ``quat_multiply`` and
 ``quat_rotate`` keep every term of the quaternion product (the zero scalar
 part of a rotated vector included), and ``Pose`` renormalizes a rotation
-only when its norm is more than 1e-12 from 1.
+only when its norm is more than 1e-12 from 1. ``Pose.compose``, the
+kernel every kinematics walk runs, is one function: it writes
+``_rotate``, ``quat_multiply`` and ``unit_quat`` out inline, in the same
+order, so its poses are bit for bit those of the three calls.
 """
 
 from __future__ import annotations
@@ -194,11 +197,29 @@ class Pose(_Pose):
 
     def compose(self, other) -> "Pose":
         """``self o other``, where ``other`` may be any (translation,
-        rotation) pair."""
-        (tx, ty, tz), q = self
-        (vx, vy, vz), oq = other
-        rx, ry, rz = _rotate(q, vx, vy, vz)
-        return Pose.of((tx + rx, ty + ry, tz + rz), unit_quat(quat_multiply(q, oq)))
+        rotation) pair: ``_rotate``, ``quat_multiply`` and ``unit_quat``
+        written out on local floats, each operation in their order."""
+        (tx, ty, tz), (w, x, y, z) = self
+        (vx, vy, vz), (bw, bx, by, bz) = other
+        # _rotate(q, v)
+        rw = w * 0.0 - x * vx - y * vy - z * vz
+        rx = w * vx + x * 0.0 + y * vz - z * vy
+        ry = w * vy - x * vz + y * 0.0 + z * vx
+        rz = w * vz + x * vy - y * vx + z * 0.0
+        t = (tx + (rw * -x + rx * w + ry * -z - rz * -y),
+             ty + (rw * -y - rx * -z + ry * w + rz * -x),
+             tz + (rw * -z + rx * -y - ry * -x + rz * w))
+        # quat_multiply(q, other's rotation), then unit_quat
+        qw = w * bw - x * bx - y * by - z * bz
+        qx = w * bx + x * bw + y * bz - z * by
+        qy = w * by - x * bz + y * bw + z * bx
+        qz = w * bz + x * by - y * bx + z * bw
+        n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        if abs(n - 1.0) > 1e-12:
+            if n == 0.0:
+                raise ValueError("zero quaternion")
+            return tuple.__new__(Pose, (t, (qw / n, qx / n, qy / n, qz / n)))
+        return tuple.__new__(Pose, (t, (qw, qx, qy, qz)))
 
     def inverse(self) -> "Pose":
         qi = quat_conjugate(self.rotation)

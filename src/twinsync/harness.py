@@ -24,7 +24,7 @@ from .network import DatagramLink, StreamLink, Throttle, delay_ms, doubles, norm
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, LogRecord, LogWriter)
 from .robot import RobotModel
-from .scenario import ScenarioConfig
+from .scenario import ConfigError, ScenarioConfig
 from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_samples,
                      leader_trajectory, pd_step)
 from .twin import MERGE_HZ, TwinEngine, load_model, merge_records, merge_tick_time
@@ -46,11 +46,14 @@ def numeric_jacobian(model: RobotModel, q: np.ndarray, link: str,
     Only the link's root path is walked and only the movable joints on it
     are perturbed, each from its parent's unperturbed frame; every other
     column is exactly zero, as differencing full forward kinematics gives.
+    The path's motions are built once; a perturbed walk swaps in only the
+    moved joint's motion.
     """
     chain = model.chain
     positions = chain.check(q)
     path = chain.path(link)
-    frames = chain.walk(path, positions)
+    motions = [j.motion(positions) for j in path]
+    frames = chain.walk(path, motions)
     J = np.zeros((3, len(positions)))
     for k, joint in enumerate(path):
         i = joint.dof
@@ -59,8 +62,11 @@ def numeric_jacobian(model: RobotModel, q: np.ndarray, link: str,
         qp, qm = positions.copy(), positions.copy()
         qp[i] += h
         qm[i] -= h
-        pp = chain.walk(path[k:], qp, frames[k])[-1][0]
-        pm = chain.walk(path[k:], qm, frames[k])[-1][0]
+        rest, tail = path[k:], motions[k:]
+        tail[0] = joint.motion(qp)
+        pp = chain.walk(rest, tail, frames[k])[-1][0]
+        tail[0] = joint.motion(qm)
+        pm = chain.walk(rest, tail, frames[k])[-1][0]
         J[:, i] = [(a - b) / (2 * h) for a, b in zip(pp, pm)]
     return J
 
@@ -79,17 +85,29 @@ class SimResult:
     mocap_stale: int  # tracker frames dropped for arriving out of order
 
 
-def _profile_from_config(config: ScenarioConfig, dof: int) -> LeaderProfile:
-    def fit(vals):
-        a = np.asarray(vals, dtype=float)
-        if len(a) == dof:
-            return a
-        if len(a) == 1:
-            return np.full(dof, a[0])
-        raise ValueError(f"leader profile length {len(a)} does not match dof {dof}")
-    return LeaderProfile(fit(config.leader.centers), fit(config.leader.amplitudes),
-                         fit(config.leader.frequencies), fit(config.leader.phases),
-                         config.leader.gripper_schedule)
+def leader_profile(config: ScenarioConfig, model: RobotModel) -> LeaderProfile:
+    """The leader's profile for ``model``: each list of the ``leader``
+    section holds one value per movable joint, or one for all of them.
+    A list of another length, or a sinusoid that leaves its joint's
+    limits, is a ``ConfigError`` naming ``leader``."""
+    leader, dof = config.leader, model.dof
+
+    def fit(name):
+        values = getattr(leader, name)
+        if len(values) not in (1, dof):
+            raise ConfigError(f"leader: {name} holds {len(values)} values; "
+                              f"give 1 or one per joint ({dof})")
+        return values * dof if len(values) == 1 else values
+
+    centers, amplitudes = fit("centers"), fit("amplitudes")
+    for joint, c, a in zip(model.movable_joints, centers, amplitudes):
+        lo, hi = c - abs(a), c + abs(a)
+        # written so that NaN fails too
+        if not (joint.lower <= lo and hi <= joint.upper):
+            raise ConfigError(f"leader: joint {joint.name!r} swings over [{lo}, {hi}], "
+                              f"outside its limits [{joint.lower}, {joint.upper}]")
+    return LeaderProfile(centers, amplitudes, fit("frequencies"), fit("phases"),
+                         leader.gripper_schedule)
 
 
 def _mocap_schedule(config: ScenarioConfig, u):
@@ -118,10 +136,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
     """Run a full emulated scenario; returns hashes, stats and counters."""
     model = load_model(config)
     dof = model.dof
-    profile = _profile_from_config(config, dof)
-    lowers = [j.lower for j in model.movable_joints]
-    uppers = [j.upper for j in model.movable_joints]
-    profile.validate_against_limits(lowers, uppers)
+    profile = leader_profile(config, model)
     gains = ControllerGains.default(dof, config.gains_kp, config.gains_kd)
 
     child = np.random.SeedSequence(config.seed).spawn(6)

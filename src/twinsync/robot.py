@@ -7,12 +7,14 @@ collision, transmission and vendor extensions are ignored.
 Each ``RobotModel`` compiles its tree once into a ``Chain``
 (``model.chain``): the joints in traversal order with their parent link's
 index, origin pose, axis as a float tuple, the axis's norm and each
-movable joint's position index. Forward kinematics composes each link's
-pose as ``Pose.compose`` does, with the joint motion built as
-``quat_from_axis_angle`` and ``Pose``'s renormalization build it, so its
-poses are bit-identical to composing ``Pose`` objects joint by joint.
-``Chain.walk`` evaluates one root-to-link path the same way, for callers
-that need a single link.
+movable joint's position index. ``ChainJoint.motion`` gives a joint's
+motion at the given positions as a raw (translation, rotation) pair, built
+as ``quat_from_axis_angle`` and ``Pose``'s renormalization build it, and
+each child link's pose is parent o origin o motion by ``Pose.compose``, so
+forward kinematics is bit-identical to composing ``Pose`` objects joint by
+joint. ``Chain.walk`` evaluates one root-to-link path the same way from a
+list of motions, so a caller that varies one joint (the central-difference
+Jacobian) rebuilds only that joint's motion.
 """
 
 from __future__ import annotations
@@ -190,21 +192,21 @@ class ChainJoint(NamedTuple):
     axis_norm: float  # norm(axis), as quat_from_axis_angle takes it
     dof: int  # index of the joint's position, -1 for a fixed joint
 
-    def frame(self, parent: Pose, positions) -> Pose:
-        """Child link pose: parent o joint origin o joint motion."""
+    def motion(self, positions) -> tuple:
+        """The joint's motion at ``positions`` as a (translation, rotation)
+        pair: a revolute joint's ``quat_from_axis_angle`` after ``Pose``'s
+        renormalization, a prismatic joint's shift along its axis, or the
+        identity for a fixed joint."""
         if self.kind == "revolute":
-            # quat_from_axis_angle, then Pose's renormalization
             half = 0.5 * positions[self.dof]
             s = math.sin(half) / self.axis_norm
             ax, ay, az = self.axis
-            motion = (ZERO3, unit_quat((math.cos(half), ax * s, ay * s, az * s)))
-        elif self.kind == "prismatic":
+            return ZERO3, unit_quat((math.cos(half), ax * s, ay * s, az * s))
+        if self.kind == "prismatic":
             p = positions[self.dof]
             ax, ay, az = self.axis
-            motion = ((ax * p, ay * p, az * p), IDENTITY_QUAT)
-        else:
-            motion = IDENTITY
-        return parent.compose(self.origin).compose(motion)
+            return (ax * p, ay * p, az * p), IDENTITY_QUAT
+        return IDENTITY
 
 
 class Chain:
@@ -251,7 +253,7 @@ class Chain:
         """Pose of every link, in ``links`` order."""
         out = [base]
         for j in self.joints:
-            out.append(j.frame(out[j.parent], positions))
+            out.append(out[j.parent].compose(j.origin).compose(j.motion(positions)))
         return out
 
     def path(self, link: str) -> tuple[ChainJoint, ...]:
@@ -264,12 +266,14 @@ class Chain:
             i = j.parent
         return tuple(reversed(path))
 
-    def walk(self, path, positions, start: Pose = IDENTITY) -> list[Pose]:
-        """Poses along ``path`` from ``start``: ``start`` first, the last
-        joint's child last."""
+    def walk(self, path, motions, start: Pose = IDENTITY) -> list[Pose]:
+        """Poses along ``path`` from ``start``, each child link at parent o
+        joint origin o the joint's entry of ``motions`` (one
+        ``ChainJoint.motion`` per joint of ``path``): ``start`` first, the
+        last joint's child last."""
         out = [start]
-        for j in path:
-            out.append(j.frame(out[-1], positions))
+        for j, m in zip(path, motions):
+            out.append(out[-1].compose(j.origin).compose(m))
         return out
 
 

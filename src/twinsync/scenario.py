@@ -167,12 +167,19 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "station_position", floats(self.station_position))
-        if self.duration_s < 0:
-            raise ConfigError("duration must be >= 0")
+        # written so that NaN fails too
+        for name in ("duration_s", "tracker_noise_sigma", "gains_kp", "gains_kd"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+        if not math.isfinite(self.station_yaw):
+            raise ConfigError(f"station_yaw must be finite, got {self.station_yaw!r}")
+        if len(self.station_position) != 3 or not all(map(math.isfinite,
+                                                           self.station_position)):
+            raise ConfigError("station_position must be 3 finite values, got "
+                              f"{self.station_position}")
         if self.mocap_rate_hz <= 0:
             raise ConfigError("mocap_rate_hz must be positive")
-        if self.tracker_noise_sigma < 0:
-            raise ConfigError("tracker_noise_sigma must be >= 0")
         # the wire codecs carry robot_id in one unsigned byte
         if not (isinstance(self.robot_id, int) and 0 <= self.robot_id <= 255):
             raise ConfigError(f"robot_id must be an integer in 0-255, got {self.robot_id!r}")

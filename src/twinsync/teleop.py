@@ -86,12 +86,6 @@ class LeaderProfile:
         z = np.zeros_like(q)
         return LeaderProfile(q, z, z, z, gripper_schedule)
 
-    def validate_against_limits(self, lowers, uppers) -> None:
-        lo = self.centers - np.abs(self.amplitudes)
-        hi = self.centers + np.abs(self.amplitudes)
-        if np.any(lo < np.asarray(lowers)) or np.any(hi > np.asarray(uppers)):
-            raise ValueError("leader profile amplitude exceeds joint limits")
-
     def gripper_at(self, t: float) -> float:
         width = self.gripper_schedule[0][1]
         for ts, w in self.gripper_schedule:

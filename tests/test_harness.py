@@ -364,6 +364,27 @@ def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
     assert built["applied"] == engines[-1].telemetry_applied <= res.merge_ticks
 
 
+def test_one_jacobian_per_command(tmp_path, monkeypatch):
+    # the follower turns each command frame it decodes into torque with
+    # exactly one numeric_jacobian call; the benchmark's traced
+    # teleop_contact check compares the two counts
+    calls = {"decoded": 0, "jacobian": 0}
+    decode_command, numeric_jacobian = harness.decode_command, harness.numeric_jacobian
+
+    def decode_spy(data):
+        calls["decoded"] += 1
+        return decode_command(data)
+
+    def jacobian_spy(*args, **kw):
+        calls["jacobian"] += 1
+        return numeric_jacobian(*args, **kw)
+
+    monkeypatch.setattr(harness, "decode_command", decode_spy)
+    monkeypatch.setattr(harness, "numeric_jacobian", jacobian_spy)
+    res = simulate(with_outputs(load_config(CONFIGS / "contact.yaml"), tmp_path))
+    assert 0 < calls["jacobian"] == calls["decoded"] <= res.commands_sent
+
+
 def test_trace_cells_are_plain_floats(robot_file, tmp_path):
     cfg = scenario(robot_file, trace_path=str(tmp_path / "trace.csv"))
     dof = parse_urdf(PLANAR).dof
@@ -551,6 +572,23 @@ class TestScenarioLoading:
          "assets: .*waypoint times must not decrease from 0"),
         ("waypoint-negative", {"assets": [{**ASSET, "waypoints": [[-0.5, [0, 0, 1]]]}]},
          "assets: .*waypoint times must not decrease from 0"),
+        ("duration-nan", {"duration_s": NAN}, "duration_s must be finite and >= 0"),
+        ("duration-inf", {"duration_s": INF}, "duration_s must be finite and >= 0"),
+        ("tracker-noise-nan", {"tracker_noise_sigma": NAN},
+         "tracker_noise_sigma must be finite and >= 0"),
+        ("tracker-noise-inf", {"tracker_noise_sigma": INF},
+         "tracker_noise_sigma must be finite and >= 0"),
+        ("gains-kp-nan", {"gains_kp": NAN}, "gains_kp must be finite and >= 0"),
+        ("gains-kd-inf", {"gains_kd": INF}, "gains_kd must be finite and >= 0"),
+        ("gains-kd-negative", {"gains_kd": -1.0}, "gains_kd must be finite and >= 0"),
+        ("station-yaw-nan", {"station_yaw": NAN}, "station_yaw must be finite"),
+        ("station-yaw-inf", {"station_yaw": -INF}, "station_yaw must be finite"),
+        ("station-position-nan", {"station_position": [NAN, 0, 0]},
+         "station_position must be 3 finite values"),
+        ("station-position-inf", {"station_position": [0, INF, 0]},
+         "station_position must be 3 finite values"),
+        ("station-position-short", {"station_position": [0, 0]},
+         "station_position must be 3 finite values"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

@@ -8,6 +8,7 @@ against their bounds."""
 import math
 import struct
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 from unittest import mock
@@ -18,10 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy_oracle as oracle
 from twinsync import mocap
-from twinsync.geometry import (Pose, dot, norm, quat_conjugate, quat_multiply,
-                               quat_rotate, swing_twist)
+from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, norm, quat_conjugate,
+                               quat_multiply, quat_rotate, swing_twist)
 from twinsync.mocap import FilterConfig, MocapFilter
 from twinsync.network import delay_ms, doubles, normal
+from twinsync.robot import ChainJoint
 from twinsync.scenario import DelayModel, _linspace
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
                              leader_samples, leader_trajectory, pd_step)
@@ -238,6 +240,71 @@ def test_pose_compose_and_inverse(ta, qa, tb, qb):
                           (a.inverse().compose(b), oa.inverse().compose(ob))):
             same(got.translation, want.translation)
             same(got.rotation, want.rotation)
+
+
+def oracle_compose(pose, pair):
+    """The oracle's ``Pose.compose`` with a raw (translation, rotation)
+    pair, not a renormalized pose, on its right."""
+    t, q = pair
+    o = oracle.Pose(pose.translation, pose.rotation)
+    return oracle.Pose(o.translation + oracle.quat_rotate(o.rotation, t),
+                       oracle.quat_multiply(o.rotation, q))
+
+
+def compose_raised(pose, pair):
+    """Whether ``pose.compose(pair)`` and the oracle's both raise
+    ValueError; if neither does, their poses match byte for byte."""
+    out = both(pose.compose, partial(oracle_compose, pose), pair)
+    if out is None:
+        return True
+    got, want = out
+    same(got.translation, want.translation)
+    same(got.rotation, want.rotation)
+    return False
+
+
+def motion(kind, axis, value):
+    """``ChainJoint.motion`` of a one-joint chain at ``value``."""
+    return ChainJoint(0, kind, Pose(), axis, norm(axis), 0).motion([value])
+
+
+AXES = st.tuples(*[st.floats(-1.0, 1.0) | st.just(-0.0)] * 3).filter(
+    lambda a: norm(a) > 1e-3)
+
+
+@given(t=vectors(3), q=UNIT, kind=st.sampled_from(["revolute", "prismatic"]),
+       axis=AXES, value=st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0]))
+def test_pose_compose_takes_joint_motions(t, q, kind, axis, value):
+    assert not compose_raised(Pose(t, q), motion(kind, axis, value))
+
+
+SIGNED_ZEROS = Pose((-0.0, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0))
+TURNED = Pose((0.3, -0.2, 0.1), (0.6, 0.0, -0.8, 0.0))
+# raw pairs of the shapes ChainJoint.motion returns, with signed zeros;
+# (pair, how the rotation product's norm stands): "unit" within 1e-12 of
+# 1, "off" further, which compose must renormalize, or "zero" (or with a
+# norm that underflows to zero), which it must reject
+RAW_PAIRS = {
+    "identity": ((ZERO3, IDENTITY_QUAT), "unit"),
+    "signed-zero-shift": (((-0.0, -0.0, 0.0), IDENTITY_QUAT), "unit"),
+    "shift": (((-0.0, 0.5, -0.0), IDENTITY_QUAT), "unit"),
+    "negated-identity": ((ZERO3, (-1.0, 0.0, -0.0, 0.0)), "unit"),
+    "turn": ((ZERO3, motion("revolute", (0.0, -0.0, 1.0), -0.7)[1]), "unit"),
+    "long-rotation": (((0.1, -0.0, 0.3), (1.0 + 1e-9, 0.0, 0.0, 0.0)), "off"),
+    "short-rotation": ((ZERO3, (0.6, 0.0, 0.8 - 3e-12, -0.0)), "off"),
+    "zero-rotation": ((ZERO3, (0.0, -0.0, 0.0, -0.0)), "zero"),
+    "underflowing-rotation": (((1.0, 2.0, 3.0), (1e-200, 0.0, 0.0, 0.0)), "zero"),
+}
+
+
+@pytest.mark.parametrize("pose", [SIGNED_ZEROS, TURNED], ids=["signed-zeros", "turned"])
+@pytest.mark.parametrize("name", sorted(RAW_PAIRS))
+def test_pose_compose_takes_raw_pairs(pose, name):
+    pair, product = RAW_PAIRS[name]
+    if product != "zero":
+        off = abs(norm(quat_multiply(pose.rotation, pair[1])) - 1.0) > 1e-12
+        assert off == (product == "off")
+    assert compose_raised(pose, pair) == (product == "zero")
 
 
 # one frame of a tracker stream: ("move", noise) stays near the current

@@ -3,7 +3,8 @@ import pytest
 
 from twinsync.harness import simulate
 from twinsync.network import DatagramLink
-from twinsync.scenario import DelayModel, LeaderConfig, LinkConfig, ScenarioConfig
+from twinsync.scenario import (ConfigError, DelayModel, LeaderConfig, LinkConfig,
+                               ScenarioConfig)
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile,
                              leader_trajectory, pd_step)
 from twinsync.wire import TelemetryPacket, decode_telemetry, encode_telemetry
@@ -37,10 +38,18 @@ class TestLeaderTrajectory:
         assert abs(s.positions[0] - 0.6) < 1e-12
         assert abs(s.velocities[0]) < 1e-12
 
-    def test_limit_validation(self):
-        p = LeaderProfile([0.0], [2.0], [0.1], [0.0])
-        with pytest.raises(ValueError):
-            p.validate_against_limits([-1.0], [1.0])
+    def test_limit_validation(self, one_joint):
+        # j1's limits are [-3.2, 3.2]; a NaN swing is outside them too
+        for center, amplitude in ((0.0, 4.0), (3.0, -0.5), (float("nan"), 0.0)):
+            leader = LeaderConfig(centers=(center,), amplitudes=(amplitude,))
+            with pytest.raises(ConfigError, match="leader: joint 'j1' swings over"):
+                simulate(teleop_scenario(one_joint, leader=leader))
+
+    def test_profile_length_validation(self, one_joint):
+        leader = LeaderConfig(frequencies=(0.5, 0.5))
+        with pytest.raises(ConfigError, match=r"leader: frequencies holds 2 values; "
+                                              r"give 1 or one per joint \(1\)"):
+            simulate(teleop_scenario(one_joint, leader=leader))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
