@@ -18,16 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import twin
-from .geometry import IDENTITY_QUAT, ZERO3, dot, quat_from_axis_angle
+from .geometry import IDENTITY_QUAT, ZERO3, dot
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
 from .network import DatagramLink, StreamLink, Throttle, delay_ms, doubles, normal
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, LogRecord, LogWriter)
-from .robot import RobotModel
+from .robot import RobotModel, jacobian
 from .scenario import ConfigError, ScenarioConfig
 from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_samples,
                      leader_trajectory, pd_step)
-from .twin import MERGE_HZ, TwinEngine, load_model, merge_records, merge_tick_time
+from .twin import (MERGE_HZ, TwinEngine, load_model, merge_records, merge_tick_time,
+                   station_pose)
 from .wire import (MocapPacket, TelemetryPacket, decode_command, encode_command,
                    encode_mocap, encode_telemetry)
 from .zones import Repulsion, counterforce
@@ -37,38 +38,9 @@ CONTROL_TICK_NS = 1_000_000
 # perfbench traces and calls ``harness.replay``; the twin's replay, kept
 # under its old name until the benchmark reads it from ``twin``
 replay = twin.replay
-
-
-def numeric_jacobian(model: RobotModel, q: np.ndarray, link: str,
-                     h: float = 1e-6) -> np.ndarray:
-    """3 x dof position Jacobian of a link origin by central differences.
-
-    Only the link's root path is walked and only the movable joints on it
-    are perturbed, each from its parent's unperturbed frame; every other
-    column is exactly zero, as differencing full forward kinematics gives.
-    The path's motions are built once; a perturbed walk swaps in only the
-    moved joint's motion.
-    """
-    chain = model.chain
-    positions = chain.check(q)
-    path = chain.path(link)
-    motions = [j.motion(positions) for j in path]
-    frames = chain.walk(path, motions)
-    J = np.zeros((3, len(positions)))
-    for k, joint in enumerate(path):
-        i = joint.dof
-        if i < 0:
-            continue
-        qp, qm = positions.copy(), positions.copy()
-        qp[i] += h
-        qm[i] -= h
-        rest, tail = path[k:], motions[k:]
-        tail[0] = joint.motion(qp)
-        pp = chain.walk(rest, tail, frames[k])[-1][0]
-        tail[0] = joint.motion(qm)
-        pm = chain.walk(rest, tail, frames[k])[-1][0]
-        J[:, i] = [(a - b) / (2 * h) for a, b in zip(pp, pm)]
-    return J
+# perfbench traces the follower's Jacobian under its old name, kept until
+# the benchmark traces ``robot.jacobian``
+numeric_jacobian = jacobian
 
 
 @dataclass
@@ -117,7 +89,7 @@ def _mocap_schedule(config: ScenarioConfig, u):
         return tuple(x + normal(u, 0.0, config.tracker_noise_sigma) for x in position)
 
     period = 1_000_000_000 // config.mocap_rate_hz
-    station_q = quat_from_axis_angle(config.filter.up_axis, config.station_yaw)
+    station_q = station_pose(config).rotation
     n_frames = int(round(config.duration_s * config.mocap_rate_hz))
     # every frame holds one packet per object, so frame m is each one's seq
     for m in range(n_frames):
@@ -161,7 +133,10 @@ def simulate(config: ScenarioConfig) -> SimResult:
     latest_leader = leader0
     no_torque = [0.0] * dof
     ext_tau = no_torque
-    ext_expiry = -1
+    ext_tick_ns = ext_expiry = -1
+    # the zones' directions are in the world frame, where the follower's
+    # root sits at the configured station pose
+    station = station_pose(config)
     control_ticks = int(round(config.duration_s * 1000))
     merge_ticks = int(round(config.duration_s * MERGE_HZ))
     mocap_src = _mocap_schedule(config, noise_u)
@@ -208,13 +183,17 @@ def simulate(config: ScenarioConfig) -> SimResult:
         for d in teleop_link.poll(t_ns):
             latest_leader = d.payload
 
-        # commands from the twin arrive as external torque at the follower
+        # commands from the twin arrive as external torque at the follower;
+        # the frames of one merge tick (one per zone entered) add up
         for d in command_link.poll(t_ns):
             frame = decode_command(d.payload)
             force = counterforce(Repulsion(frame.direction, frame.depth),
                                  frame.stiffness)
-            J = numeric_jacobian(model, follower.q, engine.ee_link)
-            ext_tau = [dot(column, force) for column in J.T.tolist()]
+            tau = [dot(column, force)
+                   for column in jacobian(model, follower.q, engine.ee_link, station)]
+            if frame.time_ns == ext_tick_ns:
+                tau = [a + b for a, b in zip(ext_tau, tau)]
+            ext_tau, ext_tick_ns = tau, frame.time_ns
             ext_expiry = t_ns + (1_000_000_000 // MERGE_HZ)
         tau_ext = ext_tau if t_ns < ext_expiry else no_torque
 

@@ -12,9 +12,8 @@ motion at the given positions as a raw (translation, rotation) pair, built
 as ``quat_from_axis_angle`` and ``Pose``'s renormalization build it, and
 each child link's pose is parent o origin o motion by ``Pose.compose``, so
 forward kinematics is bit-identical to composing ``Pose`` objects joint by
-joint. ``Chain.walk`` evaluates one root-to-link path the same way from a
-list of motions, so a caller that varies one joint (the central-difference
-Jacobian) rebuilds only that joint's motion.
+joint. ``jacobian`` walks one root-to-link path the same way and reads the
+geometric Jacobian off that single walk.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .geometry import IDENTITY_QUAT, ZERO3, Pose, floats, norm, unit_quat
+from .geometry import IDENTITY_QUAT, ZERO3, Pose, _rotate, floats, norm, unit_quat
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -266,16 +265,6 @@ class Chain:
             i = j.parent
         return tuple(reversed(path))
 
-    def walk(self, path, motions, start: Pose = IDENTITY) -> list[Pose]:
-        """Poses along ``path`` from ``start``, each child link at parent o
-        joint origin o the joint's entry of ``motions`` (one
-        ``ChainJoint.motion`` per joint of ``path``): ``start`` first, the
-        last joint's child last."""
-        out = [start]
-        for j, m in zip(path, motions):
-            out.append(out[-1].compose(j.origin).compose(m))
-        return out
-
 
 def forward_kinematics(model: RobotModel, positions,
                        base_pose: Pose | None = None) -> dict[str, Pose]:
@@ -287,6 +276,38 @@ def forward_kinematics(model: RobotModel, positions,
     chain = model.chain
     return dict(zip(chain.links, chain.frames(chain.check(positions),
                                               base_pose or IDENTITY)))
+
+
+def jacobian(model: RobotModel, positions, link: str,
+             base: Pose = IDENTITY) -> list[tuple]:
+    """World-frame position Jacobian of ``link``'s origin, with the root at
+    ``base``: one 3-tuple column per movable joint, ``(0.0, 0.0, 0.0)`` for
+    a joint off the link's path. KeyError for an unknown link.
+
+    One walk of the link's path, as ``Chain.frames`` composes it: at each
+    joint the joint frame is parent o origin, and its axis in the world is
+    ``a``. A revolute joint's column is ``a x (p_link - p_joint)``, a
+    prismatic joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
+    """
+    chain = model.chain
+    positions = chain.check(positions)
+    frame = base
+    moved = []
+    for j in chain.path(link):
+        joint_frame = frame.compose(j.origin)
+        frame = joint_frame.compose(j.motion(positions))
+        if j.dof >= 0:
+            moved.append((j, _rotate(joint_frame.rotation, *j.axis),
+                          joint_frame.translation))
+    columns = [ZERO3] * chain.dof
+    px, py, pz = frame.translation
+    for j, (ax, ay, az), (jx, jy, jz) in moved:
+        if j.kind == "prismatic":
+            columns[j.dof] = (ax, ay, az)
+        else:
+            dx, dy, dz = px - jx, py - jy, pz - jz
+            columns[j.dof] = (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx)
+    return columns
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,14 @@ class LeaderConfig:
             object.__setattr__(self, name, floats(getattr(self, name)))
         object.__setattr__(self, "gripper_schedule",
                            tuple((float(t), float(w)) for t, w in self.gripper_schedule))
+        # centers and amplitudes, NaN included, are checked against the
+        # joint limits by harness.leader_profile
+        for name in ("frequencies", "phases"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(t) and math.isfinite(w) for t, w in self.gripper_schedule):
+            raise ValueError("gripper_schedule times and widths must be finite, got "
+                             f"{self.gripper_schedule}")
 
 
 @dataclass(frozen=True)

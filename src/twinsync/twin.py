@@ -31,6 +31,13 @@ def merge_tick_time(k: int) -> int:
     return (k * 1_000_000_000) // MERGE_HZ
 
 
+def station_pose(config: ScenarioConfig) -> Pose:
+    """The station's configured pose: at ``station_position``, yawed by
+    ``station_yaw`` about the filter's up axis."""
+    return Pose(config.station_position,
+                quat_from_axis_angle(config.filter.up_axis, config.station_yaw))
+
+
 def _deepest_link(model: RobotModel) -> str:
     depth = {model.root: 0}
     best = model.root
@@ -63,9 +70,7 @@ class TwinEngine:
         self.last_tick_ns = 0
         self.applied_seq = -1
         self.positions = [0.0] * model.dof
-        self.base_pose = Pose(config.station_position,
-                              quat_from_axis_angle(config.filter.up_axis,
-                                                   config.station_yaw))
+        self.base_pose = station_pose(config)
         self.link_poses = forward_kinematics(model, self.positions, self.base_pose)
         self.station_filter = MocapFilter(config.filter)
         self.gripper = GripperTracker(config.grasp)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 import yaml
 
-from twinsync import harness, twin
+from hypothesis import given, settings, strategies as st
+
+from twinsync import harness, robot, twin
 from twinsync.grasp import AssetSource, GraspPhase
-from twinsync.harness import measure_latency, numeric_jacobian, simulate
+from twinsync.harness import measure_latency, simulate
 from twinsync.latency import parse_stats
 from twinsync.recordlog import (CHANNEL_MOCAP, CHANNEL_TELEMETRY, LogRecord,
                                 LogWriter, read_log)
@@ -19,7 +21,7 @@ from twinsync.robot import parse_urdf
 from twinsync.scenario import (AssetConfig, ConfigError, DelayModel, LeaderConfig,
                                LinkConfig, ScenarioConfig, config_from_dict,
                                load_config)
-from twinsync.twin import TwinEngine, merge_tick_time, replay
+from twinsync.twin import TwinEngine, merge_tick_time, replay, station_pose
 from twinsync.wire import TelemetryPacket
 from twinsync.zones import ProhibitedZone
 
@@ -75,19 +77,6 @@ def test_merge_tick_time_grid():
         t = merge_tick_time(k)
         assert t == k * 1_000_000_000 // 60
         assert merge_tick_time(k - 1) < t
-
-
-def test_numeric_jacobian_planar(robot_file):
-    # analytic planar Jacobian of the tip: standard 2R formula
-    model = parse_urdf(PLANAR)
-    q = np.array([0.4, -0.9])
-    J = numeric_jacobian(model, q, "tip")
-    s1, s12 = np.sin(q[0]), np.sin(q[0] + q[1])
-    c1, c12 = np.cos(q[0]), np.cos(q[0] + q[1])
-    expected = np.array([[-0.5 * s1 - 0.5 * s12, -0.5 * s12],
-                         [0.5 * c1 + 0.5 * c12, 0.5 * c12],
-                         [0.0, 0.0]])
-    assert np.allclose(J, expected, atol=1e-6)
 
 
 class TestSimulate:
@@ -213,21 +202,27 @@ class TestReplay:
 # end-effector so that the feedback path runs. configs/contact_turned.yaml
 # turns that zone about a tilted axis, so its dot products sum non-zero
 # terms: computing them with numpy's fused multiply-add dot moves all three
-# of its hashes, where the other scenarios' stay the same. A refactor that
-# is meant to keep behaviour must leave all three hashes unchanged.
+# of its hashes, where the other scenarios' stay the same.
+# configs/contact_overlap.yaml adds a second zone, attached to the vase,
+# that fires on the same merge ticks, so the follower sums two torques. A
+# refactor that is meant to keep behaviour must leave all three hashes
+# unchanged.
 GOLDEN = {
     "example": ("ae02234500e7cd5bfb20f7053757b6e9279af23b12c6484cf2fcf86fd3c3b5c3",
                 "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
                 "1307a23e77ac95d2f80846fd07e4a43b05e2f6791aba0d31365afe6b098ac99c"),
-    "contact": ("eca2ba901958eb1ba423bf9f85b86be4ca1aec98bd1445d1e59b5d7c0f391db1",
-                "70d2b5e7247d084765bcdc597ef281ac1068ea600c48c5d502270aa5fd9d016b",
-                "fa46a28b4ae51253cfe22c74ba2889576ef03a4cc57b3f3ca5c199e1271c4f14"),
+    "contact": ("45f5704f5dfe17e691cc02d1f63334f8e4a27529dd343cbef7d3778b4d651aad",
+                "bbed0ad0f86dd3cecc6a70b1058158d76b675ff1607f43a687c5b2731a5227bb",
+                "b24019277bbaf602d334257074f01d66d42bd193129bce04755ce693df28eb69"),
     "multi_asset": ("b265b0c10138b379beb7777286713fd4467c8033de23a6e6b7a36a28f1690848",
                     "01e7f4fcdaf81fc2b76967ca494ec6291699d5d9a03b5881d6dacfacfaa5c3f5",
                     "77efcfbdf33da0e3d74b82e5b864f26ccd58fc803c8234daf087e9e7e0a33262"),
-    "contact_turned": ("2baf0f4f097c1eeaec7c88947ce605bb375375bcfc5f0feac275f7499da7a6b4",
-                       "ff37dfe926ab084237df6ef9a187ee52bbe162b09992ef72f061b27cddb96023",
-                       "388ec525c149b6ea22b01bd2de36995a0818f51ca02ab707f367c726488ca21e"),
+    "contact_turned": ("b75a1d9ed21c2f224072073f9e98e627730dad5c5e77e57fafda485e4ac7c5a8",
+                       "cd840fb7fb39f03a5547196f10b79c3ca6d7d33e1a2c74dd9f3e1b747c84a81c",
+                       "c70c517a02b63d9775c33485074b4fdb4fc661322c9c1f677d556733e764e93a"),
+    "contact_overlap": ("cd2d6b5c41dcbb9d3af34e0ab87445bfe8f6d6740fff9eb4b6ea5f194d46d595",
+                        "b98fa42d04fed7ef798b63cfecc070665ac916f8261b81f8617f30915bfc5e4c",
+                        "61d5f283e0b2148b39286e044d2a6e6bd6854943b5f03bdfea042ba77bb109ad"),
 }
 
 
@@ -366,10 +361,11 @@ def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
 
 def test_one_jacobian_per_command(tmp_path, monkeypatch):
     # the follower turns each command frame it decodes into torque with
-    # exactly one numeric_jacobian call; the benchmark's traced
-    # teleop_contact check compares the two counts
-    calls = {"decoded": 0, "jacobian": 0}
-    decode_command, numeric_jacobian = harness.decode_command, harness.numeric_jacobian
+    # exactly one robot.jacobian call, also where two zones fire at once;
+    # the benchmark's traced teleop_contact check compares the two counts,
+    # and counts the calls under the alias harness.numeric_jacobian
+    assert harness.numeric_jacobian is robot.jacobian
+    decode_command, jacobian = harness.decode_command, harness.jacobian
 
     def decode_spy(data):
         calls["decoded"] += 1
@@ -377,12 +373,56 @@ def test_one_jacobian_per_command(tmp_path, monkeypatch):
 
     def jacobian_spy(*args, **kw):
         calls["jacobian"] += 1
-        return numeric_jacobian(*args, **kw)
+        return jacobian(*args, **kw)
 
     monkeypatch.setattr(harness, "decode_command", decode_spy)
-    monkeypatch.setattr(harness, "numeric_jacobian", jacobian_spy)
-    res = simulate(with_outputs(load_config(CONFIGS / "contact.yaml"), tmp_path))
-    assert 0 < calls["jacobian"] == calls["decoded"] <= res.commands_sent
+    monkeypatch.setattr(harness, "jacobian", jacobian_spy)
+    for name in ("contact", "contact_overlap"):
+        calls = {"decoded": 0, "jacobian": 0}
+        res = simulate(with_outputs(load_config(CONFIGS / f"{name}.yaml"), tmp_path))
+        assert 0 < calls["jacobian"] == calls["decoded"] <= res.commands_sent, name
+
+
+def follower_torques(cfg):
+    """The external torque of every control tick of ``simulate(cfg)``."""
+    seen = []
+    pd_step = harness.pd_step
+
+    def spy(leader, follower, gains, ext):
+        seen.append(list(ext))
+        return pd_step(leader, follower, gains, ext)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "pd_step", spy)
+        simulate(cfg)
+    return seen
+
+
+CONTACT = load_config(CONFIGS / "contact.yaml")
+
+
+@given(yaw=st.floats(-np.pi, np.pi), xyz=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       stiffness=st.floats(10.0, 1000.0))
+@settings(max_examples=8, deadline=None)
+def test_coincident_zones_double_the_torque(yaw, xyz, stiffness):
+    # contact.yaml's scene moved to another station pose: the zone keeps its
+    # place relative to the robot, so the end-effector starts inside it.
+    # Over the constant-delay command link both frames of a merge tick
+    # arrive together, and their torques add up
+    keepout = CONTACT.zones[0]
+    local = station_pose(CONTACT).inverse().compose(keepout.pose)
+    cfg = dataclasses.replace(CONTACT, duration_s=0.1, station_position=xyz,
+                              station_yaw=yaw, log_path=None, trace_path=None,
+                              stats_path=None)
+    world = station_pose(cfg).compose(local)
+    zone = dataclasses.replace(keepout, center=world.translation,
+                               orientation=world.rotation, stiffness=stiffness)
+    one = follower_torques(dataclasses.replace(cfg, zones=(zone,)))
+    two = follower_torques(dataclasses.replace(
+        cfg, zones=(zone, dataclasses.replace(zone, zone_id="twin"))))
+    k = next(i for i, tau in enumerate(one) if any(tau))
+    assert two[:k] == one[:k]
+    assert two[k] == [2.0 * x for x in one[k]]
 
 
 def test_trace_cells_are_plain_floats(robot_file, tmp_path):
@@ -523,7 +563,8 @@ class TestScenarioLoading:
     # (case, config, what the error says): a misspelt key or a value that is
     # not a mapping, in each section, zones that clash or attach to nothing,
     # assets that share a name, a robot_id the wire's one byte cannot carry,
-    # a non-finite delay parameter, and asset times that run backwards
+    # a non-finite delay parameter or leader value, and asset times that run
+    # backwards
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -589,6 +630,14 @@ class TestScenarioLoading:
          "station_position must be 3 finite values"),
         ("station-position-short", {"station_position": [0, 0]},
          "station_position must be 3 finite values"),
+        ("leader-frequency-nan", {"leader": {"frequencies": [NAN]}},
+         "leader: .*frequencies must be finite"),
+        ("leader-phase-inf", {"leader": {"phases": [INF]}},
+         "leader: .*phases must be finite"),
+        ("gripper-width-nan", {"leader": {"gripper_schedule": [[0.0, NAN]]}},
+         "leader: .*gripper_schedule times and widths must be finite"),
+        ("gripper-time-nan", {"leader": {"gripper_schedule": [[NAN, 0.04]]}},
+         "leader: .*gripper_schedule times and widths must be finite"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

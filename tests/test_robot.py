@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import numpy_oracle as oracle
-from twinsync.geometry import Pose, quat_from_axis_angle
-from twinsync.harness import numeric_jacobian
+from twinsync.geometry import Pose, dot, quat_from_axis_angle, quat_rotate
 from twinsync.robot import (LimitViolation, UrdfError, apply_joint_state,
-                            forward_kinematics, parse_urdf)
+                            forward_kinematics, jacobian, parse_urdf)
+from twinsync.zones import ProhibitedZone, counterforce, query
 
 ASSETS = Path(__file__).parent.parent / "assets"
 
@@ -218,7 +218,7 @@ def reference_fk(model, positions, base_pose=None):
     return poses
 
 
-def reference_jacobian(model, q, link, h=1e-6):
+def reference_jacobian(model, q, link, base_pose=None, h=1e-6):
     """Central differences of ``reference_fk`` over every joint."""
     q = np.asarray(q, dtype=float)
     J = np.zeros((3, len(q)))
@@ -226,8 +226,8 @@ def reference_jacobian(model, q, link, h=1e-6):
         qp, qm = q.copy(), q.copy()
         qp[i] += h
         qm[i] -= h
-        J[:, i] = (reference_fk(model, qp)[link].translation
-                   - reference_fk(model, qm)[link].translation) / (2 * h)
+        J[:, i] = (reference_fk(model, qp, base_pose)[link].translation
+                   - reference_fk(model, qm, base_pose)[link].translation) / (2 * h)
     return J
 
 
@@ -296,14 +296,49 @@ class TestCompiledChain:
             assert np.asarray(got[link].rotation).tobytes() == pose.rotation.tobytes()
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    @given(data=st.data())
+    @given(data=st.data(), base=BASES)
     @settings(max_examples=30, deadline=None)
-    def test_jacobian_matches_central_differences(self, name, data):
+    def test_jacobian_matches_central_differences(self, name, data, base):
+        # the central differences' truncation error is O(h^2) ~ 1e-12 and
+        # their rounding error ~ eps * |p| / h ~ 1e-9 at h = 1e-6
         model = MODELS[name]
         q = draw_positions(data, model)
         link = data.draw(st.sampled_from([l.name for l in model.links]))
-        got = numeric_jacobian(model, q, link)
-        assert got.tobytes() == reference_jacobian(model, q, link).tobytes()
+        got = np.array(jacobian(model, q, link, base or Pose())).T
+        assert got.shape == (3, model.dof)
+        assert np.allclose(got, reference_jacobian(model, q, link, base), rtol=0, atol=1e-8)
+
+    def test_jacobian_planar_closed_form(self):
+        # the standard 2R formula for the tip
+        q = np.array([0.4, -0.9])
+        J = np.array(jacobian(MODELS["planar"], q, "tip")).T
+        s1, s12 = np.sin(q[0]), np.sin(q[0] + q[1])
+        c1, c12 = np.cos(q[0]), np.cos(q[0] + q[1])
+        expected = np.array([[-0.5 * s1 - 0.5 * s12, -0.5 * s12],
+                             [0.5 * c1 + 0.5 * c12, 0.5 * c12],
+                             [0.0, 0.0]])
+        assert np.allclose(J, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["panda", "skew"])
+    @given(data=st.data(), base=BASES)
+    @settings(max_examples=30, deadline=None)
+    def test_prismatic_column_is_world_axis(self, name, data, base):
+        # the prismatic joint's child link turns with the joint frame, so
+        # the axis in the world is the child's rotation applied to it
+        model = MODELS[name]
+        q = draw_positions(data, model)
+        link = data.draw(st.sampled_from([l.name for l in model.links]))
+        columns = jacobian(model, q, link, base or Pose())
+        poses = forward_kinematics(model, q, base)
+        movable = model.movable_joints
+        joint_of = {j.child: j for j in model.joints}
+        child = link
+        while child in joint_of:
+            j = joint_of[child]
+            if j.kind == "prismatic":
+                want = quat_rotate(poses[j.child].rotation, j.axis)
+                assert np.allclose(columns[movable.index(j)], want, rtol=0, atol=1e-15)
+            child = j.parent
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -311,9 +346,9 @@ class TestCompiledChain:
         model = MODELS["panda"]
         q = draw_positions(data, model)
         col = [j.name for j in model.movable_joints].index("panda_finger_joint2")
-        J = numeric_jacobian(model, q, "panda_leftfinger")
-        assert J[:, col].tobytes() == np.zeros(3).tobytes()
-        assert np.any(J[:, :col] != 0.0)
+        J = jacobian(model, q, "panda_leftfinger")
+        assert J[col] == (0.0, 0.0, 0.0)
+        assert any(c != (0.0, 0.0, 0.0) for c in J[:col])
 
     def test_chain_order_and_parents(self):
         model = MODELS["panda"]
@@ -328,7 +363,94 @@ class TestCompiledChain:
 
     def test_path_of_unknown_link(self):
         with pytest.raises(KeyError):
-            numeric_jacobian(MODELS["planar"], [0.0, 0.0], "nowhere")
+            jacobian(MODELS["planar"], [0.0, 0.0], "nowhere")
+
+
+def yawed_station(yaw, xyz):
+    return Pose(list(xyz), quat_from_axis_angle([0.0, 0.0, 1.0], yaw))
+
+
+# a zone around a point, given in the zone's own frame: the point sits at
+# ``inside``, at least 1e-3 off each mid-plane, and the box reaches past it
+# by the three ``margins``, which differ by at least 1e-3, so neither the
+# nearest face nor its side is ever a near tie. The depth, the smallest
+# margin, is at least 1 cm: world positions carry ~1e-15 m of rounding, a
+# share of ~1e-15 / depth of the force
+OFF_MID_PLANE = st.floats(1e-3, 0.05) | st.floats(-0.05, -1e-3)
+ZONE_SHAPES = st.fixed_dictionaries({
+    "inside": st.tuples(*[OFF_MID_PLANE] * 3),
+    "margins": st.tuples(st.floats(0.01, 0.05), st.floats(1e-3, 0.05),
+                         st.floats(1e-3, 0.05)).map(
+        lambda m: (m[0], m[0] + m[1], m[0] + m[1] + m[2])),
+    "order": st.permutations([0, 1, 2]),
+    "axis": st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda a: np.linalg.norm(a) > 0.1),
+    "angle": st.floats(-np.pi, np.pi),
+    "stiffness": st.floats(10.0, 1000.0),
+})
+
+EE = "panda_leftfinger"  # the twin's default end-effector on the Panda
+
+
+def zone_around(point, shape, station):
+    """The zone of ``shape`` around ``point``, both given in the station's
+    frame, placed in the world by ``station``."""
+    rotation = quat_from_axis_angle(shape["axis"], shape["angle"])
+    margins = [shape["margins"][i] for i in shape["order"]]
+    half = [abs(u) + m for u, m in zip(shape["inside"], margins)]
+    offset = quat_rotate(rotation, shape["inside"])
+    local = Pose([p - o for p, o in zip(point, offset)], rotation)
+    world = station.compose(local)
+    return ProhibitedZone("z", world.translation, half, world.rotation,
+                          shape["stiffness"])
+
+
+def contact_torque(model, q, station, zone):
+    """The follower's joint torque for ``zone``, as ``simulate`` computes it:
+    the twin queries the end-effector's world position, and the repulsion's
+    world force goes through the world-frame Jacobian."""
+    ee = forward_kinematics(model, q, station)[EE].translation
+    rep = query(zone, ee)
+    force = counterforce(rep, zone.stiffness)
+    return rep, force, [dot(c, force) for c in jacobian(model, q, EE, station)]
+
+
+class TestContactTorque:
+    """Properties of zone feedback through ``jacobian`` on the Panda."""
+
+    @given(data=st.data(), shape=ZONE_SHAPES,
+           yaws=st.tuples(st.floats(-2 * np.pi, 2 * np.pi), st.floats(-2 * np.pi, 2 * np.pi)),
+           offsets=st.tuples(*[st.tuples(*[st.floats(-2.0, 2.0)] * 3)] * 2))
+    @settings(max_examples=60, deadline=None)
+    def test_yawing_station_and_zone_together_keeps_torque(self, data, shape, yaws,
+                                                           offsets):
+        model = MODELS["panda"]
+        q = draw_positions(data, model)
+        ee_local = forward_kinematics(model, q)[EE].translation
+        torques = []
+        for yaw, xyz in zip(yaws, offsets):
+            station = yawed_station(yaw, xyz)
+            _, force, tau = contact_torque(model, q, station,
+                                           zone_around(ee_local, shape, station))
+            torques.append(tau)
+        bound = 1e-12 * float(np.linalg.norm(force))
+        assert max(abs(a - b) for a, b in zip(*torques)) <= bound
+
+    @given(data=st.data(), shape=ZONE_SHAPES, yaw=st.floats(-2 * np.pi, 2 * np.pi),
+           xyz=st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+    @settings(max_examples=60, deadline=None)
+    def test_torque_moves_end_effector_out_of_zone(self, data, shape, yaw, xyz):
+        # J tau = J J^T F, whose component along F is |J^T F|^2 >= 0
+        model = MODELS["panda"]
+        q = draw_positions(data, model)
+        station = yawed_station(yaw, xyz)
+        zone = zone_around(forward_kinematics(model, q)[EE].translation, shape, station)
+        rep, force, tau = contact_torque(model, q, station, zone)
+        assert rep.depth > 0.0
+        J = np.array(jacobian(model, q, EE, station)).T
+        push = float(np.dot(J @ np.array(tau), rep.direction))
+        # J^T F vanishes only where F lies in J's left null space
+        assert push > 0.0 or np.linalg.norm(tau) <= 1e-9 * np.linalg.norm(force)
 
 
 class TestApplyJointState:
