@@ -13,10 +13,12 @@ double arithmetic and, for the trigonometry, on libm's ``sin`` and
 ``norm``, is ``dot``, a left-to-right sum. ``quat_multiply`` and
 ``quat_rotate`` keep every term of the quaternion product (the zero scalar
 part of a rotated vector included), and ``Pose`` renormalizes a rotation
-only when its norm is more than 1e-12 from 1. ``Pose.compose``, the
-kernel every kinematics walk runs, is one function: it writes
-``_rotate``, ``quat_multiply`` and ``unit_quat`` out inline, in the same
-order, so its poses are bit for bit those of the three calls.
+only when its norm is more than 1e-12 from 1. ``Pose.compose`` is one
+function: it writes ``_rotate``, ``quat_multiply`` and ``unit_quat`` out
+inline, in the same order, so its poses are bit for bit those of the
+three calls. ``robot.Chain.frames``, the kinematics walk, writes the same
+operations out once more per joint, so forward kinematics is bit for bit
+a chain of ``Pose.compose`` calls.
 """
 
 from __future__ import annotations
@@ -140,16 +142,17 @@ def quat_from_rpy(roll: float, pitch: float, yaw: float) -> tuple:
 def twist(q, u) -> tuple:
     """The twist of ``q`` about the unit vector ``u``: the rotation about
     ``u`` that ``swing_twist`` splits off."""
-    if norm(q) == 0.0:
+    w, x, y, z = q
+    if w * w + x * x + y * y + z * z == 0.0:  # norm(q) == 0.0
         raise ValueError("zero quaternion")
     ux, uy, uz = u
-    p = dot(q[1:], u)
-    t = (q[0], p * ux, p * uy, p * uz)
-    n = norm(t)
+    p = x * ux + y * uy + z * uz
+    tx, ty, tz = p * ux, p * uy, p * uz
+    n = math.sqrt(w * w + tx * tx + ty * ty + tz * tz)
     if n < 1e-12:
         # 180 degree swing, twist degenerate: pick identity
         return IDENTITY_QUAT
-    return (t[0] / n, t[1] / n, t[2] / n, t[3] / n)
+    return (w / n, tx / n, ty / n, tz / n)
 
 
 def swing_twist(q, axis) -> tuple[tuple, tuple]:

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import floats, norm, twist, unit
+from .geometry import floats, twist, unit
 from .wire import MocapPacket
 
 QUALITY_LOST = 0
@@ -62,9 +62,11 @@ def constrain_upright(q, up_axis) -> tuple:
 
 
 def _distance(a, b) -> float:
+    """``norm(a - b)`` of two 3-vectors, written out."""
     ax, ay, az = a
     bx, by, bz = b
-    return norm((ax - bx, ay - by, az - bz))
+    dx, dy, dz = ax - bx, ay - by, az - bz
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def velocity_gate(prev_accepted, candidate, dt: float, vmax: float) -> bool:
@@ -143,10 +145,7 @@ class MocapFilter:
         if raw.quality == QUALITY_LOST:
             return self._hold(raw.time_ns)
 
-        pos = raw.position
-        if not all(map(math.isfinite, pos)):
-            raise ValueError("non-finite mocap position")
-
+        pos = raw.position  # finite: MocapPacket rejects a tracked sample that is not
         accepted = (self._prev_accepted is None
                     or velocity_gate(self._prev_accepted, pos, dt, self.config.vmax))
         if not accepted:

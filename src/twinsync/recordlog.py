@@ -15,6 +15,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 MAGIC = b"DTRL"
 FORMAT_VERSION = 1
@@ -39,8 +40,7 @@ class LogHeader:
     created_ns: int
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     time_ns: int
     channel: int
     payload: bytes
@@ -102,21 +102,24 @@ def read_log(path) -> ScanResult:
     header = LogHeader(version, seed, created)
 
     records: list[LogRecord] = []
+    append, new, unpack_from = records.append, tuple.__new__, _RECORD_HEAD.unpack_from
+    head, end = _RECORD_HEAD.size, len(data)
     off = _HEADER.size
     truncated = False
-    last_time = None
-    while off < len(data):
-        if off + _RECORD_HEAD.size > len(data):
+    last_time = 0
+    while off < end:
+        body = off + head
+        if body > end:
             truncated = True
             break
-        time_ns, channel, length = _RECORD_HEAD.unpack_from(data, off)
-        if off + _RECORD_HEAD.size + length > len(data):
+        time_ns, channel, length = unpack_from(data, off)
+        stop = body + length
+        if stop > end:
             truncated = True
             break
-        payload = data[off + _RECORD_HEAD.size: off + _RECORD_HEAD.size + length]
-        if last_time is not None and time_ns < last_time:
+        if time_ns < last_time:
             raise LogError(f"record time regression at offset {off}")
         last_time = time_ns
-        records.append(LogRecord(time_ns, channel, payload))
-        off += _RECORD_HEAD.size + length
+        append(new(LogRecord, (time_ns, channel, data[body:stop])))
+        off = stop
     return ScanResult(header, tuple(records), truncated)

@@ -7,13 +7,13 @@ collision, transmission and vendor extensions are ignored.
 Each ``RobotModel`` compiles its tree once into a ``Chain``
 (``model.chain``): the joints in traversal order with their parent link's
 index, origin pose, axis as a float tuple, the axis's norm and each
-movable joint's position index. ``ChainJoint.motion`` gives a joint's
-motion at the given positions as a raw (translation, rotation) pair, built
-as ``quat_from_axis_angle`` and ``Pose``'s renormalization build it, and
-each child link's pose is parent o origin o motion by ``Pose.compose``, so
-forward kinematics is bit-identical to composing ``Pose`` objects joint by
-joint. ``jacobian`` walks one root-to-link path the same way and reads the
-geometric Jacobian off that single walk.
+movable joint's position index. ``Chain.frames`` is the one kinematics
+walk: one loop that, at each joint, composes parent o origin and then that
+o motion on local floats, each operation in the order ``Pose.compose``,
+``quat_from_axis_angle`` and ``Pose``'s renormalization take, so forward
+kinematics is bit-identical to composing ``Pose`` objects joint by joint.
+``forward_kinematics`` reads the link frames off that walk, and
+``jacobian`` reads the geometric Jacobian off its joint frames.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .geometry import IDENTITY_QUAT, ZERO3, Pose, _rotate, floats, norm, unit_quat
+from .geometry import ZERO3, Pose, _rotate, floats, norm
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -191,22 +191,6 @@ class ChainJoint(NamedTuple):
     axis_norm: float  # norm(axis), as quat_from_axis_angle takes it
     dof: int  # index of the joint's position, -1 for a fixed joint
 
-    def motion(self, positions) -> tuple:
-        """The joint's motion at ``positions`` as a (translation, rotation)
-        pair: a revolute joint's ``quat_from_axis_angle`` after ``Pose``'s
-        renormalization, a prismatic joint's shift along its axis, or the
-        identity for a fixed joint."""
-        if self.kind == "revolute":
-            half = 0.5 * positions[self.dof]
-            s = math.sin(half) / self.axis_norm
-            ax, ay, az = self.axis
-            return ZERO3, unit_quat((math.cos(half), ax * s, ay * s, az * s))
-        if self.kind == "prismatic":
-            p = positions[self.dof]
-            ax, ay, az = self.axis
-            return (ax * p, ay * p, az * p), IDENTITY_QUAT
-        return IDENTITY
-
 
 class Chain:
     """A robot's kinematic tree, compiled once for repeated evaluation.
@@ -248,22 +232,76 @@ class Chain:
             raise ValueError("non-finite joint position")
         return positions
 
-    def frames(self, positions, base: Pose = IDENTITY) -> list[Pose]:
-        """Pose of every link, in ``links`` order."""
-        out = [base]
-        for j in self.joints:
-            out.append(out[j.parent].compose(j.origin).compose(j.motion(positions)))
-        return out
+    def frames(self, positions, base: Pose = IDENTITY,
+               joint_frames: list | None = None) -> list[Pose]:
+        """The pose of every link, in ``links`` order; with a list for
+        ``joint_frames``, the frame of every joint, parent o origin, is
+        appended to it in ``joints`` order.
 
-    def path(self, link: str) -> tuple[ChainJoint, ...]:
-        """The joints from the root down to ``link``; KeyError if unknown."""
-        i = self._index[link]
-        path = []
-        while i:
-            j = self.joints[i - 1]
-            path.append(j)
-            i = j.parent
-        return tuple(reversed(path))
+        ``Pose.compose`` is written out twice per joint, for parent o origin
+        and then for that o motion, where the motion is a revolute joint's
+        ``quat_from_axis_angle`` renormalized as ``Pose`` does, a prismatic
+        joint's shift along its axis, or the identity for a fixed joint.
+        """
+        sin, cos, sqrt, new = math.sin, math.cos, math.sqrt, tuple.__new__
+        links = [base]
+        for parent, kind, origin, (ax, ay, az), axis_norm, dof in self.joints:
+            (tx, ty, tz), (w, x, y, z) = links[parent]
+            (vx, vy, vz), (bw, bx, by, bz) = origin
+            # parent o origin
+            rw = w * 0.0 - x * vx - y * vy - z * vz
+            rx = w * vx + x * 0.0 + y * vz - z * vy
+            ry = w * vy - x * vz + y * 0.0 + z * vx
+            rz = w * vz + x * vy - y * vx + z * 0.0
+            tx += rw * -x + rx * w + ry * -z - rz * -y
+            ty += rw * -y - rx * -z + ry * w + rz * -x
+            tz += rw * -z + rx * -y - ry * -x + rz * w
+            qw = w * bw - x * bx - y * by - z * bz
+            qx = w * bx + x * bw + y * bz - z * by
+            qy = w * by - x * bz + y * bw + z * bx
+            qz = w * bz + x * by - y * bx + z * bw
+            n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            if abs(n - 1.0) > 1e-12:
+                if n == 0.0:
+                    raise ValueError("zero quaternion")
+                qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+            if joint_frames is not None:
+                joint_frames.append(new(Pose, ((tx, ty, tz), (qw, qx, qy, qz))))
+            # the joint's motion
+            if kind == "revolute":
+                half = 0.5 * positions[dof]
+                s = sin(half) / axis_norm
+                vx = vy = vz = 0.0
+                bw, bx, by, bz = cos(half), ax * s, ay * s, az * s
+                n = sqrt(bw * bw + bx * bx + by * by + bz * bz)
+                if abs(n - 1.0) > 1e-12:
+                    bw, bx, by, bz = bw / n, bx / n, by / n, bz / n
+            else:
+                if kind == "prismatic":
+                    p = positions[dof]
+                    vx, vy, vz = ax * p, ay * p, az * p
+                else:
+                    vx = vy = vz = 0.0
+                bw, bx, by, bz = 1.0, 0.0, 0.0, 0.0
+            # (parent o origin) o motion
+            rw = qw * 0.0 - qx * vx - qy * vy - qz * vz
+            rx = qw * vx + qx * 0.0 + qy * vz - qz * vy
+            ry = qw * vy - qx * vz + qy * 0.0 + qz * vx
+            rz = qw * vz + qx * vy - qy * vx + qz * 0.0
+            tx += rw * -qx + rx * qw + ry * -qz - rz * -qy
+            ty += rw * -qy - rx * -qz + ry * qw + rz * -qx
+            tz += rw * -qz + rx * -qy - ry * -qx + rz * qw
+            w = qw * bw - qx * bx - qy * by - qz * bz
+            x = qw * bx + qx * bw + qy * bz - qz * by
+            y = qw * by - qx * bz + qy * bw + qz * bx
+            z = qw * bz + qx * by - qy * bx + qz * bw
+            n = sqrt(w * w + x * x + y * y + z * z)
+            if abs(n - 1.0) > 1e-12:
+                if n == 0.0:
+                    raise ValueError("zero quaternion")
+                w, x, y, z = w / n, x / n, y / n, z / n
+            links.append(new(Pose, ((tx, ty, tz), (w, x, y, z))))
+        return links
 
 
 def forward_kinematics(model: RobotModel, positions,
@@ -284,29 +322,28 @@ def jacobian(model: RobotModel, positions, link: str,
     ``base``: one 3-tuple column per movable joint, ``(0.0, 0.0, 0.0)`` for
     a joint off the link's path. KeyError for an unknown link.
 
-    One walk of the link's path, as ``Chain.frames`` composes it: at each
-    joint the joint frame is parent o origin, and its axis in the world is
-    ``a``. A revolute joint's column is ``a x (p_link - p_joint)``, a
-    prismatic joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
+    Read off one ``Chain.frames`` walk: for each joint on the link's path,
+    its frame is parent o origin, and its axis in the world is ``a``. A
+    revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
+    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
     """
     chain = model.chain
-    positions = chain.check(positions)
-    frame = base
-    moved = []
-    for j in chain.path(link):
-        joint_frame = frame.compose(j.origin)
-        frame = joint_frame.compose(j.motion(positions))
-        if j.dof >= 0:
-            moved.append((j, _rotate(joint_frame.rotation, *j.axis),
-                          joint_frame.translation))
+    i = chain._index[link]
+    joint_frames = []
+    links = chain.frames(chain.check(positions), base, joint_frames)
     columns = [ZERO3] * chain.dof
-    px, py, pz = frame.translation
-    for j, (ax, ay, az), (jx, jy, jz) in moved:
-        if j.kind == "prismatic":
-            columns[j.dof] = (ax, ay, az)
-        else:
-            dx, dy, dz = px - jx, py - jy, pz - jz
-            columns[j.dof] = (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx)
+    px, py, pz = links[i].translation
+    while i:
+        j = chain.joints[i - 1]
+        if j.dof >= 0:
+            (jx, jy, jz), rotation = joint_frames[i - 1]
+            ax, ay, az = _rotate(rotation, *j.axis)
+            if j.kind == "prismatic":
+                columns[j.dof] = (ax, ay, az)
+            else:
+                dx, dy, dz = px - jx, py - jy, pz - jz
+                columns[j.dof] = (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx)
+        i = j.parent
     return columns
 
 

@@ -108,6 +108,12 @@ class AssetConfig:
             raise ValueError(f"waypoint times must not decrease from 0, got {times[1:]}")
         if not all(t0 <= t1 for t0, t1 in self.occlusions):
             raise ValueError(f"an occlusion window ends before it starts: {self.occlusions}")
+        # the wire codecs carry object_id in one unsigned byte
+        if not (isinstance(self.object_id, int) and 0 <= self.object_id <= 255):
+            raise ValueError(f"object_id must be an integer in 0-255, got {self.object_id!r}")
+        for p in (self.position, *(p for _, p in self.waypoints)):
+            if len(p) != 3 or not all(map(math.isfinite, p)):
+                raise ValueError(f"positions must be 3 finite values, got {p}")
 
     def true_position(self, t: float) -> tuple:
         pts = ((0.0, self.position), *self.waypoints)

@@ -81,7 +81,8 @@ class TwinEngine:
             a.object_id: AssetTracker(a.name, Pose(a.position), up_axis=up)
             for a in config.assets}
         self.zones = list(config.zones)
-        self._zone_local = {z.zone_id: (z.center, z.orientation) for z in self.zones}
+        # the zones' placements in their assets' frames, built once
+        self._zone_local = [z.pose for z in self.zones]
         self.active_repulsions: list[tuple[str, Repulsion]] = []
         self.telemetry_applied = 0
 
@@ -118,11 +119,9 @@ class TwinEngine:
             pose, _source = tracker.update(grasped, gripper_pose, mocap_out, dt)
             asset_poses[tracker.name] = pose
 
-        for i, z in enumerate(self.zones):
+        for i, (z, local) in enumerate(zip(self.zones, self._zone_local)):
             if z.attached_asset is not None:
-                lc, lo = self._zone_local[z.zone_id]
-                self.zones[i] = update_dynamic(z, asset_poses[z.attached_asset],
-                                               lc, lo)
+                self.zones[i] = update_dynamic(z, asset_poses[z.attached_asset], local)
 
         commands = []
         self.active_repulsions = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .geometry import floats, norm
+from .geometry import floats
 
 TELEMETRY_MAGIC = 0x4A54
 MOCAP_MAGIC = 0x4D43
@@ -76,14 +76,18 @@ class MocapPacket(_Mocap):
 
     def __new__(cls, object_id, seq, time_ns, position, quaternion, quality):
         position, quaternion = floats(position), floats(quaternion)
-        if quality not in (0, 1):
-            raise ValueError("quality must be 0 or 1")
         if quality == 1:
-            # written so that a NaN norm fails it too
-            if not abs(norm(quaternion) - 1.0) <= 1e-6:
+            # the one place the rule is kept: a tracked sample has a unit
+            # quaternion (norm as ``geometry.norm``, written so that a NaN
+            # norm fails too) and a finite 3-vector position
+            w, x, y, z = quaternion
+            if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-6:
                 raise ValueError("tracked sample requires a unit quaternion")
-            if not all(map(math.isfinite, position)):
+            px, py, pz = position
+            if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
                 raise ValueError("tracked sample requires a finite position")
+        elif quality != 0:
+            raise ValueError("quality must be 0 or 1")
         return tuple.__new__(cls, (object_id, seq, time_ns, position, quaternion, quality))
 
 

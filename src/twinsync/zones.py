@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .geometry import IDENTITY_QUAT, Pose, floats, quat_rotate, unit, unit_quat
+from .geometry import IDENTITY_QUAT, Pose, floats, quat_rotate, unit_quat
 from .wire import CMD_KIND_ZONE_REPULSION, CommandFrame
 
 
@@ -36,17 +37,30 @@ class ProhibitedZone:
     attached_asset: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "center", floats(self.center))
-        object.__setattr__(self, "half_extents", floats(self.half_extents))
-        object.__setattr__(self, "orientation", unit(floats(self.orientation)))
-        if any(h <= 0 for h in self.half_extents):
-            raise ValueError("half_extents must be positive")
-        if self.stiffness < 0:
-            raise ValueError("stiffness must be >= 0")
+        center, half, q = floats(self.center), floats(self.half_extents), floats(self.orientation)
+        # written so that NaN fails too
+        if len(center) != 3 or not all(map(math.isfinite, center)):
+            raise ValueError(f"center must be 3 finite values, got {center}")
+        if len(half) != 3 or not all(0.0 < h < math.inf for h in half):
+            raise ValueError(f"half_extents must be 3 finite positive values, got {half}")
+        if len(q) != 4 or not all(map(math.isfinite, q)):
+            raise ValueError(f"orientation must be 4 finite values, got {q}")
+        if not 0.0 <= self.stiffness < math.inf:
+            raise ValueError(f"stiffness must be finite and >= 0, got {self.stiffness!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "half_extents", half)
+        # Pose's renormalization, which leaves a unit quaternion as it is,
+        # so a copy of a zone keeps its orientation bit for bit
+        object.__setattr__(self, "orientation", unit_quat(q))
 
     @property
     def pose(self) -> Pose:
-        return Pose.of(self.center, unit_quat(self.orientation))
+        return Pose.of(self.center, self.orientation)
+
+    @cached_property
+    def world_to_local(self) -> Pose:
+        """``pose.inverse()``, built once per placement."""
+        return self.pose.inverse()
 
 
 def query(zone: ProhibitedZone, point) -> Repulsion | None:
@@ -60,7 +74,7 @@ def query(zone: ProhibitedZone, point) -> Repulsion | None:
     point = floats(point)
     if not all(map(math.isfinite, point)):
         raise ValueError("non-finite query point")
-    local = zone.pose.inverse().transform_point(point)
+    local = zone.world_to_local.transform_point(point)
     margins = [h - abs(c) for h, c in zip(zone.half_extents, local)]
     if any(m < 0 for m in margins):
         return None
@@ -82,17 +96,15 @@ def make_command(robot_id: int, rep: Repulsion, stiffness: float,
 
 
 def update_dynamic(zone: ProhibitedZone, asset_pose: Pose,
-                   local_center=None, local_orientation=None) -> ProhibitedZone:
+                   local: Pose | None = None) -> ProhibitedZone:
     """Re-pose an attached zone into its asset's current frame.
 
-    The box geometry is fixed in the asset frame (``local_*``, defaulting
-    to the zone's current world placement when absent); only the world
+    The box geometry is fixed in the asset frame (``local``, defaulting to
+    the zone's current world placement when absent); only the world
     placement moves.
     """
     if zone.attached_asset is None:
         return zone
-    local = Pose(local_center if local_center is not None else zone.center,
-                 local_orientation if local_orientation is not None else zone.orientation)
-    world = asset_pose.compose(local)
+    world = asset_pose.compose(local if local is not None else zone.pose)
     return ProhibitedZone(zone.zone_id, world.translation, zone.half_extents,
                           world.rotation, zone.stiffness, zone.attached_asset)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinsync import harness, robot, twin
 from twinsync.grasp import AssetSource, GraspPhase
@@ -404,6 +404,9 @@ CONTACT = load_config(CONFIGS / "contact.yaml")
 @given(yaw=st.floats(-np.pi, np.pi), xyz=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
        stiffness=st.floats(10.0, 1000.0))
 @settings(max_examples=8, deadline=None)
+# a yaw whose copied zone moved its orientation by an ulp while zones
+# renormalized a unit quaternion on every construction
+@example(yaw=0.6646006270837113, xyz=(0.0, 0.0, 0.0), stiffness=10.0)
 def test_coincident_zones_double_the_torque(yaw, xyz, stiffness):
     # contact.yaml's scene moved to another station pose: the zone keeps its
     # place relative to the robot, so the end-effector starts inside it.
@@ -638,6 +641,28 @@ class TestScenarioLoading:
          "leader: .*gripper_schedule times and widths must be finite"),
         ("gripper-time-nan", {"leader": {"gripper_schedule": [[NAN, 0.04]]}},
          "leader: .*gripper_schedule times and widths must be finite"),
+        ("zone-center-short", {"zones": [{**ZONE, "center": [0, 0]}]},
+         "zones: .*center must be 3 finite values"),
+        ("zone-center-nan", {"zones": [{**ZONE, "center": [0, NAN, 0]}]},
+         "zones: .*center must be 3 finite values"),
+        ("zone-half-extents-short", {"zones": [{**ZONE, "half_extents": [0.1, 0.1]}]},
+         "zones: .*half_extents must be 3 finite positive values"),
+        ("zone-half-extents-nan", {"zones": [{**ZONE, "half_extents": [1, 1, NAN]}]},
+         "zones: .*half_extents must be 3 finite positive values"),
+        ("zone-orientation-short", {"zones": [{**ZONE, "orientation": [1, 0, 0]}]},
+         "zones: .*orientation must be 4 finite values"),
+        ("zone-orientation-nan", {"zones": [{**ZONE, "orientation": [NAN, 0, 0, 0]}]},
+         "zones: .*orientation must be 4 finite values"),
+        ("zone-stiffness-nan", {"zones": [{**ZONE, "stiffness": NAN}]},
+         "zones: .*stiffness must be finite and >= 0"),
+        ("asset-position-nan", {"assets": [{**ASSET, "position": [0, 0, NAN]}]},
+         "assets: .*positions must be 3 finite values"),
+        ("asset-position-short", {"assets": [{**ASSET, "position": [0, 0]}]},
+         "assets: .*positions must be 3 finite values"),
+        ("asset-waypoint-inf", {"assets": [{**ASSET, "waypoints": [[1.0, [0, INF, 1]]]}]},
+         "assets: .*positions must be 3 finite values"),
+        ("asset-object-id-above-byte", {"assets": [{**ASSET, "object_id": 256}]},
+         "assets: .*object_id must be an integer in 0-255"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

@@ -20,10 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 import numpy_oracle as oracle
 from twinsync import mocap
 from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, norm, quat_conjugate,
-                               quat_multiply, quat_rotate, swing_twist)
+                               quat_from_axis_angle, quat_multiply, quat_rotate,
+                               swing_twist, unit_quat)
 from twinsync.mocap import FilterConfig, MocapFilter
 from twinsync.network import delay_ms, doubles, normal
-from twinsync.robot import ChainJoint
 from twinsync.scenario import DelayModel, _linspace
 from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
                              leader_samples, leader_trajectory, pd_step)
@@ -264,8 +264,13 @@ def compose_raised(pose, pair):
 
 
 def motion(kind, axis, value):
-    """``ChainJoint.motion`` of a one-joint chain at ``value``."""
-    return ChainJoint(0, kind, Pose(), axis, norm(axis), 0).motion([value])
+    """A joint's motion at ``value`` as the kinematics walk takes it, a raw
+    (translation, rotation) pair: a revolute joint's ``quat_from_axis_angle``
+    after ``Pose``'s renormalization, or a prismatic joint's shift along
+    its axis."""
+    if kind == "revolute":
+        return ZERO3, unit_quat(quat_from_axis_angle(axis, value))
+    return tuple(a * value for a in axis), IDENTITY_QUAT
 
 
 AXES = st.tuples(*[st.floats(-1.0, 1.0) | st.just(-0.0)] * 3).filter(
@@ -280,7 +285,7 @@ def test_pose_compose_takes_joint_motions(t, q, kind, axis, value):
 
 SIGNED_ZEROS = Pose((-0.0, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0))
 TURNED = Pose((0.3, -0.2, 0.1), (0.6, 0.0, -0.8, 0.0))
-# raw pairs of the shapes ChainJoint.motion returns, with signed zeros;
+# raw pairs of the shapes of joint motions, with signed zeros;
 # (pair, how the rotation product's norm stands): "unit" within 1e-12 of
 # 1, "off" further, which compose must renormalize, or "zero" (or with a
 # norm that underflows to zero), which it must reject

@@ -1,4 +1,5 @@
 import io
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,3 +140,32 @@ def test_write_read_identity(tmp_path_factory, entries, seed):
     out = read_log(path)
     assert list(out.records) == recs
     assert out.header.seed == seed and not out.truncated
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 65535),
+                          st.binary(max_size=24)), max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_cut_at_every_offset_keeps_whole_records(tmp_path_factory, entries):
+    # a log cut at any byte, as a crash leaves it: the records that end by
+    # the cut come back, and a cut inside a record flags the torn tail
+    entries.sort(key=lambda e: e[0])
+    recs = [LogRecord(t, c, p) for t, c, p in entries]
+    buf = io.BytesIO()
+    with LogWriter(buf, seed=3) as w:
+        for r in recs:
+            w.append(r)
+    data = buf.getvalue()
+    ends = [HEADER_SIZE]
+    for r in recs:
+        ends.append(ends[-1] + RECORD_HEAD_SIZE + len(r.payload))
+    assert ends[-1] == len(data)
+    path = tmp_path_factory.mktemp("cut") / "c.dtrl"
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        if cut < HEADER_SIZE:
+            with pytest.raises(LogError, match="short"):
+                read_log(path)
+            continue
+        out = read_log(path)
+        assert out.records == tuple(recs[:bisect_right(ends, cut) - 1])
+        assert out.truncated == (cut not in ends)

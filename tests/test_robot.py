@@ -1,3 +1,4 @@
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import numpy_oracle as oracle
-from twinsync.geometry import Pose, dot, quat_from_axis_angle, quat_rotate
+from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, quat_from_axis_angle,
+                               quat_rotate, unit_quat)
 from twinsync.robot import (LimitViolation, UrdfError, apply_joint_state,
                             forward_kinematics, jacobian, parse_urdf)
 from twinsync.zones import ProhibitedZone, counterforce, query
@@ -278,6 +280,47 @@ def draw_positions(data, model):
     return np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=model.dof,
                                        max_size=model.dof)))
 
+# stations whose translations, yaws and so rotations hold zeros of both signs
+SIGNED_ZERO_BASES = st.builds(
+    lambda yaw, xyz: Pose(list(xyz), quat_from_axis_angle([0.0, 0.0, 1.0], yaw)),
+    st.sampled_from([0.0, -0.0]) | st.floats(-2 * np.pi, 2 * np.pi),
+    st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)] * 3))
+
+
+def compose_jacobian(model, q, link, base):
+    """The world-frame Jacobian of ``link`` from a ``Pose.compose`` walk of
+    its path: at each joint the joint frame is parent o origin, composed
+    with the joint's motion, and the columns are read as ``jacobian``
+    documents them. ``jacobian`` must match it byte for byte."""
+    movable = [j.name for j in model.movable_joints]
+    joint_of = {j.child: j for j in model.joints}
+    path = []
+    while link in joint_of:
+        path.append(joint_of[link])
+        link = path[-1].parent
+    frame, moved = base, []
+    for j in reversed(path):
+        joint_frame = frame.compose(j.origin)
+        if j.kind == "revolute":
+            angle = q[movable.index(j.name)]
+            motion = ZERO3, unit_quat(quat_from_axis_angle(j.axis, angle))
+        elif j.kind == "prismatic":
+            shift = q[movable.index(j.name)]
+            motion = tuple(a * shift for a in j.axis), IDENTITY_QUAT
+        else:
+            motion = Pose()
+        frame = joint_frame.compose(motion)
+        if j.kind != "fixed":
+            moved.append((j, quat_rotate(joint_frame.rotation, j.axis),
+                          joint_frame.translation))
+    columns = [ZERO3] * model.dof
+    for j, (ax, ay, az), origin in moved:
+        dx, dy, dz = (p - o for p, o in zip(frame.translation, origin))
+        columns[movable.index(j.name)] = (
+            (ax, ay, az) if j.kind == "prismatic"
+            else (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx))
+    return columns
+
 
 class TestCompiledChain:
     """The compiled chain against the ``Pose.compose`` walk, byte for byte."""
@@ -307,6 +350,19 @@ class TestCompiledChain:
         got = np.array(jacobian(model, q, link, base or Pose())).T
         assert got.shape == (3, model.dof)
         assert np.allclose(got, reference_jacobian(model, q, link, base), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(data=st.data(), base=SIGNED_ZERO_BASES)
+    @settings(max_examples=40, deadline=None)
+    def test_jacobian_matches_compose_walk(self, name, data, base):
+        model = MODELS[name]
+        q = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
+                               min_size=model.dof, max_size=model.dof))
+        link = data.draw(st.sampled_from([l.name for l in model.links]))
+        got = jacobian(model, q, link, base)
+        want = compose_jacobian(model, q, link, base)
+        assert [struct.pack("<3d", *c) for c in got] == \
+            [struct.pack("<3d", *c) for c in want]
 
     def test_jacobian_planar_closed_form(self):
         # the standard 2R formula for the tip

@@ -172,7 +172,7 @@ class TestUpdateDynamic:
     def test_translation_follows_asset(self):
         z = unit_cube(attached_asset="vase")
         asset = Pose([1.0, 2.0, 0.5], IDENT)
-        moved = update_dynamic(z, asset, local_center=[0.0, 0, 0.1])
+        moved = update_dynamic(z, asset, Pose([0.0, 0, 0.1]))
         assert np.allclose(moved.center, [1.0, 2.0, 0.6])
         assert moved.zone_id == z.zone_id
         assert moved.attached_asset == "vase"
@@ -180,8 +180,7 @@ class TestUpdateDynamic:
     def test_rotation_carries_offset(self):
         z = unit_cube(attached_asset="vase")
         yaw = quat_from_axis_angle([0, 0, 1], np.pi / 2)
-        moved = update_dynamic(z, Pose([0, 0, 0], yaw),
-                               local_center=[1.0, 0, 0])
+        moved = update_dynamic(z, Pose([0, 0, 0], yaw), Pose([1.0, 0, 0]))
         assert np.allclose(moved.center, [0.0, 1.0, 0.0], atol=1e-12)
         # interior query behaves identically in the zone's moving frame
         rep = query(moved, [0.0, 1.4, 0.0])
