@@ -40,9 +40,11 @@ class GraspConfig:
     release_eps: float = 2e-3    # m
 
     def __post_init__(self):
-        if min(self.stall_eps, self.closed_threshold, self.release_eps) <= 0 \
-                or self.stall_count <= 0:
-            raise ValueError("grasp config values must be strictly positive")
+        values = (self.stall_eps, self.stall_count, self.closed_threshold, self.release_eps)
+        # written so that NaN fails too
+        if not all(0 < v < math.inf for v in values):
+            raise ValueError(f"grasp config values must be finite and strictly positive, "
+                             f"got {values}")
 
 
 class GripperTracker:

@@ -31,7 +31,7 @@ from .twin import (MERGE_HZ, TwinEngine, load_model, merge_records, merge_tick_t
                    station_pose)
 from .wire import (MocapPacket, TelemetryPacket, decode_command, encode_command,
                    encode_mocap, encode_telemetry)
-from .zones import Repulsion, counterforce
+from .zones import counterforce
 
 CONTROL_TICK_NS = 1_000_000
 
@@ -187,8 +187,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
         # the frames of one merge tick (one per zone entered) add up
         for d in command_link.poll(t_ns):
             frame = decode_command(d.payload)
-            force = counterforce(Repulsion(frame.direction, frame.depth),
-                                 frame.stiffness)
+            force = counterforce(frame, frame.stiffness)
             tau = [dot(column, force)
                    for column in jacobian(model, follower.q, engine.ee_link, station)]
             if frame.time_ns == ext_tick_ns:

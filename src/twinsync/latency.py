@@ -2,16 +2,16 @@
 
 Stages: Ingress (send-side scheduling), SocketRecv (socket delivery),
 Applied (processing done). Quantiles use linear interpolation at rank
-(n-1)*p; outliers fall outside the Tukey 1.5*IQR fences.
+(n-1)*p, bit for bit ``numpy.quantile(..., method="linear")``; outliers
+fall outside the Tukey 1.5*IQR fences. The module needs no numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 NS_PER_MS = 1_000_000.0
 
@@ -48,13 +48,24 @@ class LatencyStats:
         raise KeyError(kind)
 
 
-def _summarize(kind: str, deltas_ms: np.ndarray) -> DeltaSummary:
-    q1, med, q3 = np.quantile(deltas_ms, [0.25, 0.5, 0.75], method="linear")
+def _quantile(xs: list[float], p: float) -> float:
+    """The linear quantile of the sorted ``xs`` at rank (n-1)*p, between
+    its neighbours ``a`` and ``b`` as numpy's ``_lerp`` interpolates:
+    ``b - (b-a)*(1-t)`` when ``t >= 0.5``, else ``a + (b-a)*t``."""
+    r = (len(xs) - 1) * p
+    i = math.floor(r)
+    t = r - i
+    a, b = xs[i], xs[min(i + 1, len(xs) - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _summarize(kind: str, deltas_ms: list[float]) -> DeltaSummary:
+    xs = sorted(deltas_ms)
+    q1, med, q3 = (_quantile(xs, p) for p in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = int(np.sum((deltas_ms < lo) | (deltas_ms > hi)))
-    return DeltaSummary(kind, len(deltas_ms), float(med), float(q1), float(q3),
-                        float(iqr), outliers)
+    outliers = sum(1 for x in xs if x < lo or x > hi)
+    return DeltaSummary(kind, len(xs), med, q1, q3, iqr, outliers)
 
 
 class LatencyRecorder:
@@ -84,12 +95,9 @@ class LatencyRecorder:
         complete = [s for s in self._stamps.values() if len(s) == 3]
         if not complete:
             raise ValueError("no complete latency samples")
-        d01 = np.array([(s[Stage.SOCKET_RECV] - s[Stage.INGRESS]) / NS_PER_MS
-                        for s in complete])
-        d12 = np.array([(s[Stage.APPLIED] - s[Stage.SOCKET_RECV]) / NS_PER_MS
-                        for s in complete])
-        d02 = np.array([(s[Stage.APPLIED] - s[Stage.INGRESS]) / NS_PER_MS
-                        for s in complete])
+        d01 = [(s[Stage.SOCKET_RECV] - s[Stage.INGRESS]) / NS_PER_MS for s in complete]
+        d12 = [(s[Stage.APPLIED] - s[Stage.SOCKET_RECV]) / NS_PER_MS for s in complete]
+        d02 = [(s[Stage.APPLIED] - s[Stage.INGRESS]) / NS_PER_MS for s in complete]
         return LatencyStats(len(complete), (
             _summarize("ingress_to_socket", d01),
             _summarize("socket_to_applied", d12),

@@ -38,15 +38,19 @@ class FilterConfig:
     stable_tol: float = 0.005  # m
 
     def __post_init__(self):
+        # written so that NaN fails too
         if not 5 <= self.window <= 15:
             raise ValueError("window must be in [5, 15]")
-        if self.vmax <= 0:
-            raise ValueError("vmax must be positive")
-        if self.stable_count < 2:
+        if not self.vmax > 0:
+            raise ValueError(f"vmax must be positive, got {self.vmax!r}")
+        if not self.stable_count >= 2:
             raise ValueError("stable_count must be >= 2")
-        if self.stable_tol <= 0:
-            raise ValueError("stable_tol must be positive")
-        object.__setattr__(self, "up_axis", unit(floats(self.up_axis)))
+        if not 0.0 < self.stable_tol < math.inf:
+            raise ValueError(f"stable_tol must be finite and positive, got {self.stable_tol!r}")
+        up = floats(self.up_axis)
+        if len(up) != 3 or not all(map(math.isfinite, up)):
+            raise ValueError(f"up_axis must be 3 finite values, got {up}")
+        object.__setattr__(self, "up_axis", unit(up))
 
 
 class FilteredPose(NamedTuple):

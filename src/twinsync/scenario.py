@@ -150,6 +150,11 @@ class LeaderConfig:
         if not all(math.isfinite(t) and math.isfinite(w) for t, w in self.gripper_schedule):
             raise ValueError("gripper_schedule times and widths must be finite, got "
                              f"{self.gripper_schedule}")
+        # the leader's gripper follows the steps in order, from the first one
+        times = [t for t, _ in self.gripper_schedule]
+        if not times or not all(a <= b for a, b in zip(times, times[1:])):
+            raise ValueError(f"gripper_schedule needs steps whose times do not decrease, "
+                             f"got {times}")
 
 
 @dataclass(frozen=True)
@@ -192,8 +197,14 @@ class ScenarioConfig:
                                                            self.station_position)):
             raise ConfigError("station_position must be 3 finite values, got "
                               f"{self.station_position}")
-        if self.mocap_rate_hz <= 0:
-            raise ConfigError("mocap_rate_hz must be positive")
+        # SeedSequence takes no negative seed, and the log header holds a u64
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+            raise ConfigError(f"seed must be an integer in 0 to 2**64 - 1, got {self.seed!r}")
+        # above 1 GHz the tracker period, 10**9 // rate ns, is 0: every frame
+        # would fall due at t = 0
+        if not (isinstance(self.mocap_rate_hz, int) and 0 < self.mocap_rate_hz <= 10 ** 9):
+            raise ConfigError(f"mocap_rate_hz must be an integer in 1 to 10**9, "
+                              f"got {self.mocap_rate_hz!r}")
         # the wire codecs carry robot_id in one unsigned byte
         if not (isinstance(self.robot_id, int) and 0 <= self.robot_id <= 255):
             raise ConfigError(f"robot_id must be an integer in 0-255, got {self.robot_id!r}")

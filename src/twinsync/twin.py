@@ -22,7 +22,7 @@ from .robot import RobotModel, apply_joint_state, forward_kinematics, parse_urdf
 from .scenario import ConfigError, ScenarioConfig
 from .wire import (CommandFrame, MocapPacket, TelemetryPacket, WireError,
                    decode_mocap, decode_telemetry)
-from .zones import Repulsion, make_command, query, update_dynamic
+from .zones import Repulsion, make_command, query
 
 MERGE_HZ = 60
 
@@ -80,9 +80,10 @@ class TwinEngine:
         self.asset_trackers = {
             a.object_id: AssetTracker(a.name, Pose(a.position), up_axis=up)
             for a in config.assets}
-        self.zones = list(config.zones)
-        # the zones' placements in their assets' frames, built once
-        self._zone_local = [z.pose for z in self.zones]
+        self.zones = config.zones
+        # each zone's world-to-zone pose, for ``query``; ``place_zones``
+        # rebuilds an attached zone's on every merge tick
+        self.to_zone = [z.pose.inverse() for z in self.zones]
         self.active_repulsions: list[tuple[str, Repulsion]] = []
         self.telemetry_applied = 0
 
@@ -119,15 +120,13 @@ class TwinEngine:
             pose, _source = tracker.update(grasped, gripper_pose, mocap_out, dt)
             asset_poses[tracker.name] = pose
 
-        for i, (z, local) in enumerate(zip(self.zones, self._zone_local)):
-            if z.attached_asset is not None:
-                self.zones[i] = update_dynamic(z, asset_poses[z.attached_asset], local)
+        self.place_zones(asset_poses)
 
         commands = []
         self.active_repulsions = []
         ee_point = self.link_poses[self.ee_link].translation
-        for z in self.zones:
-            rep = query(z, ee_point)
+        for z, to_local in zip(self.zones, self.to_zone):
+            rep = query(z, ee_point, to_local)
             if rep is not None:
                 self.active_repulsions.append((z.zone_id, rep))
                 commands.append(make_command(self.config.robot_id, rep,
@@ -135,6 +134,13 @@ class TwinEngine:
         self.tick += 1
         self.last_tick_ns = tick_ns
         return commands
+
+    def place_zones(self, asset_poses: dict[str, Pose]) -> None:
+        """Re-pose each attached zone at its asset's pose, keyed by asset
+        name: the zone's configured pose is in the asset's frame."""
+        for i, z in enumerate(self.zones):
+            if z.attached_asset is not None:
+                self.to_zone[i] = asset_poses[z.attached_asset].compose(z.pose).inverse()
 
     def state_hash(self) -> str:
         h = hashlib.sha256()

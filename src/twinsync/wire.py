@@ -179,4 +179,11 @@ def decode_command(buf: bytes) -> CommandFrame:
         raise WireError(f"unsupported command version {version}")
     if kind != CMD_KIND_ZONE_REPULSION:
         raise WireError(f"unknown command kind {kind}")
-    return CommandFrame(kind, robot_id, time_ns, vals[5:8], vals[8], vals[9])
+    direction, depth, stiffness = vals[5:8], vals[8], vals[9]
+    # the follower's one check on a frame; written so that NaN fails too
+    if not all(map(math.isfinite, direction)):
+        raise WireError(f"non-finite command direction {direction}")
+    if not (0.0 <= depth < math.inf and 0.0 <= stiffness < math.inf):
+        raise WireError(f"command depth and stiffness must be finite and >= 0, "
+                        f"got {depth!r} and {stiffness!r}")
+    return CommandFrame(kind, robot_id, time_ns, direction, depth, stiffness)

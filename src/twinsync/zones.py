@@ -1,18 +1,23 @@
 """Prohibited-zone geometry and virtual counterforce.
 
-Zones are oriented boxes. A point strictly inside yields an outward
-repulsion along the nearest face normal with penetration depth equal to
-the distance to that face; the counterforce is a linear spring, so it
-vanishes continuously at the surface.
+Zones are oriented boxes. A ``ProhibitedZone`` is config: built and
+checked once when the scenario loads, and never changed. Where a zone
+sits is the twin's business: ``twin.TwinEngine`` holds each zone's
+world-to-zone pose, built once for a static zone and re-posed on every
+merge tick for a zone attached to an asset, and hands it to ``query``.
+A point strictly inside yields an outward repulsion along the nearest
+face normal with penetration depth equal to the distance to that face;
+the counterforce is a linear spring, so it vanishes continuously at the
+surface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from .geometry import IDENTITY_QUAT, Pose, floats, quat_rotate, unit_quat
+from .geometry import (IDENTITY_QUAT, Pose, floats, quat_conjugate, quat_rotate,
+                       unit_quat)
 from .wire import CMD_KIND_ZONE_REPULSION, CommandFrame
 
 
@@ -55,36 +60,37 @@ class ProhibitedZone:
 
     @property
     def pose(self) -> Pose:
+        """The configured placement: in the world for a static zone, in its
+        asset's frame for an attached one."""
         return Pose.of(self.center, self.orientation)
 
-    @cached_property
-    def world_to_local(self) -> Pose:
-        """``pose.inverse()``, built once per placement."""
-        return self.pose.inverse()
 
-
-def query(zone: ProhibitedZone, point) -> Repulsion | None:
+def query(zone: ProhibitedZone, point, to_local: Pose) -> Repulsion | None:
     """Outward repulsion for a point, or None when strictly outside.
 
-    depth = min over axes of (half_extent - |local coord|); the direction
-    is the minimizing face normal in world frame. Ties break toward the
-    lowest axis index; sign(0) counts as +1. Boundary contact returns
-    depth 0 with that face's normal.
+    ``to_local`` maps world coordinates into the zone's box frame: the
+    inverse of where the zone sits now. depth = min over axes of
+    (half_extent - |local coord|); the direction is the minimizing face
+    normal in world frame. Ties break toward the lowest axis index;
+    sign(0) counts as +1. Boundary contact returns depth 0 with that
+    face's normal.
     """
     point = floats(point)
     if not all(map(math.isfinite, point)):
         raise ValueError("non-finite query point")
-    local = zone.world_to_local.transform_point(point)
+    local = to_local.transform_point(point)
     margins = [h - abs(c) for h, c in zip(zone.half_extents, local)]
     if any(m < 0 for m in margins):
         return None
     i = margins.index(min(margins))  # the lowest index on ties
     axis = [0.0, 0.0, 0.0]
     axis[i] = 1.0 if local[i] >= 0 else -1.0
-    return Repulsion(quat_rotate(zone.orientation, axis), margins[i])
+    # the conjugate of a unit rotation's inverse is that rotation, bit for
+    # bit: sign flips are exact, and ``unit_quat`` leaves a unit one as it is
+    return Repulsion(quat_rotate(quat_conjugate(to_local.rotation), axis), margins[i])
 
 
-def counterforce(rep: Repulsion, stiffness: float) -> tuple:
+def counterforce(rep: Repulsion | CommandFrame, stiffness: float) -> tuple:
     """Linear spring pushing outward: F = stiffness * depth * direction."""
     return tuple(stiffness * rep.depth * d for d in rep.direction)
 
@@ -93,18 +99,3 @@ def make_command(robot_id: int, rep: Repulsion, stiffness: float,
                  time_ns: int) -> CommandFrame:
     return CommandFrame(CMD_KIND_ZONE_REPULSION, robot_id, time_ns,
                         rep.direction, rep.depth, stiffness)
-
-
-def update_dynamic(zone: ProhibitedZone, asset_pose: Pose,
-                   local: Pose | None = None) -> ProhibitedZone:
-    """Re-pose an attached zone into its asset's current frame.
-
-    The box geometry is fixed in the asset frame (``local``, defaulting to
-    the zone's current world placement when absent); only the world
-    placement moves.
-    """
-    if zone.attached_asset is None:
-        return zone
-    world = asset_pose.compose(local if local is not None else zone.pose)
-    return ProhibitedZone(zone.zone_id, world.translation, zone.half_extents,
-                          world.rotation, zone.stiffness, zone.attached_asset)

@@ -271,10 +271,11 @@ def test_07_zone_oracle():
             zone = ProhibitedZone("z", rng.uniform(-1, 1, 3), half,
                                   orientation=q)
             conj = np.array([q[0], -q[1], -q[2], -q[3]])
+            to_local = zone.pose.inverse()
             for _ in range(10_000):
                 local = rng.uniform(-1.5 * half, 1.5 * half)
                 point = zone.pose.transform_point(local)
-                rep = query(zone, point)
+                rep = query(zone, point, to_local)
                 inside = np.all(np.abs(local) <= half)
                 if not inside:
                     assert rep is None
@@ -290,6 +291,7 @@ def test_07_zone_oracle():
 
         # rigid-transform equivariance
         base = ProhibitedZone("z", [0, 0, 0], [0.4, 0.3, 0.2])
+        at_base = base.pose.inverse()
         for _ in range(1000):
             point = rng.uniform(-0.5, 0.5, 3)
             q = rng.normal(size=4)
@@ -297,8 +299,8 @@ def test_07_zone_oracle():
             xf = Pose(rng.uniform(-2, 2, 3), q)
             moved = ProhibitedZone("z", xf.translation, base.half_extents,
                                    orientation=xf.rotation)
-            a = query(base, point)
-            b = query(moved, xf.transform_point(point))
+            a = query(base, point, at_base)
+            b = query(moved, xf.transform_point(point), moved.pose.inverse())
             if a is None:
                 assert b is None
             else:
@@ -308,10 +310,10 @@ def test_07_zone_oracle():
 
         # counterforce vanishes continuously at the surface
         for eps in (1e-3, 1e-6, 1e-9):
-            rep = query(base, [0.4 - eps, 0.0, 0.0])
+            rep = query(base, [0.4 - eps, 0.0, 0.0], at_base)
             f = counterforce(rep, 500.0)
             assert np.linalg.norm(f) <= 500.0 * eps + 1e-12
-        surface = query(base, [0.4, 0.0, 0.0])
+        surface = query(base, [0.4, 0.0, 0.0], at_base)
         assert np.allclose(counterforce(surface, 500.0), np.zeros(3))
 
 

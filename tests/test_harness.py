@@ -566,8 +566,9 @@ class TestScenarioLoading:
     # (case, config, what the error says): a misspelt key or a value that is
     # not a mapping, in each section, zones that clash or attach to nothing,
     # assets that share a name, a robot_id the wire's one byte cannot carry,
-    # a non-finite delay parameter or leader value, and asset times that run
-    # backwards
+    # a non-finite delay parameter or leader value, asset times that run
+    # backwards, a mocap rate or seed the run cannot use, a non-finite filter
+    # or grasp value, and a gripper schedule that is empty or runs backwards
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -663,6 +664,27 @@ class TestScenarioLoading:
          "assets: .*positions must be 3 finite values"),
         ("asset-object-id-above-byte", {"assets": [{**ASSET, "object_id": 256}]},
          "assets: .*object_id must be an integer in 0-255"),
+        # a tracker period of 0 ns; checked at load only, never run
+        ("mocap-rate-above-1ghz", {"mocap_rate_hz": 10 ** 9 + 1},
+         "mocap_rate_hz must be an integer in 1 to 10\\*\\*9"),
+        ("seed-negative", {"seed": -1}, "seed must be an integer in 0 to 2\\*\\*64 - 1"),
+        ("seed-above-u64", {"seed": 2 ** 64}, "seed must be an integer in 0 to 2\\*\\*64 - 1"),
+        ("filter-up-axis-nan", {"filter": {"up_axis": [0, NAN, 1]}},
+         "filter: .*up_axis must be 3 finite values"),
+        ("filter-vmax-nan", {"filter": {"vmax": NAN}}, "filter: .*vmax must be positive"),
+        ("filter-stable-tol-inf", {"filter": {"stable_tol": INF}},
+         "filter: .*stable_tol must be finite and positive"),
+        ("filter-stable-count-nan", {"filter": {"stable_count": NAN}},
+         "filter: .*stable_count must be >= 2"),
+        ("grasp-stall-eps-nan", {"grasp": {"stall_eps": NAN}},
+         "grasp: .*grasp config values must be finite and strictly positive"),
+        ("grasp-release-eps-inf", {"grasp": {"release_eps": INF}},
+         "grasp: .*grasp config values must be finite and strictly positive"),
+        ("gripper-schedule-backwards", {"leader": {"gripper_schedule": [[0.5, 0.08],
+                                                                        [0.2, 0.0]]}},
+         "leader: .*gripper_schedule needs steps whose times do not decrease"),
+        ("gripper-schedule-empty", {"leader": {"gripper_schedule": []}},
+         "leader: .*gripper_schedule needs steps whose times do not decrease"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

@@ -136,19 +136,30 @@ TWIN_SIDE = ("twinsync.twin", "twinsync.live", "twinsync.scenario",
              "twinsync.recordlog", "twinsync.cli")
 
 
-def test_twin_side_imports_neither_numpy_nor_yaml():
-    script = (f"import sys\nimport {', '.join(TWIN_SIDE)}\n"
+def loaded_by(modules) -> set:
+    """The numpy, yaml and twinsync modules a fresh interpreter holds after
+    importing ``modules``."""
+    script = (f"import sys\nimport {', '.join(modules)}\n"
               "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
               "('numpy', 'yaml', 'twinsync')))")
     out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
-    loaded = set(out.split())
+    return set(out.split())
+
+
+def test_twin_side_imports_neither_numpy_nor_yaml():
+    loaded = loaded_by(TWIN_SIDE)
     assert {"numpy", "yaml"} & loaded == set()
     # nor any of the emulator's modules
     emulator = {"twinsync.harness", "twinsync.network", "twinsync.teleop",
                 "twinsync.latency"}
     assert emulator & loaded == set()
+
+
+def test_latency_imports_no_numpy():
+    # the emulator's latency summaries are plain Python, numpy's bits kept
+    assert "numpy" not in loaded_by(["twinsync.latency"])
 
 
 def test_checks_see_what_they_look_for():

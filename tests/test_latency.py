@@ -1,8 +1,11 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinsync.latency import (DELTA_KINDS, LatencyRecorder, Stage,
+from twinsync.latency import (DELTA_KINDS, DeltaSummary, LatencyRecorder, Stage,
                               export_stats, format_table, parse_stats)
+
+# the oracles and the random inputs below use numpy; the module does not
+np = pytest.importorskip("numpy")
 
 MS = 1_000_000
 
@@ -113,6 +116,38 @@ def test_quantiles_match_brute_force_oracle():
         lo = s.q1_ms - 1.5 * s.iqr_ms
         hi = s.q3_ms + 1.5 * s.iqr_ms
         assert s.outlier_count == int(np.sum((deltas < lo) | (deltas > hi)))
+
+
+def numpy_summary(kind, deltas_ms):
+    """A delta summary as numpy computes it, the oracle of the module's."""
+    d = np.array(deltas_ms)
+    q1, med, q3 = np.quantile(d, [0.25, 0.5, 0.75], method="linear")
+    iqr = q3 - q1
+    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    return DeltaSummary(kind, len(d), float(med), float(q1), float(q3), float(iqr),
+                        int(np.sum((d < lo) | (d > hi))))
+
+
+# few distinct delays give ties and plateaus, many give spread and outliers
+DELAYS_NS = st.integers(0, 50 * MS) | st.sampled_from([0, 1, MS, 3 * MS]) \
+    | st.integers(0, 2 ** 53)
+
+
+@given(delays=st.lists(st.tuples(DELAYS_NS, DELAYS_NS), min_size=1, max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_summaries_match_numpy_bit_for_bit(delays):
+    rec = LatencyRecorder()
+    for seq, (to_socket, to_applied) in enumerate(delays):
+        rec.record(seq, Stage.INGRESS, 0)
+        rec.record(seq, Stage.SOCKET_RECV, to_socket)
+        rec.record(seq, Stage.APPLIED, to_socket + to_applied)
+    want = [numpy_summary(kind, [ns / 1e6 for ns in column]) for kind, column in zip(
+        DELTA_KINDS, ([a for a, _ in delays], [b for _, b in delays],
+                      [a + b for a, b in delays]))]
+    got = rec.compute_stats().deltas
+    assert got == tuple(want)
+    # the same bits, not just equal values: -0.0 and 0.0 would compare equal
+    assert [repr(d) for d in got] == [repr(d) for d in want]
 
 
 class TestExport:

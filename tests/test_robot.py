@@ -466,7 +466,7 @@ def contact_torque(model, q, station, zone):
     the twin queries the end-effector's world position, and the repulsion's
     world force goes through the world-frame Jacobian."""
     ee = forward_kinematics(model, q, station)[EE].translation
-    rep = query(zone, ee)
+    rep = query(zone, ee, zone.pose.inverse())
     force = counterforce(rep, zone.stiffness)
     return rep, force, [dot(c, force) for c in jacobian(model, q, EE, station)]
 

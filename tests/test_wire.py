@@ -113,6 +113,23 @@ def test_lost_mocap_sample_may_carry_nan():
         assert decode_mocap(data).quality == 0
 
 
+def test_command_the_follower_cannot_apply_is_a_wire_error():
+    good = encode_command(CommandFrame(1, 0, 0, [1.0, 0.0, 0.0], 0.1, 500.0))
+    # after the 4-byte length prefix and the 13-byte head: direction at
+    # bytes 17, 25 and 33, depth at 41, stiffness at 49
+    for offset, name in ((41, "depth"), (49, "stiffness")):
+        for value in (np.nan, np.inf, -np.inf, -0.1):
+            with pytest.raises(WireError, match=name):
+                decode_command(with_double(good, offset, value))
+    for offset in (17, 25, 33):
+        for value in (np.nan, np.inf):
+            with pytest.raises(WireError, match="direction"):
+                decode_command(with_double(good, offset, value))
+    # a frame at the surface (depth 0) and a zero stiffness still decode
+    edge = with_double(with_double(good, 41, 0.0), 49, 0.0)
+    assert (decode_command(edge).depth, decode_command(edge).stiffness) == (0.0, 0.0)
+
+
 def test_dof_overflow():
     big = np.zeros(256)
     with pytest.raises(WireError, match="dof"):

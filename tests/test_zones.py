@@ -1,18 +1,32 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinsync.geometry import Pose, quat_from_axis_angle, quat_rotate
+from twinsync.geometry import Pose, quat_conjugate, quat_from_axis_angle, quat_rotate
+from twinsync.harness import simulate
+from twinsync.robot import parse_urdf
+from twinsync.scenario import AssetConfig, ScenarioConfig, load_config
+from twinsync.twin import TwinEngine, replay
 from twinsync.wire import CMD_KIND_ZONE_REPULSION, decode_command, encode_command
 from twinsync.zones import (ProhibitedZone, Repulsion, counterforce,
-                            make_command, query, update_dynamic)
+                            make_command, query)
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def unit_cube(**kw):
     args = dict(zone_id="z", center=[0.0, 0, 0], half_extents=[0.5, 0.5, 0.5])
     args.update(kw)
     return ProhibitedZone(**args)
+
+
+def hit(zone, point):
+    """``query`` of a zone placed where its config puts it."""
+    return query(zone, point, zone.pose.inverse())
 
 
 def nearest_face_oracle(half, local):
@@ -32,46 +46,46 @@ def nearest_face_oracle(half, local):
 
 class TestQueryExamples:
     def test_inside_near_plus_x(self):
-        rep = query(unit_cube(), [0.4, 0.0, 0.0])
+        rep = hit(unit_cube(), [0.4, 0.0, 0.0])
         assert np.allclose(rep.direction, [1, 0, 0])
         assert abs(rep.depth - 0.1) < 1e-12
 
     def test_outside_none(self):
-        assert query(unit_cube(), [0.6, 0.0, 0.0]) is None
-        assert query(unit_cube(), [10.0, 10.0, 10.0]) is None
+        assert hit(unit_cube(), [0.6, 0.0, 0.0]) is None
+        assert hit(unit_cube(), [10.0, 10.0, 10.0]) is None
 
     def test_center_tie_breaks_plus_x(self):
-        rep = query(unit_cube(), [0.0, 0.0, 0.0])
+        rep = hit(unit_cube(), [0.0, 0.0, 0.0])
         assert np.allclose(rep.direction, [1, 0, 0])
         assert abs(rep.depth - 0.5) < 1e-12
 
     def test_boundary_depth_zero(self):
-        rep = query(unit_cube(), [0.0, 0.5, 0.0])
+        rep = hit(unit_cube(), [0.0, 0.5, 0.0])
         assert rep.depth == 0.0
         assert np.allclose(rep.direction, [0, 1, 0])
 
     def test_negative_face(self):
-        rep = query(unit_cube(), [0.0, 0.0, -0.45])
+        rep = hit(unit_cube(), [0.0, 0.0, -0.45])
         assert np.allclose(rep.direction, [0, 0, -1])
         assert abs(rep.depth - 0.05) < 1e-12
 
     def test_translated_zone(self):
         z = unit_cube(center=[2.0, 0, 0])
-        assert query(z, [0.4, 0, 0]) is None
-        rep = query(z, [2.4, 0, 0])
+        assert hit(z, [0.4, 0, 0]) is None
+        rep = hit(z, [2.4, 0, 0])
         assert np.allclose(rep.direction, [1, 0, 0])
 
     def test_rotated_zone_direction_in_world(self):
         yaw = quat_from_axis_angle([0, 0, 1], np.pi / 2)
         z = ProhibitedZone("z", [0, 0, 0], [0.5, 0.1, 0.5], orientation=yaw)
         # the box's local +x axis points along world +y after the yaw
-        rep = query(z, [0.0, 0.45, 0.0])
+        rep = hit(z, [0.0, 0.45, 0.0])
         assert np.allclose(rep.direction, [0, 1, 0], atol=1e-12)
         assert abs(rep.depth - 0.05) < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            query(unit_cube(), [np.inf, 0, 0])
+            hit(unit_cube(), [np.inf, 0, 0])
 
 
 class TestQueryProperties:
@@ -85,7 +99,7 @@ class TestQueryProperties:
             for _ in range(50):
                 local = rng.uniform(-half, half)
                 point = z.pose.transform_point(local)
-                rep = query(z, point)
+                rep = hit(z, point)
                 d, _ = nearest_face_oracle(half, local)
                 assert abs(rep.depth - d) < 1e-9
                 # the direction must be a minimizing face normal (any one
@@ -104,13 +118,13 @@ class TestQueryProperties:
         base = unit_cube(half_extents=[0.4, 0.3, 0.2])
         for _ in range(300):
             point = rng.uniform(-0.6, 0.6, 3)
-            rep0 = query(base, point)
+            rep0 = hit(base, point)
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             xf = Pose(rng.uniform(-2, 2, 3), q)
             moved = ProhibitedZone("z", xf.translation, base.half_extents,
                                    orientation=xf.rotation)
-            rep1 = query(moved, xf.transform_point(point))
+            rep1 = hit(moved, xf.transform_point(point))
             if rep0 is None:
                 assert rep1 is None
             else:
@@ -122,7 +136,7 @@ class TestQueryProperties:
         rng = np.random.default_rng(14)
         z = unit_cube(half_extents=[0.5, 0.2, 0.9])
         for _ in range(2000):
-            rep = query(z, rng.uniform(-1, 1, 3))
+            rep = hit(z, rng.uniform(-1, 1, 3))
             if rep is not None:
                 assert rep.depth <= 0.2 + 1e-12
 
@@ -131,9 +145,9 @@ class TestQueryProperties:
         z = unit_cube(half_extents=[0.4, 0.3, 0.2])
         for _ in range(500):
             point = rng.uniform(-0.15, 0.15, 3)
-            rep = query(z, point)
+            rep = hit(z, point)
             eps = 1e-4
-            rep2 = query(z, point + np.multiply(eps, rep.direction))
+            rep2 = hit(z, point + np.multiply(eps, rep.direction))
             assert rep2 is not None
             assert rep2.depth <= rep.depth - eps + 1e-9
 
@@ -145,7 +159,7 @@ class TestCounterforce:
         assert np.allclose(f, [0.0, 50.0, 0.0])
 
     def test_vanishes_at_surface(self):
-        rep = query(unit_cube(), [0.5, 0.0, 0.0])
+        rep = hit(unit_cube(), [0.5, 0.0, 0.0])
         assert np.allclose(counterforce(rep, 500.0), np.zeros(3))
 
     def test_negative_depth_rejected(self):
@@ -154,41 +168,113 @@ class TestCounterforce:
 
 
 def test_make_command_roundtrip():
-    rep = query(unit_cube(), [0.4, 0.0, 0.0])
+    rep = hit(unit_cube(), [0.4, 0.0, 0.0])
     frame = make_command(3, rep, 500.0, 777)
     assert frame.kind == CMD_KIND_ZONE_REPULSION
     out = decode_command(encode_command(frame))
     assert out.robot_id == 3 and out.time_ns == 777
     assert np.allclose(out.direction, rep.direction)
     assert out.depth == rep.depth and out.stiffness == 500.0
+    # the follower pushes with the decoded frame as the twin's repulsion
+    assert counterforce(out, out.stiffness) == counterforce(rep, 500.0)
 
 
-class TestUpdateDynamic:
-    def test_detached_zone_unchanged(self):
-        z = unit_cube()
-        moved = update_dynamic(z, Pose([5.0, 0, 0], IDENT))
-        assert moved is z
+# a robot of one link: the engine's zone placement needs no joints
+ONE_LINK = parse_urdf("<robot name='r'><link name='base'/></robot>")
+
+
+def engine_with(*zones):
+    config = ScenarioConfig(assets=(AssetConfig("vase", 1, [0.0, 0.0, 0.0]),),
+                            zones=zones)
+    return TwinEngine(ONE_LINK, config)
+
+
+class TestEnginePlacement:
+    """``TwinEngine.to_zone`` is each zone's world-to-zone pose: the
+    inverse of its configured pose for a static zone, and of its asset's
+    pose composed with it for an attached one."""
+
+    def test_detached_zone_stays_put(self):
+        z = unit_cube(center=[0.2, 0.0, 0.0])
+        engine = engine_with(z)
+        placed = engine.to_zone[0]
+        assert placed == z.pose.inverse()
+        engine.place_zones({"vase": Pose([5.0, 0, 0], IDENT)})
+        assert engine.to_zone[0] is placed
+        assert engine.zones == (z,)
 
     def test_translation_follows_asset(self):
-        z = unit_cube(attached_asset="vase")
-        asset = Pose([1.0, 2.0, 0.5], IDENT)
-        moved = update_dynamic(z, asset, Pose([0.0, 0, 0.1]))
-        assert np.allclose(moved.center, [1.0, 2.0, 0.6])
-        assert moved.zone_id == z.zone_id
-        assert moved.attached_asset == "vase"
+        z = unit_cube(center=[0.0, 0, 0.1], attached_asset="vase")
+        engine = engine_with(z)
+        engine.place_zones({"vase": Pose([1.0, 2.0, 0.5], IDENT)})
+        assert np.allclose(engine.to_zone[0].inverse().translation, [1.0, 2.0, 0.6])
+        assert query(z, [1.0, 2.0, 0.6], engine.to_zone[0]) is not None
+        assert query(z, [0.0, 0.0, 0.1], engine.to_zone[0]) is None
+        # the configured zone is not touched
+        assert engine.zones == (z,) and z.center == (0.0, 0.0, 0.1)
 
     def test_rotation_carries_offset(self):
-        z = unit_cube(attached_asset="vase")
+        z = unit_cube(center=[1.0, 0, 0], attached_asset="vase")
+        engine = engine_with(z)
         yaw = quat_from_axis_angle([0, 0, 1], np.pi / 2)
-        moved = update_dynamic(z, Pose([0, 0, 0], yaw), Pose([1.0, 0, 0]))
-        assert np.allclose(moved.center, [0.0, 1.0, 0.0], atol=1e-12)
+        engine.place_zones({"vase": Pose([0, 0, 0], yaw)})
+        assert np.allclose(engine.to_zone[0].inverse().translation, [0.0, 1.0, 0.0],
+                           atol=1e-12)
         # interior query behaves identically in the zone's moving frame
-        rep = query(moved, [0.0, 1.4, 0.0])
+        rep = query(z, [0.0, 1.4, 0.0], engine.to_zone[0])
         local_dir = quat_rotate(
             np.array([yaw[0], -yaw[1], -yaw[2], -yaw[3]]), rep.direction)
         assert abs(rep.depth - 0.1) < 1e-12
         assert np.allclose(np.abs(local_dir), [1, 0, 0], atol=1e-12) or \
             np.allclose(np.abs(local_dir), [0, 1, 0], atol=1e-12)
+
+
+UNIT = st.floats(-1.0, 1.0)
+QUATS = st.tuples(UNIT, UNIT, UNIT, UNIT).filter(
+    lambda q: sum(x * x for x in q) > 1e-3)
+VECS = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+@given(asset=st.tuples(VECS, QUATS), center=VECS, orientation=QUATS,
+       half=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+       locals_=st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 3), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_engine_placement_matches_a_zone_built_there(asset, center, orientation, half,
+                                                     locals_):
+    # the old semantics: a new zone built at the asset's pose composed with
+    # the configured one, queried at its own placement, gives the same
+    # repulsion bit for bit
+    z = ProhibitedZone("z", center, half, orientation, attached_asset="vase")
+    engine = engine_with(z)
+    asset_pose = Pose(*asset)
+    engine.place_zones({"vase": asset_pose})
+    world = asset_pose.compose(z.pose)
+    there = ProhibitedZone("z", world.translation, half, world.rotation)
+    assert quat_conjugate(engine.to_zone[0].rotation) == there.orientation
+    for local in locals_:
+        point = world.transform_point([u * h for u, h in zip(local, half)])
+        assert query(z, point, engine.to_zone[0]) == hit(there, point)
+
+
+def test_no_zone_is_built_after_load(tmp_path, monkeypatch):
+    # contact_overlap's vase_guard rides the vase; re-posing it each merge
+    # tick builds a pose, never a new ProhibitedZone
+    cfg = dataclasses.replace(load_config(CONFIGS / "contact_overlap.yaml"),
+                              log_path=str(tmp_path / "run.dtrl"), trace_path=None,
+                              stats_path=None)
+    assert any(z.attached_asset for z in cfg.zones)
+    built = []
+    check = ProhibitedZone.__post_init__
+
+    def counting(self):
+        built.append(self.zone_id)
+        check(self)
+
+    monkeypatch.setattr(ProhibitedZone, "__post_init__", counting)
+    res = simulate(cfg)
+    assert res.commands_sent > 0
+    assert replay(cfg.log_path, cfg).state_hash == res.state_hash
+    assert built == []
 
 
 def test_zone_validation():
