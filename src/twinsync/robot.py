@@ -4,7 +4,7 @@ Only the elements needed to mirror joint states are read: link names, and
 joints with origin, axis, limits and the parent/child wiring. Visual,
 collision, transmission and vendor extensions are ignored.
 
-Each ``RobotModel`` compiles its tree once into a ``Chain``
+Each ``RobotModel`` compiles its tree into a ``Chain`` when it is built
 (``model.chain``): the joints in traversal order with their parent link's
 index, origin pose, axis as a float tuple, the axis's norm and each
 movable joint's position index. ``Chain.frames`` is the one kinematics
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geometry import ZERO3, Pose, _rotate, floats, norm
@@ -57,6 +56,10 @@ class RobotModel:
     links: tuple[Link, ...]
     joints: tuple[Joint, ...]
     root: str
+    chain: Chain = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chain", Chain(self))
 
     @property
     def movable_joints(self) -> list[Joint]:
@@ -65,10 +68,6 @@ class RobotModel:
     @property
     def dof(self) -> int:
         return len(self.movable_joints)
-
-    @cached_property
-    def chain(self) -> "Chain":
-        return Chain(self)
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
