@@ -65,10 +65,13 @@ def norm(v) -> float:
 
 
 def unit(v) -> tuple:
-    """``v`` divided by its norm; ValueError for a zero vector."""
+    """``v`` divided by its norm; ValueError for a zero vector and for one
+    whose norm overflows, which would divide to zeros."""
     n = norm(v)
     if n == 0.0:
         raise ValueError("zero-length vector")
+    if n == math.inf:
+        raise ValueError(f"the norm of {tuple(v)} overflows")
     return tuple([x / n for x in v])
 
 
@@ -111,11 +114,14 @@ def _rotate(q, vx: float, vy: float, vz: float) -> tuple:
 
 def unit_quat(q) -> tuple:
     """``Pose``'s renormalization: ``q / norm(q)`` when the norm is more
-    than 1e-12 from 1, else ``q`` itself."""
+    than 1e-12 from 1, else ``q`` itself; ValueError when that norm is 0
+    or overflows."""
     n = math.sqrt(dot(q, q))
     if abs(n - 1.0) > 1e-12:
         if n == 0.0:
             raise ValueError("zero quaternion")
+        if n == math.inf:
+            raise ValueError(f"the norm of {tuple(q)} overflows")
         w, x, y, z = q
         return (w / n, x / n, y / n, z / n)
     return q
@@ -189,10 +195,6 @@ class Pose(_Pose):
         """A pose of a float 3-tuple and a float 4-tuple that ``Pose``
         would keep as they are: no conversion, no renormalization."""
         return tuple.__new__(Pose, (translation, rotation))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose()
 
     @staticmethod
     def from_rpy(xyz, rpy) -> "Pose":

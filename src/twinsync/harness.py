@@ -9,10 +9,9 @@ tick it logs the records that arrived and hands exactly those to the twin
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,8 @@ from .network import DatagramLink, StreamLink, Throttle, delay_ms, doubles, norm
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, LogRecord, LogWriter)
 from .robot import RobotModel, jacobian
-from .scenario import ConfigError, ScenarioConfig
-from .teleop import (ControllerGains, FollowerState, LeaderProfile, leader_samples,
-                     leader_trajectory, pd_step)
+from .scenario import ConfigError, LeaderConfig, ScenarioConfig
+from .teleop import FollowerState, leader_samples, leader_trajectory, pd_step
 from .twin import (MERGE_HZ, TwinEngine, load_model, merge_records, merge_tick_time,
                    station_pose)
 from .wire import (MocapPacket, TelemetryPacket, decode_command, encode_command,
@@ -57,9 +55,9 @@ class SimResult:
     mocap_stale: int  # tracker frames dropped for arriving out of order
 
 
-def leader_profile(config: ScenarioConfig, model: RobotModel) -> LeaderProfile:
-    """The leader's profile for ``model``: each list of the ``leader``
-    section holds one value per movable joint, or one for all of them.
+def leader_profile(config: ScenarioConfig, model: RobotModel) -> LeaderConfig:
+    """The ``leader`` section with one value per movable joint of ``model``
+    in each list: a list holds one value per joint, or one for all of them.
     A list of another length, or a sinusoid that leaves its joint's
     limits, is a ``ConfigError`` naming ``leader``."""
     leader, dof = config.leader, model.dof
@@ -78,8 +76,8 @@ def leader_profile(config: ScenarioConfig, model: RobotModel) -> LeaderProfile:
         if not (joint.lower <= lo and hi <= joint.upper):
             raise ConfigError(f"leader: joint {joint.name!r} swings over [{lo}, {hi}], "
                               f"outside its limits [{joint.lower}, {joint.upper}]")
-    return LeaderProfile(centers, amplitudes, fit("frequencies"), fit("phases"),
-                         leader.gripper_schedule)
+    return replace(leader, centers=centers, amplitudes=amplitudes,
+                   frequencies=fit("frequencies"), phases=fit("phases"))
 
 
 def _mocap_schedule(config: ScenarioConfig, u):
@@ -108,15 +106,18 @@ def simulate(config: ScenarioConfig) -> SimResult:
     """Run a full emulated scenario; returns hashes, stats and counters."""
     model = load_model(config)
     dof = model.dof
-    profile = leader_profile(config, model)
-    gains = ControllerGains.default(dof, config.gains_kp, config.gains_kd)
+    leader = leader_profile(config, model)
+    # as floats, so a YAML integer gain is not converted on every multiply
+    kp, kd = float(config.gains_kp), float(config.gains_kd)
 
     child = np.random.SeedSequence(config.seed).spawn(6)
     noise_u, proc_u = map(doubles, child[:2])
-    telemetry_link = DatagramLink(_reseed(config.telemetry_link, child[2]))
-    mocap_link = DatagramLink(_reseed(config.mocap_link, child[3]))
-    command_link = StreamLink(_reseed(config.command_link, child[4]))
-    teleop_link = DatagramLink(_reseed(config.teleop_link, child[5]))
+    # each link's seed is the first state word of a child of the scenario seed
+    seeds = [int(c.generate_state(1)[0]) for c in child[2:]]
+    telemetry_link = DatagramLink(config.telemetry_link, seeds[0])
+    mocap_link = DatagramLink(config.mocap_link, seeds[1])
+    command_link = StreamLink(config.command_link, seeds[2])
+    teleop_link = DatagramLink(config.teleop_link, seeds[3])
 
     engine = TwinEngine(model, config)
     throttle = Throttle()
@@ -128,7 +129,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
     trace.write("time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
                 + ",".join(f"follower_q{i}" for i in range(dof)) + "\n")
 
-    leader0 = leader_trajectory(0.0, profile)
+    leader0 = leader_trajectory(0.0, leader)
     follower = FollowerState(leader0.positions, [0.0] * dof)
     latest_leader = leader0
     no_torque = [0.0] * dof
@@ -169,7 +170,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
 
     # the leader generator runs out with the loop, so its last chunk is freed
     # before the outputs below are built
-    for k, leader_now in enumerate(leader_samples(profile, control_ticks,
+    for k, leader_now in enumerate(leader_samples(leader, control_ticks,
                                                   CONTROL_TICK_NS)):
         t_ns = k * CONTROL_TICK_NS
         # world-side mocap frames due at or before this control tick
@@ -196,7 +197,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
             ext_expiry = t_ns + (1_000_000_000 // MERGE_HZ)
         tau_ext = ext_tau if t_ns < ext_expiry else no_torque
 
-        tau, follower = pd_step(latest_leader, follower, gains, tau_ext)
+        tau, follower = pd_step(latest_leader, follower, kp, kd, tau_ext)
         trace.write(f"{t_ns}," + ",".join(map(repr, latest_leader.positions))
                     + "," + ",".join(map(repr, follower.q)) + "\n")
 
@@ -248,13 +249,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
         mocap_stale=engine.station_filter.stale
         + sum(f.stale for f in engine.asset_filters.values()),
     )
-
-
-def _reseed(link_cfg, seed_seq: np.random.SeedSequence):
-    """Derive a per-link seed from the scenario seed unless one was pinned."""
-    if link_cfg.seed != 0:
-        return link_cfg
-    return dataclasses.replace(link_cfg, seed=int(seed_seq.generate_state(1)[0]))
 
 
 def measure_latency(config: ScenarioConfig, n_samples: int = 20_000) -> LatencyStats:

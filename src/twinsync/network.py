@@ -2,9 +2,9 @@
 
 Links are driven by an external discrete-event clock in nanoseconds:
 ``send(t, payload)`` schedules deliveries, ``poll(now)`` drains everything
-due. All randomness comes from the per-link seed through ``doubles``. A
-link's schema, ``LinkConfig`` and its ``DelayModel``, is declared in
-``scenario``.
+due. All randomness comes from the seed each link is built with, through
+``doubles``. A link's schema, ``LinkConfig`` and its ``DelayModel``, is
+declared in ``scenario``.
 """
 
 from __future__ import annotations
@@ -66,15 +66,13 @@ class Throttle:
         self._next_ns = 0
         self._last_time = None
         self._latest = None
-        self._latest_idx = -1
-        self._emitted_idx = -1
-        self._offered = 0
+        self._fresh = False  # a sample was offered since the last emission
 
     def _drain(self, until_ns: int, out: list):
         while self._next_ns <= until_ns:
-            if self._latest_idx > self._emitted_idx:
+            if self._fresh:
                 out.append((self._next_ns, self._latest))
-                self._emitted_idx = self._latest_idx
+                self._fresh = False
             self._tick += 1
             self._next_ns = merge_tick_time(self._tick)
 
@@ -86,8 +84,7 @@ class Throttle:
         # ticks strictly before this sample see only earlier samples
         self._drain(time_ns - 1, out)
         self._latest = sample
-        self._latest_idx = self._offered
-        self._offered += 1
+        self._fresh = True
         self._drain(time_ns, out)
         return out
 
@@ -105,11 +102,12 @@ class Delivery(NamedTuple):
 
 
 class DatagramLink:
-    """Unreliable, possibly-reordering link with per-packet sampled delay."""
+    """Unreliable, possibly-reordering link with per-packet sampled delay,
+    drawn from the double stream of ``seed``."""
 
-    def __init__(self, config: LinkConfig):
+    def __init__(self, config: LinkConfig, seed: int):
         self.config = config
-        self._u = doubles(config.seed)
+        self._u = doubles(seed)
         self._heap: list[tuple[int, int, Delivery]] = []
         self._count = 0
         self.sent = 0
@@ -141,14 +139,15 @@ class DatagramLink:
 class StreamLink:
     """Lossless in-order link with head-of-line blocking.
 
-    Delivery time = max(send time + sampled delay, previous delivery time).
+    Delivery time = max(send time + sampled delay, previous delivery time),
+    the delays drawn from the double stream of ``seed``.
     """
 
-    def __init__(self, config: LinkConfig):
+    def __init__(self, config: LinkConfig, seed: int):
         if config.loss != 0.0:
             raise ValueError("stream links cannot be lossy")
         self.config = config
-        self._u = doubles(config.seed)
+        self._u = doubles(seed)
         self._queue: list[Delivery] = []
         self._last_delivery_ns = 0
         self.sent = 0

@@ -3,10 +3,12 @@
 Config files are YAML (or JSON) mappings. The config dataclasses are the
 schema: each key of a section names a field, which holds the default, and
 ``__post_init__`` converts (vectors to float tuples) and checks. An unknown
-key or a non-mapping section is a ``ConfigError`` naming the section. A link
-``seed`` of 0, the default, has ``simulate`` derive one from the scenario
-seed. See configs/example.yaml for the full surface. The module needs
-neither numpy nor yaml: yaml is imported only to read a non-JSON file.
+key or a non-mapping section is a ``ConfigError`` naming the section. The
+sections are the run's own inputs: ``simulate`` drives the leader from
+``LeaderConfig`` and the follower from ``gains_kp`` and ``gains_kd``, and
+derives every link's random stream from the scenario ``seed``. See
+configs/example.yaml for the full surface. The module needs neither numpy
+nor yaml: yaml is imported only to read a non-JSON file.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class DelayModel:
 class LinkConfig:
     delay: DelayModel = field(default_factory=lambda: DelayModel.constant(0.0))
     loss: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.loss <= 1.0:
@@ -131,6 +132,10 @@ class AssetConfig:
 
 @dataclass(frozen=True)
 class LeaderConfig:
+    """Per-joint sinusoids plus a scripted gripper-width schedule:
+    q_i(t) = center_i + amplitude_i * sin(2*pi*freq_i*t + phase_i), and
+    ``gripper_schedule`` holds (t_s, width_m) steps, piecewise constant."""
+
     centers: tuple = (0.0,)
     amplitudes: tuple = (0.0,)
     frequencies: tuple = (0.0,)
@@ -155,6 +160,15 @@ class LeaderConfig:
         if not times or not all(a <= b for a, b in zip(times, times[1:])):
             raise ValueError(f"gripper_schedule needs steps whose times do not decrease, "
                              f"got {times}")
+
+    def gripper_at(self, t: float) -> float:
+        width = self.gripper_schedule[0][1]
+        for ts, w in self.gripper_schedule:
+            if t >= ts:
+                width = w
+            else:
+                break
+        return width
 
 
 @dataclass(frozen=True)

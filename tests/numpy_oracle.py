@@ -71,6 +71,8 @@ def swing_twist(q, axis):
     n = norm(axis)
     if n == 0.0:
         raise ValueError("zero-length axis")
+    if n == np.inf:  # it would divide the axis to zeros
+        raise ValueError("axis norm overflows")
     axis = axis / n
     if norm(q) == 0.0:
         raise ValueError("zero quaternion")
@@ -97,6 +99,8 @@ class Pose:
         if abs(n - 1.0) > 1e-12:
             if n == 0.0:
                 raise ValueError("zero quaternion")
+            if n == np.inf:  # it would divide the quaternion to zeros
+                raise ValueError("quaternion norm overflows")
             q = q / n
         object.__setattr__(self, "rotation", q)
 
@@ -115,11 +119,14 @@ def filter_mean(rows):
     return np.mean(np.asarray(rows), axis=0)
 
 
-def leader_trajectory(t, profile):
-    """The leader's joint positions and velocities at time t."""
-    w = 2.0 * np.pi * profile.frequencies
-    q = profile.centers + profile.amplitudes * np.sin(w * t + profile.phases)
-    dq = profile.amplitudes * w * np.cos(w * t + profile.phases)
+def leader_trajectory(t, leader):
+    """The joint positions and velocities at time t of a ``LeaderConfig``."""
+    centers, amplitudes, frequencies, phases = (
+        np.asarray(v) for v in (leader.centers, leader.amplitudes, leader.frequencies,
+                                leader.phases))
+    w = 2.0 * np.pi * frequencies
+    q = centers + amplitudes * np.sin(w * t + phases)
+    dq = amplitudes * w * np.cos(w * t + phases)
     return q, dq
 
 
@@ -132,13 +139,14 @@ def pd_step(lq, ldq, q, dq, kp, kd, ext, dt=1e-3):
 
 
 class DatagramLink:
-    """A datagram link that draws its loss and delay from the generator on
-    every send: ``random()``, then ``uniform(lo, hi)`` for a uniform delay.
-    ``outcomes`` holds (delivery time or None, send time, dropped) per send."""
+    """A datagram link that draws its loss and delay from the generator of
+    ``seed`` on every send: ``random()``, then ``uniform(lo, hi)`` for a
+    uniform delay. ``outcomes`` holds (delivery time or None, send time,
+    dropped) per send."""
 
-    def __init__(self, config):
+    def __init__(self, config, seed):
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = np.random.default_rng(seed)
         self.outcomes = []
 
     def delay_ns(self):
@@ -155,8 +163,8 @@ class DatagramLink:
 class StreamLink(DatagramLink):
     """The stream link's delivery times, one delay draw per send."""
 
-    def __init__(self, config):
-        super().__init__(config)
+    def __init__(self, config, seed):
+        super().__init__(config, seed)
         self._last = 0
 
     def send(self, time_ns):

@@ -24,8 +24,7 @@ from twinsync.network import Throttle
 from twinsync.robot import forward_kinematics, parse_urdf
 from twinsync.scenario import (DelayModel, LeaderConfig, LinkConfig, ScenarioConfig,
                                load_config)
-from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile,
-                             leader_trajectory, pd_step)
+from twinsync.teleop import FollowerState, leader_trajectory, pd_step
 from twinsync.twin import replay
 from twinsync.wire import MocapPacket
 from twinsync.zones import ProhibitedZone, counterforce, query
@@ -320,8 +319,7 @@ def test_07_zone_oracle():
 def test_08_teleop_convergence():
     with criterion(8, "teleop convergence"):
         kp, kd, target = 100.0, 20.0, 0.02
-        leader = leader_trajectory(0.0, LeaderProfile.constant([target]))
-        gains = ControllerGains([kp], [kd])
+        leader = leader_trajectory(0.0, LeaderConfig(centers=(target,)))
         follower = FollowerState([0.0], [0.0])
 
         # tiny-step RK4 reference for qdd = kp (q* - q) - kd qd
@@ -344,7 +342,7 @@ def test_08_teleop_convergence():
 
         worst = 0.0
         for k in range(2000):
-            _, follower = pd_step(leader, follower, gains, [0.0])
+            _, follower = pd_step(leader, follower, kp, kd, [0.0])
             worst = max(worst, abs(follower.q[0] - ref[k + 1]))
         assert abs(follower.q[0] - target) < 1e-3
         assert worst < 1e-4

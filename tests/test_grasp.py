@@ -228,20 +228,20 @@ class TestAssetTracker:
         at = AssetTracker("a", Pose([0.0, 0, 1.0], IDENT))
         # diverge via fallback, then hand back to a stable mocap stream
         for _ in range(30):
-            at.update(False, Pose.identity(), None, self.DT)
+            at.update(False, Pose(), None, self.DT)
         target = stable([0.3, 0.1, 0.8])
         for _ in range(200):
-            pose, src = at.update(False, Pose.identity(), target, self.DT)
+            pose, src = at.update(False, Pose(), target, self.DT)
         assert src is AssetSource.MOCAP
         assert np.allclose(pose.translation, target.position, atol=1e-12)
 
     def test_fallback_inherits_velocity(self):
         at = AssetTracker("a", Pose([0.0, 0, 5.0], IDENT))
-        at.update(False, Pose.identity(), stable([0.0, 0, 5.0]), self.DT)
-        at.update(False, Pose.identity(), stable([0.06, 0, 5.0]), self.DT)
+        at.update(False, Pose(), stable([0.0, 0, 5.0]), self.DT)
+        at.update(False, Pose(), stable([0.06, 0, 5.0]), self.DT)
         # tracking lost: fallback starts from the mocap-implied velocity
-        pose, src = at.update(False, Pose.identity(), None, self.DT)
+        pose, src = at.update(False, Pose(), None, self.DT)
         assert src is AssetSource.PHYSICS_FALLBACK
-        pose2, _ = at.update(False, Pose.identity(), None, self.DT)
+        pose2, _ = at.update(False, Pose(), None, self.DT)
         assert pose2.translation[0] > pose.translation[0]
         assert pose2.translation[2] < pose.translation[2]

@@ -388,9 +388,9 @@ def follower_torques(cfg):
     seen = []
     pd_step = harness.pd_step
 
-    def spy(leader, follower, gains, ext):
+    def spy(leader, follower, kp, kd, ext):
         seen.append(list(ext))
-        return pd_step(leader, follower, gains, ext)
+        return pd_step(leader, follower, kp, kd, ext)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "pd_step", spy)
@@ -568,11 +568,14 @@ class TestScenarioLoading:
     # assets that share a name, a robot_id the wire's one byte cannot carry,
     # a non-finite delay parameter or leader value, asset times that run
     # backwards, a mocap rate or seed the run cannot use, a non-finite filter
-    # or grasp value, and a gripper schedule that is empty or runs backwards
+    # or grasp value, a gripper schedule that is empty or runs backwards, a
+    # negative gain, a seed under a link (every link's derives from the
+    # scenario seed) and a vector whose norm overflows
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
         ("link", {"telemetry_link": {"lss": 0.1}}, "telemetry_link: unknown"),
+        ("link-seed", {"teleop_link": {"seed": 5}}, "teleop_link: unknown"),
         ("delay", {"mocap_link": {"delay": {"kind": "constant", "msx": 1.0}}},
          "mocap_link: delay: .*'msx'"),
         ("filter", {"filter": {"windw": 9}}, "filter: unknown"),
@@ -626,6 +629,7 @@ class TestScenarioLoading:
         ("gains-kp-nan", {"gains_kp": NAN}, "gains_kp must be finite and >= 0"),
         ("gains-kd-inf", {"gains_kd": INF}, "gains_kd must be finite and >= 0"),
         ("gains-kd-negative", {"gains_kd": -1.0}, "gains_kd must be finite and >= 0"),
+        ("gains-kp-negative", {"gains_kp": -1.0}, "gains_kp must be finite and >= 0"),
         ("station-yaw-nan", {"station_yaw": NAN}, "station_yaw must be finite"),
         ("station-yaw-inf", {"station_yaw": -INF}, "station_yaw must be finite"),
         ("station-position-nan", {"station_position": [NAN, 0, 0]},
@@ -671,6 +675,10 @@ class TestScenarioLoading:
         ("seed-above-u64", {"seed": 2 ** 64}, "seed must be an integer in 0 to 2\\*\\*64 - 1"),
         ("filter-up-axis-nan", {"filter": {"up_axis": [0, NAN, 1]}},
          "filter: .*up_axis must be 3 finite values"),
+        ("filter-up-axis-overflow", {"filter": {"up_axis": [1e200, 0, 0]}},
+         "filter: .*norm of .* overflows"),
+        ("zone-orientation-overflow", {"zones": [{**ZONE, "orientation": [1e200, 0, 0, 0]}]},
+         "zones: .*norm of .* overflows"),
         ("filter-vmax-nan", {"filter": {"vmax": NAN}}, "filter: .*vmax must be positive"),
         ("filter-stable-tol-inf", {"filter": {"stable_tol": INF}},
          "filter: .*stable_tol must be finite and positive"),
@@ -701,14 +709,13 @@ class TestScenarioLoading:
             "leader": {"centers": [0.1, 0.2], "amplitudes": [0.3, 0.4],
                        "frequencies": [0.5, 0.6], "phases": [0.7, 0.8],
                        "gripper_schedule": [[0, 0.04], [1, 0.02]]},
-            "teleop_link": {"delay": {"kind": "constant", "ms": 1.5},
-                            "loss": 0.1, "seed": 11},
+            "teleop_link": {"delay": {"kind": "constant", "ms": 1.5}, "loss": 0.1},
             "telemetry_link": {"delay": {"kind": "uniform", "lo_ms": 1, "hi_ms": 2},
-                               "loss": 0.2, "seed": 12},
+                               "loss": 0.2},
             "mocap_link": {"delay": {"kind": "normal", "mu_ms": 2, "sigma_ms": 0.5},
-                           "loss": 0.3, "seed": 13},
+                           "loss": 0.3},
             "command_link": {"delay": {"kind": "empirical", "samples_ms": [1, 2]},
-                             "loss": 0.4, "seed": 14},
+                             "loss": 0.4},
             "processing_delay": {"kind": "constant", "ms": 0.5},
             "filter": {"window": 7, "vmax": 1.0, "up_axis": [0, 1, 0],
                        "stable_count": 4, "stable_tol": 0.01},

@@ -24,9 +24,9 @@ from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, norm, quat_conju
                                swing_twist, unit_quat)
 from twinsync.mocap import FilterConfig, MocapFilter
 from twinsync.network import delay_ms, doubles, normal
-from twinsync.scenario import DelayModel, _linspace
-from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile, LeaderSample,
-                             leader_samples, leader_trajectory, pd_step)
+from twinsync.scenario import DelayModel, LeaderConfig, _linspace
+from twinsync.teleop import (FollowerState, LeaderSample, leader_samples, leader_trajectory,
+                             pd_step)
 from twinsync.wire import MocapPacket
 
 # zeros of both signs, subnormals, tiny, ordinary and huge magnitudes,
@@ -374,7 +374,7 @@ def leader_profiles(draw):
     def row(lo, hi):
         return draw(st.lists(st.floats(lo, hi) | st.sampled_from([0.0, -0.0]),
                              min_size=dof, max_size=dof))
-    return LeaderProfile(row(-3.0, 3.0), row(-2.0, 2.0), row(0.0, 50.0), row(-7.0, 7.0))
+    return LeaderConfig(row(-3.0, 3.0), row(-2.0, 2.0), row(0.0, 50.0), row(-7.0, 7.0))
 
 
 # 200 ticks cross the leader's 64-tick chunks
@@ -404,15 +404,15 @@ GAINS = st.floats(0.0, 1e6) | st.sampled_from([0.0, 5e-324, 1e300])
 def pd_inputs(draw):
     dof = draw(st.integers(1, 9))
     vecs = [draw(st.lists(FLOATS, min_size=dof, max_size=dof)) for _ in range(5)]
-    gains = [draw(st.lists(GAINS, min_size=dof, max_size=dof)) for _ in range(2)]
-    return (*vecs, *gains, draw(st.floats(1e-6, 1.0) | st.just(1e-3)))
+    return (*vecs, draw(GAINS), draw(GAINS), draw(st.floats(1e-6, 1.0) | st.just(1e-3)))
 
 
 @given(pd_inputs())
 def test_pd_step_matches_numpy(inputs):
     lq, ldq, q, dq, ext, kp, kd, dt = inputs
     tau, follower = pd_step(LeaderSample(lq, ldq, 0.08, 0.0), FollowerState(q, dq),
-                            ControllerGains(kp, kd), ext, dt)
+                            kp, kd, ext, dt)
+    # the oracle broadcasts the scalar gains over the joint arrays
     with np.errstate(all="ignore"):
         want = oracle.pd_step(*map(np.array, (lq, ldq, q, dq, kp, kd, ext)), dt)
     for got, w in zip((tau, follower.q, follower.dq), want):

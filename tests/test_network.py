@@ -63,7 +63,7 @@ class TestThrottle:
 
 class TestDatagramLink:
     def test_constant_delay(self):
-        link = DatagramLink(LinkConfig(delay=DelayModel.constant(3.6)))
+        link = DatagramLink(LinkConfig(delay=DelayModel.constant(3.6)), 0)
         for k in range(10):
             link.send(k * MS, k)
         out = link.poll(10**9)
@@ -72,7 +72,7 @@ class TestDatagramLink:
             assert d.time_ns - d.send_time_ns == int(3.6 * MS)
 
     def test_total_loss(self):
-        link = DatagramLink(LinkConfig(loss=1.0, seed=1))
+        link = DatagramLink(LinkConfig(loss=1.0), 1)
         for k in range(100):
             link.send(k, k)
         assert link.poll(10**12) == []
@@ -80,15 +80,14 @@ class TestDatagramLink:
 
     def test_seeded_determinism(self):
         def run():
-            link = DatagramLink(LinkConfig(delay=DelayModel.uniform(1, 5), seed=7))
+            link = DatagramLink(LinkConfig(delay=DelayModel.uniform(1, 5)), 7)
             for k in range(50):
                 link.send(k * MS, k)
             return [(d.time_ns, d.payload) for d in link.poll(10**12)]
         assert run() == run()
 
     def test_never_duplicates(self):
-        link = DatagramLink(LinkConfig(delay=DelayModel.uniform(0, 10),
-                                       loss=0.3, seed=9))
+        link = DatagramLink(LinkConfig(delay=DelayModel.uniform(0, 10), loss=0.3), 9)
         for k in range(500):
             link.send(k * MS, k)
         payloads = [d.payload for d in link.poll(10**12)]
@@ -104,7 +103,7 @@ class TestStreamLink:
             u = doubles(seed)
             return [int(2 * u()), int(2 * u())]
         seed = next(s for s in itertools.count() if indices(s) == [0, 1])
-        link = StreamLink(LinkConfig(delay=DelayModel.empirical([5.0, 1.0]), seed=seed))
+        link = StreamLink(LinkConfig(delay=DelayModel.empirical([5.0, 1.0])), seed)
         link.send(0, "A")
         link.send(0, "B")
         out = link.poll(10**9)
@@ -114,14 +113,14 @@ class TestStreamLink:
 
     def test_loss_rejected(self):
         with pytest.raises(ValueError):
-            StreamLink(LinkConfig(loss=0.5))
+            StreamLink(LinkConfig(loss=0.5), 0)
 
     def test_empty(self):
-        link = StreamLink(LinkConfig())
+        link = StreamLink(LinkConfig(), 0)
         assert link.poll(10**9) == []
 
     def test_order_and_count_preserved(self):
-        link = StreamLink(LinkConfig(delay=DelayModel.uniform(0, 10), seed=5))
+        link = StreamLink(LinkConfig(delay=DelayModel.uniform(0, 10)), 5)
         for k in range(200):
             link.send(k * MS, k)
         out = link.poll(10**12)
@@ -159,8 +158,8 @@ def delays(kind, lo, span):
        loss=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
        seed=st.integers(0, 2**63), gaps=st.lists(st.integers(0, 3 * MS), max_size=300))
 def test_block_draws_give_the_per_send_stream(kind, lo, span, loss, seed, gaps):
-    cfg = LinkConfig(delay=delays(kind, lo, span), loss=loss, seed=seed)
-    link, ref = DatagramLink(cfg), oracle.DatagramLink(cfg)
+    cfg = LinkConfig(delay=delays(kind, lo, span), loss=loss)
+    link, ref = DatagramLink(cfg, seed), oracle.DatagramLink(cfg, seed)
     times = list(itertools.accumulate(gaps))
     outcomes = []
     for i, t in enumerate(times):
@@ -173,8 +172,8 @@ def test_block_draws_give_the_per_send_stream(kind, lo, span, loss, seed, gaps):
         outcomes[d.payload][0] = d.time_ns
     assert [tuple(o) for o in outcomes] == ref.outcomes
 
-    stream, ref = StreamLink(dataclasses.replace(cfg, loss=0.0)), \
-        oracle.StreamLink(dataclasses.replace(cfg, loss=0.0))
+    stream, ref = StreamLink(dataclasses.replace(cfg, loss=0.0), seed), \
+        oracle.StreamLink(dataclasses.replace(cfg, loss=0.0), seed)
     for i, t in enumerate(times):
         stream.send(t, i)
         ref.send(t)

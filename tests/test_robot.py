@@ -163,7 +163,7 @@ class TestForwardKinematics:
         poses = forward_kinematics(m, np.zeros(m.dof))
         by_child = {j.child: j for j in m.joints}
         for link in m.links:
-            expected = Pose.identity()
+            expected = Pose()
             chain = []
             name = link.name
             while name in by_child:
@@ -177,7 +177,7 @@ class TestForwardKinematics:
     def test_quaternion_hygiene_many_compositions(self):
         m = parse_urdf(PLANAR_2LINK)
         rng = np.random.default_rng(5)
-        pose = Pose.identity()
+        pose = Pose()
         for _ in range(10_000):
             q = rng.uniform(-np.pi, np.pi, 2)
             link_pose = forward_kinematics(m, q)["l2"]
@@ -201,7 +201,7 @@ def reference_fk(model, positions, base_pose=None):
     joints_of = {}
     for j in model.joints:
         joints_of.setdefault(j.parent, []).append(j)
-    base = base_pose or Pose.identity()
+    base = base_pose or Pose()
     poses = {model.root: oracle.Pose(base.translation, base.rotation)}
     stack = [model.root]
     while stack:

@@ -5,8 +5,7 @@ from twinsync.harness import simulate
 from twinsync.network import DatagramLink
 from twinsync.scenario import (ConfigError, DelayModel, LeaderConfig, LinkConfig,
                                ScenarioConfig)
-from twinsync.teleop import (ControllerGains, FollowerState, LeaderProfile,
-                             leader_trajectory, pd_step)
+from twinsync.teleop import FollowerState, leader_trajectory, pd_step
 from twinsync.wire import TelemetryPacket, decode_telemetry, encode_telemetry
 
 ONE_JOINT = """
@@ -26,14 +25,15 @@ ONE_JOINT = """
 
 class TestLeaderTrajectory:
     def test_zero_amplitude_constant(self):
-        p = LeaderProfile.constant([0.3, -0.2])
+        p = LeaderConfig(centers=(0.3, -0.2), amplitudes=(0.0, 0.0),
+                         frequencies=(0.0, 0.0), phases=(0.0, 0.0))
         for t in (0.0, 0.5, 3.7):
             s = leader_trajectory(t, p)
             assert np.allclose(s.positions, [0.3, -0.2])
             assert np.allclose(s.velocities, 0.0)
 
     def test_sinusoid_value_and_velocity_at_peak(self):
-        p = LeaderProfile([0.1], [0.5], [0.2], [0.0])
+        p = LeaderConfig((0.1,), (0.5,), (0.2,), (0.0,))
         s = leader_trajectory(1.25, p)  # 2*pi*0.2*1.25 = pi/2
         assert abs(s.positions[0] - 0.6) < 1e-12
         assert abs(s.velocities[0]) < 1e-12
@@ -53,16 +53,15 @@ class TestLeaderTrajectory:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            leader_trajectory(-0.1, LeaderProfile.constant([0.0]))
+            leader_trajectory(-0.1, LeaderConfig(centers=(0.0,)))
 
 
 class TestPdStep:
     def test_zero_gains_zero_ext_inert(self):
-        leader = leader_trajectory(0.0, LeaderProfile.constant([1.0]))
+        leader = leader_trajectory(0.0, LeaderConfig(centers=(1.0,)))
         follower = FollowerState([0.0], [0.0])
-        gains = ControllerGains([0.0], [0.0])
         for _ in range(100):
-            tau, follower = pd_step(leader, follower, gains, [0.0])
+            tau, follower = pd_step(leader, follower, 0.0, 0.0, [0.0])
             assert tau[0] == 0.0
         assert follower.q[0] == 0.0 and follower.dq[0] == 0.0
 
@@ -70,8 +69,7 @@ class TestPdStep:
         # static leader: the follower is the scalar system
         # qdd = kp (q* - q) - kd qd, checked against tiny-step RK4
         kp, kd, target = 100.0, 20.0, 0.02
-        leader = leader_trajectory(0.0, LeaderProfile.constant([target]))
-        gains = ControllerGains([kp], [kd])
+        leader = leader_trajectory(0.0, LeaderConfig(centers=(target,)))
         follower = FollowerState([0.0], [0.0])
 
         h = 1e-5
@@ -94,24 +92,24 @@ class TestPdStep:
 
         max_dev = 0.0
         for k in range(2000):
-            _, follower = pd_step(leader, follower, gains, [0.0])
+            _, follower = pd_step(leader, follower, kp, kd, [0.0])
             max_dev = max(max_dev, abs(follower.q[0] - ref_at[k + 1]))
         assert abs(follower.q[0] - target) < 1e-3
         assert max_dev < 1e-4
 
     def test_dimension_mismatch(self):
-        leader = leader_trajectory(0.0, LeaderProfile.constant([0.0, 0.0]))
+        leader = leader_trajectory(0.0, LeaderConfig(
+            centers=(0.0, 0.0), amplitudes=(0.0, 0.0), frequencies=(0.0, 0.0),
+            phases=(0.0, 0.0)))
         with pytest.raises(ValueError):
-            pd_step(leader, FollowerState([0.0], [0.0]),
-                    ControllerGains([1.0], [1.0]), [0.0])
+            pd_step(leader, FollowerState([0.0], [0.0]), 1.0, 1.0, [0.0])
 
     def test_passivity_energy_decreasing(self):
-        leader = leader_trajectory(0.0, LeaderProfile.constant([0.0]))
-        gains = ControllerGains([100.0], [20.0])
+        leader = leader_trajectory(0.0, LeaderConfig(centers=(0.0,)))
         follower = FollowerState([0.5], [0.0])
         energies = []
         for _ in range(3000):
-            _, follower = pd_step(leader, follower, gains, [0.0])
+            _, follower = pd_step(leader, follower, 100.0, 20.0, [0.0])
             energies.append(0.5 * follower.dq[0] ** 2
                             + 0.5 * 100.0 * follower.q[0] ** 2)
         # total (kinetic + spring) energy decays monotonically with kd > 0
@@ -125,11 +123,10 @@ class TestForceFeedback:
     def test_delayed_over_link(self):
         # the follower's joint torque, external term included, rides the
         # telemetry packet; a 10 ms link delay shows it at the leader 10 ms later
-        leader = leader_trajectory(0.0, LeaderProfile.constant([0.0]))
-        tau, follower = pd_step(leader, FollowerState([0.0], [0.0]),
-                                ControllerGains([100.0], [20.0]), [1.0])
+        leader = leader_trajectory(0.0, LeaderConfig(centers=(0.0,)))
+        tau, follower = pd_step(leader, FollowerState([0.0], [0.0]), 100.0, 20.0, [1.0])
         assert np.array_equal(tau, [1.0])
-        link = DatagramLink(LinkConfig(delay=DelayModel.constant(10.0)))
+        link = DatagramLink(LinkConfig(delay=DelayModel.constant(10.0)), 0)
         pkt = TelemetryPacket(0, 0, 5_000_000, follower.q, follower.dq, tau, 0.08, 0.0)
         link.send(5_000_000, encode_telemetry(pkt))
         assert link.poll(14_999_999) == []
