@@ -2,8 +2,9 @@
 
 Config files are YAML (or JSON) mappings. The config dataclasses are the
 schema: each key of a section names a field, which holds the default, and
-``__post_init__`` converts (vectors to float tuples) and checks. An unknown
-key or a non-mapping section is a ``ConfigError`` naming the section. The
+``__post_init__`` converts (vectors to float tuples, the scenario's real
+scalars to floats) and checks. An unknown key, a non-mapping section or an
+integer too large for a float is a ``ConfigError`` naming the section. The
 sections are the run's own inputs: ``simulate`` drives the leader from
 ``LeaderConfig`` and the follower from ``gains_kp`` and ``gains_kd``, and
 derives every link's random stream from the scenario ``seed``. See
@@ -200,6 +201,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "station_position", floats(self.station_position))
+        for name in ("duration_s", "tracker_noise_sigma", "gains_kp", "gains_kd",
+                     "station_yaw"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:  # an integer beyond the largest float
+                raise ConfigError(f"{name} is too large for a float") from None
         # written so that NaN fails too
         for name in ("duration_s", "tracker_noise_sigma", "gains_kp", "gains_kd"):
             value = getattr(self, name)
@@ -278,11 +285,11 @@ def _build(cls, mapping, **converters):
             raise ConfigError(f"unknown {cls.__name__} key {key!r}")
         try:
             kwargs[key] = converters[key](value) if key in converters else value
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{key}: {e}") from e
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"invalid {cls.__name__}: {e}") from e
 
 

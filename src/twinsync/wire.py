@@ -30,8 +30,36 @@ class WireError(ValueError):
     """Framing or validation failure while decoding a wire message."""
 
 
-# The packets are named tuples, cheap to build per datagram, whose
-# constructors convert their vectors to float tuples and validate them.
+def _check_joint_state(values) -> None:
+    """Raise ValueError unless every value of a joint state is finite."""
+    # a finite sum has only finite terms; only a sum that overflows needs
+    # the value-by-value check, so the order of the values does not matter
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError("non-finite joint state")
+
+
+def _check_sample(position, quaternion, quality) -> None:
+    """Raise ValueError unless a mocap sample is lost (quality 0) or a
+    valid tracked one (quality 1)."""
+    if quality == 1:
+        # the one place the rule is kept: a tracked sample has a unit
+        # quaternion (norm as ``geometry.norm``, written so that a NaN
+        # norm fails too) and a finite 3-vector position
+        w, x, y, z = quaternion
+        if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-6:
+            raise ValueError("tracked sample requires a unit quaternion")
+        px, py, pz = position
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            raise ValueError("tracked sample requires a finite position")
+    elif quality != 0:
+        raise ValueError("quality must be 0 or 1")
+
+
+# The packets are named tuples, cheap to build per datagram. Their
+# constructors take any sequences, numpy arrays included, convert the
+# vectors to float tuples and run the check above. The decoders already
+# hold struct's float tuples: they run the same check once and build the
+# tuple directly.
 
 class _Telemetry(NamedTuple):
     robot_id: int
@@ -53,11 +81,8 @@ class TelemetryPacket(_Telemetry):
         n = len(positions)
         if len(velocities) != n or len(efforts) != n:
             raise ValueError("per-joint array length mismatch")
-        values = [*positions, *velocities, *efforts, gripper_width, gripper_velocity]
-        # a finite sum has only finite terms; only a sum that overflows
-        # needs the value-by-value check
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            raise ValueError("non-finite joint state")
+        _check_joint_state((*positions, *velocities, *efforts, gripper_width,
+                            gripper_velocity))
         return tuple.__new__(cls, (robot_id, seq, time_ns, positions, velocities, efforts,
                                    gripper_width, gripper_velocity))
 
@@ -76,18 +101,7 @@ class MocapPacket(_Mocap):
 
     def __new__(cls, object_id, seq, time_ns, position, quaternion, quality):
         position, quaternion = floats(position), floats(quaternion)
-        if quality == 1:
-            # the one place the rule is kept: a tracked sample has a unit
-            # quaternion (norm as ``geometry.norm``, written so that a NaN
-            # norm fails too) and a finite 3-vector position
-            w, x, y, z = quaternion
-            if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-6:
-                raise ValueError("tracked sample requires a unit quaternion")
-            px, py, pz = position
-            if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
-                raise ValueError("tracked sample requires a finite position")
-        elif quality != 0:
-            raise ValueError("quality must be 0 or 1")
+        _check_sample(position, quaternion, quality)
         return tuple.__new__(cls, (object_id, seq, time_ns, position, quaternion, quality))
 
 
@@ -131,10 +145,11 @@ def decode_telemetry(buf: bytes) -> TelemetryPacket:
         raise WireError(f"telemetry length {len(buf)} != expected {expected}")
     vals = struct.unpack_from(f"<{3 * dof + 2}d", buf, _TELEMETRY_HEAD.size)
     try:
-        return TelemetryPacket(robot_id, seq, time_ns, vals[0:-2:3], vals[1:-2:3],
-                               vals[2:-2:3], vals[-2], vals[-1])
+        _check_joint_state(vals)
     except ValueError as e:  # a sample the packet rejects
         raise WireError(f"invalid telemetry sample: {e}") from e
+    return tuple.__new__(TelemetryPacket, (robot_id, seq, time_ns, vals[0:-2:3],
+                                           vals[1:-2:3], vals[2:-2:3], vals[-2], vals[-1]))
 
 
 def encode_mocap(p: MocapPacket) -> bytes:
@@ -145,16 +160,19 @@ def encode_mocap(p: MocapPacket) -> bytes:
 def decode_mocap(buf: bytes) -> MocapPacket:
     if len(buf) != _MOCAP.size:
         raise WireError(f"mocap length {len(buf)} != expected {_MOCAP.size}")
-    vals = _MOCAP.unpack(buf)
-    magic, version, object_id, seq, time_ns = vals[:5]
+    magic, version, object_id, seq, time_ns, px, py, pz, w, x, y, z, quality = \
+        _MOCAP.unpack(buf)
     if magic != MOCAP_MAGIC:
         raise WireError(f"bad mocap magic 0x{magic:04X}")
     if version != WIRE_VERSION:
         raise WireError(f"unsupported mocap version {version}")
+    position, quaternion = (px, py, pz), (w, x, y, z)
     try:
-        return MocapPacket(object_id, seq, time_ns, vals[5:8], vals[8:12], vals[12])
+        _check_sample(position, quaternion, quality)
     except ValueError as e:  # a sample the packet rejects
         raise WireError(f"invalid mocap sample: {e}") from e
+    return tuple.__new__(MocapPacket, (object_id, seq, time_ns, position, quaternion,
+                                       quality))
 
 
 def encode_command(f: CommandFrame) -> bytes:

@@ -43,6 +43,7 @@ class ProhibitedZone:
 
     def __post_init__(self):
         center, half, q = floats(self.center), floats(self.half_extents), floats(self.orientation)
+        object.__setattr__(self, "stiffness", float(self.stiffness))
         # written so that NaN fails too
         if len(center) != 3 or not all(map(math.isfinite, center)):
             raise ValueError(f"center must be 3 finite values, got {center}")

@@ -570,7 +570,8 @@ class TestScenarioLoading:
     # backwards, a mocap rate or seed the run cannot use, a non-finite filter
     # or grasp value, a gripper schedule that is empty or runs backwards, a
     # negative gain, a seed under a link (every link's derives from the
-    # scenario seed) and a vector whose norm overflows
+    # scenario seed), a vector whose norm overflows and an integer too large
+    # for a float
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -632,6 +633,21 @@ class TestScenarioLoading:
         ("gains-kp-negative", {"gains_kp": -1.0}, "gains_kp must be finite and >= 0"),
         ("station-yaw-nan", {"station_yaw": NAN}, "station_yaw must be finite"),
         ("station-yaw-inf", {"station_yaw": -INF}, "station_yaw must be finite"),
+        # an integer beyond the largest float
+        ("duration-int-overflow", {"duration_s": 10 ** 400},
+         "duration_s is too large for a float"),
+        ("tracker-noise-int-overflow", {"tracker_noise_sigma": 10 ** 400},
+         "tracker_noise_sigma is too large for a float"),
+        ("gains-kp-int-overflow", {"gains_kp": 10 ** 400}, "gains_kp is too large for a float"),
+        ("gains-kd-int-overflow", {"gains_kd": 10 ** 400}, "gains_kd is too large for a float"),
+        ("station-yaw-int-overflow", {"station_yaw": -10 ** 400},
+         "station_yaw is too large for a float"),
+        ("station-position-int-overflow", {"station_position": [0, 10 ** 400, 0]},
+         "int too large to convert to float"),
+        ("zone-stiffness-int-overflow", {"zones": [{**ZONE, "stiffness": 10 ** 400}]},
+         "zones: .*int too large to convert to float"),
+        ("leader-center-int-overflow", {"leader": {"centers": [10 ** 400]}},
+         "leader: .*int too large to convert to float"),
         ("station-position-nan", {"station_position": [NAN, 0, 0]},
          "station_position must be 3 finite values"),
         ("station-position-inf", {"station_position": [0, INF, 0]},
@@ -705,7 +721,7 @@ class TestScenarioLoading:
         # a value other than the default for every field of the schema
         given = {
             "seed": 3, "duration_s": 0.5, "robot_path": "r.urdf", "robot_id": 2,
-            "gains_kp": 50.0, "gains_kd": 5.0,
+            "gains_kp": 50, "gains_kd": 5,
             "leader": {"centers": [0.1, 0.2], "amplitudes": [0.3, 0.4],
                        "frequencies": [0.5, 0.6], "phases": [0.7, 0.8],
                        "gripper_schedule": [[0, 0.04], [1, 0.02]]},
@@ -722,12 +738,12 @@ class TestScenarioLoading:
             "grasp": {"stall_eps": 2e-3, "stall_count": 3, "closed_threshold": 2e-3,
                       "release_eps": 3e-3},
             "zones": [{"id": "z", "center": [1, 2, 3], "half_extents": [0.1, 0.2, 0.3],
-                       "orientation": [0, 1, 0, 0], "stiffness": 100.0,
+                       "orientation": [0, 1, 0, 0], "stiffness": 100,
                        "attached_asset": "a"}],
             "assets": [{"name": "a", "object_id": 1, "position": [1, 2, 3],
                         "waypoints": [[1, [2, 3, 4]]], "occlusions": [[0.5, 0.6]]}],
-            "station_position": [1, 2, 3], "station_yaw": 0.5,
-            "tracker_noise_sigma": 0.0, "mocap_rate_hz": 60, "ee_link": "tip",
+            "station_position": [1, 2, 3], "station_yaw": -1,
+            "tracker_noise_sigma": 0, "mocap_rate_hz": 60, "ee_link": "tip",
             "stats_path": "s.jsonl", "trace_path": "t.csv", "log_path": "l.dtrl",
         }
 
@@ -757,5 +773,7 @@ class TestScenarioLoading:
                 else:
                     assert value == tuples(want), f.name
                     assert not isinstance(value, tuple) or all_floats(value), f.name
+                    # a float field given an integer holds a float
+                    assert not isinstance(default, float) or type(value) is float, f.name
 
         check(config_from_dict(given), given)

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -165,3 +168,95 @@ def test_golden_bytes():
     assert encode_mocap(m).hex() == GOLDEN_MOCAP
     c = CommandFrame(1, 4, 999, [1.0, 0.0, 0.0], 0.1, 500.0)
     assert encode_command(c).hex() == GOLDEN_COMMAND
+
+
+GOLDEN_ARGS = {
+    "telemetry": (2, 7, 123456789, [0.1, -0.2], [1.0, 2.0], [0.5, -0.5], 0.08, -0.01),
+    "mocap": (3, 9, 55555, [1.0, 2.0, 3.0], [1.0, 0, 0, 0], 1),
+}
+
+
+def assert_float_tuples(*vectors):
+    for v in vectors:
+        assert type(v) is tuple and all(type(x) is float for x in v), v
+
+
+def test_decoded_packets_have_the_constructors_types():
+    t = decode_telemetry(bytes.fromhex(GOLDEN_TELEMETRY))
+    assert type(t) is TelemetryPacket
+    assert t == TelemetryPacket(*GOLDEN_ARGS["telemetry"])
+    assert_float_tuples(t.positions, t.velocities, t.efforts,
+                        (t.gripper_width, t.gripper_velocity))
+    m = decode_mocap(bytes.fromhex(GOLDEN_MOCAP))
+    assert type(m) is MocapPacket
+    assert m == MocapPacket(*GOLDEN_ARGS["mocap"])
+    assert_float_tuples(m.position, m.quaternion)
+    assert (m.object_id, m.seq, m.time_ns, m.quality) == (3, 9, 55555, 1)
+
+
+# any double the wire can carry: NaN, infinities, -0.0, subnormals, and
+# values whose sum overflows
+special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310,
+                           1.7e308, -1.7e308])
+double = st.one_of(finite, special, st.floats(width=64))
+
+
+def mostly_finite(n):
+    """n doubles, all finite in about half the draws."""
+    return st.one_of(st.lists(st.one_of(finite, st.just(1.7e308)), min_size=n, max_size=n),
+                     st.lists(double, min_size=n, max_size=n))
+
+
+def near_unit(v):
+    n = math.sqrt(sum(x * x for x in v))
+    return tuple(x / n for x in v) if 0.0 < n < math.inf else (1.0, 0.0, 0.0, 0.0)
+
+
+quaternions = st.one_of(
+    st.lists(double, min_size=4, max_size=4),
+    st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(near_unit),
+    st.sampled_from([(1.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, -1.0),
+                     (1.0 + 9e-7, 0.0, 0.0, 0.0), (1.0 + 2e-6, 0.0, 0.0, 0.0)]))
+qualities = st.one_of(st.sampled_from([0, 1]), st.integers(0, 255))
+ids = (st.integers(0, 255), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+@given(*ids, mostly_finite(3), quaternions, qualities)
+def test_decode_mocap_agrees_with_the_constructor(object_id, seq, t, position,
+                                                  quaternion, quality):
+    data = struct.pack("<HBBIQ3d4dB", 0x4D43, 1, object_id, seq, t, *position,
+                       *quaternion, quality)
+    try:
+        want = MocapPacket(object_id, seq, t, position, quaternion, quality)
+    except ValueError:
+        with pytest.raises(WireError, match="invalid mocap sample"):
+            decode_mocap(data)
+        return
+    got = decode_mocap(data)
+    assert type(got) is MocapPacket
+    assert_float_tuples(got.position, got.quaternion)
+    # equal field by field, bit for bit (NaN and -0.0 included)
+    assert encode_mocap(got) == encode_mocap(want) == data
+
+
+@given(*ids, st.integers(0, 12).flatmap(lambda dof: mostly_finite(3 * dof + 2)))
+def test_decode_telemetry_agrees_with_the_constructor(robot_id, seq, t, values):
+    dof = (len(values) - 2) // 3
+    rows, (width, dwidth) = values[:-2], values[-2:]
+    positions, velocities, efforts = rows[:dof], rows[dof:2 * dof], rows[2 * dof:]
+    data = (struct.pack("<HBBIQB", 0x4A54, 1, robot_id, seq, t, dof)
+            + struct.pack(f"<{3 * dof + 2}d",
+                          *(x for row in zip(positions, velocities, efforts) for x in row),
+                          width, dwidth))
+    try:
+        want = TelemetryPacket(robot_id, seq, t, positions, velocities, efforts,
+                               width, dwidth)
+    except ValueError:
+        with pytest.raises(WireError, match="invalid telemetry sample"):
+            decode_telemetry(data)
+        return
+    got = decode_telemetry(data)
+    assert type(got) is TelemetryPacket
+    assert_float_tuples(got.positions, got.velocities, got.efforts,
+                        (got.gripper_width, got.gripper_velocity))
+    assert encode_telemetry(got) == encode_telemetry(want) == data
