@@ -18,7 +18,8 @@ function: it writes ``_rotate``, ``quat_multiply`` and ``unit_quat`` out
 inline, in the same order, so its poses are bit for bit those of the
 three calls. ``robot.Chain.frames``, the kinematics walk, writes the same
 operations out once more per joint, so forward kinematics is bit for bit
-a chain of ``Pose.compose`` calls.
+a chain of ``Pose.compose`` calls: it skips a product only where it adds
+``±0.0`` to components that are all non-zero, which leaves them as they are.
 """
 
 from __future__ import annotations

@@ -38,13 +38,15 @@ class FilterConfig:
     stable_tol: float = 0.005  # m
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not 5 <= self.window <= 15:
-            raise ValueError("window must be in [5, 15]")
+        # written so that NaN fails too; the counts are deque lengths, and
+        # stable_count is capped since each dropped frame compares every pair
+        if not (type(self.window) is int and 5 <= self.window <= 15):
+            raise ValueError(f"window must be an integer in [5, 15], got {self.window!r}")
         if not self.vmax > 0:
             raise ValueError(f"vmax must be positive, got {self.vmax!r}")
-        if not self.stable_count >= 2:
-            raise ValueError("stable_count must be >= 2")
+        if not (type(self.stable_count) is int and 2 <= self.stable_count <= 100):
+            raise ValueError("stable_count must be >= 2 and <= 100, an integer, got "
+                             f"{self.stable_count!r}")
         if not 0.0 < self.stable_tol < math.inf:
             raise ValueError(f"stable_tol must be finite and positive, got {self.stable_tol!r}")
         up = floats(self.up_axis)

@@ -7,13 +7,14 @@ collision, transmission and vendor extensions are ignored.
 Each ``RobotModel`` compiles its tree into a ``Chain`` when it is built
 (``model.chain``): the joints in traversal order with their parent link's
 index, origin pose, axis as a float tuple, the axis's norm and each
-movable joint's position index. ``Chain.frames`` is the one kinematics
-walk: one loop that, at each joint, composes parent o origin and then that
-o motion on local floats, each operation in the order ``Pose.compose``,
-``quat_from_axis_angle`` and ``Pose``'s renormalization take, so forward
-kinematics is bit-identical to composing ``Pose`` objects joint by joint.
-``forward_kinematics`` reads the link frames off that walk, and
-``jacobian`` reads the geometric Jacobian off its joint frames.
+movable joint's position index, and whether its origin has a zero offset
+or no rotation. ``Chain.frames`` is the one kinematics walk: one loop that,
+at each joint, composes parent o origin and then that o motion on local
+floats, each operation in the order ``Pose.compose``,
+``quat_from_axis_angle`` and ``Pose``'s renormalization take, less the
+products that cannot change a bit, so forward kinematics is bit-identical
+to composing ``Pose`` objects joint by joint. ``forward_kinematics`` reads
+the link frames off that walk, and ``jacobian`` its joint frames.
 """
 
 from __future__ import annotations
@@ -56,14 +57,13 @@ class RobotModel:
     links: tuple[Link, ...]
     joints: tuple[Joint, ...]
     root: str
+    movable_joints: tuple[Joint, ...] = field(init=False, repr=False, compare=False)
     chain: Chain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "movable_joints",
+                           tuple([j for j in self.joints if j.kind in MOVABLE_KINDS]))
         object.__setattr__(self, "chain", Chain(self))
-
-    @property
-    def movable_joints(self) -> list[Joint]:
-        return [j for j in self.joints if j.kind in MOVABLE_KINDS]
 
     @property
     def dof(self) -> int:
@@ -189,6 +189,8 @@ class ChainJoint(NamedTuple):
     axis: tuple[float, float, float]  # zeros for a fixed joint
     axis_norm: float  # norm(axis), as quat_from_axis_angle takes it
     dof: int  # index of the joint's position, -1 for a fixed joint
+    zero_offset: bool  # the origin's translation is zeros of either sign
+    identity_origin: bool  # the origin's rotation is 1.0 and zeros of either sign
 
 
 class Chain:
@@ -215,8 +217,11 @@ class Chain:
                 index[j.child] = len(links)
                 links.append(j.child)
                 axis = j.axis or ZERO3
+                (vx, vy, vz), (bw, bx, by, bz) = j.origin
                 joints.append(ChainJoint(index[parent], j.kind, j.origin, axis,
-                                         norm(axis), movable.get(j.name, -1)))
+                                         norm(axis), movable.get(j.name, -1),
+                                         not (vx or vy or vz),
+                                         bw == 1.0 and not (bx or by or bz)))
                 stack.append(j.child)
         self.links: tuple[str, ...] = tuple(links)
         self.joints: tuple[ChainJoint, ...] = tuple(joints)
@@ -231,46 +236,61 @@ class Chain:
             raise ValueError("non-finite joint position")
         return positions
 
-    def frames(self, positions, base: Pose = IDENTITY,
-               joint_frames: list | None = None) -> list[Pose]:
-        """The pose of every link, in ``links`` order; with a list for
-        ``joint_frames``, the frame of every joint, parent o origin, is
-        appended to it in ``joints`` order.
+    def frames(self, positions, base: Pose = IDENTITY, path: list | None = None,
+               joint_frames: list | None = None) -> list:
+        """The pose of every link, in ``links`` order; with ``path``, joint
+        indices from the root down, only those joints are walked and every
+        other entry is None. With a list for ``joint_frames``, each walked
+        joint's frame, parent o origin, is appended to it as a pair.
 
         ``Pose.compose`` is written out twice per joint, for parent o origin
         and then for that o motion, where the motion is a revolute joint's
         ``quat_from_axis_angle`` renormalized as ``Pose`` does, a prismatic
         joint's shift along its axis, or the identity for a fixed joint.
+        Rotating a zero offset, and multiplying by the identity rotation
+        (whose product a walked rotation renormalizes to itself), add
+        ``±0.0`` to each term, which keeps a non-zero one but can flip the
+        sign of a zero, so each is skipped only when all the components it
+        adds to are non-zero. That holds for finite rotations of norm within
+        1e-12 of 1, as ``Pose`` keeps them; any other base is walked in full.
         """
         sin, cos, sqrt, new = math.sin, math.cos, math.sqrt, tuple.__new__
-        links = [base]
-        for parent, kind, origin, (ax, ay, az), axis_norm, dof in self.joints:
+        joints = self.joints
+        _, (w, x, y, z) = base
+        exact = abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12
+        links = [base] + [None] * len(joints)
+        for i in range(len(joints)) if path is None else path:
+            (parent, kind, ((vx, vy, vz), (bw, bx, by, bz)), (ax, ay, az), axis_norm,
+             dof, zero_offset, identity_origin) = joints[i]
             (tx, ty, tz), (w, x, y, z) = links[parent]
-            (vx, vy, vz), (bw, bx, by, bz) = origin
             # parent o origin
-            rw = w * 0.0 - x * vx - y * vy - z * vz
-            rx = w * vx + x * 0.0 + y * vz - z * vy
-            ry = w * vy - x * vz + y * 0.0 + z * vx
-            rz = w * vz + x * vy - y * vx + z * 0.0
-            tx += rw * -x + rx * w + ry * -z - rz * -y
-            ty += rw * -y - rx * -z + ry * w + rz * -x
-            tz += rw * -z + rx * -y - ry * -x + rz * w
-            qw = w * bw - x * bx - y * by - z * bz
-            qx = w * bx + x * bw + y * bz - z * by
-            qy = w * by - x * bz + y * bw + z * bx
-            qz = w * bz + x * by - y * bx + z * bw
-            n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-            if abs(n - 1.0) > 1e-12:
-                if n == 0.0:
-                    raise ValueError("zero quaternion")
-                qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+            if not (zero_offset and tx and ty and tz and exact):
+                rw = w * 0.0 - x * vx - y * vy - z * vz
+                rx = w * vx + x * 0.0 + y * vz - z * vy
+                ry = w * vy - x * vz + y * 0.0 + z * vx
+                rz = w * vz + x * vy - y * vx + z * 0.0
+                tx += rw * -x + rx * w + ry * -z - rz * -y
+                ty += rw * -y - rx * -z + ry * w + rz * -x
+                tz += rw * -z + rx * -y - ry * -x + rz * w
+            if identity_origin and w and x and y and z and exact:
+                qw, qx, qy, qz = w, x, y, z
+            else:
+                qw = w * bw - x * bx - y * by - z * bz
+                qx = w * bx + x * bw + y * bz - z * by
+                qy = w * by - x * bz + y * bw + z * bx
+                qz = w * bz + x * by - y * bx + z * bw
+                n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+                if abs(n - 1.0) > 1e-12:
+                    if n == 0.0:
+                        raise ValueError("zero quaternion")
+                    qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
             if joint_frames is not None:
-                joint_frames.append(new(Pose, ((tx, ty, tz), (qw, qx, qy, qz))))
+                joint_frames.append(((tx, ty, tz), (qw, qx, qy, qz)))
             # the joint's motion
+            vx = vy = vz = 0.0
             if kind == "revolute":
                 half = 0.5 * positions[dof]
                 s = sin(half) / axis_norm
-                vx = vy = vz = 0.0
                 bw, bx, by, bz = cos(half), ax * s, ay * s, az * s
                 n = sqrt(bw * bw + bx * bx + by * by + bz * bz)
                 if abs(n - 1.0) > 1e-12:
@@ -279,27 +299,29 @@ class Chain:
                 if kind == "prismatic":
                     p = positions[dof]
                     vx, vy, vz = ax * p, ay * p, az * p
-                else:
-                    vx = vy = vz = 0.0
                 bw, bx, by, bz = 1.0, 0.0, 0.0, 0.0
             # (parent o origin) o motion
-            rw = qw * 0.0 - qx * vx - qy * vy - qz * vz
-            rx = qw * vx + qx * 0.0 + qy * vz - qz * vy
-            ry = qw * vy - qx * vz + qy * 0.0 + qz * vx
-            rz = qw * vz + qx * vy - qy * vx + qz * 0.0
-            tx += rw * -qx + rx * qw + ry * -qz - rz * -qy
-            ty += rw * -qy - rx * -qz + ry * qw + rz * -qx
-            tz += rw * -qz + rx * -qy - ry * -qx + rz * qw
-            w = qw * bw - qx * bx - qy * by - qz * bz
-            x = qw * bx + qx * bw + qy * bz - qz * by
-            y = qw * by - qx * bz + qy * bw + qz * bx
-            z = qw * bz + qx * by - qy * bx + qz * bw
-            n = sqrt(w * w + x * x + y * y + z * z)
-            if abs(n - 1.0) > 1e-12:
-                if n == 0.0:
-                    raise ValueError("zero quaternion")
-                w, x, y, z = w / n, x / n, y / n, z / n
-            links.append(new(Pose, ((tx, ty, tz), (w, x, y, z))))
+            if vx or vy or vz or not (tx and ty and tz and exact):
+                rw = qw * 0.0 - qx * vx - qy * vy - qz * vz
+                rx = qw * vx + qx * 0.0 + qy * vz - qz * vy
+                ry = qw * vy - qx * vz + qy * 0.0 + qz * vx
+                rz = qw * vz + qx * vy - qy * vx + qz * 0.0
+                tx += rw * -qx + rx * qw + ry * -qz - rz * -qy
+                ty += rw * -qy - rx * -qz + ry * qw + rz * -qx
+                tz += rw * -qz + rx * -qy - ry * -qx + rz * qw
+            if kind != "revolute" and qw and qx and qy and qz and exact:
+                w, x, y, z = qw, qx, qy, qz
+            else:
+                w = qw * bw - qx * bx - qy * by - qz * bz
+                x = qw * bx + qx * bw + qy * bz - qz * by
+                y = qw * by - qx * bz + qy * bw + qz * bx
+                z = qw * bz + qx * by - qy * bx + qz * bw
+                n = sqrt(w * w + x * x + y * y + z * z)
+                if abs(n - 1.0) > 1e-12:
+                    if n == 0.0:
+                        raise ValueError("zero quaternion")
+                    w, x, y, z = w / n, x / n, y / n, z / n
+            links[i + 1] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
         return links
 
 
@@ -321,28 +343,32 @@ def jacobian(model: RobotModel, positions, link: str,
     ``base``: one 3-tuple column per movable joint, ``(0.0, 0.0, 0.0)`` for
     a joint off the link's path. KeyError for an unknown link.
 
-    Read off one ``Chain.frames`` walk: for each joint on the link's path,
-    its frame is parent o origin, and its axis in the world is ``a``. A
-    revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
-    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
+    Read off one ``Chain.frames`` walk of the link's path only: for each
+    joint on it, its frame is parent o origin, and its axis in the world is
+    ``a``. A revolute joint's column is ``a x (p_link - p_joint)``, a
+    prismatic joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
     """
     chain = model.chain
-    i = chain._index[link]
-    joint_frames = []
-    links = chain.frames(chain.check(positions), base, joint_frames)
-    columns = [ZERO3] * chain.dof
-    px, py, pz = links[i].translation
+    joints = chain.joints
+    end = i = chain._index[link]
+    path = []
     while i:
-        j = chain.joints[i - 1]
+        path.append(i - 1)
+        i = joints[i - 1].parent
+    path.reverse()
+    joint_frames = []
+    px, py, pz = chain.frames(chain.check(positions), base, path,
+                              joint_frames)[end].translation
+    columns = [ZERO3] * chain.dof
+    for k, ((jx, jy, jz), rotation) in zip(path, joint_frames):
+        j = joints[k]
         if j.dof >= 0:
-            (jx, jy, jz), rotation = joint_frames[i - 1]
             ax, ay, az = _rotate(rotation, *j.axis)
             if j.kind == "prismatic":
                 columns[j.dof] = (ax, ay, az)
             else:
                 dx, dy, dz = px - jx, py - jy, pz - jz
                 columns[j.dof] = (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx)
-        i = j.parent
     return columns
 
 

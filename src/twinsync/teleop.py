@@ -75,8 +75,8 @@ def pd_step(leader: LeaderSample, follower: FollowerState, kp: float, kd: float,
     """One PD impedance step over unit inertia (semi-implicit Euler), with
     the gains ``kp`` and ``kd`` on every joint.
 
-    Per joint, on floats: tau = kp*(lq - q) + kd*(ldq - dq) + ext, then
-    dq' = dq + tau*dt, then q' = q + dq'*dt.
+    Per joint, on floats, in one pass: tau = kp*(lq - q) + kd*(ldq - dq)
+    + ext, then dq' = dq + tau*dt, then q' = q + dq'*dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -84,9 +84,14 @@ def pd_step(leader: LeaderSample, follower: FollowerState, kp: float, kd: float,
     q, dq = follower.q, follower.dq
     if not len(lq) == len(ldq) == len(q) == len(dq) == len(ext_torque):
         raise ValueError("dimension mismatch")
-    if not all(map(isfinite, chain(lq, q, ext_torque))):
+    # a finite sum has only finite terms, as wire._check_joint_state relies on
+    if not isfinite(sum(lq) + sum(q) + sum(ext_torque)) \
+            and not all(map(isfinite, chain(lq, q, ext_torque))):
         raise ValueError("non-finite input")
-    tau = [kp * (a - b) + kd * (c - d) + e
-           for a, b, c, d, e in zip(lq, q, ldq, dq, ext_torque)]
-    dq = [v + f * dt for v, f in zip(dq, tau)]
-    return tau, FollowerState([x + v * dt for x, v in zip(q, dq)], dq)
+    tau, dq_next, q_next = [], [], []
+    for a, b, c, d, e in zip(lq, q, ldq, dq, ext_torque):
+        t = kp * (a - b) + kd * (c - d) + e
+        tau.append(t)
+        dq_next.append(v := d + t * dt)
+        q_next.append(b + v * dt)
+    return tau, FollowerState(q_next, dq_next)

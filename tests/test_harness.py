@@ -700,6 +700,18 @@ class TestScenarioLoading:
          "filter: .*stable_tol must be finite and positive"),
         ("filter-stable-count-nan", {"filter": {"stable_count": NAN}},
          "filter: .*stable_count must be >= 2"),
+        # the counts are deque lengths: a float, a bool or an integer too
+        # large for one crashed simulate in MocapFilter
+        ("filter-window-float", {"filter": {"window": 7.5}},
+         "filter: .*window must be an integer in \\[5, 15\\], got 7.5"),
+        ("filter-window-bool", {"filter": {"window": True}},
+         "filter: .*window must be an integer in \\[5, 15\\], got True"),
+        ("filter-stable-count-float", {"filter": {"stable_count": 2.5}},
+         "filter: .*stable_count must be >= 2 and <= 100, an integer, got 2.5"),
+        ("filter-stable-count-huge", {"filter": {"stable_count": 10 ** 400}},
+         "filter: .*stable_count must be >= 2 and <= 100, an integer, got 1000"),
+        ("filter-stable-count-bool", {"filter": {"stable_count": True}},
+         "filter: .*stable_count must be >= 2 and <= 100, an integer, got True"),
         ("grasp-stall-eps-nan", {"grasp": {"stall_eps": NAN}},
          "grasp: .*grasp config values must be finite and strictly positive"),
         ("grasp-release-eps-inf", {"grasp": {"release_eps": INF}},

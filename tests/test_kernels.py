@@ -408,6 +408,11 @@ def pd_inputs(draw):
 
 
 @given(pd_inputs())
+# finite inputs whose sums overflow, which the one-sum finite check passes
+# on to the value-by-value check
+@example(([1e308, 1e308], [0.0, 0.0], [-1e308, -1e308], [0.0, 0.0], [1e308, 1e308],
+          1.0, 1.0, 1e-3))
+@example(([1.0], [0.0], [1e308], [0.0], [1e308], 1e300, 0.0, 1e-3))
 def test_pd_step_matches_numpy(inputs):
     lq, ldq, q, dq, ext, kp, kd, dt = inputs
     tau, follower = pd_step(LeaderSample(lq, ldq, 0.08, 0.0), FollowerState(q, dq),
@@ -415,5 +420,31 @@ def test_pd_step_matches_numpy(inputs):
     # the oracle broadcasts the scalar gains over the joint arrays
     with np.errstate(all="ignore"):
         want = oracle.pd_step(*map(np.array, (lq, ldq, q, dq, kp, kd, ext)), dt)
+    for got, w in zip((tau, follower.q, follower.dq), want):
+        same(got, w)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("vector", ["lq", "q", "ext"])
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("fill", [0.5, 1e308])
+def test_pd_step_rejects_non_finite_input(bad, vector, at, fill):
+    # with 0.5 the sum alone sees the bad value; with 1e308 the other values
+    # overflow the sum as well, and the value-by-value check must see it
+    given = {name: [fill] * 3 for name in ("lq", "ldq", "q", "dq", "ext")}
+    given[vector][at] = bad
+    with pytest.raises(ValueError, match="non-finite input"):
+        pd_step(LeaderSample(given["lq"], given["ldq"], 0.08, 0.0),
+                FollowerState(given["q"], given["dq"]), 1.0, 1.0, given["ext"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pd_step_passes_non_finite_velocities_through(bad):
+    # ldq and dq are not checked: a non-finite one runs into the result
+    lq, ldq, q, dq, ext = [0.5, 1.0], [bad, 0.0], [0.0, 0.2], [0.0, bad], [0.0, 0.1]
+    tau, follower = pd_step(LeaderSample(lq, ldq, 0.08, 0.0), FollowerState(q, dq),
+                            10.0, 2.0, ext)
+    with np.errstate(all="ignore"):
+        want = oracle.pd_step(*map(np.array, (lq, ldq, q, dq, 10.0, 2.0, ext)), 1e-3)
     for got, w in zip((tau, follower.q, follower.dq), want):
         same(got, w)

@@ -1,3 +1,4 @@
+import math
 import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import numpy_oracle as oracle
 from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, quat_from_axis_angle,
                                quat_rotate, unit_quat)
-from twinsync.robot import (LimitViolation, UrdfError, apply_joint_state,
-                            forward_kinematics, jacobian, parse_urdf)
+from twinsync.robot import (Joint, LimitViolation, Link, RobotModel, UrdfError,
+                            apply_joint_state, forward_kinematics, jacobian, parse_urdf)
 from twinsync.zones import ProhibitedZone, counterforce, query
 
 ASSETS = Path(__file__).parent.parent / "assets"
@@ -266,8 +267,47 @@ SKEW = """
 </robot>
 """
 
+# a joint for each of the chain walk's skips and fallbacks: below the root,
+# whose rotation has zeros (identity or yawed), a zero-offset revolute
+# joint, a zero-offset prismatic joint under an identity origin and a fixed
+# joint with only an offset; below those, a fixed joint with neither offset
+# nor rotation, a prismatic joint with only an offset and a revolute joint
+# with neither
+SHORTCUTS = """
+<robot name='shortcuts'>
+  <link name='base'/><link name='a'/><link name='b'/><link name='c'/>
+  <link name='d'/><link name='e'/><link name='f'/>
+  <joint name='ja' type='revolute'>
+    <origin rpy='0.3 -0.2 0.5'/>
+    <parent link='base'/><child link='a'/>
+    <axis xyz='0.2 0.3 0.9'/><limit lower='-3' upper='3'/>
+  </joint>
+  <joint name='jb' type='fixed'>
+    <parent link='a'/><child link='b'/>
+  </joint>
+  <joint name='jc' type='prismatic'>
+    <origin xyz='0.1 0.2 -0.3'/>
+    <parent link='b'/><child link='c'/>
+    <axis xyz='0.2 0.9 -0.4'/><limit lower='-1' upper='1'/>
+  </joint>
+  <joint name='jd' type='revolute'>
+    <parent link='c'/><child link='d'/>
+    <axis xyz='1 0 0'/><limit lower='-3' upper='3'/>
+  </joint>
+  <joint name='je' type='prismatic'>
+    <parent link='base'/><child link='e'/>
+    <axis xyz='0 0 1'/><limit lower='-1' upper='1'/>
+  </joint>
+  <joint name='jf' type='fixed'>
+    <origin xyz='0.1 0 -0.2'/>
+    <parent link='base'/><child link='f'/>
+  </joint>
+</robot>
+"""
+
 MODELS = {"panda": parse_urdf((ASSETS / "panda.urdf").read_text()),
-          "planar": parse_urdf(PLANAR_2LINK), "skew": parse_urdf(SKEW)}
+          "planar": parse_urdf(PLANAR_2LINK), "skew": parse_urdf(SKEW),
+          "shortcuts": parse_urdf(SHORTCUTS)}
 
 # a station yawed about z and offset, as TwinEngine's base pose is; yaws
 # beyond pi give quaternions with a negative scalar part
@@ -285,6 +325,25 @@ SIGNED_ZERO_BASES = st.builds(
     lambda yaw, xyz: Pose(list(xyz), quat_from_axis_angle([0.0, 0.0, 1.0], yaw)),
     st.sampled_from([0.0, -0.0]) | st.floats(-2 * np.pi, 2 * np.pi),
     st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)] * 3))
+
+
+def draw_signed_zero_positions(data, model):
+    return data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
+                              min_size=model.dof, max_size=model.dof))
+
+
+def assert_fk_bytes(model, q, base):
+    got = forward_kinematics(model, q, base)
+    want = reference_fk(model, q, base)
+    assert list(got) == list(want)
+    for link, pose in want.items():
+        assert np.asarray(got[link].translation).tobytes() == pose.translation.tobytes()
+        assert np.asarray(got[link].rotation).tobytes() == pose.rotation.tobytes()
+
+
+def assert_jacobian_bytes(model, q, link, base):
+    assert [struct.pack("<3d", *c) for c in jacobian(model, q, link, base)] == \
+        [struct.pack("<3d", *c) for c in compose_jacobian(model, q, link, base)]
 
 
 def compose_jacobian(model, q, link, base):
@@ -326,17 +385,12 @@ class TestCompiledChain:
     """The compiled chain against the ``Pose.compose`` walk, byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    @given(data=st.data(), base=BASES)
+    @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
     @settings(max_examples=60, deadline=None)
     def test_fk_matches_compose_walk(self, name, data, base):
+        # zeros of both signs reach the walk's fallbacks from its skips
         model = MODELS[name]
-        q = draw_positions(data, model)
-        got = forward_kinematics(model, q, base)
-        want = reference_fk(model, q, base)
-        assert list(got) == list(want)
-        for link, pose in want.items():
-            assert np.asarray(got[link].translation).tobytes() == pose.translation.tobytes()
-            assert np.asarray(got[link].rotation).tobytes() == pose.rotation.tobytes()
+        assert_fk_bytes(model, draw_signed_zero_positions(data, model), base)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @given(data=st.data(), base=BASES)
@@ -356,13 +410,41 @@ class TestCompiledChain:
     @settings(max_examples=40, deadline=None)
     def test_jacobian_matches_compose_walk(self, name, data, base):
         model = MODELS[name]
-        q = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
-                               min_size=model.dof, max_size=model.dof))
+        q = draw_signed_zero_positions(data, model)
         link = data.draw(st.sampled_from([l.name for l in model.links]))
-        got = jacobian(model, q, link, base)
-        want = compose_jacobian(model, q, link, base)
-        assert [struct.pack("<3d", *c) for c in got] == \
-            [struct.pack("<3d", *c) for c in want]
+        assert_jacobian_bytes(model, q, link, base)
+
+    # bases turned about a coordinate axis, on which a skip past a zero
+    # component would flip the sign of a zero somewhere, as a random search
+    # found: the draws above reach such inputs too rarely to count on
+    @pytest.mark.parametrize("name, q, axis, angle, xyz", [
+        ("planar", [0.0, -0.0], (0.0, 0.0, 1.0), -5.7, [-0.0, -0.0, -0.0]),
+        ("shortcuts", [0.0] * 4, (0.0, -1.0, 0.0), -3.3, [0.5, -0.0, 0.0]),
+        ("panda", [0.0] * 5 + [-0.0] * 4, (0.0, 0.0, -1.0), 7.0, [0.0, -0.0, 0.0]),
+    ])
+    def test_zero_signs_kept_through_the_skips(self, name, q, axis, angle, xyz):
+        model = MODELS[name]
+        base = Pose(xyz, quat_from_axis_angle(axis, angle))
+        assert_fk_bytes(model, q, base)
+        for link in model.chain.links:
+            assert_jacobian_bytes(model, q, link, base)
+
+    def test_negated_identity_origin_not_skipped(self):
+        # (-1, 0, 0, 0) turns nothing but negates a product; no URDF rpy gives it
+        origin = Pose(rotation=(-1.0, 0.0, 0.0, 0.0))
+        model = RobotModel("r", (Link("a"), Link("b")),
+                           (Joint("j", "fixed", "a", "b", origin),), "a")
+        assert_fk_bytes(model, [], Pose((0.1, 0.2, 0.3),
+                                        quat_from_axis_angle((0.3, 0.4, 0.5), 0.7)))
+
+    # the skips take a rotation that renormalizes to itself; a base that
+    # ``Pose.of`` took off the unit sphere, or a NaN one, is walked in full
+    @pytest.mark.parametrize("rotation", [(0.9, 0.1, 0.2, 0.3), (math.nan, 0.5, 0.5, 0.5)])
+    def test_base_off_the_unit_sphere_walked_in_full(self, rotation):
+        base = Pose.of((0.1, -0.2, 0.3), rotation)
+        for model in MODELS.values():
+            for link in model.chain.links:
+                assert_jacobian_bytes(model, [0.3] * model.dof, link, base)
 
     def test_jacobian_planar_closed_form(self):
         # the standard 2R formula for the tip
