@@ -8,13 +8,15 @@ Each ``RobotModel`` compiles its tree into a ``Chain`` when it is built
 (``model.chain``): the joints in traversal order with their parent link's
 index, origin pose, axis as a float tuple, the axis's norm and each
 movable joint's position index, and whether its origin has a zero offset
-or no rotation. ``Chain.frames`` is the one kinematics walk: one loop that,
+or no rotation; ``Chain.path`` gives a link's root-to-link joints, found
+once per link. ``Chain.frames`` is the one kinematics walk: one loop that,
 at each joint, composes parent o origin and then that o motion on local
 floats, each operation in the order ``Pose.compose``,
 ``quat_from_axis_angle`` and ``Pose``'s renormalization take, less the
 products that cannot change a bit, so forward kinematics is bit-identical
 to composing ``Pose`` objects joint by joint. ``forward_kinematics`` reads
-the link frames off that walk, and ``jacobian`` its joint frames.
+the link frames off a walk of the whole tree, and ``jacobian`` the joint
+frames off a walk of one link's path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import ZERO3, Pose, _rotate, floats, norm
+from .geometry import ZERO3, Pose, _rotate, norm
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -199,6 +201,7 @@ class Chain:
     ``links[0]`` is the root and ``joints[i]`` moves ``links[i + 1]``. The
     joints are in depth-first order from the root, so every parent precedes
     its children; ``forward_kinematics`` returns its poses in this order.
+    ``index`` maps a link's name to its place in ``links``.
     """
 
     def __init__(self, model: RobotModel):
@@ -225,23 +228,40 @@ class Chain:
                 stack.append(j.child)
         self.links: tuple[str, ...] = tuple(links)
         self.joints: tuple[ChainJoint, ...] = tuple(joints)
-        self._index = index
+        self.index = index
+        self._paths: dict[str, tuple[int, ...]] = {}
+
+    def path(self, link: str) -> tuple[int, ...]:
+        """The indices of the joints from the root down to ``link``, for
+        ``frames``; computed on the first call for each link. KeyError for
+        an unknown link."""
+        path = self._paths.get(link)
+        if path is None:
+            steps = []
+            i = self.index[link]
+            while i:
+                steps.append(i - 1)
+                i = self.joints[i - 1].parent
+            path = self._paths[link] = tuple(reversed(steps))
+        return path
 
     def check(self, positions) -> list[float]:
         """Validated movable-joint positions as a list of floats."""
-        positions = list(floats(positions))
+        positions = list(map(float, positions))
         if len(positions) != self.dof:
             raise ValueError(f"expected {self.dof} positions, got {len(positions)}")
-        if not all(map(math.isfinite, positions)):
+        # a finite sum has only finite terms, as ``teleop.pd_step`` relies on
+        if not math.isfinite(sum(positions)) and not all(map(math.isfinite, positions)):
             raise ValueError("non-finite joint position")
         return positions
 
-    def frames(self, positions, base: Pose = IDENTITY, path: list | None = None,
+    def frames(self, positions, base: Pose = IDENTITY, path: tuple | None = None,
                joint_frames: list | None = None) -> list:
         """The pose of every link, in ``links`` order; with ``path``, joint
-        indices from the root down, only those joints are walked and every
-        other entry is None. With a list for ``joint_frames``, each walked
-        joint's frame, parent o origin, is appended to it as a pair.
+        indices from the root down as ``path(link)`` gives them, only those
+        joints are walked and every other entry is None. With a list for
+        ``joint_frames``, each walked joint's frame, parent o origin, is
+        appended to it as a pair.
 
         ``Pose.compose`` is written out twice per joint, for parent o origin
         and then for that o motion, where the motion is a revolute joint's
@@ -349,19 +369,13 @@ def jacobian(model: RobotModel, positions, link: str,
     prismatic joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
     """
     chain = model.chain
-    joints = chain.joints
-    end = i = chain._index[link]
-    path = []
-    while i:
-        path.append(i - 1)
-        i = joints[i - 1].parent
-    path.reverse()
+    path = chain.path(link)
     joint_frames = []
     px, py, pz = chain.frames(chain.check(positions), base, path,
-                              joint_frames)[end].translation
+                              joint_frames)[chain.index[link]].translation
     columns = [ZERO3] * chain.dof
     for k, ((jx, jy, jz), rotation) in zip(path, joint_frames):
-        j = joints[k]
+        j = chain.joints[k]
         if j.dof >= 0:
             ax, ay, az = _rotate(rotation, *j.axis)
             if j.kind == "prismatic":

@@ -2,6 +2,10 @@
 ``merge_records`` in both ``harness.simulate`` and ``replay``) and bit-exact
 replay. It and all it imports run on Python floats without numpy or yaml,
 so a log replays, its config loaded from JSON, on any Python 3.10+.
+
+A merge tick computes only what it reads: it walks the end-effector's
+root-to-link path alone, for the gripper pose and the zone queries; every
+link's pose, which only ``state_hash`` reads, is built on demand.
 """
 
 from __future__ import annotations
@@ -59,19 +63,22 @@ class TwinEngine:
     Consumes the telemetry/mocap packets delivered since the previous
     tick, emits zone-repulsion command frames, and exposes a
     deterministic state hash. Pure function of the inbound packet
-    sequence, which is what makes log replay exact.
+    sequence, which is what makes log replay exact. A tick walks the
+    chain along the end-effector's path only; ``link_poses`` runs the full
+    forward kinematics each time it is read.
     """
 
     def __init__(self, model: RobotModel, config: ScenarioConfig):
         self.model = model
         self.config = config
         self.ee_link = config.ee_link or _deepest_link(model)
+        self._ee_path = model.chain.path(self.ee_link)
+        self._ee_index = model.chain.index[self.ee_link]
         self.tick = 0
         self.last_tick_ns = 0
         self.applied_seq = -1
         self.positions = [0.0] * model.dof
         self.base_pose = station_pose(config)
-        self.link_poses = forward_kinematics(model, self.positions, self.base_pose)
         self.station_filter = MocapFilter(config.filter)
         self.gripper = GripperTracker(config.grasp)
         self.asset_filters = {a.object_id: MocapFilter(config.filter)
@@ -101,18 +108,21 @@ class TwinEngine:
             self.positions, _ = apply_joint_state(self.model, latest.positions)
             self.gripper.step(max(latest.gripper_width, 0.0), latest.gripper_velocity)
 
+        station = None
         for pkt in mocap:
             if pkt.object_id == 0:
                 out = self.station_filter.process(pkt)
                 if out is not None and out.status in (PoseStatus.STABLE,
                                                      PoseStatus.RELOCATED):
-                    self.base_pose = Pose(out.position, out.rotation)
+                    station = out
             elif pkt.object_id in self.asset_filters:
                 self.asset_filters[pkt.object_id].process(pkt)
+        if station is not None:
+            self.base_pose = Pose(station.position, station.rotation)
 
-        self.link_poses = forward_kinematics(self.model, self.positions,
-                                             self.base_pose)
-        gripper_pose = self.link_poses[self.ee_link]
+        # apply_joint_state has checked and clamped the positions
+        gripper_pose = self.model.chain.frames(self.positions, self.base_pose,
+                                               self._ee_path)[self._ee_index]
         grasped = self.gripper.phase is GraspPhase.GRASPED
         asset_poses = {}
         for oid, tracker in self.asset_trackers.items():
@@ -124,7 +134,7 @@ class TwinEngine:
 
         commands = []
         self.active_repulsions = []
-        ee_point = self.link_poses[self.ee_link].translation
+        ee_point = gripper_pose.translation
         for z, to_local in zip(self.zones, self.to_zone):
             rep = query(z, ee_point, to_local)
             if rep is not None:
@@ -142,6 +152,12 @@ class TwinEngine:
             if z.attached_asset is not None:
                 self.to_zone[i] = asset_poses[z.attached_asset].compose(z.pose).inverse()
 
+    @property
+    def link_poses(self) -> dict[str, Pose]:
+        """Every link's pose at the current joint positions and base pose:
+        one full forward-kinematics walk per read."""
+        return forward_kinematics(self.model, self.positions, self.base_pose)
+
     def state_hash(self) -> str:
         h = hashlib.sha256()
         h.update(struct.pack("<qq", self.tick, self.applied_seq))
@@ -149,9 +165,10 @@ class TwinEngine:
         def pose(p: Pose) -> bytes:
             return struct.pack("<3d4d", *p.translation, *p.rotation)
 
-        for name in sorted(self.link_poses):
+        link_poses = self.link_poses
+        for name in sorted(link_poses):
             h.update(name.encode())
-            h.update(pose(self.link_poses[name]))
+            h.update(pose(link_poses[name]))
         h.update(pose(self.base_pose))
         h.update(self.gripper.phase.value.encode())
         for oid in sorted(self.asset_trackers):

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (IDENTITY_QUAT, Pose, floats, quat_conjugate, quat_rotate,
-                       unit_quat)
+from .geometry import IDENTITY_QUAT, Pose, _rotate, floats, quat_conjugate, unit_quat
 from .wire import CMD_KIND_ZONE_REPULSION, CommandFrame
 
 
@@ -75,20 +74,31 @@ def query(zone: ProhibitedZone, point, to_local: Pose) -> Repulsion | None:
     normal in world frame. Ties break toward the lowest axis index;
     sign(0) counts as +1. Boundary contact returns depth 0 with that
     face's normal.
+
+    ``to_local.transform_point`` and ``quat_rotate`` written out, each
+    operation in their order, so the result is theirs bit for bit.
     """
-    point = floats(point)
-    if not all(map(math.isfinite, point)):
+    px, py, pz = map(float, point)
+    if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
         raise ValueError("non-finite query point")
-    local = to_local.transform_point(point)
-    margins = [h - abs(c) for h, c in zip(zone.half_extents, local)]
-    if any(m < 0 for m in margins):
+    (tx, ty, tz), rotation = to_local
+    rx, ry, rz = _rotate(rotation, px, py, pz)
+    lx, ly, lz = tx + rx, ty + ry, tz + rz
+    hx, hy, hz = zone.half_extents
+    mx, my, mz = hx - abs(lx), hy - abs(ly), hz - abs(lz)
+    if mx < 0 or my < 0 or mz < 0:
         return None
-    i = margins.index(min(margins))  # the lowest index on ties
-    axis = [0.0, 0.0, 0.0]
-    axis[i] = 1.0 if local[i] >= 0 else -1.0
+    # the nearest face, the lowest axis on ties, as ``min`` picks it
+    axis, depth, c = 0, mx, lx
+    if my < depth:
+        axis, depth, c = 1, my, ly
+    if mz < depth:
+        axis, depth, c = 2, mz, lz
+    normal = [0.0, 0.0, 0.0]
+    normal[axis] = 1.0 if c >= 0 else -1.0
     # the conjugate of a unit rotation's inverse is that rotation, bit for
     # bit: sign flips are exact, and ``unit_quat`` leaves a unit one as it is
-    return Repulsion(quat_rotate(quat_conjugate(to_local.rotation), axis), margins[i])
+    return Repulsion(_rotate(quat_conjugate(rotation), *normal), depth)
 
 
 def counterforce(rep: Repulsion | CommandFrame, stiffness: float) -> tuple:

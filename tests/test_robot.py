@@ -5,16 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy_oracle as oracle
 from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, quat_from_axis_angle,
                                quat_rotate, unit_quat)
 from twinsync.robot import (Joint, LimitViolation, Link, RobotModel, UrdfError,
                             apply_joint_state, forward_kinematics, jacobian, parse_urdf)
+from twinsync.scenario import load_config
+from twinsync.twin import TwinEngine, load_model
 from twinsync.zones import ProhibitedZone, counterforce, query
 
 ASSETS = Path(__file__).parent.parent / "assets"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 ONE_LINK = "<robot name='r'><link name='base'/></robot>"
 
@@ -309,6 +312,16 @@ MODELS = {"panda": parse_urdf((ASSETS / "panda.urdf").read_text()),
           "planar": parse_urdf(PLANAR_2LINK), "skew": parse_urdf(SKEW),
           "shortcuts": parse_urdf(SHORTCUTS)}
 
+# the robot and end-effector of each config in configs/, as the twin runs
+# them: (robot file, ee_link) -> (model, the twin's end-effector)
+PINNED = {}
+for path in sorted(CONFIGS.glob("*.yaml")):
+    cfg = load_config(path)
+    key = (Path(cfg.robot_path).name, cfg.ee_link)
+    if key not in PINNED:
+        model = load_model(cfg)
+        PINNED[key] = model, TwinEngine(model, cfg).ee_link
+
 # a station yawed about z and offset, as TwinEngine's base pose is; yaws
 # beyond pi give quaternions with a negative scalar part
 BASES = st.none() | st.builds(
@@ -502,6 +515,65 @@ class TestCompiledChain:
     def test_path_of_unknown_link(self):
         with pytest.raises(KeyError):
             jacobian(MODELS["planar"], [0.0, 0.0], "nowhere")
+        with pytest.raises(KeyError):
+            MODELS["planar"].chain.path("nowhere")
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_path_is_the_parent_walk_computed_once(self, name):
+        model = MODELS[name]
+        chain = model.chain
+        joint_of = {j.child: j for j in model.joints}
+        for link in chain.links:
+            want, child = [], link
+            while child in joint_of:
+                want.append(chain.links.index(child) - 1)
+                child = joint_of[child].parent
+            path = chain.path(link)
+            assert path == tuple(reversed(want))
+            assert chain.path(link) is path
+        assert chain.path(model.root) == ()
+
+    @pytest.mark.parametrize("pinned", sorted(PINNED), ids=lambda key: f"{key[0]}-{key[1]}")
+    @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
+    @settings(max_examples=40, deadline=None)
+    def test_path_walk_matches_fk(self, pinned, data, base):
+        # the twin's walk for its end-effector, the root and a link halfway
+        # along the end-effector's path each give forward kinematics' pose
+        model, ee_link = PINNED[pinned]
+        chain = model.chain
+        ee_path = chain.path(ee_link)
+        links = [ee_link, model.root, chain.links[ee_path[len(ee_path) // 2] + 1]]
+        assert len(set(links)) == 3
+        q = chain.check(draw_signed_zero_positions(data, model))
+        want = forward_kinematics(model, q, base)
+        for link in links:
+            got = chain.frames(q, base or Pose(), chain.path(link))[chain.index[link]]
+            assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
+                struct.pack("<3d4d", *want[link].translation, *want[link].rotation)
+
+    # finite values whose sum overflows, and non-finite ones at either end
+    @given(st.lists(st.floats(), min_size=9, max_size=9))
+    @example([1e308] * 9)
+    @example([-1e308, -1e308] + [0.5] * 7)
+    @example([math.nan] + [0.5] * 8)
+    @example([0.5] * 8 + [math.nan])
+    @example([math.inf] + [1e308] * 8)
+    @example([1e308] * 8 + [math.inf])
+    @example([-math.inf] + [0.5] * 8)
+    @example([0.5] * 8 + [-math.inf])
+    def test_check_rejects_exactly_the_non_finite(self, positions):
+        chain = MODELS["panda"].chain
+        if all(map(math.isfinite, positions)):
+            for given_as in (positions, np.array(positions)):
+                got = chain.check(given_as)
+                assert got == positions and all(type(v) is float for v in got)
+        else:
+            with pytest.raises(ValueError, match="non-finite joint position"):
+                chain.check(positions)
+
+    def test_check_tests_the_length_first(self):
+        with pytest.raises(ValueError, match="expected 9 positions, got 8"):
+            MODELS["panda"].chain.check([math.nan] * 8)
 
 
 def yawed_station(yaw, xyz):

@@ -1,11 +1,14 @@
 import dataclasses
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from twinsync.geometry import Pose, quat_conjugate, quat_from_axis_angle, quat_rotate
+from twinsync.geometry import (ZERO3, Pose, floats, quat_conjugate, quat_from_axis_angle,
+                               quat_rotate)
 from twinsync.harness import simulate
 from twinsync.robot import parse_urdf
 from twinsync.scenario import AssetConfig, ScenarioConfig, load_config
@@ -254,6 +257,58 @@ def test_engine_placement_matches_a_zone_built_there(asset, center, orientation,
     for local in locals_:
         point = world.transform_point([u * h for u, h in zip(local, half)])
         assert query(z, point, engine.to_zone[0]) == hit(there, point)
+
+
+def transform_query(zone, point, to_local):
+    """``query`` written with ``Pose.transform_point``, a list of margins,
+    ``min`` and ``quat_rotate``; ``query`` must match it byte for byte."""
+    point = floats(point)
+    if not all(map(math.isfinite, point)):
+        raise ValueError("non-finite query point")
+    local = to_local.transform_point(point)
+    margins = [h - abs(c) for h, c in zip(zone.half_extents, local)]
+    if any(m < 0 for m in margins):
+        return None
+    i = margins.index(min(margins))
+    axis = [0.0, 0.0, 0.0]
+    axis[i] = 1.0 if local[i] >= 0 else -1.0
+    return Repulsion(quat_rotate(quat_conjugate(to_local.rotation), axis), margins[i])
+
+
+def repulsion_bytes(rep):
+    return None if rep is None else struct.pack("<3dd", *rep.direction, rep.depth)
+
+
+SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+SIGNED_VECS = st.tuples(SIGNED, SIGNED, SIGNED)
+
+
+@given(half=st.tuples(*[st.sampled_from([0.5, 1.0]) | st.floats(0.05, 2.0)] * 3),
+       to_local=st.builds(Pose, SIGNED_VECS, QUATS | st.sampled_from(
+           [(1.0, 0.0, 0.0, 0.0), (1.0, -0.0, -0.0, -0.0), (-1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0)])),
+       points=st.lists(SIGNED_VECS, min_size=1, max_size=8))
+@example(half=(0.5, 0.5, 0.5), to_local=Pose(),  # ties, signed zeros, faces
+         points=[(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.5, 0.0, 0.0), (0.2, -0.2, 0.2)])
+@settings(max_examples=200, deadline=None)
+def test_query_matches_the_transform_point_formulation(half, to_local, points):
+    # each point is tried as a world point and as a point in the zone's frame
+    zone = ProhibitedZone("z", ZERO3, half)
+    to_world = to_local.inverse()
+    for p in points:
+        for point in (p, to_world.transform_point(p)):
+            assert repulsion_bytes(query(zone, point, to_local)) == \
+                repulsion_bytes(transform_query(zone, point, to_local))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_non_finite_point_rejected_on_every_axis(bad, at):
+    point = [0.1, 0.2, 0.3]
+    point[at] = bad
+    zone = unit_cube()
+    with pytest.raises(ValueError, match="non-finite query point"):
+        query(zone, point, zone.pose.inverse())
 
 
 def test_no_zone_is_built_after_load(tmp_path, monkeypatch):
