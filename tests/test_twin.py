@@ -137,6 +137,7 @@ def test_one_path_walk_per_merge_tick_and_one_full_walk_per_state_hash(tmp_path,
 
     monkeypatch.setattr(Chain, "frames", spy)
     result = replay(cfg.log_path, cfg)
-    ee_path = load_model(cfg).chain.path(TwinEngine(load_model(cfg), cfg).ee_link)
+    model = load_model(cfg)
+    ee_path = model.chain.path(TwinEngine(model, cfg).ee_link)
     assert result.merge_ticks > 0
     assert walks == [ee_path] * result.merge_ticks + [None]
