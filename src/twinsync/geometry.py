@@ -16,10 +16,12 @@ part of a rotated vector included), and ``Pose`` renormalizes a rotation
 only when its norm is more than 1e-12 from 1. ``Pose.compose`` is one
 function: it writes ``_rotate``, ``quat_multiply`` and ``unit_quat`` out
 inline, in the same order, so its poses are bit for bit those of the
-three calls. ``robot.Chain.frames``, the kinematics walk, writes the same
-operations out once more per joint, so forward kinematics is bit for bit
-a chain of ``Pose.compose`` calls: it skips a product only where it adds
-``±0.0`` to components that are all non-zero, which leaves them as they are.
+three calls; ``Pose.inverse`` writes ``quat_conjugate``, ``_rotate`` and
+``unit_quat`` out the same way. ``robot.Chain.frames``, the kinematics
+walk, writes the same operations out once more per joint, so forward
+kinematics is bit for bit a chain of ``Pose.compose`` calls: it skips a
+product only where it adds ``±0.0`` to components that are all non-zero,
+which leaves them as they are.
 """
 
 from __future__ import annotations
@@ -228,9 +230,26 @@ class Pose(_Pose):
         return tuple.__new__(Pose, (t, (qw, qx, qy, qz)))
 
     def inverse(self) -> "Pose":
-        qi = quat_conjugate(self.rotation)
-        x, y, z = _rotate(qi, *self.translation)
-        return Pose.of((-x, -y, -z), unit_quat(qi))
+        """``quat_conjugate``, ``_rotate`` and ``unit_quat`` written out on
+        local floats, each operation in their order."""
+        (vx, vy, vz), (w, x, y, z) = self
+        x, y, z = -x, -y, -z  # quat_conjugate
+        # _rotate(conjugate, translation)
+        rw = w * 0.0 - x * vx - y * vy - z * vz
+        rx = w * vx + x * 0.0 + y * vz - z * vy
+        ry = w * vy - x * vz + y * 0.0 + z * vx
+        rz = w * vz + x * vy - y * vx + z * 0.0
+        t = (-(rw * -x + rx * w + ry * -z - rz * -y),
+             -(rw * -y - rx * -z + ry * w + rz * -x),
+             -(rw * -z + rx * -y - ry * -x + rz * w))
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        if abs(n - 1.0) > 1e-12:
+            if n == 0.0:
+                raise ValueError("zero quaternion")
+            if n == math.inf:
+                raise ValueError(f"the norm of {(w, x, y, z)} overflows")
+            return tuple.__new__(Pose, (t, (w / n, x / n, y / n, z / n)))
+        return tuple.__new__(Pose, (t, (w, x, y, z)))
 
     def transform_point(self, p) -> tuple:
         tx, ty, tz = self.translation

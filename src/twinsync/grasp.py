@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .geometry import ZERO3, Pose, dot, floats, norm, unit, unit_quat
+from .geometry import ZERO3, Pose, floats, norm, unit, unit_quat
 from .mocap import FilteredPose, PoseStatus
 
 GRAVITY = 9.81
@@ -112,16 +112,16 @@ def fallback_step(state: FallbackState, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    up = unit(up_axis)
+    ux, uy, uz = unit(up_axis)
     fall = 0.5 * GRAVITY * dt * dt
     gdt = GRAVITY * dt
-    p = tuple(x + v * dt - fall * u for x, v, u in zip(state.position, state.velocity, up))
-    v = tuple(v - gdt * u for v, u in zip(state.velocity, up))
-    height = dot(p, up)
+    (x, y, z), (vx, vy, vz) = state.position, state.velocity
+    x, y, z = x + vx * dt - fall * ux, y + vy * dt - fall * uy, z + vz * dt - fall * uz
+    height = x * ux + y * uy + z * uz  # dot(p, up)
     if height < GROUND_HEIGHT:
-        p = tuple(x + (GROUND_HEIGHT - height) * u for x, u in zip(p, up))
-        v = ZERO3
-    return FallbackState(p, v)
+        d = GROUND_HEIGHT - height
+        return FallbackState((x + d * ux, y + d * uy, z + d * uz), ZERO3)
+    return FallbackState((x, y, z), (vx - gdt * ux, vy - gdt * uy, vz - gdt * uz))
 
 
 class AssetTracker:

@@ -22,6 +22,8 @@ class Stage(enum.IntEnum):
     APPLIED = 2
 
 
+_STAGES = tuple(Stage)  # iterating the enum class itself costs a call per member
+
 DELTA_KINDS = ("ingress_to_socket", "socket_to_applied", "ingress_to_applied")
 
 
@@ -78,10 +80,10 @@ class LatencyRecorder:
         stages = self._stamps.setdefault(seq, {})
         if stage in stages:
             raise ValueError(f"duplicate stamp for seq {seq} stage {stage.name}")
-        for earlier in Stage:
+        for earlier in _STAGES:
             if earlier < stage and earlier in stages and stages[earlier] > time_ns:
                 raise ValueError(f"stage regression for seq {seq}")
-        for later in Stage:
+        for later in _STAGES:
             if later > stage and later in stages:
                 raise ValueError(f"stage regression for seq {seq}: "
                                  f"{later.name} already recorded")

@@ -6,6 +6,10 @@ Gated-out samples feed a stable-state buffer; once the last K dropped
 frames agree, the filter relocates to their mean. The gate runs before
 the mean so outliers never pollute the window. Frames that arrive older
 than the last one processed are counted as stale and dropped.
+
+A frame only updates the filter's state; the filtered pose, the window
+mean and the twist, is built when ``last_output`` is read, once per
+change, so frames that a later frame supersedes cost no pose.
 """
 
 from __future__ import annotations
@@ -96,7 +100,14 @@ def _mean(rows) -> tuple:
 
 
 class MocapFilter:
-    """Single-object jitter mitigation state machine."""
+    """Single-object jitter mitigation state machine.
+
+    ``process`` updates the state and returns its status; ``last_output``
+    builds the pose of that state on its first read after a change. A
+    pose is the mean of the window and the twist of the last accepted or
+    relocating frame's quaternion, which a hold or a stale frame leaves as
+    they are.
+    """
 
     def __init__(self, config: FilterConfig | None = None):
         self.config = config or FilterConfig()
@@ -105,14 +116,23 @@ class MocapFilter:
         self._dropped: deque = deque(maxlen=self.config.stable_count)
         self._prev_accepted: tuple | None = None
         self._prev_time_ns: int | None = None
-        self._last_output: FilteredPose | None = None
+        self._quat: tuple | None = None  # of the last accepted frame
+        self._pose: tuple | None = None  # (position, rotation) once built
+        self._status: PoseStatus | None = None
+        self._time_ns: int | None = None
+        self._output: FilteredPose | None = None  # once built
         self._warmed_up = False
         self.relocations = 0
         self.stale = 0
 
     @property
     def last_output(self) -> FilteredPose | None:
-        return self._last_output
+        """The current pose, or None before any frame was ever accepted."""
+        if self._output is None and self._status is not None:
+            if self._pose is None:
+                self._pose = (_mean(self._window), twist(self._quat, self._up))
+            self._output = FilteredPose(*self._pose, self._status, self._time_ns)
+        return self._output
 
     def _stable(self) -> bool:
         if len(self._dropped) < self.config.stable_count:
@@ -124,25 +144,22 @@ class MocapFilter:
                     return False
         return True
 
-    def _hold(self, time_ns: int) -> FilteredPose | None:
-        if self._last_output is None:
-            return None
-        self._last_output = FilteredPose(self._last_output.position,
-                                         self._last_output.rotation,
-                                         PoseStatus.HOLDING, time_ns)
-        return self._last_output
+    def _hold(self, time_ns: int) -> PoseStatus | None:
+        if self._status is not None:
+            self._status, self._time_ns, self._output = PoseStatus.HOLDING, time_ns, None
+        return self._status
 
-    def process(self, raw: MocapPacket) -> FilteredPose | None:
-        """Feed one tracker frame; returns the current pose, or None before
-        any frame was ever accepted.
+    def process(self, raw: MocapPacket) -> PoseStatus | None:
+        """Feed one tracker frame; returns the status it leaves, or None
+        before any frame was ever accepted.
 
         A frame older than the last one processed, as a reordering link
         delivers, is stale: it is counted in ``stale`` and dropped, and the
-        last output is returned unchanged.
+        state is left unchanged.
         """
         if self._prev_time_ns is not None and raw.time_ns < self._prev_time_ns:
             self.stale += 1
-            return self._last_output
+            return self._status
         dt = None
         if self._prev_time_ns is not None:
             dt = max((raw.time_ns - self._prev_time_ns) / 1e9, 1e-12)
@@ -156,25 +173,25 @@ class MocapFilter:
                     or velocity_gate(self._prev_accepted, pos, dt, self.config.vmax))
         if not accepted:
             self._dropped.append(pos)
-            if self._stable():
-                mean = _mean(self._dropped)
-                self._dropped.clear()
-                self._window.clear()
-                self._window.append(mean)
-                self._prev_accepted = mean
-                self.relocations += 1
-                self._last_output = FilteredPose(mean, twist(raw.quaternion, self._up),
-                                                 PoseStatus.RELOCATED, raw.time_ns)
-                return self._last_output
-            return self._hold(raw.time_ns)
-
-        self._dropped.clear()
-        self._prev_accepted = pos
-        self._window.append(pos)
-        if len(self._window) >= self.config.window:
-            self._warmed_up = True
-        status = PoseStatus.STABLE if self._warmed_up else PoseStatus.WARMING_UP
-        self._last_output = FilteredPose(_mean(self._window),
-                                         twist(raw.quaternion, self._up), status,
-                                         raw.time_ns)
-        return self._last_output
+            if not self._stable():
+                return self._hold(raw.time_ns)
+            mean = _mean(self._dropped)
+            self._dropped.clear()
+            self._window.clear()
+            self._window.append(mean)
+            self._prev_accepted = mean
+            self.relocations += 1
+            # built now, as the window [mean] would average a -0.0 to +0.0
+            self._pose = (mean, twist(raw.quaternion, self._up))
+            status = PoseStatus.RELOCATED
+        else:
+            self._dropped.clear()
+            self._prev_accepted = pos
+            self._window.append(pos)
+            if len(self._window) >= self.config.window:
+                self._warmed_up = True
+            self._quat = raw.quaternion
+            self._pose = None
+            status = PoseStatus.STABLE if self._warmed_up else PoseStatus.WARMING_UP
+        self._status, self._time_ns, self._output = status, raw.time_ns, None
+        return status

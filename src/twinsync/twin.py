@@ -5,7 +5,10 @@ so a log replays, its config loaded from JSON, on any Python 3.10+.
 
 A merge tick computes only what it reads: it walks the end-effector's
 root-to-link path alone, for the gripper pose and the zone queries; every
-link's pose, which only ``state_hash`` reads, is built on demand.
+link's pose, which only ``state_hash`` reads, is built on demand. Mocap
+frames only update their filter's state; a filtered pose is built when
+read, once per tick for each asset, by its tracker, and for the station
+when a frame of the tick left it STABLE or RELOCATED.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .geometry import Pose, quat_from_axis_angle
+from .geometry import Pose, quat_from_axis_angle, unit_quat
 from .grasp import AssetTracker, GraspPhase, GripperTracker
 from .mocap import MocapFilter, PoseStatus
 from .recordlog import CHANNEL_MOCAP, CHANNEL_TELEMETRY, read_log
@@ -108,17 +111,22 @@ class TwinEngine:
             self.positions, _ = apply_joint_state(self.model, latest.positions)
             self.gripper.step(max(latest.gripper_width, 0.0), latest.gripper_velocity)
 
-        station = None
+        # the base takes the station's last STABLE or RELOCATED pose; a
+        # relocation is posed at once, since before warm-up the next
+        # accepted frame replaces its pose with a WARMING_UP one
+        stable = False
         for pkt in mocap:
             if pkt.object_id == 0:
-                out = self.station_filter.process(pkt)
-                if out is not None and out.status in (PoseStatus.STABLE,
-                                                     PoseStatus.RELOCATED):
-                    station = out
+                status = self.station_filter.process(pkt)
+                if status is PoseStatus.STABLE:
+                    stable = True
+                elif status is PoseStatus.RELOCATED:
+                    self._pose_base()
+                    stable = False
             elif pkt.object_id in self.asset_filters:
                 self.asset_filters[pkt.object_id].process(pkt)
-        if station is not None:
-            self.base_pose = Pose(station.position, station.rotation)
+        if stable:
+            self._pose_base()
 
         # apply_joint_state has checked and clamped the positions
         gripper_pose = self.model.chain.frames(self.positions, self.base_pose,
@@ -144,6 +152,10 @@ class TwinEngine:
         self.tick += 1
         self.last_tick_ns = tick_ns
         return commands
+
+    def _pose_base(self) -> None:
+        out = self.station_filter.last_output
+        self.base_pose = Pose.of(out.position, unit_quat(out.rotation))
 
     def place_zones(self, asset_poses: dict[str, Pose]) -> None:
         """Re-pose each attached zone at its asset's pose, keyed by asset

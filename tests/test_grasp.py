@@ -1,11 +1,13 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from twinsync.geometry import Pose, quat_from_axis_angle
-from twinsync.grasp import (AssetSource, AssetTracker, FallbackState,
-                            GraspConfig, GraspPhase, GripperTracker,
+from twinsync.geometry import ZERO3, Pose, dot, quat_from_axis_angle, unit
+from twinsync.grasp import (GRAVITY, GROUND_HEIGHT, AssetSource, AssetTracker,
+                            FallbackState, GraspConfig, GraspPhase, GripperTracker,
                             fallback_step)
 from twinsync.mocap import FilteredPose, PoseStatus
 
@@ -165,6 +167,40 @@ class TestFallback:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             fallback_step(FallbackState(np.zeros(3), np.zeros(3)), 0.0)
+
+
+def generator_fallback_step(state, dt, up_axis):
+    """``fallback_step`` in its generator-expression form."""
+    up = unit(up_axis)
+    fall = 0.5 * GRAVITY * dt * dt
+    gdt = GRAVITY * dt
+    p = tuple(x + v * dt - fall * u for x, v, u in zip(state.position, state.velocity, up))
+    v = tuple(v - gdt * u for v, u in zip(state.velocity, up))
+    height = dot(p, up)
+    if height < GROUND_HEIGHT:
+        p = tuple(x + (GROUND_HEIGHT - height) * u for x, u in zip(p, up))
+        v = ZERO3
+    return FallbackState(p, v)
+
+
+SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+UP_AXES = st.tuples(SIGNED, SIGNED, SIGNED).filter(lambda a: dot(a, a) > 1e-6)
+
+
+@given(position=st.tuples(SIGNED, SIGNED, SIGNED), velocity=st.tuples(SIGNED, SIGNED, SIGNED),
+       dt=st.sampled_from([1 / 60, 1e-3]) | st.floats(1e-6, 0.5), up=UP_AXES)
+@settings(max_examples=300)
+@example(position=(-0.0, 0.0, 0.01), velocity=(0.0, -0.0, -1.0), dt=1 / 60,
+         up=(0.0, 0.0, 1.0))  # clamped to the ground
+@example(position=(0.3, 0.5, 0.2), velocity=(-0.0, 0.0, 0.0), dt=0.1,
+         up=(0.0, -0.6, 0.8))  # tilted, clamped
+@example(position=(0.0, -0.0, 5.0), velocity=(-0.0, -0.0, 0.0), dt=1e-3,
+         up=(-0.0, 0.0, 2.0))  # free fall, signed zeros kept
+def test_fallback_step_matches_the_generator_form(position, velocity, dt, up):
+    state = FallbackState(position, velocity)
+    got, want = fallback_step(state, dt, up), generator_fallback_step(state, dt, up)
+    assert struct.pack("<6d", *got.position, *got.velocity) == \
+        struct.pack("<6d", *want.position, *want.velocity)
 
 
 def stable(pos, t_ns=0):

@@ -6,6 +6,7 @@ left-to-right sum it promises, and the transforms numpy has no twin for
 against their bounds."""
 
 import math
+import re
 import struct
 from fractions import Fraction
 from functools import partial
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import numpy_oracle as oracle
+from mocap_oracle import output
 from twinsync import mocap
-from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, norm, quat_conjugate,
+from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, _rotate, dot, norm, quat_conjugate,
                                quat_from_axis_angle, quat_multiply, quat_rotate,
                                swing_twist, unit_quat)
 from twinsync.mocap import FilterConfig, MocapFilter
@@ -312,6 +314,36 @@ def test_pose_compose_takes_raw_pairs(pose, name):
     assert compose_raised(pose, pair) == (product == "zero")
 
 
+def three_call_inverse(pose):
+    """``Pose.inverse`` as ``quat_conjugate``, ``_rotate`` and ``unit_quat``."""
+    qi = quat_conjugate(pose.rotation)
+    x, y, z = _rotate(qi, *pose.translation)
+    return Pose.of((-x, -y, -z), unit_quat(qi))
+
+
+SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+# raw rotations: near unit, off unit, zero, underflowing or overflowing norms
+RAW_ROTATIONS = (st.tuples(SIGNED, SIGNED, SIGNED, SIGNED)
+                 | UNIT.map(lambda q: tuple(q / np.linalg.norm(q)))
+                 | st.sampled_from([(0.0, -0.0, 0.0, -0.0), (1e-200, 0.0, -0.0, 0.0),
+                                    (1e200, 1e200, 0.0, -0.0), (-1.0, 0.0, -0.0, 0.0)]))
+
+
+@given(t=st.tuples(SIGNED, SIGNED, SIGNED), q=RAW_ROTATIONS)
+@settings(max_examples=300)
+def test_pose_inverse_is_the_three_calls(t, q):
+    pose = Pose.of(t, q)
+    try:
+        want = three_call_inverse(pose)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            pose.inverse()
+        return
+    got = pose.inverse()
+    assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
+        struct.pack("<3d4d", *want.translation, *want.rotation)
+
+
 # one frame of a tracker stream: ("move", noise) stays near the current
 # spot, ("jump", noise) moves the spot 0.5 m, beyond the velocity gate, so
 # the filter holds and then relocates; ("lost", _) is an untracked frame
@@ -342,7 +374,7 @@ def test_filter_matches_np_mean(window, stable_count, start, steps, quat):
 
     def run():
         f = MocapFilter(cfg)
-        return [f.process(p) for p in packets], f.relocations
+        return [output(f, p) for p in packets], f.relocations
 
     got, relocations = run()
     with mock.patch.object(mocap, "_mean", oracle.filter_mean):

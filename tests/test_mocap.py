@@ -1,8 +1,11 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mocap_oracle import EagerMocapFilter, output
 from numpy_oracle import quat_to_matrix
 from twinsync.geometry import quat_from_axis_angle, quat_multiply
 from twinsync.mocap import (FilterConfig, MocapFilter, PoseStatus,
@@ -10,6 +13,7 @@ from twinsync.mocap import (FilterConfig, MocapFilter, PoseStatus,
 from twinsync.wire import MocapPacket
 
 UP = np.array([0.0, 0.0, 1.0])
+FRAME_NS = 10_000_000
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -21,7 +25,7 @@ def feed(filt, positions, t0=0, dt_ns=10_000_000, quality=None):
     outs = []
     for i, p in enumerate(positions):
         q = 1 if quality is None else quality[i]
-        outs.append(filt.process(packet(t0 + i * dt_ns, p, quality=q)))
+        outs.append(output(filt, packet(t0 + i * dt_ns, p, quality=q)))
     return outs
 
 
@@ -42,7 +46,7 @@ class TestSlidingMean:
         assert abs(outs[-1].position[0] - (49 - 2) * delta) < 1e-12
 
     def test_first_sample_passthrough(self):
-        out = MocapFilter().process(packet(0, [7.0, 0, 0]))
+        out = output(MocapFilter(), packet(0, [7.0, 0, 0]))
         assert np.array_equal(out.position, [7.0, 0, 0])
         assert out.status is PoseStatus.WARMING_UP
 
@@ -115,7 +119,7 @@ class TestPipeline:
     def test_lost_frames_hold(self):
         f = MocapFilter(self.cfg())
         feed(f, [[1.0, 0, 0]] * 6)
-        out = f.process(packet(100_000_000, [9, 9, 9], quality=0))
+        out = output(f, packet(100_000_000, [9, 9, 9], quality=0))
         assert out.status is PoseStatus.HOLDING
         assert np.allclose(out.position, [1.0, 0, 0])
 
@@ -130,8 +134,7 @@ class TestPipeline:
         assert outs[2].status is PoseStatus.RELOCATED
         assert np.allclose(outs[2].position, [2.0, 0, 0])
         # subsequent frames at the new position are accepted normally
-        out = f.process(packet(100_000_000, [2.0, 0, 0]))
-        assert out.status is PoseStatus.STABLE
+        assert f.process(packet(100_000_000, [2.0, 0, 0])) is PoseStatus.STABLE
 
     def test_single_outlier_ages_out(self):
         f = MocapFilter(self.cfg())
@@ -152,11 +155,11 @@ class TestPipeline:
         # an older frame, as a reordering link delivers it, is dropped and
         # counted, and the output stays what it was
         f = MocapFilter(self.cfg())
-        before = f.process(packet(100, [0, 0, 0]))
-        out = f.process(packet(50, [1.0, 0, 0]))
-        assert out is before and f.last_output is before
+        before = output(f, packet(100, [0, 0, 0]))
+        assert f.process(packet(50, [1.0, 0, 0])) is before.status
+        assert f.last_output is before
         assert f.stale == 1 and f.relocations == 0
-        out = f.process(packet(10_000_100, [0, 0, 0]))
+        out = output(f, packet(10_000_100, [0, 0, 0]))
         assert out.time_ns == 10_000_100 and f.stale == 1
 
     def test_step_latency_exactly_w_samples(self):
@@ -176,7 +179,7 @@ class TestPipeline:
         for i in range(200):
             p = rng.uniform(-1, 1, 3)
             lo, hi = np.minimum(lo, p), np.maximum(hi, p)
-            out = f.process(packet(i * 10_000_000, p))
+            out = output(f, packet(i * 10_000_000, p))
             assert np.all(out.position >= lo - 1e-12)
             assert np.all(out.position <= hi + 1e-12)
 
@@ -225,3 +228,66 @@ def test_relocation_matches_oracle_exhaustively():
                     events.append(i)
                 oracle.step(i, p)
             assert events == oracle.events, (length, seq)
+
+
+def packed(out):
+    """A filter output as bytes, or None."""
+    if out is None:
+        return None
+    return struct.pack("<3d4dq", *out.position, *out.rotation, out.time_ns), out.status
+
+
+QUATS = [(1.0, 0.0, 0.0, 0.0), (1.0, -0.0, 0.0, -0.0), (-1.0, 0.0, -0.0, 0.0),
+         tuple(quat_from_axis_angle((0.0, 0.0, 1.0), 0.9)),
+         tuple(quat_multiply(quat_from_axis_angle((0.0, 1.0, 0.0), 0.3),
+                             quat_from_axis_angle((0.0, 0.0, 1.0), -2.0))),
+         (0.0, 1.0, 0.0, 0.0)]  # a half turn about x: the degenerate twist
+# near-zero offsets, signed zeros and the smallest subnormals included, so
+# that a relocation can average to a -0.0
+OFFSET = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(-2e-3, 2e-3)
+# one frame: "move" near the current spot, "jump" 1 m on, beyond the gate,
+# "rest" exactly on the spot, "lost" untracked, "stale" older than the last
+# frame, "dup" at the last frame's time; whether a second filter reads it
+FRAMES = st.lists(st.tuples(
+    st.sampled_from(["move", "move", "rest", "rest", "jump", "lost", "stale", "dup"]),
+    st.tuples(OFFSET, OFFSET, OFFSET), st.sampled_from(range(len(QUATS))),
+    st.booleans()), min_size=1, max_size=50)
+SPOT = st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)] * 3)
+
+
+@given(window=st.integers(5, 15), stable_count=st.integers(2, 6), spot=SPOT,
+       frames=FRAMES)
+@settings(max_examples=200, deadline=None)
+# a relocation mean with a -0.0, which the window [mean] would average to +0.0
+@example(window=5, stable_count=3, spot=(0.0, -1.0, 0.0),
+         frames=[("rest", (0.0,) * 3, 0, True), ("jump", (0.0, -5e-324, 0.0), 0, False),
+                 ("rest", (0.0,) * 3, 0, False), ("rest", (0.0,) * 3, 0, False),
+                 ("lost", (0.0,) * 3, 0, True)])
+# a relocation before warm-up, then a WARMING_UP frame
+@example(window=9, stable_count=2, spot=(0.5, -0.0, 0.0),
+         frames=[("rest", (0.0,) * 3, 1, True), ("jump", (0.0,) * 3, 3, True),
+                 ("rest", (0.0,) * 3, 4, False), ("move", (1e-3, 0.0, -0.0), 2, True)])
+def test_state_keeping_filter_matches_the_eager_one(window, stable_count, spot, frames):
+    cfg = FilterConfig(window=window, vmax=0.5, stable_count=stable_count, stable_tol=0.01)
+    ref, filt, sparse = EagerMocapFilter(cfg), MocapFilter(cfg), MocapFilter(cfg)
+    t_ns = 0
+    for i, (kind, offset, quat, read) in enumerate(frames):
+        if kind == "jump":
+            spot = tuple(x + 1.0 for x in spot)
+        if kind == "stale":
+            time_ns = t_ns - FRAME_NS // 2
+        elif kind == "dup":
+            time_ns = t_ns
+        else:
+            t_ns = time_ns = t_ns + FRAME_NS
+        pos = spot if kind == "rest" else tuple(x + d for x, d in zip(spot, offset))
+        pkt = MocapPacket(1, i, time_ns, pos, QUATS[quat], 0 if kind == "lost" else 1)
+        want = ref.process(pkt)
+        status = (filt.process(pkt), sparse.process(pkt))
+        assert status == ((None if want is None else want.status),) * 2
+        assert packed(filt.last_output) == packed(want)
+        if read:
+            assert packed(sparse.last_output) == packed(want)
+        for f in (filt, sparse):
+            assert (f.stale, f.relocations) == (ref.stale, ref.relocations)
+    assert packed(sparse.last_output) == packed(ref.last_output)

@@ -1,14 +1,19 @@
 """The merge tick computes only what it reads: a walk of the end-effector's
-path per tick, every link's pose only when ``state_hash`` asks, and the
-station's pose built once per tick from its last usable filter output."""
+path per tick, every link's pose only when ``state_hash`` asks, the
+station's pose built once per tick from its last usable filter output, and
+each filter's pose built only when read."""
 
 import dataclasses
 import struct
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mocap_oracle import EagerMocapFilter
+from twinsync import mocap
 from twinsync.geometry import Pose, quat_from_axis_angle
 from twinsync.harness import simulate
 from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus
@@ -39,7 +44,7 @@ def per_packet_base(config: ScenarioConfig, packets) -> Pose:
     """The base pose of an engine that re-poses its base on every station
     output that is STABLE or RELOCATED, as the packets come."""
     base = station_pose(config)
-    filt = MocapFilter(config.filter)
+    filt = EagerMocapFilter(config.filter)
     for pkt in packets:
         out = filt.process(pkt)
         if out is not None and out.status in (PoseStatus.STABLE, PoseStatus.RELOCATED):
@@ -54,7 +59,7 @@ def walking(n: int, t0: int = 0, x0: float = 0.5):
 
 def statuses(packets) -> list[PoseStatus]:
     filt = MocapFilter(FILTER)
-    return [filt.process(p).status for p in packets]
+    return [filt.process(p) for p in packets]
 
 
 # one merge tick's station frames, each ending on an output that is not
@@ -66,10 +71,15 @@ ONE_TICK = {
         station((5 + i) * FRAME_NS, (1.5, 0.1, 0.0)) for i in range(3)] + [
         station(8 * FRAME_NS, (3.0, 0.1, 0.0))],
     "warming-up-only": walking(3),
+    # a relocation before warm-up, whose pose the next accepted frame
+    # replaces with a WARMING_UP one
+    "relocated-then-warming-up": walking(1) + [
+        station((1 + i) * FRAME_NS, (1.5, 0.1, 0.0)) for i in range(4)],
 }
 LAST = {"stable-then-lost": PoseStatus.HOLDING, "stable-then-stale": PoseStatus.STABLE,
         "relocated-then-gated": PoseStatus.HOLDING,
-        "warming-up-only": PoseStatus.WARMING_UP}
+        "warming-up-only": PoseStatus.WARMING_UP,
+        "relocated-then-warming-up": PoseStatus.WARMING_UP}
 
 
 @pytest.mark.parametrize("case", sorted(ONE_TICK))
@@ -77,7 +87,7 @@ def test_station_pose_of_one_tick_matches_per_packet_update(case):
     packets = ONE_TICK[case]
     seen = statuses(packets)
     assert seen[-1] is LAST[case]
-    if case == "relocated-then-gated":
+    if case.startswith("relocated"):
         assert seen[-2] is PoseStatus.RELOCATED
     engine = TwinEngine(PANDA, CONFIG)
     engine.merge_tick(merge_tick_time(1), [], packets)
@@ -141,3 +151,41 @@ def test_one_path_walk_per_merge_tick_and_one_full_walk_per_state_hash(tmp_path,
     ee_path = model.chain.path(TwinEngine(model, cfg).ee_link)
     assert result.merge_ticks > 0
     assert walks == [ee_path] * result.merge_ticks + [None]
+
+
+def test_each_filter_builds_one_pose_per_merge_tick_plus_one_per_relocation(tmp_path,
+                                                                            monkeypatch):
+    cfg = dataclasses.replace(load_config(CONFIGS / "multi_asset.yaml"),
+                              log_path=str(tmp_path / "run.dtrl"))
+    simulate(cfg)
+    built = Counter()  # (filter, "mean" or "twist") -> calls in this tick
+
+    def counted(kind, kernel):
+        def spy(*args):
+            built[sys._getframe(1).f_locals["self"], kind] += 1
+            return kernel(*args)
+        return spy
+
+    monkeypatch.setattr(mocap, "_mean", counted("mean", mocap._mean))
+    monkeypatch.setattr(mocap, "twist", counted("twist", mocap.twist))
+    merge_tick = TwinEngine.merge_tick
+    totals = Counter()
+
+    def tick(engine, *args):
+        filters = [engine.station_filter, *engine.asset_filters.values()]
+        relocations = [f.relocations for f in filters]
+        built.clear()
+        commands = merge_tick(engine, *args)
+        for f, before in zip(filters, relocations):
+            allowed = 1 + f.relocations - before
+            assert built[f, "mean"] <= allowed and built[f, "twist"] <= allowed
+            totals["relocations"] += f.relocations - before
+        totals["frames"] += len(args[2])
+        totals["poses"] += sum(built.values()) // 2
+        return commands
+
+    monkeypatch.setattr(TwinEngine, "merge_tick", tick)
+    replay(cfg.log_path, cfg)
+    # the guard saw poses built, and a relocation, over more frames than poses
+    assert totals["relocations"] > 0
+    assert 0 < totals["poses"] < totals["frames"]
