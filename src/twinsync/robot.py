@@ -16,7 +16,9 @@ floats, each operation in the order ``Pose.compose``,
 products that cannot change a bit, so forward kinematics is bit-identical
 to composing ``Pose`` objects joint by joint. ``forward_kinematics`` reads
 the link frames off a walk of the whole tree, and ``jacobian`` the joint
-frames off a walk of one link's path.
+frames off a walk of one link's path. A path walk builds and returns only
+its end link's pose, which is all the twin's merge tick and ``jacobian``
+read.
 """
 
 from __future__ import annotations
@@ -259,9 +261,12 @@ class Chain:
                joint_frames: list | None = None) -> list:
         """The pose of every link, in ``links`` order; with ``path``, joint
         indices from the root down as ``path(link)`` gives them, only those
-        joints are walked and every other entry is None. With a list for
-        ``joint_frames``, each walked joint's frame, parent o origin, is
-        appended to it as a pair.
+        joints are walked and only the end link's entry is filled, the root's
+        for an empty path: every other entry, the path's inner links too, is
+        None. A path that is not such a chain, one whose joint does not hang
+        off the link the joint before it moves, raises ``ValueError``. With
+        a list for ``joint_frames``, each walked joint's frame, parent o
+        origin, is appended to it as a pair.
 
         ``Pose.compose`` is written out twice per joint, for parent o origin
         and then for that o motion, where the motion is a revolute joint's
@@ -276,13 +281,19 @@ class Chain:
         """
         sin, cos, sqrt, new = math.sin, math.cos, math.sqrt, tuple.__new__
         joints = self.joints
-        _, (w, x, y, z) = base
+        (tx, ty, tz), (w, x, y, z) = base
         exact = abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12
-        links = [base] + [None] * len(joints)
-        for i in range(len(joints)) if path is None else path:
+        full = path is None
+        links = [base if full else None] + [None] * len(joints)
+        built = 0  # the link whose frame the locals hold
+        for i in range(len(joints)) if full else path:
             (parent, kind, ((vx, vy, vz), (bw, bx, by, bz)), (ax, ay, az), axis_norm,
              dof, zero_offset, identity_origin) = joints[i]
-            (tx, ty, tz), (w, x, y, z) = links[parent]
+            if parent != built:
+                if not full:
+                    raise ValueError(f"path joint {i} hangs off {self.links[parent]!r}, "
+                                     f"not {self.links[built]!r}: not a root-to-link chain")
+                (tx, ty, tz), (w, x, y, z) = links[parent]  # a branch of the tree
             # parent o origin
             if not (zero_offset and tx and ty and tz and exact):
                 rw = w * 0.0 - x * vx - y * vy - z * vz
@@ -341,7 +352,11 @@ class Chain:
                     if n == 0.0:
                         raise ValueError("zero quaternion")
                     w, x, y, z = w / n, x / n, y / n, z / n
-            links[i + 1] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
+            built = i + 1
+            if full:
+                links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
+        if not full:
+            links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
         return links
 
 

@@ -22,8 +22,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from .geometry import Pose, quat_from_axis_angle, unit_quat
-from .grasp import AssetTracker, GraspPhase, GripperTracker
-from .mocap import MocapFilter, PoseStatus
+from .grasp import GRASPED, AssetTracker, GripperTracker
+from .mocap import RELOCATED, STABLE, MocapFilter
 from .recordlog import CHANNEL_MOCAP, CHANNEL_TELEMETRY, read_log
 from .robot import RobotModel, apply_joint_state, forward_kinematics, parse_urdf
 from .scenario import ConfigError, ScenarioConfig
@@ -94,6 +94,9 @@ class TwinEngine:
         # each zone's world-to-zone pose, for ``query``; ``place_zones``
         # rebuilds an attached zone's on every merge tick
         self.to_zone = [z.pose.inverse() for z in self.zones]
+        # each attached zone's (index, asset name, pose in the asset's frame)
+        self._attached = [(i, z.attached_asset, z.pose) for i, z in enumerate(self.zones)
+                          if z.attached_asset is not None]
         self.active_repulsions: list[tuple[str, Repulsion]] = []
         self.telemetry_applied = 0
 
@@ -115,26 +118,29 @@ class TwinEngine:
         # relocation is posed at once, since before warm-up the next
         # accepted frame replaces its pose with a WARMING_UP one
         stable = False
+        asset_filters = self.asset_filters
         for pkt in mocap:
             if pkt.object_id == 0:
                 status = self.station_filter.process(pkt)
-                if status is PoseStatus.STABLE:
+                if status is STABLE:
                     stable = True
-                elif status is PoseStatus.RELOCATED:
+                elif status is RELOCATED:
                     self._pose_base()
                     stable = False
-            elif pkt.object_id in self.asset_filters:
-                self.asset_filters[pkt.object_id].process(pkt)
+            else:
+                filt = asset_filters.get(pkt.object_id)
+                if filt is not None:
+                    filt.process(pkt)
         if stable:
             self._pose_base()
 
         # apply_joint_state has checked and clamped the positions
         gripper_pose = self.model.chain.frames(self.positions, self.base_pose,
                                                self._ee_path)[self._ee_index]
-        grasped = self.gripper.phase is GraspPhase.GRASPED
+        grasped = self.gripper.phase is GRASPED
         asset_poses = {}
         for oid, tracker in self.asset_trackers.items():
-            mocap_out = self.asset_filters[oid].last_output
+            mocap_out = asset_filters[oid].last_output
             pose, _source = tracker.update(grasped, gripper_pose, mocap_out, dt)
             asset_poses[tracker.name] = pose
 
@@ -160,9 +166,8 @@ class TwinEngine:
     def place_zones(self, asset_poses: dict[str, Pose]) -> None:
         """Re-pose each attached zone at its asset's pose, keyed by asset
         name: the zone's configured pose is in the asset's frame."""
-        for i, z in enumerate(self.zones):
-            if z.attached_asset is not None:
-                self.to_zone[i] = asset_poses[z.attached_asset].compose(z.pose).inverse()
+        for i, asset, pose in self._attached:
+            self.to_zone[i] = asset_poses[asset].compose(pose).inverse()
 
     @property
     def link_poses(self) -> dict[str, Pose]:

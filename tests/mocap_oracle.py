@@ -1,13 +1,21 @@
 """The mocap filter as it was before it built poses on read: every frame
-builds its ``FilteredPose`` and ``process`` returns it. Kept as the
-reference that the state-keeping ``MocapFilter`` must match bit for bit,
-and ``output``, which feeds a frame to either and returns its pose."""
+builds its ``FilteredPose`` and ``process`` returns it, gating each frame
+with ``velocity_gate``. Kept as the reference that the state-keeping
+``MocapFilter`` must match bit for bit, and ``output``, which feeds a frame
+to either and returns its pose."""
 
 from collections import deque
 
 from twinsync.geometry import twist, unit
 from twinsync.mocap import (QUALITY_LOST, FilterConfig, FilteredPose, PoseStatus,
-                            _distance, _mean, velocity_gate)
+                            _distance, _mean)
+
+
+def velocity_gate(prev_accepted, candidate, dt: float, vmax: float) -> bool:
+    """True iff the implied speed is within vmax (boundary inclusive)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return _distance(candidate, prev_accepted) / dt <= vmax
 
 
 def output(filt, packet) -> FilteredPose | None:

@@ -1,7 +1,8 @@
 """Static checks over the source tree: no import left unread, no dot
 product in the package outside ``geometry.dot``, no broad ``except`` in the
-package, no numpy ``Generator`` method but ``random`` in the package, and
-no numpy or yaml on the twin side."""
+package, no numpy ``Generator`` method but ``random`` in the package, no
+numpy or yaml on the twin side, and no enum member read off its class in a
+function of the merge tick's modules."""
 
 import ast
 import os
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from twinsync import grasp, mocap, twin
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "twinsync"
@@ -101,6 +104,24 @@ def generator_draws(tree):
             and node.func.attr in DRAWS]
 
 
+# the enums whose members the merge tick's modules read as module globals
+MERGE_ENUMS = {"PoseStatus": mocap.PoseStatus, "GraspPhase": grasp.GraspPhase,
+               "AssetSource": grasp.AssetSource}
+
+
+def enum_member_reads(tree, enums=tuple(MERGE_ENUMS)):
+    """Lines in a function body that read an attribute off a class named in
+    ``enums``, as ``PoseStatus.STABLE`` does."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in (n for stmt in fn.body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id in enums:
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
              for path, tree in modules(ROOT / "src", ROOT / "tests")
@@ -129,6 +150,26 @@ def test_only_random_of_numpys_generator():
              for path, tree in modules(PACKAGE)
              for line in generator_draws(tree)]
     assert found == []
+
+
+def test_merge_tick_reads_enum_members_as_globals():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in modules(PACKAGE)
+             if path.stem in ("mocap", "grasp", "twin")
+             for line in enum_member_reads(tree)]
+    assert found == []
+
+
+def test_enum_aliases_are_their_members():
+    # each alias names its own member, so a reordered enum cannot swap two
+    own = {mocap: [mocap.PoseStatus], grasp: [grasp.GraspPhase, grasp.AssetSource]}
+    for module, enums in own.items():
+        for member in (m for e in enums for m in e):
+            assert getattr(module, member.name) is member
+    members = {m.name: m for e in MERGE_ENUMS.values() for m in e}
+    held = {name: value for name, value in vars(twin).items() if name in members}
+    assert held and all(value is members[name] for name, value in held.items())
+    assert grasp.TRACKED == (mocap.STABLE, mocap.RELOCATED)
 
 
 # the twin side and the CLI that runs replay and live on it
@@ -187,3 +228,12 @@ def test_checks_see_what_they_look_for():
                       "c = ss.spawn(2)\nk = np.random.default_rng(s).integers(5)\n"
                       "x = self._rng.choice(v)\ny = rng.standard_normal()\n")
     assert generator_draws(draws) == [2, 4, 5, 6]
+    # as the merge tick's modules read their enums before they held aliases
+    reads = ast.parse("STABLE = PoseStatus.STABLE\n"
+                      "class Tracker:\n    phase = GraspPhase.IDLE\n"
+                      "    def step(self):\n        if self.phase == GraspPhase.IDLE:\n"
+                      "            return PoseStatus.STABLE.value\n"
+                      "        ok = s in (PoseStatus.STABLE,\n                   PoseStatus.RELOCATED)\n"
+                      "        def inner():\n            return AssetSource.MOCAP\n"
+                      "        return STABLE, Other.X, mocap.PoseStatus\n")
+    assert enum_member_reads(reads) == [5, 6, 7, 8, 10]

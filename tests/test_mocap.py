@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mocap_oracle import EagerMocapFilter, output
 from numpy_oracle import quat_to_matrix
 from twinsync.geometry import quat_from_axis_angle, quat_multiply
-from twinsync.mocap import (FilterConfig, MocapFilter, PoseStatus,
-                            constrain_upright, velocity_gate)
+from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus, constrain_upright
 from twinsync.wire import MocapPacket
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -88,19 +87,34 @@ class TestConstrainUpright:
 
 
 class TestVelocityGate:
+    """The gate inside ``MocapFilter.process``: after a first frame at the
+    origin, the next is accepted (WARMING_UP) when its implied speed is
+    within vmax, and held (HOLDING) when it is not."""
+
+    def second(self, pos, dt_ns=FRAME_NS, vmax=0.5):
+        f = MocapFilter(FilterConfig(vmax=vmax))
+        assert f.process(packet(0, [0.0, 0.0, 0.0])) is PoseStatus.WARMING_UP
+        return f.process(packet(dt_ns, pos))
+
     def test_zero_displacement(self):
-        assert velocity_gate([0, 0, 0], [0, 0, 0], 0.01, 0.5)
+        assert self.second([0.0, 0.0, 0.0]) is PoseStatus.WARMING_UP
 
     def test_big_jump_dropped(self):
         # 1 m in 10 ms = 100 m/s >> 0.5 m/s
-        assert not velocity_gate([0, 0, 0], [1.0, 0, 0], 0.01, 0.5)
+        assert self.second([1.0, 0.0, 0.0]) is PoseStatus.HOLDING
 
     def test_boundary_inclusive(self):
-        assert velocity_gate([0, 0, 0], [0.005, 0, 0], 0.01, 0.5)
+        # 5 mm in 10 ms is exactly 0.5 m/s
+        assert self.second([0.005, 0.0, 0.0]) is PoseStatus.WARMING_UP
+        assert self.second([-0.005, 0.0, 0.0]) is PoseStatus.WARMING_UP
+        assert self.second([0.0050000000000001, 0.0, 0.0]) is PoseStatus.HOLDING
 
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            velocity_gate([0, 0, 0], [0, 0, 0], 0.0, 0.5)
+    def test_zero_dt_gates_at_the_floor(self):
+        # a frame at the previous one's time takes dt = 1e-12 s, not 0: it
+        # passes only when it does not move
+        assert self.second([0.0, 0.0, 0.0], dt_ns=0) is PoseStatus.WARMING_UP
+        assert self.second([1e-13, 0.0, 0.0], dt_ns=0) is PoseStatus.WARMING_UP
+        assert self.second([1e-6, 0.0, 0.0], dt_ns=0) is PoseStatus.HOLDING
 
 
 class TestPipeline:

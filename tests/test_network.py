@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import numpy_oracle as oracle
 
@@ -44,6 +44,33 @@ class TestThrottle:
         th.offer(100, 1)
         with pytest.raises(ValueError):
             th.offer(99, 2)
+
+    @given(gaps=st.lists(st.integers(0, 40 * MS) | st.sampled_from([0, 1, MS]),
+                         max_size=200),
+           start=st.integers(0, 10**9), flush=st.integers(0, 10**8))
+    def test_offer_matches_the_two_drain_form(self, gaps, start, flush):
+        # ``offer`` returns at once while no tick is due; the old form
+        # drained before and after storing every sample
+        class TwoDrain(Throttle):
+            def offer(self, time_ns, sample):
+                if self._last_time is not None and time_ns < self._last_time:
+                    raise ValueError("non-monotone input timestamps")
+                self._last_time = time_ns
+                out = []
+                self._drain(time_ns - 1, out)
+                self._latest = sample
+                self._fresh = True
+                self._drain(time_ns, out)
+                return out
+
+        th, ref = Throttle(), TwoDrain()
+        times = list(itertools.accumulate(gaps, initial=start))
+        for i, t in enumerate(times):
+            assert th.offer(t, i) == ref.offer(t, i)
+            assert vars(th) == vars(ref)
+        assert th.flush(times[-1] + flush) == ref.flush(times[-1] + flush)
+        with pytest.raises(ValueError):
+            th.offer(times[-1] - 1, None)
 
     def test_rate_bound_any_window(self):
         # random arrivals, rate over any 1 s window stays <= 60
@@ -153,10 +180,15 @@ def delays(kind, lo, span):
     return DelayModel.constant(lo) if kind == "constant" else DelayModel.uniform(lo, lo + span)
 
 
-# the links draw their doubles 64 at a time; up to 300 sends cross several blocks
+# the links draw their doubles 64 at a time; up to 300 sends cross several blocks.
+# A lossless link with a constant delay, loss 0.0 or -0.0, skips its draws
 @given(kind=st.sampled_from(["constant", "uniform"]), lo=DELAY_MS, span=DELAY_MS,
-       loss=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+       loss=st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]),
        seed=st.integers(0, 2**63), gaps=st.lists(st.integers(0, 3 * MS), max_size=300))
+@example(kind="constant", lo=3.6, span=0, loss=0.0, seed=5, gaps=[MS] * 100)
+@example(kind="constant", lo=2.5e-7, span=0, loss=-0.0, seed=6, gaps=[0, 1, MS] * 30)
+@example(kind="constant", lo=0, span=0, loss=1.0, seed=7, gaps=[MS] * 100)
+@example(kind="uniform", lo=1.0, span=0, loss=0.0, seed=8, gaps=[MS] * 100)
 def test_block_draws_give_the_per_send_stream(kind, lo, span, loss, seed, gaps):
     cfg = LinkConfig(delay=delays(kind, lo, span), loss=loss)
     link, ref = DatagramLink(cfg, seed), oracle.DatagramLink(cfg, seed)

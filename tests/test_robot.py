@@ -519,6 +519,35 @@ class TestCompiledChain:
             MODELS["planar"].chain.path("nowhere")
 
     @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
+    @settings(max_examples=40, deadline=None)
+    def test_path_walk_builds_only_the_end_pose(self, name, data, base):
+        # every link's path, the root's empty one too, gives the full walk's
+        # pose of that link byte for byte, and no other entry
+        model = MODELS[name]
+        chain = model.chain
+        base = base or Pose()
+        q = chain.check(draw_signed_zero_positions(data, model))
+        full = chain.frames(q, base)
+        for link in chain.links:
+            k = chain.index[link]
+            got = chain.frames(q, base, chain.path(link))
+            assert [i for i, pose in enumerate(got) if pose is not None] == [k]
+            assert struct.pack("<3d4d", *got[k].translation, *got[k].rotation) == \
+                struct.pack("<3d4d", *full[k].translation, *full[k].rotation)
+
+    def test_path_that_is_not_a_chain_rejected(self):
+        panda, shortcuts = MODELS["panda"].chain, MODELS["shortcuts"].chain
+        ee_path = panda.path("panda_hand")
+        branches = shortcuts.path("e") + shortcuts.path("f")  # both hang off the root
+        for chain, path in [(panda, ee_path[1:]), (panda, ee_path[::-1]),
+                            (panda, ee_path[:2] + ee_path[3:]),
+                            (panda, ee_path + ee_path[-1:]), (shortcuts, branches)]:
+            q = [0.1] * chain.dof
+            with pytest.raises(ValueError, match="not a root-to-link chain"):
+                chain.frames(q, Pose(), path)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_path_is_the_parent_walk_computed_once(self, name):
         model = MODELS[name]
         chain = model.chain
