@@ -109,9 +109,9 @@ class TestVelocityGate:
         assert self.second([-0.005, 0.0, 0.0]) is PoseStatus.WARMING_UP
         assert self.second([0.0050000000000001, 0.0, 0.0]) is PoseStatus.HOLDING
 
-    def test_zero_dt_gates_at_the_floor(self):
-        # a frame at the previous one's time takes dt = 1e-12 s, not 0: it
-        # passes only when it does not move
+    def test_bad_dt(self):
+        # a frame at the previous one's time takes dt = 1e-12 s, not 0, and
+        # raises nothing: it passes only within vmax * 1e-12 s of the last
         assert self.second([0.0, 0.0, 0.0], dt_ns=0) is PoseStatus.WARMING_UP
         assert self.second([1e-13, 0.0, 0.0], dt_ns=0) is PoseStatus.WARMING_UP
         assert self.second([1e-6, 0.0, 0.0], dt_ns=0) is PoseStatus.HOLDING
