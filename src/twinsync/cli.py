@@ -29,15 +29,15 @@ def cmd_simulate(args) -> int:
     from .latency import format_table
     cfg = _load(args)
     result = simulate(cfg)
-    print(f"control ticks     {result.control_ticks}")
-    print(f"merge ticks       {result.merge_ticks}")
-    print(f"telemetry sent    {result.telemetry_sent}")
-    print(f"telemetry applied {result.telemetry_delivered}")
-    print(f"commands sent     {result.commands_sent}")
-    print(f"mocap stale       {result.mocap_stale}")
-    print(f"state hash        {result.state_hash}")
-    print(f"trace hash        {result.trace_hash}")
-    print(f"log hash          {result.log_hash}")
+    print(f"control ticks       {result.control_ticks}")
+    print(f"merge ticks         {result.merge_ticks}")
+    print(f"telemetry sent      {result.telemetry_sent}")
+    print(f"telemetry delivered {result.telemetry_delivered}")
+    print(f"commands sent       {result.commands_sent}")
+    print(f"mocap stale         {result.mocap_stale}")
+    print(f"state hash          {result.state_hash}")
+    print(f"trace hash          {result.trace_hash}")
+    print(f"log hash            {result.log_hash}")
     if result.stats is not None:
         print(format_table(result.stats))
     return 0

@@ -3,7 +3,7 @@
 Vectors and quaternions are tuples of Python floats; quaternions are in
 (w, x, y, z) order. Rotations compose left-to-right as ``parent o child``.
 Constructors convert any sequence or numpy array with ``floats``; the
-kernels take any sequence and convert only ``quat_rotate``'s vector.
+kernels take any sequence, and ``_rotate`` a vector as three floats.
 
 The kernels run on Python floats, not numpy scalars, so a call costs
 arithmetic rather than numpy's per-call dispatch. Every product and sum is
@@ -11,7 +11,7 @@ rounded on its own, in a fixed order, so a result depends only on IEEE-754
 double arithmetic and, for the trigonometry, on libm's ``sin`` and
 ``cos``; no BLAS kernel is involved. Every dot product, and so every
 ``norm``, is ``dot``, a left-to-right sum. ``quat_multiply`` and
-``quat_rotate`` keep every term of the quaternion product (the zero scalar
+``_rotate`` keep every term of the quaternion product (the zero scalar
 part of a rotated vector included), and ``Pose`` renormalizes a rotation
 only when its norm is more than 1e-12 from 1. ``Pose.compose`` is one
 function: it writes ``_rotate``, ``quat_multiply`` and ``unit_quat`` out
@@ -93,17 +93,9 @@ def quat_conjugate(q) -> tuple:
     return (w, -x, -y, -z)
 
 
-def quat_rotate(q, v) -> tuple:
-    """``v`` rotated by ``q``: the vector part of ``(q * (0, v)) * conj(q)``.
-
-    Every term of both products is kept, those with the zero scalar part
-    of ``(0, v)`` included, and ``v`` is taken as floats, so signed zeros
-    come out as numpy's do.
-    """
-    return _rotate(q, *map(float, v))
-
-
 def _rotate(q, vx: float, vy: float, vz: float) -> tuple:
+    """``(vx, vy, vz)`` rotated by ``q``: the vector part of
+    ``(q * (0, v)) * conj(q)``, every term of both products kept."""
     w, x, y, z = q
     rw = w * 0.0 - x * vx - y * vy - z * vz
     rx = w * vx + x * 0.0 + y * vz - z * vy
@@ -150,7 +142,7 @@ def quat_from_rpy(roll: float, pitch: float, yaw: float) -> tuple:
 
 def twist(q, u) -> tuple:
     """The twist of ``q`` about the unit vector ``u``: the rotation about
-    ``u`` that ``swing_twist`` splits off."""
+    ``u`` in ``q = swing o twist``, the swing's axis orthogonal to ``u``."""
     w, x, y, z = q
     if w * w + x * x + y * y + z * z == 0.0:  # norm(q) == 0.0
         raise ValueError("zero quaternion")
@@ -162,15 +154,6 @@ def twist(q, u) -> tuple:
         # 180 degree swing, twist degenerate: pick identity
         return IDENTITY_QUAT
     return (w / n, tx / n, ty / n, tz / n)
-
-
-def swing_twist(q, axis) -> tuple[tuple, tuple]:
-    """Split q into (swing, twist) with twist the rotation about ``axis``.
-
-    q = swing o twist. For q orthogonal to the axis the twist is identity.
-    """
-    t = twist(q, unit(axis))
-    return quat_multiply(q, quat_conjugate(t)), t
 
 
 class _Pose(NamedTuple):
@@ -250,8 +233,3 @@ class Pose(_Pose):
                 raise ValueError(f"the norm of {(w, x, y, z)} overflows")
             return tuple.__new__(Pose, (t, (w / n, x / n, y / n, z / n)))
         return tuple.__new__(Pose, (t, (w, x, y, z)))
-
-    def transform_point(self, p) -> tuple:
-        tx, ty, tz = self.translation
-        rx, ry, rz = quat_rotate(self.rotation, p)
-        return (tx + rx, ty + ry, tz + rz)

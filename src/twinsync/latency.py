@@ -41,13 +41,7 @@ class DeltaSummary:
 @dataclass(frozen=True)
 class LatencyStats:
     n: int
-    deltas: tuple[DeltaSummary, ...]
-
-    def by_kind(self, kind: str) -> DeltaSummary:
-        for d in self.deltas:
-            if d.kind == kind:
-                return d
-        raise KeyError(kind)
+    deltas: tuple[DeltaSummary, ...]  # one per kind, in ``DELTA_KINDS`` order
 
 
 def _quantile(xs: list[float], p: float) -> float:
@@ -127,18 +121,6 @@ def export_stats(stats: LatencyStats) -> str:
         }
         lines.append(json.dumps(rec, sort_keys=False))
     return "\n".join(lines) + "\n"
-
-
-def parse_stats(text: str) -> LatencyStats:
-    deltas = []
-    n = 0
-    for line in text.strip().splitlines():
-        rec = json.loads(line)
-        deltas.append(DeltaSummary(rec["kind"], rec["n"], rec["median_ms"],
-                                   rec["q1_ms"], rec["q3_ms"], rec["iqr_ms"],
-                                   rec["outlier_count"]))
-        n = rec["n"]
-    return LatencyStats(n, tuple(deltas))
 
 
 def format_table(stats: LatencyStats) -> str:

@@ -3,8 +3,8 @@
 The bridge is single-threaded. Its sockets are non-blocking and
 ``merge_once``, the only mutator of the bridge's counters and state, is
 their only reader: each call drains the telemetry and mocap sockets until
-the kernel holds nothing more, then reads the command stream. It keeps only
-the latest telemetry packet and the latest mocap packet per object: it runs
+the kernel holds nothing more, then reads the command stream. It counts the
+telemetry packets and keeps only the latest mocap packet per object: it runs
 no TwinEngine, writes no .dtrl log and discards command-stream bytes unread,
 so a live session cannot be replayed.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import socket
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .twin import MERGE_HZ
@@ -39,8 +40,9 @@ class LiveCounters:
     command_channel_up: bool = True
 
 
-def _bound(kind: int, host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, kind)
+def _bound(owner: ExitStack, kind: int, host: str, port: int) -> socket.socket:
+    """A socket bound to ``(host, port)``, which ``owner`` closes when it exits."""
+    sock = owner.enter_context(socket.socket(socket.AF_INET, kind))
     if kind == socket.SOCK_STREAM:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind((host, port))
@@ -54,11 +56,12 @@ class LiveBridge:
     def __init__(self, host: str = "127.0.0.1", telemetry_port: int = 0,
                  mocap_port: int = 0, command_port: int = 0):
         self.counters = LiveCounters()
-        self.latest_telemetry = None
         self.latest_mocap: dict[int, object] = {}
-        self._telemetry_sock = _bound(socket.SOCK_DGRAM, host, telemetry_port)
-        self._mocap_sock = _bound(socket.SOCK_DGRAM, host, mocap_port)
-        self._command_sock = _bound(socket.SOCK_STREAM, host, command_port)
+        with ExitStack() as owner:  # a bind that fails closes every socket made
+            self._telemetry_sock = _bound(owner, socket.SOCK_DGRAM, host, telemetry_port)
+            self._mocap_sock = _bound(owner, socket.SOCK_DGRAM, host, mocap_port)
+            self._command_sock = _bound(owner, socket.SOCK_STREAM, host, command_port)
+            owner.pop_all()  # all bound: from here on ``stop`` closes them
         self._command_conn: socket.socket | None = None
 
     @property
@@ -108,8 +111,6 @@ class LiveBridge:
     def merge_once(self) -> int:
         """Drain every socket once; returns the number of applied messages."""
         telemetry = self._drain(self._telemetry_sock, decode_telemetry)
-        if telemetry:
-            self.latest_telemetry = telemetry[-1]
         mocap = self._drain(self._mocap_sock, decode_mocap)
         for msg in mocap:
             self.latest_mocap[msg.object_id] = msg

@@ -74,11 +74,6 @@ class FilteredPose(NamedTuple):
     time_ns: int
 
 
-def constrain_upright(q, up_axis) -> tuple:
-    """Twist component of q about up_axis (swing discarded)."""
-    return twist(q, unit(up_axis))
-
-
 def _distance(a, b) -> float:
     """``norm(a - b)`` of two 3-vectors, written out."""
     ax, ay, az = a
@@ -112,7 +107,10 @@ class MocapFilter:
 
     def __init__(self, config: FilterConfig | None = None):
         self.config = config or FilterConfig()
-        self._up = unit(self.config.up_axis)  # as constrain_upright takes it
+        # unit() again, though the config's axis is unit already: it still
+        # moves the last bits of about a third of all directions, and the
+        # twists, so the poses and pins of a tilted up axis, rest on them
+        self._up = unit(self.config.up_axis)
         self._window: deque = deque(maxlen=self.config.window)
         self._dropped: deque = deque(maxlen=self.config.stable_count)
         self._prev_accepted: tuple | None = None

@@ -92,12 +92,6 @@ class Throttle:
         self._drain(time_ns, out)
         return out
 
-    def flush(self, until_ns: int) -> list:
-        """Run remaining ticks up to ``until_ns`` without new input."""
-        out: list = []
-        self._drain(until_ns, out)
-        return out
-
 
 class Delivery(NamedTuple):
     time_ns: int

@@ -75,8 +75,9 @@ def query(zone: ProhibitedZone, point, to_local: Pose) -> Repulsion | None:
     sign(0) counts as +1. Boundary contact returns depth 0 with that
     face's normal.
 
-    ``to_local.transform_point`` and ``quat_rotate`` written out, each
-    operation in their order, so the result is theirs bit for bit.
+    The point moves into the box frame as ``Pose.compose`` moves a
+    translation, ``_rotate`` by ``to_local``'s rotation and then its
+    translation added, and the face normal turns back with ``_rotate``.
     """
     px, py, pz = map(float, point)
     if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):

@@ -66,7 +66,9 @@ def quat_to_matrix(q):
     ])
 
 
-def swing_twist(q, axis):
+def twist(q, axis):
+    """The twist of ``q`` about ``axis``, the rotation about the axis in
+    the split ``q = swing o twist``."""
     axis = np.asarray(axis, dtype=float)
     n = norm(axis)
     if n == 0.0:
@@ -77,14 +79,11 @@ def swing_twist(q, axis):
     if norm(q) == 0.0:
         raise ValueError("zero quaternion")
     proj = dot(q[1:], axis) * axis
-    twist = np.array([q[0], proj[0], proj[1], proj[2]])
-    n = norm(twist)
+    t = np.array([q[0], proj[0], proj[1], proj[2]])
+    n = norm(t)
     if n < 1e-12:
-        twist = IDENTITY_QUAT.copy()
-    else:
-        twist = twist / n
-    swing = quat_multiply(q, quat_conjugate(twist))
-    return swing, twist
+        return IDENTITY_QUAT.copy()
+    return t / n
 
 
 @dataclass(frozen=True)

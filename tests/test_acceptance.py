@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from mocap_oracle import output
-from twinsync.geometry import Pose, quat_rotate
+from twinsync.geometry import Pose, _rotate
 from twinsync.grasp import (AssetTracker, FallbackState, GraspConfig,
                             GraspPhase, GripperTracker, fallback_step)
 from twinsync.harness import measure_latency, simulate
@@ -71,9 +71,7 @@ def test_01_latency_replication():
         t0 = time.perf_counter()
         cfg = load_config(CONFIGS / "reference_latency.yaml")
         stats = measure_latency(cfg, n_samples=20_000)
-        net = stats.by_kind("ingress_to_socket")
-        proc = stats.by_kind("socket_to_applied")
-        total = stats.by_kind("ingress_to_applied")
+        net, proc, total = stats.deltas
         assert abs(net.median_ms - 3.6) <= 0.02 * 3.6
         assert net.iqr_ms == 0.0
         assert abs(proc.median_ms - 1.08) <= 0.02 * 1.08
@@ -92,7 +90,7 @@ def test_02_throttle():
             t_ns = k * 1_000_000
             samples[k] = t_ns
             emissions += th.offer(t_ns, k)
-        emissions += th.flush(10_000_000_000)
+        th._drain(10_000_000_000, emissions)  # the ticks left, with no new input
         assert 599 <= len(emissions) <= 601
         for tick_time, k in emissions:
             # the emitted sample is the most recent input at its tick
@@ -274,7 +272,7 @@ def test_07_zone_oracle():
             to_local = zone.pose.inverse()
             for _ in range(10_000):
                 local = rng.uniform(-1.5 * half, 1.5 * half)
-                point = zone.pose.transform_point(local)
+                point = zone.pose.compose(Pose(local)).translation
                 rep = query(zone, point, to_local)
                 inside = np.all(np.abs(local) <= half)
                 if not inside:
@@ -283,7 +281,7 @@ def test_07_zone_oracle():
                 want_depth = float(np.min(half - np.abs(local)))
                 assert abs(rep.depth - want_depth) < 1e-9
                 # the direction is an outward face normal achieving that depth
-                local_dir = quat_rotate(conj, rep.direction)
+                local_dir = _rotate(conj, *rep.direction)
                 i = int(np.argmax(np.abs(local_dir)))
                 s = 1.0 if local_dir[i] > 0 else -1.0
                 assert abs(abs(local_dir[i]) - 1.0) < 1e-9
@@ -300,13 +298,12 @@ def test_07_zone_oracle():
             moved = ProhibitedZone("z", xf.translation, base.half_extents,
                                    orientation=xf.rotation)
             a = query(base, point, at_base)
-            b = query(moved, xf.transform_point(point), moved.pose.inverse())
+            b = query(moved, xf.compose(Pose(point)).translation, moved.pose.inverse())
             if a is None:
                 assert b is None
             else:
                 assert abs(a.depth - b.depth) < 1e-9
-                assert np.allclose(quat_rotate(q, a.direction), b.direction,
-                                   atol=1e-9)
+                assert np.allclose(_rotate(q, *a.direction), b.direction, atol=1e-9)
 
         # counterforce vanishes continuously at the surface
         for eps in (1e-3, 1e-6, 1e-9):
@@ -394,11 +391,11 @@ def test_10_stats_oracle():
                 rec.record(i, Stage.SOCKET_RECV, int(ingress[i] + d1[i]))
                 rec.record(i, Stage.APPLIED, int(ingress[i] + d1[i] + d2[i]))
             stats = rec.compute_stats()
-            for kind, deltas in (("ingress_to_socket", d1),
-                                 ("socket_to_applied", d2),
-                                 ("ingress_to_applied", d1 + d2)):
+            for s, (kind, deltas) in zip(stats.deltas, (("ingress_to_socket", d1),
+                                                        ("socket_to_applied", d2),
+                                                        ("ingress_to_applied", d1 + d2))):
+                assert s.kind == kind
                 ms = deltas / 1e6
-                s = stats.by_kind(kind)
                 assert abs(s.median_ms - oracle_quantile(ms, 0.5)) < 1e-9
                 assert abs(s.q1_ms - oracle_quantile(ms, 0.25)) < 1e-9
                 assert abs(s.q3_ms - oracle_quantile(ms, 0.75)) < 1e-9

@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from twinsync.cli import main
+from twinsync.harness import simulate
+from twinsync.scenario import load_config
 
 REPO = Path(__file__).parent.parent
 CONFIGS = REPO / "configs"
@@ -141,6 +143,20 @@ def test_simulate_seed_override_changes_hash(capsys, tmp_path, robot_file):
         delays.append(re.search(r"^ingress_to_socket .*$", out, re.M).group(0))
     assert hashes[0] != hashes[1]
     assert delays[0] != delays[1]
+
+
+def test_simulate_reports_the_delivered_telemetry(capsys, tmp_path, robot_file):
+    # a reordering link delivers packets the twin supersedes unapplied, so
+    # the count printed is the link's, and says so
+    cfg = {"seed": 3, "duration_s": 1.0, "robot_path": robot_file,
+           "telemetry_link": {"delay": {"kind": "uniform", "lo_ms": 0.0, "hi_ms": 40.0}}}
+    cfg_path = tmp_path / "s.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    delivered = int(re.search(r"^telemetry delivered +(\d+)$", out, re.M).group(1))
+    assert delivered == simulate(load_config(cfg_path)).telemetry_delivered
+    assert "telemetry applied" not in out
 
 
 def test_live_self_test(capsys):

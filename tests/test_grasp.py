@@ -237,8 +237,8 @@ class TestAssetTracker:
         moved = Pose([2.0, 1.0, 0.5], yaw)
         pose1, src = at.update(True, moved, None, self.DT)
         assert src is AssetSource.GRIPPER_ATTACHED
-        offset0 = base.inverse().transform_point(pose0.translation)
-        offset1 = moved.inverse().transform_point(pose1.translation)
+        offset0 = base.inverse().compose(pose0).translation
+        offset1 = moved.inverse().compose(pose1).translation
         assert np.allclose(offset0, offset1, atol=1e-12)
 
     def test_no_jump_at_any_switch(self):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from twinsync import harness, robot, twin
 from twinsync.grasp import AssetSource, GraspPhase
 from twinsync.harness import measure_latency, simulate
-from twinsync.latency import parse_stats
+from twinsync.latency import export_stats
 from twinsync.recordlog import (CHANNEL_MOCAP, CHANNEL_TELEMETRY, LogRecord,
                                 LogWriter, read_log)
 from twinsync.robot import parse_urdf
@@ -116,8 +116,7 @@ class TestSimulate:
         cfg = scenario(robot_file, duration_s=1.0, stats_path=str(stats_path))
         res = simulate(cfg)
         assert res.stats is not None
-        parsed = parse_stats(stats_path.read_text())
-        assert parsed == res.stats
+        assert stats_path.read_text() == export_stats(res.stats)
 
     def test_missing_robot_path(self):
         with pytest.raises(ValueError):
@@ -515,9 +514,7 @@ class TestMeasureLatency:
     def test_reference_profile_statistics(self):
         cfg = load_config(CONFIGS / "reference_latency.yaml")
         stats = measure_latency(cfg, n_samples=2000)
-        net = stats.by_kind("ingress_to_socket")
-        proc = stats.by_kind("socket_to_applied")
-        total = stats.by_kind("ingress_to_applied")
+        net, proc, total = stats.deltas
         assert abs(net.median_ms - 3.6) < 0.072  # 2 %
         assert net.iqr_ms == 0.0
         assert abs(proc.median_ms - 1.08) < 0.054  # 5 %

@@ -1,13 +1,15 @@
 """Static checks over the source tree: no import left unread, no dot
 product in the package outside ``geometry.dot``, no broad ``except`` in the
 package, no numpy ``Generator`` method but ``random`` in the package, no
-numpy or yaml on the twin side, and no enum member read off its class in a
-function of the merge tick's modules."""
+numpy or yaml on the twin side, no enum member read off its class in a
+function of the merge tick's modules, no function of the package that only
+the tests call and no attribute that nothing reads."""
 
 import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from twinsync import grasp, mocap, twin
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "twinsync"
+BENCHMARK = ROOT / "perfbench"
 
 
 def modules(*dirs):
@@ -122,6 +125,116 @@ def enum_member_reads(tree, enums=tuple(MERGE_ENUMS)):
     return sorted(lines)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree):
+    """(name, node, class node or None) of each module-level function and
+    class and of each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m, node) for m in node.body if isinstance(m, FUNCTIONS))
+
+
+def referenced_name(node):
+    """The name ``node`` may refer to a definition by: a name or attribute
+    loaded, a name an import binds, or a string constant, as ``getattr``
+    takes one."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def references(tree, defs):
+    """(name, ids of the nodes in ``defs`` whose body holds it) of each
+    reference in ``tree``. Decorators, base classes and default values
+    run where their definition does, so they count outside its body."""
+    found = []
+
+    def visit(node, within):
+        if id(node) in defs:
+            outside = node.decorator_list + (
+                node.bases + node.keywords if isinstance(node, ast.ClassDef)
+                else node.args.defaults + [d for d in node.args.kw_defaults if d])
+            for n in outside:
+                visit(n, within)
+            skip = set(map(id, outside))
+            for child in ast.iter_child_nodes(node):
+                if id(child) not in skip:
+                    visit(child, within + (id(node),))
+            return
+        name = referenced_name(node)
+        if name is not None:
+            found.append((name, within))
+        for child in ast.iter_child_nodes(node):
+            visit(child, within)
+
+    visit(tree, ())
+    return found
+
+
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced(package, others=()):
+    """``module.name`` or ``module.Class.name`` of each definition of the
+    ``package`` modules that no code of them or of ``others`` (a benchmark
+    or a script: every line counts) refers to outside its own body; each
+    a list of (path, tree).
+
+    A reference counts only from a body that is itself referenced, so the
+    search runs to a fixpoint, and a helper that only an unreferenced
+    function calls is flagged too. A dunder method is referenced when its
+    class is. The match is by name, so a method that shares its name with
+    one the package calls on another object is not seen: ``recordlog``'s
+    ``self._f.flush()``, a file's, kept ``network.Throttle.flush``, which
+    only the tests called, out of this check's sight."""
+    defs = {id(node): (path.stem, name, owner)
+            for path, tree in package for name, node, owner in definitions(tree)}
+    by_name = {}
+    for _, tree in [*package, *others]:
+        for name, within in references(tree, defs):
+            by_name.setdefault(name, []).append(within)
+    live, grown = set(), True
+    while grown:
+        grown = False
+        for key, (_, name, owner) in defs.items():
+            if key in live:
+                continue
+            if dunder(name):
+                found = owner is None or id(owner) in live
+            else:
+                found = any(key not in within and live.issuperset(within)
+                            for within in by_name.get(name, ()))
+            if found:
+                live.add(key)
+                grown = True
+    return sorted(f"{module}.{owner.name + '.' if owner else ''}{name}"
+                  for key, (module, name, owner) in defs.items()
+                  if key not in live and not dunder(name))
+
+
+def write_only(package, readers):
+    """``module.attribute`` of each ``self.attribute`` the ``package``
+    modules assign and no module of ``readers`` loads, by name or as a
+    string constant; each a list of (path, tree)."""
+    read = {referenced_name(n) for _, tree in readers for n in ast.walk(tree)
+            if not isinstance(n, (ast.Name, ast.alias))} - {None}
+    return sorted({f"{path.stem}.{n.attr}" for path, tree in package for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                   and isinstance(n.value, ast.Name) and n.value.id == "self"
+                   and n.attr not in read})
+
+
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
              for path, tree in modules(ROOT / "src", ROOT / "tests")
@@ -158,6 +271,15 @@ def test_merge_tick_reads_enum_members_as_globals():
              if path.stem in ("mocap", "grasp", "twin")
              for line in enum_member_reads(tree)]
     assert found == []
+
+
+def test_no_function_only_the_tests_call():
+    assert unreferenced(list(modules(PACKAGE)), list(modules(BENCHMARK))) == []
+
+
+def test_no_attribute_left_unread():
+    assert write_only(list(modules(PACKAGE)),
+                      list(modules(PACKAGE, BENCHMARK, ROOT / "tests"))) == []
 
 
 def test_enum_aliases_are_their_members():
@@ -237,3 +359,51 @@ def test_checks_see_what_they_look_for():
                       "        def inner():\n            return AssetSource.MOCAP\n"
                       "        return STABLE, Other.X, mocap.PoseStatus\n")
     assert enum_member_reads(reads) == [5, 6, 7, 8, 10]
+    package = [(Path("m.py"), ast.parse(textwrap.dedent("""\
+        def used(x=default()):
+            return helper()
+        def helper():
+            return 1
+        def default():
+            return None
+        def only_tests():
+            return inner()
+        def inner():
+            return 2
+        def recursive():
+            return recursive()
+        def by_string():
+            pass
+        def benchmarked():
+            pass
+        @decorator
+        def decorated():
+            pass
+        def decorator(f):
+            return f
+        class C(Base):
+            def __init__(self):
+                self.read, self.unread, self.named = 1, 2, 3
+                self.counted = 0
+            def method(self):
+                self.counted += 1
+                return self.read
+            def returns_its_class(self):
+                return C
+            def flush(self):
+                pass
+        class Base:
+            pass
+        class Unused:
+            def __init__(self):
+                inner()
+        used(), decorated(), C().method()
+        getattr(m, "by_string"), getattr(c, "named")
+        log.flush()
+        """)))]
+    bench = [(Path("bench.py"), ast.parse("from m import benchmarked\n"))]
+    # a file's flush keeps C.flush alive: the match is by name
+    assert unreferenced(package, bench) == [
+        "m.C.returns_its_class", "m.Unused", "m.inner", "m.only_tests", "m.recursive"]
+    assert "m.benchmarked" in unreferenced(package)
+    assert write_only(package, package) == ["m.counted", "m.unread"]

@@ -21,9 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 import numpy_oracle as oracle
 from mocap_oracle import output
 from twinsync import mocap
-from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, _rotate, dot, norm, quat_conjugate,
-                               quat_from_axis_angle, quat_multiply, quat_rotate,
-                               swing_twist, unit_quat)
+from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, _rotate, dot, floats, norm,
+                               quat_conjugate, quat_from_axis_angle, quat_multiply, twist,
+                               unit, unit_quat)
 from twinsync.mocap import FilterConfig, MocapFilter
 from twinsync.network import delay_ms, doubles, normal
 from twinsync.scenario import DelayModel, LeaderConfig, _linspace
@@ -49,8 +49,8 @@ def vectors(n):
 def same(got, want):
     """Equal dtype, shape and bytes. A NaN counts as equal to any NaN: its
     sign bit comes from whichever operand the machine code puts first, and
-    means nothing (an infinite component can turn swing_twist's whole output
-    to NaN)."""
+    means nothing (an infinite component can turn twist's whole output to
+    NaN)."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -207,17 +207,17 @@ def test_quat_conjugate(q):
 
 
 @given(q=vectors(4), v=vectors(3))
-def test_quat_rotate(q, v):
-    same(*both(quat_rotate, oracle.quat_rotate, q, v))
+def test_rotate(q, v):
+    # on the vector as floats, as every caller passes it
+    same(*both(lambda q, v: _rotate(q, *floats(v)), oracle.quat_rotate, q, v))
 
 
 @given(q=vectors(4), axis=vectors(3))
-def test_swing_twist(q, axis):
-    out = both(swing_twist, oracle.swing_twist, q, axis)
+def test_twist(q, axis):
+    # about the axis made unit, as the mocap filter takes its up axis
+    out = both(lambda q, axis: twist(q, unit(axis)), oracle.twist, q, axis)
     if out is not None:
-        (swing, twist), (want_swing, want_twist) = out
-        same(swing, want_swing)
-        same(twist, want_twist)
+        same(*out)
 
 
 @given(t=vectors(3), q=vectors(4))

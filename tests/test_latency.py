@@ -1,8 +1,11 @@
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinsync.latency import (DELTA_KINDS, DeltaSummary, LatencyRecorder, Stage,
-                              export_stats, format_table, parse_stats)
+                              export_stats, format_table)
 
 # the oracles and the random inputs below use numpy; the module does not
 np = pytest.importorskip("numpy")
@@ -20,24 +23,25 @@ class TestRecorder:
     def test_stage_deltas(self):
         rec = LatencyRecorder()
         record_sample(rec, 0, 10.0, 13.6, 14.68)
-        stats = rec.compute_stats()
-        assert abs(stats.by_kind("ingress_to_socket").median_ms - 3.6) < 1e-9
-        assert abs(stats.by_kind("socket_to_applied").median_ms - 1.08) < 1e-9
-        assert abs(stats.by_kind("ingress_to_applied").median_ms - 4.68) < 1e-9
+        net, proc, total = rec.compute_stats().deltas
+        assert (net.kind, proc.kind, total.kind) == DELTA_KINDS
+        assert abs(net.median_ms - 3.6) < 1e-9
+        assert abs(proc.median_ms - 1.08) < 1e-9
+        assert abs(total.median_ms - 4.68) < 1e-9
 
     def test_five_point_quartiles(self):
         # {1,2,3,4,5} ms -> median 3, q1 2, q3 4, iqr 2
         rec = LatencyRecorder()
         for i, d in enumerate([1, 2, 3, 4, 5]):
             record_sample(rec, i, 0.0, d, d)
-        s = rec.compute_stats().by_kind("ingress_to_socket")
+        s = rec.compute_stats().deltas[0]  # ingress_to_socket
         assert (s.median_ms, s.q1_ms, s.q3_ms, s.iqr_ms) == (3.0, 2.0, 4.0, 2.0)
         assert s.outlier_count == 0
 
     def test_singleton(self):
         rec = LatencyRecorder()
         record_sample(rec, 0, 0.0, 2.5, 3.0)
-        s = rec.compute_stats().by_kind("ingress_to_socket")
+        s = rec.compute_stats().deltas[0]  # ingress_to_socket
         assert s.n == 1 and s.median_ms == s.q1_ms == s.q3_ms == 2.5
         assert s.iqr_ms == 0.0 and s.outlier_count == 0
 
@@ -78,16 +82,14 @@ class TestRecorder:
             t0 = float(rng.uniform(0, 100))
             record_sample(rec, i, t0, t0 + rng.uniform(0, 5),
                           t0 + rng.uniform(5, 9))
-        stats = rec.compute_stats()
-        for kind in DELTA_KINDS:
-            assert stats.by_kind(kind).n == 500
+        assert [d.n for d in rec.compute_stats().deltas] == [500] * len(DELTA_KINDS)
 
     def test_outlier_fences(self):
         rec = LatencyRecorder()
         deltas = [1.0] * 20 + [100.0]  # iqr 0: anything off the plateau flags
         for i, d in enumerate(deltas):
             record_sample(rec, i, 0.0, d, d)
-        s = rec.compute_stats().by_kind("ingress_to_socket")
+        s = rec.compute_stats().deltas[0]  # ingress_to_socket
         assert s.iqr_ms == 0.0 and s.outlier_count == 1
 
 
@@ -109,7 +111,7 @@ def test_quantiles_match_brute_force_oracle():
         rec = LatencyRecorder()
         for i, d in enumerate(deltas):
             record_sample(rec, i, 0.0, d, d)
-        s = rec.compute_stats().by_kind("ingress_to_socket")
+        s = rec.compute_stats().deltas[0]  # ingress_to_socket
         assert abs(s.median_ms - quantile_oracle(deltas, 0.5)) < 1e-9
         assert abs(s.q1_ms - quantile_oracle(deltas, 0.25)) < 1e-9
         assert abs(s.q3_ms - quantile_oracle(deltas, 0.75)) < 1e-9
@@ -162,11 +164,10 @@ class TestExport:
 
     def test_roundtrip(self):
         stats = self.make()
-        parsed = parse_stats(export_stats(stats))
-        assert parsed.n == stats.n
-        for kind in DELTA_KINDS:
-            a, b = stats.by_kind(kind), parsed.by_kind(kind)
-            assert a == b
+        records = [json.loads(line) for line in export_stats(stats).splitlines()]
+        fields = [f.name for f in dataclasses.fields(DeltaSummary)]
+        assert tuple(DeltaSummary(*(r[f] for f in fields)) for r in records) == stats.deltas
+        assert {r["n"] for r in records} == {stats.n}
 
     def test_three_lines(self):
         lines = export_stats(self.make()).strip().splitlines()
@@ -176,7 +177,3 @@ class TestExport:
         table = format_table(self.make())
         for kind in DELTA_KINDS:
             assert kind in table
-
-    def test_unknown_kind_lookup(self):
-        with pytest.raises(KeyError):
-            self.make().by_kind("nope")

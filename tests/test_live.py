@@ -1,7 +1,9 @@
+import gc
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,26 @@ def test_loopback_sender_keeps_a_bounded_window(monkeypatch):
     counters = loopback_self_test(n_packets=300)
     assert counters.telemetry_applied >= 297
     assert 0 < max(applied) <= LOOPBACK_WINDOW
+
+
+@pytest.mark.parametrize("busy", ["mocap_port", "command_port"])
+def test_a_port_in_use_leaves_no_socket_open(busy):
+    # the sockets bound before the failing one are closed, and it is too
+    kind = socket.SOCK_STREAM if busy == "command_port" else socket.SOCK_DGRAM
+    with socket.socket(socket.AF_INET, kind) as holder:
+        holder.bind(("127.0.0.1", 0))
+        if kind == socket.SOCK_STREAM:
+            holder.listen(1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                LiveBridge(**{busy: holder.getsockname()[1]})
+            except OSError:
+                pass
+            else:
+                pytest.fail(f"bound the {busy} in use")
+            gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_bridge_starts_no_thread():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mocap_oracle import EagerMocapFilter, output
 from numpy_oracle import quat_to_matrix
 from twinsync.geometry import quat_from_axis_angle, quat_multiply
-from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus, constrain_upright
+from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus
 from twinsync.wire import MocapPacket
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -55,13 +55,20 @@ class TestSlidingMean:
 
 
 class TestConstrainUpright:
+    """The filter's rotation: the twist of the frame's quaternion about the
+    up axis, its swing discarded."""
+
+    def upright(self, q):
+        f = MocapFilter(FilterConfig(up_axis=UP))
+        return output(f, packet(0, [0.0, 0.0, 0.0], q)).rotation
+
     def test_pure_yaw_unchanged(self):
         q = quat_from_axis_angle(UP, np.deg2rad(30))
-        assert np.allclose(constrain_upright(q, UP), q, atol=1e-12)
+        assert np.allclose(self.upright(q), q, atol=1e-12)
 
     def test_pure_pitch_becomes_identity(self):
         q = quat_from_axis_angle([0, 1, 0], np.deg2rad(10))
-        out = constrain_upright(q, UP)
+        out = self.upright(q)
         assert np.allclose(np.abs(out[0]), 1.0, atol=1e-9)
 
     def test_composite_keeps_yaw(self):
@@ -69,7 +76,7 @@ class TestConstrainUpright:
         yaw = quat_from_axis_angle(UP, np.deg2rad(30))
         pitch = quat_from_axis_angle([0, 1, 0], np.deg2rad(10))
         q = quat_multiply(yaw, pitch)
-        out = constrain_upright(q, UP)
+        out = self.upright(q)
         x_world = quat_to_matrix(q) @ np.array([1.0, 0, 0])
         heading = np.arctan2(x_world[1], x_world[0])
         expected = quat_from_axis_angle(UP, heading)
@@ -81,7 +88,7 @@ class TestConstrainUpright:
         for _ in range(10_000):
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
-            out = constrain_upright(q, UP)
+            out = self.upright(q)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-9
             assert abs(out[1]) < 1e-9 and abs(out[2]) < 1e-9
 

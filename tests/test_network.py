@@ -13,6 +13,14 @@ from twinsync.scenario import DelayModel, LinkConfig
 MS = 1_000_000
 
 
+def flush(throttle, until_ns):
+    """The emissions of ``throttle``'s ticks up to ``until_ns``, with no new
+    input."""
+    out = []
+    throttle._drain(until_ns, out)
+    return out
+
+
 class TestThrottle:
     def test_1khz_for_one_second(self):
         th = Throttle()
@@ -29,14 +37,14 @@ class TestThrottle:
         emissions = []
         for k in range(10):
             emissions += th.offer(k * 100 * MS, k)
-        emissions += th.flush(1_000 * MS)
+        emissions += flush(th, 1_000 * MS)
         assert len(emissions) == 10
         assert [s for _, s in emissions] == list(range(10))
 
     def test_single_sample(self):
         th = Throttle()
         out = th.offer(0, "x")
-        out += th.flush(10**9)
+        out += flush(th, 10**9)
         assert len(out) == 1 and out[0][1] == "x"
 
     def test_non_monotone_rejected(self):
@@ -47,8 +55,8 @@ class TestThrottle:
 
     @given(gaps=st.lists(st.integers(0, 40 * MS) | st.sampled_from([0, 1, MS]),
                          max_size=200),
-           start=st.integers(0, 10**9), flush=st.integers(0, 10**8))
-    def test_offer_matches_the_two_drain_form(self, gaps, start, flush):
+           start=st.integers(0, 10**9), until=st.integers(0, 10**8))
+    def test_offer_matches_the_two_drain_form(self, gaps, start, until):
         # ``offer`` returns at once while no tick is due; the old form
         # drained before and after storing every sample
         class TwoDrain(Throttle):
@@ -68,7 +76,7 @@ class TestThrottle:
         for i, t in enumerate(times):
             assert th.offer(t, i) == ref.offer(t, i)
             assert vars(th) == vars(ref)
-        assert th.flush(times[-1] + flush) == ref.flush(times[-1] + flush)
+        assert flush(th, times[-1] + until) == flush(ref, times[-1] + until)
         with pytest.raises(ValueError):
             th.offer(times[-1] - 1, None)
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import numpy_oracle as oracle
-from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, dot, quat_from_axis_angle,
-                               quat_rotate, unit_quat)
+from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, _rotate, dot, quat_from_axis_angle,
+                               unit_quat)
 from twinsync.robot import (Joint, LimitViolation, Link, RobotModel, UrdfError,
                             apply_joint_state, forward_kinematics, jacobian, parse_urdf)
 from twinsync.scenario import load_config
@@ -383,7 +383,7 @@ def compose_jacobian(model, q, link, base):
             motion = Pose()
         frame = joint_frame.compose(motion)
         if j.kind != "fixed":
-            moved.append((j, quat_rotate(joint_frame.rotation, j.axis),
+            moved.append((j, _rotate(joint_frame.rotation, *j.axis),
                           joint_frame.translation))
     columns = [ZERO3] * model.dof
     for j, (ax, ay, az), origin in moved:
@@ -487,7 +487,7 @@ class TestCompiledChain:
         while child in joint_of:
             j = joint_of[child]
             if j.kind == "prismatic":
-                want = quat_rotate(poses[j.child].rotation, j.axis)
+                want = _rotate(poses[j.child].rotation, *j.axis)
                 assert np.allclose(columns[movable.index(j)], want, rtol=0, atol=1e-15)
             child = j.parent
 
@@ -637,7 +637,7 @@ def zone_around(point, shape, station):
     rotation = quat_from_axis_angle(shape["axis"], shape["angle"])
     margins = [shape["margins"][i] for i in shape["order"]]
     half = [abs(u) + m for u, m in zip(shape["inside"], margins)]
-    offset = quat_rotate(rotation, shape["inside"])
+    offset = _rotate(rotation, *shape["inside"])
     local = Pose([p - o for p, o in zip(point, offset)], rotation)
     world = station.compose(local)
     return ProhibitedZone("z", world.translation, half, world.rotation,

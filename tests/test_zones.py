@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinsync.geometry import (ZERO3, Pose, floats, quat_conjugate, quat_from_axis_angle,
-                               quat_rotate)
+import numpy_oracle as oracle
+from twinsync.geometry import ZERO3, Pose, _rotate, floats, quat_conjugate, quat_from_axis_angle
 from twinsync.harness import simulate
 from twinsync.robot import parse_urdf
 from twinsync.scenario import AssetConfig, ScenarioConfig, load_config
@@ -101,7 +101,7 @@ class TestQueryProperties:
             z = ProhibitedZone("z", rng.uniform(-1, 1, 3), half, orientation=q)
             for _ in range(50):
                 local = rng.uniform(-half, half)
-                point = z.pose.transform_point(local)
+                point = z.pose.compose(Pose(local)).translation
                 rep = hit(z, point)
                 d, _ = nearest_face_oracle(half, local)
                 assert abs(rep.depth - d) < 1e-9
@@ -110,7 +110,7 @@ class TestQueryProperties:
                 # back into the box frame, the face it names must sit at
                 # the oracle distance
                 conj = np.array([q[0], -q[1], -q[2], -q[3]])
-                got_local = quat_rotate(conj, rep.direction)
+                got_local = _rotate(conj, *rep.direction)
                 i = int(np.argmax(np.abs(got_local)))
                 s = 1.0 if got_local[i] > 0 else -1.0
                 assert abs(np.abs(got_local[i]) - 1.0) < 1e-9
@@ -127,13 +127,12 @@ class TestQueryProperties:
             xf = Pose(rng.uniform(-2, 2, 3), q)
             moved = ProhibitedZone("z", xf.translation, base.half_extents,
                                    orientation=xf.rotation)
-            rep1 = hit(moved, xf.transform_point(point))
+            rep1 = hit(moved, xf.compose(Pose(point)).translation)
             if rep0 is None:
                 assert rep1 is None
             else:
                 assert abs(rep0.depth - rep1.depth) < 1e-9
-                assert np.allclose(quat_rotate(q, rep0.direction),
-                                   rep1.direction, atol=1e-9)
+                assert np.allclose(_rotate(q, *rep0.direction), rep1.direction, atol=1e-9)
 
     def test_depth_bounded_by_min_half_extent(self):
         rng = np.random.default_rng(14)
@@ -225,8 +224,7 @@ class TestEnginePlacement:
                            atol=1e-12)
         # interior query behaves identically in the zone's moving frame
         rep = query(z, [0.0, 1.4, 0.0], engine.to_zone[0])
-        local_dir = quat_rotate(
-            np.array([yaw[0], -yaw[1], -yaw[2], -yaw[3]]), rep.direction)
+        local_dir = _rotate(quat_conjugate(yaw), *rep.direction)
         assert abs(rep.depth - 0.1) < 1e-12
         assert np.allclose(np.abs(local_dir), [1, 0, 0], atol=1e-12) or \
             np.allclose(np.abs(local_dir), [0, 1, 0], atol=1e-12)
@@ -255,24 +253,26 @@ def test_engine_placement_matches_a_zone_built_there(asset, center, orientation,
     there = ProhibitedZone("z", world.translation, half, world.rotation)
     assert quat_conjugate(engine.to_zone[0].rotation) == there.orientation
     for local in locals_:
-        point = world.transform_point([u * h for u, h in zip(local, half)])
+        point = world.compose(Pose([u * h for u, h in zip(local, half)])).translation
         assert query(z, point, engine.to_zone[0]) == hit(there, point)
 
 
 def transform_query(zone, point, to_local):
-    """``query`` written with ``Pose.transform_point``, a list of margins,
-    ``min`` and ``quat_rotate``; ``query`` must match it byte for byte."""
+    """``query`` written with numpy's quaternion products (``numpy_oracle``)
+    to move the point, a list of margins, ``min``, and the products again
+    to turn the face normal back; ``query`` must match it byte for byte."""
     point = floats(point)
     if not all(map(math.isfinite, point)):
         raise ValueError("non-finite query point")
-    local = to_local.transform_point(point)
+    local = np.add(to_local.translation, oracle.quat_rotate(to_local.rotation, point))
     margins = [h - abs(c) for h, c in zip(zone.half_extents, local)]
     if any(m < 0 for m in margins):
         return None
     i = margins.index(min(margins))
     axis = [0.0, 0.0, 0.0]
     axis[i] = 1.0 if local[i] >= 0 else -1.0
-    return Repulsion(quat_rotate(quat_conjugate(to_local.rotation), axis), margins[i])
+    return Repulsion(oracle.quat_rotate(oracle.quat_conjugate(to_local.rotation), axis),
+                     margins[i])
 
 
 def repulsion_bytes(rep):
@@ -296,7 +296,7 @@ def test_query_matches_the_transform_point_formulation(half, to_local, points):
     zone = ProhibitedZone("z", ZERO3, half)
     to_world = to_local.inverse()
     for p in points:
-        for point in (p, to_world.transform_point(p)):
+        for point in (p, to_world.compose(Pose(p)).translation):
             assert repulsion_bytes(query(zone, point, to_local)) == \
                 repulsion_bytes(transform_query(zone, point, to_local))
 
