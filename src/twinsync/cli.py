@@ -56,7 +56,7 @@ def cmd_measure_latency(args) -> int:
 
 def cmd_replay(args) -> int:
     cfg = _load(args)
-    result = replay(args.log, cfg, mode=args.mode, skip_bad=args.skip_bad)
+    result = replay(args.log, cfg, skip_bad=args.skip_bad)
     print(f"records          {result.records}")
     print(f"merge ticks      {result.merge_ticks}")
     print(f"skipped payloads {result.skipped}")
@@ -112,7 +112,8 @@ def cmd_live(args) -> int:
         bridge.stop()
     c = bridge.counters
     print(f"telemetry applied {c.telemetry_applied}, mocap applied "
-          f"{c.mocap_applied}, malformed {c.malformed}")
+          f"{c.mocap_applied}, malformed {c.malformed}, command channel "
+          f"{'up' if c.command_channel_up else 'down'}")
     return 0
 
 
@@ -140,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a recorded .dtrl log")
     p.add_argument("log")
     common(p)
-    p.add_argument("--mode", choices=("immediate", "timed"), default="immediate")
     p.add_argument("--skip-bad", action="store_true",
                    help="skip undecodable payloads instead of halting")
     p.set_defaults(func=cmd_replay)

@@ -142,7 +142,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
     merge_ticks = int(round(config.duration_s * MERGE_HZ))
     mocap_src = _mocap_schedule(config, noise_u)
     next_mocap = next(mocap_src, None)
-    counters = {"commands": 0, "delivered": 0}
     merge_k = 1
 
     def run_merge_tick(mk_ns: int) -> None:
@@ -161,12 +160,10 @@ def simulate(config: ScenarioConfig) -> SimResult:
             recorder.record(pkt.seq, Stage.SOCKET_RECV, recv_ns)
             proc_ns = int(round(delay_ms(config.processing_delay, proc_u) * 1e6))
             recorder.record(pkt.seq, Stage.APPLIED, recv_ns + proc_ns)
-        counters["delivered"] += len(telemetry)
         for frame in commands:
             data = encode_command(frame)
             command_link.send(mk_ns, data)
             writer.append(LogRecord(mk_ns, CHANNEL_COMMAND, data))
-            counters["commands"] += 1
 
     # the leader generator runs out with the loop, so its last chunk is freed
     # before the outputs below are built
@@ -223,9 +220,9 @@ def simulate(config: ScenarioConfig) -> SimResult:
     writer.append(LogRecord(max(end_ns, writer.last_time), CHANNEL_HEARTBEAT, b""))
     writer.close()
 
-    stats = None
-    if recorder.complete_count() > 0:
-        stats = recorder.compute_stats()
+    # every delivered telemetry packet completes its seq's three stamps
+    delivered = recorder.complete_count()
+    stats = recorder.compute_stats() if delivered else None
 
     log_bytes = log_buf.getvalue()
     trace_bytes = trace.getvalue().encode()
@@ -244,8 +241,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
         control_ticks=control_ticks,
         merge_ticks=engine.tick,
         telemetry_sent=telemetry_link.sent,
-        telemetry_delivered=counters["delivered"],
-        commands_sent=counters["commands"],
+        telemetry_delivered=delivered,
+        commands_sent=command_link.sent,
         mocap_stale=engine.station_filter.stale
         + sum(f.stale for f in engine.asset_filters.values()),
     )

@@ -24,8 +24,6 @@ class Stage(enum.IntEnum):
 
 _STAGES = tuple(Stage)  # iterating the enum class itself costs a call per member
 
-DELTA_KINDS = ("ingress_to_socket", "socket_to_applied", "ingress_to_applied")
-
 
 @dataclass(frozen=True)
 class DeltaSummary:
@@ -41,7 +39,7 @@ class DeltaSummary:
 @dataclass(frozen=True)
 class LatencyStats:
     n: int
-    deltas: tuple[DeltaSummary, ...]  # one per kind, in ``DELTA_KINDS`` order
+    deltas: tuple[DeltaSummary, ...]  # ingress_to_socket, socket_to_applied, ingress_to_applied
 
 
 def _quantile(xs: list[float], p: float) -> float:

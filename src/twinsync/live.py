@@ -4,9 +4,9 @@ The bridge is single-threaded. Its sockets are non-blocking and
 ``merge_once``, the only mutator of the bridge's counters and state, is
 their only reader: each call drains the telemetry and mocap sockets until
 the kernel holds nothing more, then reads the command stream. It counts the
-telemetry packets and keeps only the latest mocap packet per object: it runs
-no TwinEngine, writes no .dtrl log and discards command-stream bytes unread,
-so a live session cannot be replayed.
+packets it decodes and keeps none of them: it runs no TwinEngine, writes no
+.dtrl log and discards command-stream bytes unread, so a live session cannot
+be replayed.
 
 The backlog between two drains is each socket's kernel receive buffer, not a
 Python queue; a datagram that arrives while it is full is dropped. Linux's
@@ -56,7 +56,6 @@ class LiveBridge:
     def __init__(self, host: str = "127.0.0.1", telemetry_port: int = 0,
                  mocap_port: int = 0, command_port: int = 0):
         self.counters = LiveCounters()
-        self.latest_mocap: dict[int, object] = {}
         with ExitStack() as owner:  # a bind that fails closes every socket made
             self._telemetry_sock = _bound(owner, socket.SOCK_DGRAM, host, telemetry_port)
             self._mocap_sock = _bound(owner, socket.SOCK_DGRAM, host, mocap_port)
@@ -112,8 +111,6 @@ class LiveBridge:
         """Drain every socket once; returns the number of applied messages."""
         telemetry = self._drain(self._telemetry_sock, decode_telemetry)
         mocap = self._drain(self._mocap_sock, decode_mocap)
-        for msg in mocap:
-            self.latest_mocap[msg.object_id] = msg
         self.counters.telemetry_applied += len(telemetry)
         self.counters.mocap_applied += len(mocap)
         self._read_commands()
@@ -145,8 +142,11 @@ def loopback_self_test(n_packets: int = 1000, inject_malformed: int = 0) -> Live
     and runs the merge loop while it waits, so a busy host slows the test
     down instead of overflowing the kernel's socket buffer. A datagram the
     kernel drops anyway stops being waited for after ``LOOPBACK_STALL_S``
-    without progress.
+    without progress. A test that sends nothing proves nothing, so
+    ``n_packets`` must be positive.
     """
+    if n_packets <= 0:
+        raise ValueError("n_packets must be positive")
     bridge = LiveBridge()
     bridge.start()
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

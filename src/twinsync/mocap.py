@@ -102,7 +102,8 @@ class MocapFilter:
     builds the pose of that state on its first read after a change. A
     pose is the mean of the window and the twist of the last accepted or
     relocating frame's quaternion, which a hold or a stale frame leaves as
-    they are.
+    they are. The window's newest entry is the last accepted position, or
+    the relocation's mean, and the velocity gate measures from it.
     """
 
     def __init__(self, config: FilterConfig | None = None):
@@ -113,7 +114,6 @@ class MocapFilter:
         self._up = unit(self.config.up_axis)
         self._window: deque = deque(maxlen=self.config.window)
         self._dropped: deque = deque(maxlen=self.config.stable_count)
-        self._prev_accepted: tuple | None = None
         self._prev_time_ns: int | None = None
         self._quat: tuple | None = None  # of the last accepted frame
         self._pose: tuple | None = None  # (position, rotation) once built
@@ -168,9 +168,9 @@ class MocapFilter:
             return self._hold(raw.time_ns)
 
         pos = raw.position  # finite: MocapPacket rejects a tracked sample that is not
-        prev, accepted = self._prev_accepted, True
-        if prev is not None:  # the velocity gate, boundary inclusive
-            (x, y, z), (px, py, pz) = pos, prev
+        window, accepted = self._window, True
+        if window:  # the velocity gate, boundary inclusive
+            (x, y, z), (px, py, pz) = pos, window[-1]
             dx, dy, dz = x - px, y - py, z - pz
             accepted = math.sqrt(dx * dx + dy * dy + dz * dz) / dt <= self.config.vmax
         if not accepted:
@@ -179,18 +179,16 @@ class MocapFilter:
                 return self._hold(raw.time_ns)
             mean = _mean(self._dropped)
             self._dropped.clear()
-            self._window.clear()
-            self._window.append(mean)
-            self._prev_accepted = mean
+            window.clear()
+            window.append(mean)
             self.relocations += 1
             # built now, as the window [mean] would average a -0.0 to +0.0
             self._pose = (mean, twist(raw.quaternion, self._up))
             status = RELOCATED
         else:
             self._dropped.clear()
-            self._prev_accepted = pos
-            self._window.append(pos)
-            if len(self._window) >= self.config.window:
+            window.append(pos)
+            if len(window) >= self.config.window:
                 self._warmed_up = True
             self._quat = raw.quaternion
             self._pose = None

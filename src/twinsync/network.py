@@ -95,7 +95,6 @@ class Throttle:
 
 class Delivery(NamedTuple):
     time_ns: int
-    send_time_ns: int
     payload: object
 
 
@@ -126,7 +125,7 @@ class DatagramLink:
             if lost:
                 self.dropped += 1
                 return
-        d = Delivery(time_ns + delay_ns, time_ns, payload)
+        d = Delivery(time_ns + delay_ns, payload)
         heapq.heappush(self._heap, (d.time_ns, self._count, d))
         self._count += 1
 
@@ -162,7 +161,7 @@ class StreamLink:
         delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
         t = max(time_ns + delay_ns, self._last_delivery_ns)
         self._last_delivery_ns = t
-        self._queue.append(Delivery(t, time_ns, payload))
+        self._queue.append(Delivery(t, payload))
 
     def poll(self, now_ns: int) -> list[Delivery]:
         out = []

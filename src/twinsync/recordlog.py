@@ -54,7 +54,6 @@ class LogWriter:
         self._f = open(target, "wb") if self._owns_file else target
         self._f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, seed, 0))
         self.last_time = 0  # time of the newest record, 0 before the first
-        self.count = 0
         self.closed = False
 
     def append(self, record: LogRecord) -> None:
@@ -66,7 +65,6 @@ class LogWriter:
                                         len(record.payload)))
         self._f.write(record.payload)
         self.last_time = record.time_ns
-        self.count += 1
 
     def close(self) -> None:
         if not self.closed:

@@ -39,11 +39,6 @@ class UrdfError(ValueError):
 
 
 @dataclass(frozen=True)
-class Link:
-    name: str
-
-
-@dataclass(frozen=True)
 class Joint:
     name: str
     kind: str
@@ -58,7 +53,7 @@ class Joint:
 @dataclass(frozen=True)
 class RobotModel:
     name: str
-    links: tuple[Link, ...]
+    links: tuple[str, ...]  # link names, in document order
     joints: tuple[Joint, ...]
     root: str
     movable_joints: tuple[Joint, ...] = field(init=False, repr=False, compare=False)
@@ -101,7 +96,7 @@ def parse_urdf(xml_text: str) -> RobotModel:
     if root.tag != "robot":
         raise UrdfError(f"expected <robot> root element, got <{root.tag}>")
 
-    links: list[Link] = []
+    links: list[str] = []
     seen_links: set[str] = set()
     for el in root.findall("link"):
         name = el.get("name")
@@ -110,7 +105,7 @@ def parse_urdf(xml_text: str) -> RobotModel:
         if name in seen_links:
             raise UrdfError(f"duplicate link name {name!r}")
         seen_links.add(name)
-        links.append(Link(name))
+        links.append(name)
     if not links:
         raise UrdfError("robot has no links")
 
@@ -159,7 +154,7 @@ def parse_urdf(xml_text: str) -> RobotModel:
                 raise UrdfError(f"joint {name!r} has lower > upper limit")
         joints.append(Joint(name, kind, parent, child, _origin_pose(el), axis, lower, upper))
 
-    roots = [l.name for l in links if l.name not in child_of]
+    roots = [name for name in links if name not in child_of]
     if len(roots) != 1:
         raise UrdfError(f"expected exactly one root link, found {roots}")
 

@@ -233,7 +233,7 @@ class ScenarioConfig:
         if 0 in ids or len(set(ids)) != len(ids):
             raise ConfigError("asset object_ids must be unique and nonzero "
                               "(0 is the station)")
-        # the twin keys asset poses, which attached zones follow, by name
+        # an attached zone names the asset it follows, so the names are keys
         names = [a.name for a in self.assets]
         if len(set(names)) != len(names):
             raise ConfigError(f"asset names must be unique, got {names}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -90,15 +89,15 @@ class TwinEngine:
         self.asset_trackers = {
             a.object_id: AssetTracker(a.name, Pose(a.position), up_axis=up)
             for a in config.assets}
+        tracker_of = {t.name: t for t in self.asset_trackers.values()}
         self.zones = config.zones
         # each zone's world-to-zone pose, for ``query``; ``place_zones``
         # rebuilds an attached zone's on every merge tick
         self.to_zone = [z.pose.inverse() for z in self.zones]
-        # each attached zone's (index, asset name, pose in the asset's frame)
-        self._attached = [(i, z.attached_asset, z.pose) for i, z in enumerate(self.zones)
-                          if z.attached_asset is not None]
+        # each attached zone's (index, asset tracker, pose in the asset's frame)
+        self._attached = [(i, tracker_of[z.attached_asset], z.pose)
+                          for i, z in enumerate(self.zones) if z.attached_asset is not None]
         self.active_repulsions: list[tuple[str, Repulsion]] = []
-        self.telemetry_applied = 0
 
     def merge_tick(self, tick_ns: int, telemetry: list[TelemetryPacket],
                    mocap: list[MocapPacket]) -> list[CommandFrame]:
@@ -110,7 +109,6 @@ class TwinEngine:
                 latest = pkt
         if latest is not None and latest.seq > self.applied_seq:
             self.applied_seq = latest.seq
-            self.telemetry_applied += 1
             self.positions, _ = apply_joint_state(self.model, latest.positions)
             self.gripper.step(max(latest.gripper_width, 0.0), latest.gripper_velocity)
 
@@ -138,13 +136,10 @@ class TwinEngine:
         gripper_pose = self.model.chain.frames(self.positions, self.base_pose,
                                                self._ee_path)[self._ee_index]
         grasped = self.gripper.phase is GRASPED
-        asset_poses = {}
         for oid, tracker in self.asset_trackers.items():
-            mocap_out = asset_filters[oid].last_output
-            pose, _source = tracker.update(grasped, gripper_pose, mocap_out, dt)
-            asset_poses[tracker.name] = pose
+            tracker.update(grasped, gripper_pose, asset_filters[oid].last_output, dt)
 
-        self.place_zones(asset_poses)
+        self.place_zones()
 
         commands = []
         self.active_repulsions = []
@@ -163,11 +158,11 @@ class TwinEngine:
         out = self.station_filter.last_output
         self.base_pose = Pose.of(out.position, unit_quat(out.rotation))
 
-    def place_zones(self, asset_poses: dict[str, Pose]) -> None:
-        """Re-pose each attached zone at its asset's pose, keyed by asset
-        name: the zone's configured pose is in the asset's frame."""
-        for i, asset, pose in self._attached:
-            self.to_zone[i] = asset_poses[asset].compose(pose).inverse()
+    def place_zones(self) -> None:
+        """Re-pose each attached zone at its asset tracker's current pose:
+        the zone's configured pose is in the asset's frame."""
+        for i, tracker, pose in self._attached:
+            self.to_zone[i] = tracker.pose.compose(pose).inverse()
 
     @property
     def link_poses(self) -> dict[str, Pose]:
@@ -228,7 +223,7 @@ def load_model(config: ScenarioConfig) -> RobotModel:
     if config.robot_path is None:
         raise ValueError("scenario requires a robot description path")
     model = parse_urdf(Path(config.robot_path).read_text())
-    if config.ee_link not in (None, *(link.name for link in model.links)):
+    if config.ee_link not in (None, *model.links):
         raise ConfigError(f"ee_link {config.ee_link!r} names no link of {model.name!r}")
     return model
 
@@ -241,18 +236,15 @@ class ReplayResult:
     skipped: int
 
 
-def replay(log_path, config: ScenarioConfig, mode: str = "immediate",
-           skip_bad: bool = False) -> ReplayResult:
+def replay(log_path, config: ScenarioConfig, skip_bad: bool = False) -> ReplayResult:
     """Re-drive the twin merge loop from a recorded log.
 
     Each merge tick runs ``merge_records``, as in ``simulate``, on the
     records logged since the previous tick, so the final twin state
-    matches the recorded run. Immediate mode steps merge ticks
-    back-to-back in simulated time; timed mode additionally sleeps to
-    preserve original gaps (only meaningful interactively).
+    matches the recorded run. The ticks run back-to-back in simulated
+    time, as fast as the host allows: nothing is exposed until the replay
+    returns, so waiting out the recorded gaps would change nothing.
     """
-    if mode not in ("immediate", "timed"):
-        raise ValueError(f"unknown replay mode {mode!r} (immediate or timed)")
     scan = read_log(log_path)
     if scan.truncated and not skip_bad:
         raise ValueError(f"truncated tail record; {len(scan.records)} valid "
@@ -265,8 +257,6 @@ def replay(log_path, config: ScenarioConfig, mode: str = "immediate",
     merge_k = 1
     while (mk_ns := merge_tick_time(merge_k)) <= end_ns:
         stop = bisect_right(records, mk_ns, lo=start, key=attrgetter("time_ns"))
-        if mode == "timed":
-            time.sleep((mk_ns - merge_tick_time(merge_k - 1)) / 1e9)
         skipped += merge_records(engine, mk_ns, records[start:stop], skip_bad)[2]
         start = stop
         merge_k += 1

@@ -1,6 +1,9 @@
 import importlib.metadata as md
 import re
+import socket
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +112,12 @@ def test_simulate_then_replay_hashes_match(capsys, tmp_path, robot_file):
     assert sim_hash == rep_hash
 
 
+def test_replay_takes_no_mode(capsys, tmp_path):
+    # replay returns nothing before its last tick, so it has no timed mode
+    assert main(["replay", str(tmp_path / "run.dtrl"), "--mode", "timed"]) == 2
+    assert "unrecognized arguments: --mode timed" in capsys.readouterr().err
+
+
 def test_misspelt_ee_link_stops_simulate_and_replay(capsys, tmp_path, robot_file):
     cfg = {"duration_s": 0.2, "robot_path": robot_file,
            "log_path": str(tmp_path / "run.dtrl")}
@@ -162,6 +171,44 @@ def test_simulate_reports_the_delivered_telemetry(capsys, tmp_path, robot_file):
 def test_live_self_test(capsys):
     assert main(["live", "--self-test", "--packets", "200"]) == 0
     assert "telemetry applied" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("packets", ["0", "-3"])
+def test_live_self_test_that_sends_nothing_fails(capsys, packets):
+    assert main(["live", "--self-test", "--packets", packets]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: n_packets must be positive" in err
+
+
+def test_live_reports_the_command_channel(capsys):
+    assert main(["live", "--duration", "0"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == ("telemetry applied 0, mocap applied 0, malformed 0, "
+                    "command channel up")
+
+
+def test_live_reports_a_closed_command_channel(capsys):
+    with socket.socket() as probe:  # a port that is free now
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+
+    def connect_and_close():
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            try:
+                socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+                return
+            except ConnectionRefusedError:  # not listening yet
+                time.sleep(0.01)
+
+    peer = threading.Thread(target=connect_and_close)
+    peer.start()
+    try:
+        assert main(["live", "--duration", "1", "--command-port", str(port)]) == 0
+    finally:
+        peer.join(timeout=10.0)
+    assert not peer.is_alive()
+    assert capsys.readouterr().out.splitlines()[-1].endswith("command channel down")
 
 
 def _declared_scripts():

@@ -2,8 +2,14 @@
 product in the package outside ``geometry.dot``, no broad ``except`` in the
 package, no numpy ``Generator`` method but ``random`` in the package, no
 numpy or yaml on the twin side, no enum member read off its class in a
-function of the merge tick's modules, no function of the package that only
-the tests call and no attribute that nothing reads."""
+function of the merge tick's modules, and no function, attribute or
+module-level constant of the package that only the tests read.
+
+The last three match by name, so a name the package reads elsewhere keeps
+a dead one out of their sight. Each of these was deleted by hand instead:
+``Throttle.flush``, hidden by a file's ``flush``; ``TwinEngine.telemetry_applied``,
+hidden by ``LiveCounters``' field of that name; and ``LogWriter.count``,
+hidden by the string ``"count"`` in ``scenario``."""
 
 import ast
 import os
@@ -223,16 +229,44 @@ def unreferenced(package, others=()):
                   if key not in live and not dunder(name))
 
 
+def stored_through(tree):
+    """The attribute nodes that a subscript store writes into, as
+    ``self.x[k] = v`` writes into ``self.x``: a store, not a read."""
+    return [n.value for n in ast.walk(tree) if isinstance(n, ast.Subscript)
+            and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Attribute)]
+
+
 def write_only(package, readers):
     """``module.attribute`` of each ``self.attribute`` the ``package``
-    modules assign and no module of ``readers`` loads, by name or as a
-    string constant; each a list of (path, tree)."""
+    modules assign or store into and no module of ``readers`` loads, by
+    name or as a string constant; each a list of (path, tree)."""
+    stores = {id(n) for _, tree in readers for n in stored_through(tree)}
     read = {referenced_name(n) for _, tree in readers for n in ast.walk(tree)
-            if not isinstance(n, (ast.Name, ast.alias))} - {None}
-    return sorted({f"{path.stem}.{n.attr}" for path, tree in package for n in ast.walk(tree)
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
-                   and isinstance(n.value, ast.Name) and n.value.id == "self"
+            if not isinstance(n, (ast.Name, ast.alias)) and id(n) not in stores} - {None}
+    written = [(path, n) for path, tree in package for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
+    written += [(path, n) for path, tree in package for n in stored_through(tree)]
+    return sorted({f"{path.stem}.{n.attr}" for path, n in written
+                   if isinstance(n.value, ast.Name) and n.value.id == "self"
                    and n.attr not in read})
+
+
+def unread_constants(package, others=()):
+    """``module.NAME`` of each name a statement at the top of a ``package``
+    module assigns that no code of them or of ``others`` refers to outside
+    that statement, by name or as a string constant; each a list of
+    (path, tree). Dunders are exempt."""
+    assigned = [(path.stem, t.id, stmt) for path, tree in package for stmt in tree.body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                for t in ast.walk(target) if isinstance(t, ast.Name)]
+    within = {}  # each name referred to, and the statements that do
+    for _, tree in [*package, *others]:
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                within.setdefault(referenced_name(node), set()).add(id(stmt))
+    return sorted(f"{module}.{name}" for module, name, stmt in assigned
+                  if not dunder(name) and not within.get(name, set()) - {id(stmt)})
 
 
 def test_no_unused_imports():
@@ -278,8 +312,11 @@ def test_no_function_only_the_tests_call():
 
 
 def test_no_attribute_left_unread():
-    assert write_only(list(modules(PACKAGE)),
-                      list(modules(PACKAGE, BENCHMARK, ROOT / "tests"))) == []
+    assert write_only(list(modules(PACKAGE)), list(modules(PACKAGE, BENCHMARK))) == []
+
+
+def test_no_constant_only_the_tests_read():
+    assert unread_constants(list(modules(PACKAGE)), list(modules(BENCHMARK))) == []
 
 
 def test_enum_aliases_are_their_members():
@@ -407,3 +444,33 @@ def test_checks_see_what_they_look_for():
         "m.C.returns_its_class", "m.Unused", "m.inner", "m.only_tests", "m.recursive"]
     assert "m.benchmarked" in unreferenced(package)
     assert write_only(package, package) == ["m.counted", "m.unread"]
+    # as LiveBridge kept the latest mocap packet per object, which only a test read
+    bridge = [(Path("live.py"), ast.parse(textwrap.dedent("""\
+        class Bridge:
+            def __init__(self):
+                self.latest, self.table, self.nested = {}, {}, {"a": {}}
+            def merge(self, msg):
+                self.latest[msg.key] = msg
+                self.table[msg.key] = msg
+                self.nested["a"][msg.key] = msg
+                return self.table[msg.key]
+        """)))]
+    test = [(Path("test_live.py"), ast.parse("assert bridge.latest[1].seq == 19\n"))]
+    assert write_only(bridge, bridge) == ["live.latest"]
+    assert write_only(bridge, bridge + test) == []
+    # as latency held DELTA_KINDS, which only the tests read
+    constants = [(Path("c.py"), ast.parse(textwrap.dedent("""\
+        KINDS = ("a", "b")
+        USED: int = 1
+        STABLE = Status.STABLE
+        LOW, HIGH = 0, 9
+        BENCHMARKED = 2
+        __all__ = ["f"]
+        def f():
+            return USED + LOW
+        """)))]
+    test = [(Path("test_c.py"), ast.parse("from c import KINDS\nassert KINDS\n"))]
+    bench = [(Path("bench.py"), ast.parse("import c\nprint(c.BENCHMARKED)\n"))]
+    # its own statement's ``Status.STABLE`` does not keep STABLE alive
+    assert unread_constants(constants, bench) == ["c.HIGH", "c.KINDS", "c.STABLE"]
+    assert unread_constants(constants, bench + test) == ["c.HIGH", "c.STABLE"]

@@ -84,7 +84,7 @@ def test_bridge_starts_no_thread():
     assert threading.active_count() == before
 
 
-def test_mocap_channel_and_latest_wins():
+def test_mocap_channel_counts_every_packet():
     bridge = LiveBridge()
     bridge.start()
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -95,7 +95,8 @@ def test_mocap_channel_and_latest_wins():
             sender.sendto(encode_mocap(pkt), bridge.mocap_addr)
         assert wait_until(lambda: (bridge.merge_once(),
                                    bridge.counters.mocap_applied >= 20)[1])
-        assert bridge.latest_mocap[1].seq == 19
+        assert bridge.counters.mocap_applied == 20
+        assert bridge.counters.telemetry_applied == bridge.counters.malformed == 0
     finally:
         sender.close()
         bridge.stop()

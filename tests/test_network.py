@@ -103,8 +103,8 @@ class TestDatagramLink:
             link.send(k * MS, k)
         out = link.poll(10**9)
         assert len(out) == 10
-        for d in out:
-            assert d.time_ns - d.send_time_ns == int(3.6 * MS)
+        for d in out:  # each payload is its send time in ms
+            assert d.time_ns - d.payload * MS == int(3.6 * MS)
 
     def test_total_loss(self):
         link = DatagramLink(LinkConfig(loss=1.0), 1)
@@ -208,7 +208,6 @@ def test_block_draws_give_the_per_send_stream(kind, lo, span, loss, seed, gaps):
         ref.send(t)
         outcomes.append([None, t, link.dropped > dropped])
     for d in link.poll(10**15):
-        assert d.send_time_ns == times[d.payload]
         outcomes[d.payload][0] = d.time_ns
     assert [tuple(o) for o in outcomes] == ref.outcomes
 
@@ -217,5 +216,5 @@ def test_block_draws_give_the_per_send_stream(kind, lo, span, loss, seed, gaps):
     for i, t in enumerate(times):
         stream.send(t, i)
         ref.send(t)
-    got = [(d.time_ns, d.send_time_ns, False) for d in stream.poll(10**15)]
+    got = [(d.time_ns, times[d.payload], False) for d in stream.poll(10**15)]
     assert got == ref.outcomes

@@ -59,7 +59,8 @@ class TestWriter:
         with LogWriter(tmp_path / "q.dtrl", seed=0) as w:
             w.append(LogRecord(100, 1, b""))
             w.append(LogRecord(100, 2, b""))
-            assert w.count == 2
+        assert read_log(tmp_path / "q.dtrl").records == (LogRecord(100, 1, b""),
+                                                         LogRecord(100, 2, b""))
 
     def test_file_object_matches_path(self, tmp_path):
         recs = [LogRecord(100, CHANNEL_TELEMETRY, b"abc"),

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy_oracle as oracle
 from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, _rotate, dot, quat_from_axis_angle,
                                unit_quat)
-from twinsync.robot import (Joint, LimitViolation, Link, RobotModel, UrdfError,
+from twinsync.robot import (Joint, LimitViolation, RobotModel, UrdfError,
                             apply_joint_state, forward_kinematics, jacobian, parse_urdf)
 from twinsync.scenario import load_config
 from twinsync.twin import TwinEngine, load_model
@@ -76,7 +76,7 @@ FIXED_ONLY = """
 class TestParse:
     def test_one_link(self):
         m = parse_urdf(ONE_LINK)
-        assert len(m.links) == 1 and len(m.joints) == 0
+        assert m.links == ("base",) and len(m.joints) == 0
         assert m.root == "base"
 
     def test_two_link_echo(self):
@@ -169,13 +169,13 @@ class TestForwardKinematics:
         for link in m.links:
             expected = Pose()
             chain = []
-            name = link.name
+            name = link
             while name in by_child:
                 chain.append(by_child[name])
                 name = by_child[name].parent
             for j in reversed(chain):
                 expected = expected.compose(j.origin)
-            assert np.allclose(poses[link.name].translation,
+            assert np.allclose(poses[link].translation,
                                expected.translation, atol=1e-12)
 
     def test_quaternion_hygiene_many_compositions(self):
@@ -413,7 +413,7 @@ class TestCompiledChain:
         # their rounding error ~ eps * |p| / h ~ 1e-9 at h = 1e-6
         model = MODELS[name]
         q = draw_positions(data, model)
-        link = data.draw(st.sampled_from([l.name for l in model.links]))
+        link = data.draw(st.sampled_from(model.links))
         got = np.array(jacobian(model, q, link, base or Pose())).T
         assert got.shape == (3, model.dof)
         assert np.allclose(got, reference_jacobian(model, q, link, base), rtol=0, atol=1e-8)
@@ -424,7 +424,7 @@ class TestCompiledChain:
     def test_jacobian_matches_compose_walk(self, name, data, base):
         model = MODELS[name]
         q = draw_signed_zero_positions(data, model)
-        link = data.draw(st.sampled_from([l.name for l in model.links]))
+        link = data.draw(st.sampled_from(model.links))
         assert_jacobian_bytes(model, q, link, base)
 
     # bases turned about a coordinate axis, on which a skip past a zero
@@ -445,7 +445,7 @@ class TestCompiledChain:
     def test_negated_identity_origin_not_skipped(self):
         # (-1, 0, 0, 0) turns nothing but negates a product; no URDF rpy gives it
         origin = Pose(rotation=(-1.0, 0.0, 0.0, 0.0))
-        model = RobotModel("r", (Link("a"), Link("b")),
+        model = RobotModel("r", ("a", "b"),
                            (Joint("j", "fixed", "a", "b", origin),), "a")
         assert_fk_bytes(model, [], Pose((0.1, 0.2, 0.3),
                                         quat_from_axis_angle((0.3, 0.4, 0.5), 0.7)))
@@ -478,7 +478,7 @@ class TestCompiledChain:
         # the axis in the world is the child's rotation applied to it
         model = MODELS[name]
         q = draw_positions(data, model)
-        link = data.draw(st.sampled_from([l.name for l in model.links]))
+        link = data.draw(st.sampled_from(model.links))
         columns = jacobian(model, q, link, base or Pose())
         poses = forward_kinematics(model, q, base)
         movable = model.movable_joints
