@@ -204,7 +204,7 @@ def test_live_reports_a_closed_command_channel(capsys):
     peer = threading.Thread(target=connect_and_close)
     peer.start()
     try:
-        assert main(["live", "--duration", "1", "--command-port", str(port)]) == 0
+        assert main(["live", "--duration", "0.5", "--command-port", str(port)]) == 0
     finally:
         peer.join(timeout=10.0)
     assert not peer.is_alive()
