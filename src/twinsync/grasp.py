@@ -162,8 +162,9 @@ class AssetTracker:
                                                  self._prev_pose.translation))
 
     def update(self, grasped: bool, gripper_pose: Pose,
-               mocap: FilteredPose | None, dt: float) -> tuple[Pose, AssetSource]:
-        """Advance one twin tick and return the arbitrated pose."""
+               mocap: FilteredPose | None, dt: float) -> None:
+        """Advance one twin tick: ``pose`` and ``source`` then hold the
+        arbitrated pose and the source it came from."""
         if grasped:
             desired = GRIPPER_ATTACHED
         elif mocap is not None and mocap.status in TRACKED:
@@ -202,4 +203,3 @@ class AssetTracker:
                 self._fallback = fallback_step(self._fallback, dt, self.up_axis)
             new = Pose.of(self._fallback.position, unit_quat(self.pose.rotation))
         self.pose = new
-        return new, self.source

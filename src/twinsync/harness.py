@@ -19,7 +19,7 @@ import numpy as np
 from . import twin
 from .geometry import IDENTITY_QUAT, ZERO3, dot
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
-from .network import DatagramLink, StreamLink, Throttle, delay_ms, doubles, normal
+from .network import DatagramLink, StreamLink, Throttle, delay_ns, doubles, normal
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, LogRecord, LogWriter)
 from .robot import RobotModel, jacobian
@@ -158,8 +158,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
         received = [r.time_ns for r in due if r.channel == CHANNEL_TELEMETRY]
         for recv_ns, pkt in zip(received, telemetry):
             recorder.record(pkt.seq, Stage.SOCKET_RECV, recv_ns)
-            proc_ns = int(round(delay_ms(config.processing_delay, proc_u) * 1e6))
-            recorder.record(pkt.seq, Stage.APPLIED, recv_ns + proc_ns)
+            recorder.record(pkt.seq, Stage.APPLIED,
+                            recv_ns + delay_ns(config.processing_delay, proc_u))
         for frame in commands:
             data = encode_command(frame)
             command_link.send(mk_ns, data)
@@ -185,7 +185,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
         # the frames of one merge tick (one per zone entered) add up
         for d in command_link.poll(t_ns):
             frame = decode_command(d.payload)
-            force = counterforce(frame, frame.stiffness)
+            force = counterforce(frame.direction, frame.depth, frame.stiffness)
             tau = [dot(column, force)
                    for column in jacobian(model, follower.q, engine.ee_link, station)]
             if frame.time_ns == ext_tick_ns:
@@ -262,8 +262,8 @@ def measure_latency(config: ScenarioConfig, n_samples: int = 20_000) -> LatencyS
     for i in range(n_samples):
         t = merge_tick_time(i)
         recorder.record(i, Stage.INGRESS, t)
-        recv = t + int(round(delay_ms(config.telemetry_link.delay, link_u) * 1e6))
+        recv = t + delay_ns(config.telemetry_link.delay, link_u)
         recorder.record(i, Stage.SOCKET_RECV, recv)
-        applied = recv + int(round(delay_ms(config.processing_delay, proc_u) * 1e6))
+        applied = recv + delay_ns(config.processing_delay, proc_u)
         recorder.record(i, Stage.APPLIED, applied)
     return recorder.compute_stats()

@@ -96,6 +96,7 @@ class LiveBridge:
             if self._command_conn is None:
                 self._command_conn = self._command_sock.accept()[0]
                 self._command_conn.setblocking(False)
+                self.counters.command_channel_up = True
             while self._command_conn.recv(65536):
                 pass  # command bytes are discarded unread
         except BlockingIOError:  # no peer waiting, or no bytes yet

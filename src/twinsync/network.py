@@ -53,6 +53,11 @@ def delay_ms(delay: DelayModel, u) -> float:
     return samples[int(u() * len(samples))]
 
 
+def delay_ns(delay: DelayModel, u) -> int:
+    """``delay_ms``'s draw, rounded to whole nanoseconds."""
+    return int(round(delay_ms(delay, u) * NS_PER_MS))
+
+
 class Throttle:
     """Downsample a timestamped stream to ``merge_tick_time``'s ticks by keep-latest.
 
@@ -111,21 +116,21 @@ class DatagramLink:
         self.dropped = 0
         # a lossless link with a constant delay reads nothing of its stream:
         # its loss draws never drop a packet, and no other draw reads them
-        self._fixed_ns = (int(round(delay_ms(config.delay, self._u) * NS_PER_MS))
+        self._fixed_ns = (delay_ns(config.delay, self._u)
                           if config.loss == 0.0 and config.delay.kind == "constant"
                           else None)
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        delay_ns = self._fixed_ns
-        if delay_ns is None:
+        wait_ns = self._fixed_ns
+        if wait_ns is None:
             # the loss double, then the delay, on every send, lost or not
             lost = self._u() < self.config.loss
-            delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
+            wait_ns = delay_ns(self.config.delay, self._u)
             if lost:
                 self.dropped += 1
                 return
-        d = Delivery(time_ns + delay_ns, payload)
+        d = Delivery(time_ns + wait_ns, payload)
         heapq.heappush(self._heap, (d.time_ns, self._count, d))
         self._count += 1
 
@@ -158,8 +163,7 @@ class StreamLink:
 
     def send(self, time_ns: int, payload) -> None:
         self.sent += 1
-        delay_ns = int(round(delay_ms(self.config.delay, self._u) * NS_PER_MS))
-        t = max(time_ns + delay_ns, self._last_delivery_ns)
+        t = max(time_ns + delay_ns(self.config.delay, self._u), self._last_delivery_ns)
         self._last_delivery_ns = t
         self._queue.append(Delivery(t, payload))
 

@@ -33,13 +33,6 @@ class LogError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LogHeader:
-    version: int
-    seed: int
-    created_ns: int
-
-
 class LogRecord(NamedTuple):
     time_ns: int
     channel: int
@@ -82,7 +75,6 @@ class LogWriter:
 
 @dataclass(frozen=True)
 class ScanResult:
-    header: LogHeader
     records: tuple[LogRecord, ...]
     truncated: bool  # a partial record was dropped at the tail
 
@@ -92,12 +84,11 @@ def read_log(path) -> ScanResult:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise LogError("file too short for header")
-    magic, version, seed, created = _HEADER.unpack_from(data)
+    magic, version, _, _ = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise LogError(f"bad log magic {magic!r}")
     if version != FORMAT_VERSION:
         raise LogError(f"unsupported log version {version}")
-    header = LogHeader(version, seed, created)
 
     records: list[LogRecord] = []
     append, new, unpack_from = records.append, tuple.__new__, _RECORD_HEAD.unpack_from
@@ -120,4 +111,4 @@ def read_log(path) -> ScanResult:
         last_time = time_ns
         append(new(LogRecord, (time_ns, channel, data[body:stop])))
         off = stop
-    return ScanResult(header, tuple(records), truncated)
+    return ScanResult(tuple(records), truncated)

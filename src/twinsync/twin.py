@@ -28,7 +28,7 @@ from .robot import RobotModel, apply_joint_state, forward_kinematics, parse_urdf
 from .scenario import ConfigError, ScenarioConfig
 from .wire import (CommandFrame, MocapPacket, TelemetryPacket, WireError,
                    decode_mocap, decode_telemetry)
-from .zones import Repulsion, make_command, query
+from .zones import query
 
 MERGE_HZ = 60
 
@@ -63,7 +63,8 @@ class TwinEngine:
     """Twin-side state, updated only in 60 Hz merge ticks.
 
     Consumes the telemetry/mocap packets delivered since the previous
-    tick, emits zone-repulsion command frames, and exposes a
+    tick, emits one command frame per zone the end-effector is in (kept
+    with its zone id in ``active_repulsions``), and exposes a
     deterministic state hash. Pure function of the inbound packet
     sequence, which is what makes log replay exact. A tick walks the
     chain along the end-effector's path only; ``link_poses`` runs the full
@@ -97,7 +98,7 @@ class TwinEngine:
         # each attached zone's (index, asset tracker, pose in the asset's frame)
         self._attached = [(i, tracker_of[z.attached_asset], z.pose)
                           for i, z in enumerate(self.zones) if z.attached_asset is not None]
-        self.active_repulsions: list[tuple[str, Repulsion]] = []
+        self.active_repulsions: list[tuple[str, CommandFrame]] = []
 
     def merge_tick(self, tick_ns: int, telemetry: list[TelemetryPacket],
                    mocap: list[MocapPacket]) -> list[CommandFrame]:
@@ -145,11 +146,11 @@ class TwinEngine:
         self.active_repulsions = []
         ee_point = gripper_pose.translation
         for z, to_local in zip(self.zones, self.to_zone):
-            rep = query(z, ee_point, to_local)
-            if rep is not None:
-                self.active_repulsions.append((z.zone_id, rep))
-                commands.append(make_command(self.config.robot_id, rep,
-                                             z.stiffness, tick_ns))
+            hit = query(z, ee_point, to_local)
+            if hit is not None:
+                frame = CommandFrame(self.config.robot_id, tick_ns, *hit, z.stiffness)
+                self.active_repulsions.append((z.zone_id, frame))
+                commands.append(frame)
         self.tick += 1
         self.last_tick_ns = tick_ns
         return commands
@@ -188,9 +189,9 @@ class TwinEngine:
             h.update(t.name.encode())
             h.update(t.source.value.encode())
             h.update(pose(t.pose))
-        for zone_id, rep in self.active_repulsions:
+        for zone_id, frame in self.active_repulsions:
             h.update(zone_id.encode())
-            h.update(struct.pack("<3dd", *rep.direction, rep.depth))
+            h.update(struct.pack("<3dd", *frame.direction, frame.depth))
         return h.hexdigest()
 
 

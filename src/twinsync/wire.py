@@ -107,7 +107,9 @@ class MocapPacket(_Mocap):
 
 @dataclass(frozen=True)
 class CommandFrame:
-    kind: int
+    """A zone repulsion for the follower, the one kind of command (so its
+    kind byte is written, not held): outward unit direction in the world
+    frame, penetration depth and the zone's stiffness."""
     robot_id: int
     time_ns: int
     direction: tuple
@@ -116,8 +118,6 @@ class CommandFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "direction", floats(self.direction))
-        if self.kind != CMD_KIND_ZONE_REPULSION:
-            raise ValueError(f"unsupported command kind {self.kind}")
 
 
 def encode_telemetry(p: TelemetryPacket) -> bytes:
@@ -176,8 +176,8 @@ def decode_mocap(buf: bytes) -> MocapPacket:
 
 
 def encode_command(f: CommandFrame) -> bytes:
-    body = _COMMAND_BODY.pack(COMMAND_MAGIC, WIRE_VERSION, f.kind, f.robot_id,
-                              f.time_ns, *f.direction, f.depth, f.stiffness)
+    body = _COMMAND_BODY.pack(COMMAND_MAGIC, WIRE_VERSION, CMD_KIND_ZONE_REPULSION,
+                              f.robot_id, f.time_ns, *f.direction, f.depth, f.stiffness)
     return struct.pack("<I", len(body)) + body
 
 
@@ -204,4 +204,4 @@ def decode_command(buf: bytes) -> CommandFrame:
     if not (0.0 <= depth < math.inf and 0.0 <= stiffness < math.inf):
         raise WireError(f"command depth and stiffness must be finite and >= 0, "
                         f"got {depth!r} and {stiffness!r}")
-    return CommandFrame(kind, robot_id, time_ns, direction, depth, stiffness)
+    return CommandFrame(robot_id, time_ns, direction, depth, stiffness)

@@ -5,10 +5,10 @@ checked once when the scenario loads, and never changed. Where a zone
 sits is the twin's business: ``twin.TwinEngine`` holds each zone's
 world-to-zone pose, built once for a static zone and re-posed on every
 merge tick for a zone attached to an asset, and hands it to ``query``.
-A point strictly inside yields an outward repulsion along the nearest
-face normal with penetration depth equal to the distance to that face;
-the counterforce is a linear spring, so it vanishes continuously at the
-surface.
+A point inside yields the outward nearest face normal and the
+penetration depth, the distance to that face, from which the twin builds
+a ``wire.CommandFrame``; the counterforce is a linear spring, so it
+vanishes continuously at the surface.
 """
 
 from __future__ import annotations
@@ -17,18 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .geometry import IDENTITY_QUAT, Pose, _rotate, floats, quat_conjugate, unit_quat
-from .wire import CMD_KIND_ZONE_REPULSION, CommandFrame
-
-
-@dataclass(frozen=True)
-class Repulsion:
-    direction: tuple  # unit, outward, world frame
-    depth: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", floats(self.direction))
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,15 +53,16 @@ class ProhibitedZone:
         return Pose.of(self.center, self.orientation)
 
 
-def query(zone: ProhibitedZone, point, to_local: Pose) -> Repulsion | None:
-    """Outward repulsion for a point, or None when strictly outside.
+def query(zone: ProhibitedZone, point, to_local: Pose) -> tuple[tuple, float] | None:
+    """``(direction, depth)`` of a point inside the zone, or None when it
+    is strictly outside.
 
     ``to_local`` maps world coordinates into the zone's box frame: the
     inverse of where the zone sits now. depth = min over axes of
-    (half_extent - |local coord|); the direction is the minimizing face
-    normal in world frame. Ties break toward the lowest axis index;
-    sign(0) counts as +1. Boundary contact returns depth 0 with that
-    face's normal.
+    (half_extent - |local coord|), so it is >= 0; the direction is the
+    minimizing face normal in world frame, a unit float 3-tuple. Ties
+    break toward the lowest axis index; sign(0) counts as +1. Boundary
+    contact returns depth 0 with that face's normal.
 
     The point moves into the box frame as ``Pose.compose`` moves a
     translation, ``_rotate`` by ``to_local``'s rotation and then its
@@ -99,15 +88,10 @@ def query(zone: ProhibitedZone, point, to_local: Pose) -> Repulsion | None:
     normal[axis] = 1.0 if c >= 0 else -1.0
     # the conjugate of a unit rotation's inverse is that rotation, bit for
     # bit: sign flips are exact, and ``unit_quat`` leaves a unit one as it is
-    return Repulsion(_rotate(quat_conjugate(rotation), *normal), depth)
+    return _rotate(quat_conjugate(rotation), *normal), depth
 
 
-def counterforce(rep: Repulsion | CommandFrame, stiffness: float) -> tuple:
-    """Linear spring pushing outward: F = stiffness * depth * direction."""
-    return tuple(stiffness * rep.depth * d for d in rep.direction)
-
-
-def make_command(robot_id: int, rep: Repulsion, stiffness: float,
-                 time_ns: int) -> CommandFrame:
-    return CommandFrame(CMD_KIND_ZONE_REPULSION, robot_id, time_ns,
-                        rep.direction, rep.depth, stiffness)
+def counterforce(direction, depth: float, stiffness: float) -> tuple:
+    """Linear spring pushing outward: F = stiffness * depth * direction,
+    from a ``query`` hit or the fields of the command frame built from it."""
+    return tuple(stiffness * depth * d for d in direction)

@@ -251,7 +251,8 @@ def test_06_fallback_physics_and_continuity():
                 else:
                     mocap = FilteredPose(start + rng.normal(0, 0.02, 3),
                                          IDENT, PoseStatus.STABLE, k)
-                pose, src = tracker.update(grasped, grip, mocap, 1 / 60)
+                tracker.update(grasped, grip, mocap, 1 / 60)
+                pose, src = tracker.pose, tracker.source
                 if src is not prev_src:
                     # continuous up to float round-off in the frame change
                     jump = np.linalg.norm(np.subtract(pose.translation, last))
@@ -273,15 +274,16 @@ def test_07_zone_oracle():
             for _ in range(10_000):
                 local = rng.uniform(-1.5 * half, 1.5 * half)
                 point = zone.pose.compose(Pose(local)).translation
-                rep = query(zone, point, to_local)
+                hit = query(zone, point, to_local)
                 inside = np.all(np.abs(local) <= half)
                 if not inside:
-                    assert rep is None
+                    assert hit is None
                     continue
+                direction, depth = hit
                 want_depth = float(np.min(half - np.abs(local)))
-                assert abs(rep.depth - want_depth) < 1e-9
+                assert abs(depth - want_depth) < 1e-9
                 # the direction is an outward face normal achieving that depth
-                local_dir = _rotate(conj, *rep.direction)
+                local_dir = _rotate(conj, *direction)
                 i = int(np.argmax(np.abs(local_dir)))
                 s = 1.0 if local_dir[i] > 0 else -1.0
                 assert abs(abs(local_dir[i]) - 1.0) < 1e-9
@@ -302,16 +304,16 @@ def test_07_zone_oracle():
             if a is None:
                 assert b is None
             else:
-                assert abs(a.depth - b.depth) < 1e-9
-                assert np.allclose(_rotate(q, *a.direction), b.direction, atol=1e-9)
+                (a_direction, a_depth), (b_direction, b_depth) = a, b
+                assert abs(a_depth - b_depth) < 1e-9
+                assert np.allclose(_rotate(q, *a_direction), b_direction, atol=1e-9)
 
         # counterforce vanishes continuously at the surface
         for eps in (1e-3, 1e-6, 1e-9):
-            rep = query(base, [0.4 - eps, 0.0, 0.0], at_base)
-            f = counterforce(rep, 500.0)
+            f = counterforce(*query(base, [0.4 - eps, 0.0, 0.0], at_base), 500.0)
             assert np.linalg.norm(f) <= 500.0 * eps + 1e-12
         surface = query(base, [0.4, 0.0, 0.0], at_base)
-        assert np.allclose(counterforce(surface, 500.0), np.zeros(3))
+        assert np.allclose(counterforce(*surface, 500.0), np.zeros(3))
 
 
 def test_08_teleop_convergence():

@@ -219,23 +219,25 @@ class TestAssetTracker:
     def test_source_priority(self):
         at = AssetTracker("a", Pose([1.0, 0, 0], IDENT))
         grip = Pose([1.0, 0, 0.2], IDENT)
-        _, src = at.update(True, grip, stable([1.0, 0, 0]), self.DT)
-        assert src is AssetSource.GRIPPER_ATTACHED
-        _, src = at.update(False, grip, stable([1.0, 0, 0]), self.DT)
-        assert src is AssetSource.MOCAP
-        _, src = at.update(False, grip, holding([1.0, 0, 0]), self.DT)
-        assert src is AssetSource.PHYSICS_FALLBACK
-        _, src = at.update(False, grip, None, self.DT)
-        assert src is AssetSource.PHYSICS_FALLBACK
+        at.update(True, grip, stable([1.0, 0, 0]), self.DT)
+        assert at.source is AssetSource.GRIPPER_ATTACHED
+        at.update(False, grip, stable([1.0, 0, 0]), self.DT)
+        assert at.source is AssetSource.MOCAP
+        at.update(False, grip, holding([1.0, 0, 0]), self.DT)
+        assert at.source is AssetSource.PHYSICS_FALLBACK
+        at.update(False, grip, None, self.DT)
+        assert at.source is AssetSource.PHYSICS_FALLBACK
 
     def test_rigid_attachment_follows_gripper(self):
         at = AssetTracker("a", Pose([1.0, 0, 0], IDENT))
         base = Pose([1.0, 0, 0.2], IDENT)
-        pose0, _ = at.update(True, base, None, self.DT)
+        at.update(True, base, None, self.DT)
+        pose0 = at.pose
         # translate and yaw the gripper: the asset must move rigidly
         yaw = quat_from_axis_angle([0, 0, 1], np.pi / 2)
         moved = Pose([2.0, 1.0, 0.5], yaw)
-        pose1, src = at.update(True, moved, None, self.DT)
+        at.update(True, moved, None, self.DT)
+        pose1, src = at.pose, at.source
         assert src is AssetSource.GRIPPER_ATTACHED
         offset0 = base.inverse().compose(pose0).translation
         offset1 = moved.inverse().compose(pose1).translation
@@ -255,7 +257,8 @@ class TestAssetTracker:
             mocap = None if mode < 0.3 else (
                 holding([0.5, 0, 0.3]) if mode < 0.5
                 else stable(rng.normal([0.5, 0, 0.3], 0.05)))
-            pose, src = at.update(grasped, grip, mocap, self.DT)
+            at.update(grasped, grip, mocap, self.DT)
+            pose, src = at.pose, at.source
             if src is not prev_src:
                 assert np.allclose(pose.translation, last, atol=1e-12), k
             last, prev_src = pose.translation, src
@@ -267,7 +270,8 @@ class TestAssetTracker:
             at.update(False, Pose(), None, self.DT)
         target = stable([0.3, 0.1, 0.8])
         for _ in range(200):
-            pose, src = at.update(False, Pose(), target, self.DT)
+            at.update(False, Pose(), target, self.DT)
+            pose, src = at.pose, at.source
         assert src is AssetSource.MOCAP
         assert np.allclose(pose.translation, target.position, atol=1e-12)
 
@@ -276,8 +280,9 @@ class TestAssetTracker:
         at.update(False, Pose(), stable([0.0, 0, 5.0]), self.DT)
         at.update(False, Pose(), stable([0.06, 0, 5.0]), self.DT)
         # tracking lost: fallback starts from the mocap-implied velocity
-        pose, src = at.update(False, Pose(), None, self.DT)
+        at.update(False, Pose(), None, self.DT)
+        pose, src = at.pose, at.source
         assert src is AssetSource.PHYSICS_FALLBACK
-        pose2, _ = at.update(False, Pose(), None, self.DT)
-        assert pose2.translation[0] > pose.translation[0]
-        assert pose2.translation[2] < pose.translation[2]
+        at.update(False, Pose(), None, self.DT)
+        assert at.pose.translation[0] > pose.translation[0]
+        assert at.pose.translation[2] < pose.translation[2]

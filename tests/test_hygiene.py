@@ -2,14 +2,17 @@
 product in the package outside ``geometry.dot``, no broad ``except`` in the
 package, no numpy ``Generator`` method but ``random`` in the package, no
 numpy or yaml on the twin side, no enum member read off its class in a
-function of the merge tick's modules, and no function, attribute or
-module-level constant of the package that only the tests read.
+function of the merge tick's modules, and no function, attribute,
+dataclass field or module-level constant of the package that only the
+tests read.
 
-The last three match by name, so a name the package reads elsewhere keeps
+The last four match by name, so a name the package reads elsewhere keeps
 a dead one out of their sight. Each of these was deleted by hand instead:
 ``Throttle.flush``, hidden by a file's ``flush``; ``TwinEngine.telemetry_applied``,
 hidden by ``LiveCounters``' field of that name; and ``LogWriter.count``,
-hidden by the string ``"count"`` in ``scenario``."""
+hidden by the string ``"count"`` in ``scenario``. The URDF tag string
+``"joint"`` in ``robot`` hides ``LimitViolation.joint`` the same way; that
+field is kept for the merge tick's report of clamped joints."""
 
 import ast
 import os
@@ -236,19 +239,42 @@ def stored_through(tree):
             and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Attribute)]
 
 
+def attributes_read(readers):
+    """Each attribute name the ``readers`` modules load, other than by a
+    subscript store, and each string constant they hold."""
+    stores = {id(n) for _, tree in readers for n in stored_through(tree)}
+    return {referenced_name(n) for _, tree in readers for n in ast.walk(tree)
+            if not isinstance(n, (ast.Name, ast.alias)) and id(n) not in stores} - {None}
+
+
 def write_only(package, readers):
     """``module.attribute`` of each ``self.attribute`` the ``package``
     modules assign or store into and no module of ``readers`` loads, by
     name or as a string constant; each a list of (path, tree)."""
-    stores = {id(n) for _, tree in readers for n in stored_through(tree)}
-    read = {referenced_name(n) for _, tree in readers for n in ast.walk(tree)
-            if not isinstance(n, (ast.Name, ast.alias)) and id(n) not in stores} - {None}
+    read = attributes_read(readers)
     written = [(path, n) for path, tree in package for n in ast.walk(tree)
                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
     written += [(path, n) for path, tree in package for n in stored_through(tree)]
     return sorted({f"{path.stem}.{n.attr}" for path, n in written
                    if isinstance(n.value, ast.Name) and n.value.id == "self"
                    and n.attr not in read})
+
+
+def unread_fields(package, readers):
+    """``module.Class.field`` of each field of a module-level ``@dataclass``
+    of the ``package`` modules that no module of ``readers`` loads as an
+    attribute or names in a string constant; each a list of (path, tree).
+    ``NamedTuple`` fields are not checked: the package unpacks some, such
+    as ``ChainJoint`` and ``Pose``, by position."""
+    read = attributes_read(readers)
+    return sorted(f"{path.stem}.{node.name}.{stmt.target.id}"
+                  for path, tree in package for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and any(dotted(getattr(d, "func", d)).split(".")[-1] == "dataclass"
+                          for d in node.decorator_list)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
 
 
 def unread_constants(package, others=()):
@@ -313,6 +339,10 @@ def test_no_function_only_the_tests_call():
 
 def test_no_attribute_left_unread():
     assert write_only(list(modules(PACKAGE)), list(modules(PACKAGE, BENCHMARK))) == []
+
+
+def test_no_field_left_unread():
+    assert unread_fields(list(modules(PACKAGE)), list(modules(PACKAGE, BENCHMARK))) == []
 
 
 def test_no_constant_only_the_tests_read():
@@ -458,6 +488,25 @@ def test_checks_see_what_they_look_for():
     test = [(Path("test_live.py"), ast.parse("assert bridge.latest[1].seq == 19\n"))]
     assert write_only(bridge, bridge) == ["live.latest"]
     assert write_only(bridge, bridge + test) == []
+    # as read_log returned a header that only the tests read
+    log = [(Path("log.py"), ast.parse(textwrap.dedent("""\
+        @dataclass(frozen=True)
+        class Header:
+            version: int
+            seed: int
+        @dataclasses.dataclass
+        class Scan:
+            header: Header
+            records: tuple
+            truncated: bool = False
+        class Record(NamedTuple):
+            time_ns: int
+        def read(f, config):
+            return Scan(Header(1, config.seed), f.records, getattr(f, "truncated"))
+        """)))]
+    test = [(Path("test_log.py"), ast.parse("assert read(f, c).header.version == 1\n"))]
+    assert unread_fields(log, log) == ["log.Header.version", "log.Scan.header"]
+    assert unread_fields(log, log + test) == []
     # as latency held DELTA_KINDS, which only the tests read
     constants = [(Path("c.py"), ast.parse(textwrap.dedent("""\
         KINDS = ("a", "b")

@@ -185,6 +185,35 @@ def test_command_disconnect_marks_channel_down_only():
         bridge.stop()
 
 
+def test_reconnected_command_peer_marks_channel_up():
+    bridge = LiveBridge()
+    bridge.start()
+
+    def channel_up():
+        bridge.merge_once()
+        return bridge.counters.command_channel_up
+
+    try:
+        first = socket.create_connection(bridge.command_addr, timeout=2.0)
+        assert wait_until(lambda: (bridge.merge_once(),
+                                   bridge._command_conn is not None)[1])
+        assert bridge.counters.command_channel_up
+        first.close()
+        assert wait_until(lambda: not channel_up())
+        second = socket.create_connection(bridge.command_addr, timeout=2.0)
+        try:
+            assert wait_until(channel_up)
+            second.sendall(b"\x01\x02\x03")
+            bridge.merge_once()
+            # the second peer is held and drained, and its channel is up
+            assert bridge._command_conn is not None
+            assert bridge.counters.command_channel_up
+        finally:
+            second.close()
+    finally:
+        bridge.stop()
+
+
 def test_socket_fault_stays_on_its_channel():
     bridge = LiveBridge()
     bridge.start()

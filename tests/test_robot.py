@@ -649,9 +649,9 @@ def contact_torque(model, q, station, zone):
     the twin queries the end-effector's world position, and the repulsion's
     world force goes through the world-frame Jacobian."""
     ee = forward_kinematics(model, q, station)[EE].translation
-    rep = query(zone, ee, zone.pose.inverse())
-    force = counterforce(rep, zone.stiffness)
-    return rep, force, [dot(c, force) for c in jacobian(model, q, EE, station)]
+    hit = query(zone, ee, zone.pose.inverse())
+    force = counterforce(*hit, zone.stiffness)
+    return hit, force, [dot(c, force) for c in jacobian(model, q, EE, station)]
 
 
 class TestContactTorque:
@@ -684,10 +684,10 @@ class TestContactTorque:
         q = draw_positions(data, model)
         station = yawed_station(yaw, xyz)
         zone = zone_around(forward_kinematics(model, q)[EE].translation, shape, station)
-        rep, force, tau = contact_torque(model, q, station, zone)
-        assert rep.depth > 0.0
+        (direction, depth), force, tau = contact_torque(model, q, station, zone)
+        assert depth > 0.0
         J = np.array(jacobian(model, q, EE, station)).T
-        push = float(np.dot(J @ np.array(tau), rep.direction))
+        push = float(np.dot(J @ np.array(tau), direction))
         # J^T F vanishes only where F lies in J's left null space
         assert push > 0.0 or np.linalg.norm(tau) <= 1e-9 * np.linalg.norm(force)
 

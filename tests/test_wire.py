@@ -43,13 +43,13 @@ def test_mocap_roundtrip():
 
 
 def test_command_roundtrip_and_size():
-    f = CommandFrame(1, 4, 999, [1.0, 0.0, 0.0], 0.1, 500.0)
+    f = CommandFrame(4, 999, [1.0, 0.0, 0.0], 0.1, 500.0)
     data = encode_command(f)
     # payload after the fixed header: 3*8 direction + 8 depth + 8 stiffness
     header = 4 + 2 + 1 + 1 + 1 + 8
     assert len(data) == header + 3 * 8 + 8 + 8
     g = decode_command(data)
-    assert g.kind == 1 and g.robot_id == 4
+    assert g.robot_id == 4 and g.time_ns == 999
     assert np.array_equal(g.direction, f.direction)
     assert g.depth == 0.1 and g.stiffness == 500.0
 
@@ -63,7 +63,7 @@ def test_truncation_rejected():
                                               [1, 0, 0, 0], 1))[:-1])
     with pytest.raises(WireError):
         decode_command(encode_command(
-            CommandFrame(1, 0, 0, [1, 0, 0], 0, 0))[:-1])
+            CommandFrame(0, 0, [1, 0, 0], 0, 0))[:-1])
 
 
 def test_bad_magic_and_version():
@@ -117,7 +117,7 @@ def test_lost_mocap_sample_may_carry_nan():
 
 
 def test_command_the_follower_cannot_apply_is_a_wire_error():
-    good = encode_command(CommandFrame(1, 0, 0, [1.0, 0.0, 0.0], 0.1, 500.0))
+    good = encode_command(CommandFrame(0, 0, [1.0, 0.0, 0.0], 0.1, 500.0))
     # after the 4-byte length prefix and the 13-byte head: direction at
     # bytes 17, 25 and 33, depth at 41, stiffness at 49
     for offset, name in ((41, "depth"), (49, "stiffness")):
@@ -140,7 +140,7 @@ def test_dof_overflow():
 
 
 def test_unknown_command_kind():
-    data = bytearray(encode_command(CommandFrame(1, 0, 0, [1, 0, 0], 0, 0)))
+    data = bytearray(encode_command(CommandFrame(0, 0, [1, 0, 0], 0, 0)))
     data[7] = 42  # kind byte
     with pytest.raises(WireError, match="kind"):
         decode_command(bytes(data))
@@ -166,7 +166,7 @@ def test_golden_bytes():
     assert encode_telemetry(t).hex() == GOLDEN_TELEMETRY
     m = MocapPacket(3, 9, 55555, [1.0, 2.0, 3.0], [1.0, 0, 0, 0], 1)
     assert encode_mocap(m).hex() == GOLDEN_MOCAP
-    c = CommandFrame(1, 4, 999, [1.0, 0.0, 0.0], 0.1, 500.0)
+    c = CommandFrame(4, 999, [1.0, 0.0, 0.0], 0.1, 500.0)
     assert encode_command(c).hex() == GOLDEN_COMMAND
 
 

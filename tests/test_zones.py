@@ -13,9 +13,8 @@ from twinsync.harness import simulate
 from twinsync.robot import parse_urdf
 from twinsync.scenario import AssetConfig, ScenarioConfig, load_config
 from twinsync.twin import TwinEngine, replay
-from twinsync.wire import CMD_KIND_ZONE_REPULSION, decode_command, encode_command
-from twinsync.zones import (ProhibitedZone, Repulsion, counterforce,
-                            make_command, query)
+from twinsync.wire import decode_command, encode_command
+from twinsync.zones import ProhibitedZone, counterforce, query
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -49,42 +48,42 @@ def nearest_face_oracle(half, local):
 
 class TestQueryExamples:
     def test_inside_near_plus_x(self):
-        rep = hit(unit_cube(), [0.4, 0.0, 0.0])
-        assert np.allclose(rep.direction, [1, 0, 0])
-        assert abs(rep.depth - 0.1) < 1e-12
+        direction, depth = hit(unit_cube(), [0.4, 0.0, 0.0])
+        assert np.allclose(direction, [1, 0, 0])
+        assert abs(depth - 0.1) < 1e-12
 
     def test_outside_none(self):
         assert hit(unit_cube(), [0.6, 0.0, 0.0]) is None
         assert hit(unit_cube(), [10.0, 10.0, 10.0]) is None
 
     def test_center_tie_breaks_plus_x(self):
-        rep = hit(unit_cube(), [0.0, 0.0, 0.0])
-        assert np.allclose(rep.direction, [1, 0, 0])
-        assert abs(rep.depth - 0.5) < 1e-12
+        direction, depth = hit(unit_cube(), [0.0, 0.0, 0.0])
+        assert np.allclose(direction, [1, 0, 0])
+        assert abs(depth - 0.5) < 1e-12
 
     def test_boundary_depth_zero(self):
-        rep = hit(unit_cube(), [0.0, 0.5, 0.0])
-        assert rep.depth == 0.0
-        assert np.allclose(rep.direction, [0, 1, 0])
+        direction, depth = hit(unit_cube(), [0.0, 0.5, 0.0])
+        assert depth == 0.0
+        assert np.allclose(direction, [0, 1, 0])
 
     def test_negative_face(self):
-        rep = hit(unit_cube(), [0.0, 0.0, -0.45])
-        assert np.allclose(rep.direction, [0, 0, -1])
-        assert abs(rep.depth - 0.05) < 1e-12
+        direction, depth = hit(unit_cube(), [0.0, 0.0, -0.45])
+        assert np.allclose(direction, [0, 0, -1])
+        assert abs(depth - 0.05) < 1e-12
 
     def test_translated_zone(self):
         z = unit_cube(center=[2.0, 0, 0])
         assert hit(z, [0.4, 0, 0]) is None
-        rep = hit(z, [2.4, 0, 0])
-        assert np.allclose(rep.direction, [1, 0, 0])
+        direction, _ = hit(z, [2.4, 0, 0])
+        assert np.allclose(direction, [1, 0, 0])
 
     def test_rotated_zone_direction_in_world(self):
         yaw = quat_from_axis_angle([0, 0, 1], np.pi / 2)
         z = ProhibitedZone("z", [0, 0, 0], [0.5, 0.1, 0.5], orientation=yaw)
         # the box's local +x axis points along world +y after the yaw
-        rep = hit(z, [0.0, 0.45, 0.0])
-        assert np.allclose(rep.direction, [0, 1, 0], atol=1e-12)
-        assert abs(rep.depth - 0.05) < 1e-12
+        direction, depth = hit(z, [0.0, 0.45, 0.0])
+        assert np.allclose(direction, [0, 1, 0], atol=1e-12)
+        assert abs(depth - 0.05) < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -102,15 +101,15 @@ class TestQueryProperties:
             for _ in range(50):
                 local = rng.uniform(-half, half)
                 point = z.pose.compose(Pose(local)).translation
-                rep = hit(z, point)
+                direction, depth = hit(z, point)
                 d, _ = nearest_face_oracle(half, local)
-                assert abs(rep.depth - d) < 1e-9
+                assert abs(depth - d) < 1e-9
                 # the direction must be a minimizing face normal (any one
                 # of the tied faces is geometrically valid): pulling it
                 # back into the box frame, the face it names must sit at
                 # the oracle distance
                 conj = np.array([q[0], -q[1], -q[2], -q[3]])
-                got_local = _rotate(conj, *rep.direction)
+                got_local = _rotate(conj, *direction)
                 i = int(np.argmax(np.abs(got_local)))
                 s = 1.0 if got_local[i] > 0 else -1.0
                 assert abs(np.abs(got_local[i]) - 1.0) < 1e-9
@@ -121,74 +120,75 @@ class TestQueryProperties:
         base = unit_cube(half_extents=[0.4, 0.3, 0.2])
         for _ in range(300):
             point = rng.uniform(-0.6, 0.6, 3)
-            rep0 = hit(base, point)
+            hit0 = hit(base, point)
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             xf = Pose(rng.uniform(-2, 2, 3), q)
             moved = ProhibitedZone("z", xf.translation, base.half_extents,
                                    orientation=xf.rotation)
-            rep1 = hit(moved, xf.compose(Pose(point)).translation)
-            if rep0 is None:
-                assert rep1 is None
+            hit1 = hit(moved, xf.compose(Pose(point)).translation)
+            if hit0 is None:
+                assert hit1 is None
             else:
-                assert abs(rep0.depth - rep1.depth) < 1e-9
-                assert np.allclose(_rotate(q, *rep0.direction), rep1.direction, atol=1e-9)
+                (direction0, depth0), (direction1, depth1) = hit0, hit1
+                assert abs(depth0 - depth1) < 1e-9
+                assert np.allclose(_rotate(q, *direction0), direction1, atol=1e-9)
 
     def test_depth_bounded_by_min_half_extent(self):
         rng = np.random.default_rng(14)
         z = unit_cube(half_extents=[0.5, 0.2, 0.9])
         for _ in range(2000):
-            rep = hit(z, rng.uniform(-1, 1, 3))
-            if rep is not None:
-                assert rep.depth <= 0.2 + 1e-12
+            found = hit(z, rng.uniform(-1, 1, 3))
+            if found is not None:
+                assert found[1] <= 0.2 + 1e-12
 
     def test_stepping_outward_decreases_depth(self):
         rng = np.random.default_rng(15)
         z = unit_cube(half_extents=[0.4, 0.3, 0.2])
         for _ in range(500):
             point = rng.uniform(-0.15, 0.15, 3)
-            rep = hit(z, point)
+            direction, depth = hit(z, point)
             eps = 1e-4
-            rep2 = hit(z, point + np.multiply(eps, rep.direction))
-            assert rep2 is not None
-            assert rep2.depth <= rep.depth - eps + 1e-9
+            stepped = hit(z, point + np.multiply(eps, direction))
+            assert stepped is not None
+            assert stepped[1] <= depth - eps + 1e-9
 
 
 class TestCounterforce:
     def test_linear_spring(self):
-        rep = Repulsion(np.array([0.0, 1.0, 0.0]), 0.1)
-        f = counterforce(rep, 500.0)
+        f = counterforce((0.0, 1.0, 0.0), 0.1, 500.0)
         assert np.allclose(f, [0.0, 50.0, 0.0])
 
     def test_vanishes_at_surface(self):
-        rep = hit(unit_cube(), [0.5, 0.0, 0.0])
-        assert np.allclose(counterforce(rep, 500.0), np.zeros(3))
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            Repulsion(np.array([1.0, 0, 0]), -0.1)
-
-
-def test_make_command_roundtrip():
-    rep = hit(unit_cube(), [0.4, 0.0, 0.0])
-    frame = make_command(3, rep, 500.0, 777)
-    assert frame.kind == CMD_KIND_ZONE_REPULSION
-    out = decode_command(encode_command(frame))
-    assert out.robot_id == 3 and out.time_ns == 777
-    assert np.allclose(out.direction, rep.direction)
-    assert out.depth == rep.depth and out.stiffness == 500.0
-    # the follower pushes with the decoded frame as the twin's repulsion
-    assert counterforce(out, out.stiffness) == counterforce(rep, 500.0)
+        assert np.allclose(counterforce(*hit(unit_cube(), [0.5, 0.0, 0.0]), 500.0),
+                           np.zeros(3))
 
 
 # a robot of one link: the engine's zone placement needs no joints
 ONE_LINK = parse_urdf("<robot name='r'><link name='base'/></robot>")
 
 
-def engine_with(*zones):
-    config = ScenarioConfig(assets=(AssetConfig("vase", 1, [0.0, 0.0, 0.0]),),
-                            zones=zones)
+def engine_with(*zones, robot_id=0):
+    config = ScenarioConfig(robot_id=robot_id, zones=zones,
+                            assets=(AssetConfig("vase", 1, [0.0, 0.0, 0.0]),))
     return TwinEngine(ONE_LINK, config)
+
+
+def test_engine_frame_roundtrip():
+    # the one-link robot's end-effector sits at the origin, 0.1 inside the
+    # zone's +x face
+    z = unit_cube(center=[-0.4, 0.0, 0.0])
+    engine = engine_with(z, robot_id=3)
+    [frame] = engine.merge_tick(777, [], [])
+    # the tick keeps the frame it sends, with its zone's id
+    assert engine.active_repulsions == [("z", frame)]
+    assert (frame.robot_id, frame.time_ns, frame.stiffness) == (3, 777, 500.0)
+    assert (frame.direction, frame.depth) == hit(z, [0.0, 0.0, 0.0])
+    out = decode_command(encode_command(frame))
+    assert out == frame
+    # the follower pushes with the decoded frame as the twin's repulsion
+    assert counterforce(out.direction, out.depth, out.stiffness) == \
+        counterforce(*hit(z, [0.0, 0.0, 0.0]), 500.0)
 
 
 def place_vase(engine, pose):
@@ -229,9 +229,9 @@ class TestEnginePlacement:
         assert np.allclose(engine.to_zone[0].inverse().translation, [0.0, 1.0, 0.0],
                            atol=1e-12)
         # interior query behaves identically in the zone's moving frame
-        rep = query(z, [0.0, 1.4, 0.0], engine.to_zone[0])
-        local_dir = _rotate(quat_conjugate(yaw), *rep.direction)
-        assert abs(rep.depth - 0.1) < 1e-12
+        direction, depth = query(z, [0.0, 1.4, 0.0], engine.to_zone[0])
+        local_dir = _rotate(quat_conjugate(yaw), *direction)
+        assert abs(depth - 0.1) < 1e-12
         assert np.allclose(np.abs(local_dir), [1, 0, 0], atol=1e-12) or \
             np.allclose(np.abs(local_dir), [0, 1, 0], atol=1e-12)
 
@@ -277,12 +277,11 @@ def transform_query(zone, point, to_local):
     i = margins.index(min(margins))
     axis = [0.0, 0.0, 0.0]
     axis[i] = 1.0 if local[i] >= 0 else -1.0
-    return Repulsion(oracle.quat_rotate(oracle.quat_conjugate(to_local.rotation), axis),
-                     margins[i])
+    return oracle.quat_rotate(oracle.quat_conjugate(to_local.rotation), axis), margins[i]
 
 
-def repulsion_bytes(rep):
-    return None if rep is None else struct.pack("<3dd", *rep.direction, rep.depth)
+def hit_bytes(found):
+    return None if found is None else struct.pack("<3dd", *found[0], found[1])
 
 
 SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
@@ -303,8 +302,10 @@ def test_query_matches_the_transform_point_formulation(half, to_local, points):
     to_world = to_local.inverse()
     for p in points:
         for point in (p, to_world.compose(Pose(p)).translation):
-            assert repulsion_bytes(query(zone, point, to_local)) == \
-                repulsion_bytes(transform_query(zone, point, to_local))
+            found = query(zone, point, to_local)
+            assert hit_bytes(found) == hit_bytes(transform_query(zone, point, to_local))
+            # the invariant a hit's depth keeps: never negative
+            assert found is None or found[1] >= 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
