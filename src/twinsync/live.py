@@ -15,7 +15,7 @@ so at ``run()``'s 60 Hz a channel takes about 10k datagrams/s; the paper's
 heaviest mocap stream is 600/s (120 Hz for the station and four assets).
 Channels fail apart: a malformed datagram is counted and skipped, a socket
 fault ends only its own channel's drain, and a command-stream disconnect
-marks that channel down without affecting telemetry.
+marks that channel down until a peer reconnects, leaving telemetry alone.
 It imports only the twin side (``twin`` for ``MERGE_HZ``, never ``harness``),
 so a live process loads neither numpy nor yaml.
 """
