@@ -5,12 +5,17 @@ stages.
 ``simulate`` runs it on a simulated nanosecond clock; at each 60 Hz merge
 tick it logs the records that arrived and hands exactly those to the twin
 (``twin.merge_records``), whose ``replay`` merges the same slices of the log.
+
+``simulate`` streams its trace and log: at each merge tick the CSV rows of
+the control ticks since the last one are joined, encoded and passed once
+to the trace's SHA-256 and file, and the log goes out in chunks of whole
+records (``recordlog.LogWriter``). So a run of any length holds one merge
+tick's rows and one chunk of the log, and the hashes are those of the
+files, or of the files the run would write when no path is set.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,7 +26,7 @@ from .geometry import IDENTITY_QUAT, ZERO3, dot
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
 from .network import DatagramLink, StreamLink, Throttle, delay_ns, doubles, normal
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
-                        CHANNEL_TELEMETRY, LogRecord, LogWriter)
+                        CHANNEL_TELEMETRY, HashedFile, LogRecord, LogWriter)
 from .robot import RobotModel, jacobian
 from .scenario import ConfigError, LeaderConfig, ScenarioConfig
 from .teleop import FollowerState, leader_samples, leader_trajectory, pd_step
@@ -123,12 +128,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
     throttle = Throttle()
     recorder = LatencyRecorder()
 
-    log_buf = io.BytesIO()
-    writer = LogWriter(log_buf, config.seed)
-    trace = io.StringIO()
-    trace.write("time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
-                + ",".join(f"follower_q{i}" for i in range(dof)) + "\n")
-
     leader0 = leader_trajectory(0.0, leader)
     follower = FollowerState(leader0.positions, [0.0] * dof)
     latest_leader = leader0
@@ -143,8 +142,13 @@ def simulate(config: ScenarioConfig) -> SimResult:
     mocap_src = _mocap_schedule(config, noise_u)
     next_mocap = next(mocap_src, None)
     merge_k = 1
+    # the trace rows of the control ticks since the last merge tick
+    rows = ["time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
+            + ",".join(f"follower_q{i}" for i in range(dof)) + "\n"]
 
     def run_merge_tick(mk_ns: int) -> None:
+        trace.write("".join(rows).encode())
+        rows.clear()
         # log order is by time, then channel; the sort is stable, so each
         # link's records keep the delivery order it polled them in
         due = sorted([LogRecord(d.time_ns, CHANNEL_TELEMETRY, d.payload)
@@ -165,78 +169,77 @@ def simulate(config: ScenarioConfig) -> SimResult:
             command_link.send(mk_ns, data)
             writer.append(LogRecord(mk_ns, CHANNEL_COMMAND, data))
 
-    # the leader generator runs out with the loop, so its last chunk is freed
-    # before the outputs below are built
-    for k, leader_now in enumerate(leader_samples(leader, control_ticks,
-                                                  CONTROL_TICK_NS)):
-        t_ns = k * CONTROL_TICK_NS
-        # world-side mocap frames due at or before this control tick
-        while next_mocap is not None and next_mocap[0] <= t_ns:
-            mt, pkt = next_mocap
-            mocap_link.send(mt, encode_mocap(pkt))
-            next_mocap = next(mocap_src, None)
+    # the outputs open once every check that can fail before the first tick
+    # has passed, so a config error leaves an existing file as it was; a
+    # run that raises closes them, the log holding every record appended
+    with LogWriter(config.log_path or None, config.seed) as writer, \
+            HashedFile(config.trace_path or None) as trace:
+        # the leader generator runs out with the loop, so its last chunk is
+        # freed before the stats below are built
+        for k, leader_now in enumerate(leader_samples(leader, control_ticks,
+                                                      CONTROL_TICK_NS)):
+            t_ns = k * CONTROL_TICK_NS
+            # world-side mocap frames due at or before this control tick
+            while next_mocap is not None and next_mocap[0] <= t_ns:
+                mt, pkt = next_mocap
+                mocap_link.send(mt, encode_mocap(pkt))
+                next_mocap = next(mocap_src, None)
 
-        # leader -> follower over the teleop link (latest-sample semantics)
-        teleop_link.send(t_ns, leader_now)
-        for d in teleop_link.poll(t_ns):
-            latest_leader = d.payload
+            # leader -> follower over the teleop link (latest-sample semantics)
+            teleop_link.send(t_ns, leader_now)
+            for d in teleop_link.poll(t_ns):
+                latest_leader = d.payload
 
-        # commands from the twin arrive as external torque at the follower;
-        # the frames of one merge tick (one per zone entered) add up
-        for d in command_link.poll(t_ns):
-            frame = decode_command(d.payload)
-            force = counterforce(frame.direction, frame.depth, frame.stiffness)
-            tau = [dot(column, force)
-                   for column in jacobian(model, follower.q, engine.ee_link, station)]
-            if frame.time_ns == ext_tick_ns:
-                tau = [a + b for a, b in zip(ext_tau, tau)]
-            ext_tau, ext_tick_ns = tau, frame.time_ns
-            ext_expiry = t_ns + (1_000_000_000 // MERGE_HZ)
-        tau_ext = ext_tau if t_ns < ext_expiry else no_torque
+            # commands from the twin arrive as external torque at the
+            # follower; the frames of one merge tick (one per zone entered)
+            # add up
+            for d in command_link.poll(t_ns):
+                frame = decode_command(d.payload)
+                force = counterforce(frame.direction, frame.depth, frame.stiffness)
+                tau = [dot(column, force)
+                       for column in jacobian(model, follower.q, engine.ee_link, station)]
+                if frame.time_ns == ext_tick_ns:
+                    tau = [a + b for a, b in zip(ext_tau, tau)]
+                ext_tau, ext_tick_ns = tau, frame.time_ns
+                ext_expiry = t_ns + (1_000_000_000 // MERGE_HZ)
+            tau_ext = ext_tau if t_ns < ext_expiry else no_torque
 
-        tau, follower = pd_step(latest_leader, follower, kp, kd, tau_ext)
-        trace.write(f"{t_ns}," + ",".join(map(repr, latest_leader.positions))
-                    + "," + ",".join(map(repr, follower.q)) + "\n")
+            tau, follower = pd_step(latest_leader, follower, kp, kd, tau_ext)
+            rows.append(f"{t_ns}," + ",".join(map(repr, latest_leader.positions))
+                        + "," + ",".join(map(repr, follower.q)) + "\n")
 
-        # the packet is built only for the samples the throttle emits
-        sample = (k, t_ns, follower.q, follower.dq, tau,
-                  latest_leader.gripper_width, latest_leader.gripper_velocity)
-        for tick_time, s in throttle.offer(t_ns, sample):
-            recorder.record(s[0], Stage.INGRESS, tick_time)
-            pkt = TelemetryPacket(config.robot_id, *s)
-            telemetry_link.send(tick_time, encode_telemetry(pkt))
+            # the packet is built only for the samples the throttle emits
+            sample = (k, t_ns, follower.q, follower.dq, tau,
+                      latest_leader.gripper_width, latest_leader.gripper_velocity)
+            for tick_time, s in throttle.offer(t_ns, sample):
+                recorder.record(s[0], Stage.INGRESS, tick_time)
+                pkt = TelemetryPacket(config.robot_id, *s)
+                telemetry_link.send(tick_time, encode_telemetry(pkt))
 
-        # twin merge ticks due by now
-        while merge_k <= merge_ticks and merge_tick_time(merge_k) <= t_ns:
+            # twin merge ticks due by now
+            while merge_k <= merge_ticks and merge_tick_time(merge_k) <= t_ns:
+                run_merge_tick(merge_tick_time(merge_k))
+                merge_k += 1
+
+        # ticks falling at or after the last control tick
+        while merge_k <= merge_ticks:
             run_merge_tick(merge_tick_time(merge_k))
             merge_k += 1
 
-    # ticks falling at or after the last control tick
-    while merge_k <= merge_ticks:
-        run_merge_tick(merge_tick_time(merge_k))
-        merge_k += 1
-
-    end_ns = merge_tick_time(merge_ticks)
-    writer.append(LogRecord(max(end_ns, writer.last_time), CHANNEL_HEARTBEAT, b""))
-    writer.close()
+        trace.write("".join(rows).encode())
+        end_ns = merge_tick_time(merge_ticks)
+        writer.append(LogRecord(max(end_ns, writer.last_time), CHANNEL_HEARTBEAT, b""))
 
     # every delivered telemetry packet completes its seq's three stamps
     delivered = recorder.complete_count()
     stats = recorder.compute_stats() if delivered else None
-
-    log_bytes = log_buf.getvalue()
-    trace_bytes = trace.getvalue().encode()
-    if config.log_path:
-        Path(config.log_path).write_bytes(log_bytes)
-    if config.trace_path:
-        Path(config.trace_path).write_bytes(trace_bytes)
     if config.stats_path and stats is not None:
         Path(config.stats_path).write_text(export_stats(stats))
 
     return SimResult(
         state_hash=engine.state_hash(),
-        trace_hash=hashlib.sha256(trace_bytes).hexdigest(),
-        log_hash=hashlib.sha256(log_bytes).hexdigest(),
+        trace_hash=trace.sha256.hexdigest(),
+        log_hash=writer.out.sha256.hexdigest(),
         stats=stats,
         control_ticks=control_ticks,
         merge_ticks=engine.tick,

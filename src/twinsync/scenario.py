@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -244,6 +245,16 @@ class ScenarioConfig:
             if z.attached_asset is not None and z.attached_asset not in names:
                 raise ConfigError(f"zone {z.zone_id!r}: attached_asset "
                                   f"{z.attached_asset!r} names no asset")
+        # simulate writes each output as it runs, so two that share a file
+        # would interleave into one corrupt file
+        outputs = {}  # each output's resolved file, and the field naming it
+        for name in ("log_path", "trace_path", "stats_path"):
+            if getattr(self, name):
+                path = os.path.realpath(getattr(self, name))
+                if path in outputs:
+                    raise ConfigError(f"{outputs[path]} and {name} resolve to the "
+                                      f"same file {path!r}")
+                outputs[path] = name
 
 
 def _delay_from_dict(d: dict) -> DelayModel:

@@ -148,7 +148,9 @@ class TwinEngine:
         for z, to_local in zip(self.zones, self.to_zone):
             hit = query(z, ee_point, to_local)
             if hit is not None:
-                frame = CommandFrame(self.config.robot_id, tick_ns, *hit, z.stiffness)
+                # the hit's direction is a float tuple already
+                frame = tuple.__new__(CommandFrame, (self.config.robot_id, tick_ns,
+                                                     *hit, z.stiffness))
                 self.active_repulsions.append((z.zone_id, frame))
                 commands.append(frame)
         self.tick += 1
@@ -242,23 +244,31 @@ def replay(log_path, config: ScenarioConfig, skip_bad: bool = False) -> ReplayRe
 
     Each merge tick runs ``merge_records``, as in ``simulate``, on the
     records logged since the previous tick, so the final twin state
-    matches the recorded run. The ticks run back-to-back in simulated
-    time, as fast as the host allows: nothing is exposed until the replay
-    returns, so waiting out the recorded gaps would change nothing.
+    matches the recorded run. The log is read a block at a time
+    (``read_log``): a tick runs once a record after it has been read, and
+    the records of a tick that runs on past a block carry into the next.
+    A torn tail record is an error, found at the end of the log, unless
+    ``skip_bad``. The ticks run back-to-back in simulated time, as fast as
+    the host allows: nothing is exposed until the replay returns, so
+    waiting out the recorded gaps would change nothing.
     """
-    scan = read_log(log_path)
-    if scan.truncated and not skip_bad:
-        raise ValueError(f"truncated tail record; {len(scan.records)} valid "
-                         f"records recovered (pass skip_bad to proceed)")
     engine = TwinEngine(load_model(config), config)
-
-    records = scan.records
-    end_ns = records[-1].time_ns if records else -1
-    start = skipped = 0
+    time_ns = attrgetter("time_ns")
+    records = []
+    count = start = skipped = 0
     merge_k = 1
-    while (mk_ns := merge_tick_time(merge_k)) <= end_ns:
-        stop = bisect_right(records, mk_ns, lo=start, key=attrgetter("time_ns"))
-        skipped += merge_records(engine, mk_ns, records[start:stop], skip_bad)[2]
-        start = stop
-        merge_k += 1
-    return ReplayResult(engine.state_hash(), engine.tick, len(records), skipped)
+    for block, last, truncated in read_log(log_path):
+        count += len(block)
+        if truncated and not skip_bad:
+            raise ValueError(f"truncated tail record; {count} valid "
+                             f"records recovered (pass skip_bad to proceed)")
+        records = records[start:] + block
+        start = 0
+        # at the end of the log, the ticks up to its last record run too
+        end_ns = records[-1].time_ns + last if records else -1
+        while (mk_ns := merge_tick_time(merge_k)) < end_ns:
+            stop = bisect_right(records, mk_ns, lo=start, key=time_ns)
+            skipped += merge_records(engine, mk_ns, records[start:stop], skip_bad)[2]
+            start = stop
+            merge_k += 1
+    return ReplayResult(engine.state_hash(), engine.tick, count, skipped)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -55,11 +54,12 @@ def _check_sample(position, quaternion, quality) -> None:
         raise ValueError("quality must be 0 or 1")
 
 
-# The packets are named tuples, cheap to build per datagram. Their
-# constructors take any sequences, numpy arrays included, convert the
-# vectors to float tuples and run the check above. The decoders already
-# hold struct's float tuples: they run the same check once and build the
-# tuple directly.
+# The packets and the command frame are named tuples, cheap to build per
+# datagram. Their constructors take any sequences, numpy arrays included,
+# convert the vectors to float tuples and, for a packet, run the check
+# above. The decoders already hold struct's float tuples: they run the
+# same check once and build the tuple directly, as the twin does with a
+# zone hit's float direction.
 
 class _Telemetry(NamedTuple):
     robot_id: int
@@ -105,19 +105,22 @@ class MocapPacket(_Mocap):
         return tuple.__new__(cls, (object_id, seq, time_ns, position, quaternion, quality))
 
 
-@dataclass(frozen=True)
-class CommandFrame:
-    """A zone repulsion for the follower, the one kind of command (so its
-    kind byte is written, not held): outward unit direction in the world
-    frame, penetration depth and the zone's stiffness."""
+class _Command(NamedTuple):
     robot_id: int
     time_ns: int
     direction: tuple
     depth: float
     stiffness: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "direction", floats(self.direction))
+
+class CommandFrame(_Command):
+    """A zone repulsion for the follower, the one kind of command (so its
+    kind byte is written, not held): outward unit direction in the world
+    frame, penetration depth and the zone's stiffness."""
+    __slots__ = ()
+
+    def __new__(cls, robot_id, time_ns, direction, depth, stiffness):
+        return tuple.__new__(cls, (robot_id, time_ns, floats(direction), depth, stiffness))
 
 
 def encode_telemetry(p: TelemetryPacket) -> bytes:
@@ -204,4 +207,4 @@ def decode_command(buf: bytes) -> CommandFrame:
     if not (0.0 <= depth < math.inf and 0.0 <= stiffness < math.inf):
         raise WireError(f"command depth and stiffness must be finite and >= 0, "
                         f"got {depth!r} and {stiffness!r}")
-    return CommandFrame(robot_id, time_ns, direction, depth, stiffness)
+    return tuple.__new__(CommandFrame, (robot_id, time_ns, direction, depth, stiffness))

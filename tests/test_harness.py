@@ -1,8 +1,13 @@
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import struct
 import subprocess
+import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +16,18 @@ import yaml
 
 from hypothesis import example, given, settings, strategies as st
 
-from twinsync import harness, robot, twin
+from twinsync import harness, recordlog, robot, twin
 from twinsync.grasp import AssetSource, GraspPhase
 from twinsync.harness import measure_latency, simulate
 from twinsync.latency import export_stats
-from twinsync.recordlog import (CHANNEL_COMMAND, CHANNEL_MOCAP, CHANNEL_TELEMETRY,
-                                LogRecord, LogWriter, read_log)
+from twinsync.recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
+                                CHANNEL_TELEMETRY, LogRecord, LogWriter, read_log)
 from twinsync.robot import parse_urdf
 from twinsync.scenario import (AssetConfig, ConfigError, DelayModel, LeaderConfig,
                                LinkConfig, ScenarioConfig, config_from_dict,
                                load_config)
 from twinsync.twin import TwinEngine, merge_tick_time, replay, station_pose
-from twinsync.wire import TelemetryPacket
+from twinsync.wire import CommandFrame, TelemetryPacket, decode_command, encode_command
 from twinsync.zones import ProhibitedZone
 
 ROOT = Path(__file__).parent.parent
@@ -46,6 +51,11 @@ PLANAR = """
   </joint>
 </robot>
 """
+
+
+def logged(path) -> list[LogRecord]:
+    """Every record of the log at ``path``, in log order."""
+    return [r for block in read_log(path) for r in block.records]
 
 
 @pytest.fixture
@@ -162,7 +172,7 @@ class TestReplay:
         log = tmp_path / "run.dtrl"
         cfg = scenario(robot_file, duration_s=0.5, log_path=str(log))
         res = simulate(cfg)
-        records = read_log(log).records
+        records = logged(log)
         i = next(k for k, r in enumerate(records)
                  if r.channel == channel and r.time_ns > 100_000_000)
         good = records[i].payload
@@ -186,6 +196,92 @@ class TestReplay:
         simulate(cfg)
         rep = replay(log, cfg)
         assert rep.merge_ticks == 0 and rep.skipped == 0
+
+
+class TestOutputs:
+    def outputs(self, robot_file, tmp_path, **kw):
+        return scenario(robot_file, log_path=str(tmp_path / "run.dtrl"),
+                        trace_path=str(tmp_path / "run_trace.csv"),
+                        stats_path=str(tmp_path / "run_stats.jsonl"), **kw)
+
+    @pytest.mark.parametrize("bad", [
+        {"leader": LeaderConfig(centers=(0.0, 0.0), amplitudes=(9.0,))},
+        {"ee_link": "no_such_link"},
+        {"command_link": LinkConfig(loss=0.1)}], ids=["leader", "ee-link", "link"])
+    def test_a_config_error_leaves_existing_files_as_they_were(self, robot_file,
+                                                                tmp_path, bad):
+        # every check that can fail before the first tick runs before an
+        # output is opened
+        cfg = self.outputs(robot_file, tmp_path, **bad)
+        paths = [Path(cfg.log_path), Path(cfg.trace_path), Path(cfg.stats_path)]
+        for path in paths:
+            path.write_text(f"kept {path.name}")
+        with pytest.raises(ValueError):
+            simulate(cfg)
+        assert [p.read_text() for p in paths] == [f"kept {p.name}" for p in paths]
+
+    def test_a_run_that_raises_closes_its_outputs(self, robot_file, tmp_path, monkeypatch):
+        # the outputs close on the way out, so the collector finds no file
+        # left open; the log holds every record appended before the failure
+        # and replays up to it, and the trace every row flushed by then
+        cfg = self.outputs(robot_file, tmp_path)
+        merge_records = harness.merge_records
+
+        def failing(engine, tick_ns, records):
+            if engine.tick == 10:
+                raise RuntimeError("merge failed")
+            return merge_records(engine, tick_ns, records)
+
+        monkeypatch.setattr(harness, "merge_records", failing)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(RuntimeError, match="merge failed"):
+                simulate(cfg)
+            gc.collect()
+        assert unraisable == []
+        blocks = list(read_log(cfg.log_path))
+        records = [r for b in blocks for r in b.records]
+        assert records and not blocks[-1].truncated
+        assert records[-1].time_ns <= merge_tick_time(11)
+        assert CHANNEL_HEARTBEAT not in {r.channel for r in records}
+        rep = replay(cfg.log_path, cfg)
+        assert 10 <= rep.merge_ticks <= 11 and rep.records == len(records)
+        # the header and the rows up to the control tick that ran tick 11,
+        # the first at or after its 183.3 ms
+        rows = Path(cfg.trace_path).read_text().splitlines()
+        assert len(rows) == 1 + 185 and rows[-1].startswith("184000000,")
+        assert not Path(cfg.stats_path).exists()
+
+    def test_bounded_memory(self, robot_file, tmp_path):
+        # a run ten times as long needs about the same heap: the trace and
+        # the log go to their files as the run goes, and replay holds one
+        # block of the log. Measured on example.yaml, from 0.2 s to 2 s:
+        # simulate's peak grows by 0.07 MB (the latency stamps), replay's
+        # by 0.01 MB; with the whole trace and log held in memory they
+        # grew by 1.0 and 0.15 MB
+        def peaks_mb(duration):
+            """The heap peaks of ``simulate`` and of the replay of its log."""
+            cfg = dataclasses.replace(example, duration_s=duration)
+            peaks = []
+            for fn, args in ((simulate, [cfg]), (replay, [cfg.log_path, cfg])):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    fn(*args)
+                    peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
+                finally:
+                    tracemalloc.stop()
+            return peaks
+
+        example = with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path)
+        warm = dataclasses.replace(example, duration_s=0.2)
+        simulate(warm)  # the first run fills the caches that later runs find
+        replay(warm.log_path, warm)
+        (sim_short, replay_short), (sim_long, replay_long) = map(peaks_mb, (0.2, 2.0))
+        assert sim_long - sim_short < 0.25
+        assert replay_long - replay_short < 0.05
 
 
 # Pinned outcomes of configs/example.yaml, which never touches its zone, and
@@ -215,6 +311,10 @@ GOLDEN = {
                         "b98fa42d04fed7ef798b63cfecc070665ac916f8261b81f8617f30915bfc5e4c",
                         "61d5f283e0b2148b39286e044d2a6e6bd6854943b5f03bdfea042ba77bb109ad"),
 }
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def with_outputs(cfg, tmp_path):
@@ -256,7 +356,30 @@ def test_golden_hashes(name, tmp_path, monkeypatch):
     res = simulate(cfg)
     assert (res.commands_sent > 0) == name.startswith("contact")
     assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
+    assert res.trace_hash == sha256_of(cfg.trace_path)
+    assert res.log_hash == sha256_of(cfg.log_path)
     assert_replay_merges_alike(cfg, res, calls)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_hashes_without_outputs(name):
+    # with no file to write, the trace and the log are only hashed, to the
+    # same pins
+    cfg = dataclasses.replace(load_config(CONFIGS / f"{name}.yaml"), log_path=None,
+                              trace_path=None, stats_path=None)
+    res = simulate(cfg)
+    assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
+
+
+def test_replay_reads_the_log_in_blocks_of_any_size(tmp_path, monkeypatch):
+    # a block boundary anywhere in a record, or a block that ends a tick's
+    # records, gives every merge tick the inputs the run gave it
+    cfg = with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path)
+    calls = merge_inputs(monkeypatch)
+    res = simulate(cfg)
+    for block_size in (7, 100, 4096):
+        monkeypatch.setattr(recordlog, "BLOCK_SIZE", block_size)
+        assert_replay_merges_alike(cfg, res, calls)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -266,8 +389,8 @@ def test_counts_are_what_the_run_recorded(name, tmp_path):
     cfg = with_outputs(load_config(CONFIGS / f"{name}.yaml"), tmp_path)
     res = simulate(cfg)
     assert res.stats is not None and res.telemetry_delivered == res.stats.n > 0
-    logged = [r for r in read_log(cfg.log_path).records if r.channel == CHANNEL_COMMAND]
-    assert res.commands_sent == len(logged)
+    commands = [r for r in logged(cfg.log_path) if r.channel == CHANNEL_COMMAND]
+    assert res.commands_sent == len(commands)
 
 
 # every pyenv CPython the package supports (3.10+); older ones are skipped
@@ -464,7 +587,7 @@ def test_records_on_a_merge_tick_are_merged_at_it(robot_file, tmp_path, monkeypa
     calls = merge_inputs(monkeypatch)
     res = simulate(cfg)
     ticks = {merge_tick_time(k) for k in range(1, res.merge_ticks + 1)}
-    on_tick = [r for r in read_log(cfg.log_path).records
+    on_tick = [r for r in logged(cfg.log_path)
                if r.channel in (CHANNEL_TELEMETRY, CHANNEL_MOCAP) and r.time_ns in ticks]
     assert {r.channel for r in on_tick} == {CHANNEL_TELEMETRY, CHANNEL_MOCAP}
     assert_replay_merges_alike(cfg, res, calls)
@@ -507,6 +630,9 @@ class TestTwinEngine:
             cmds = eng.merge_tick(merge_tick_time(k), [self.tele(k)], [])
             assert len(cmds) == 1
             assert cmds[0].time_ns == merge_tick_time(k)
+            # the twin builds the frame the follower decodes
+            assert type(cmds[0]) is CommandFrame
+            assert decode_command(encode_command(cmds[0])) == cmds[0]
 
     def test_state_hash_stable_without_input(self):
         a, b = self.engine(), self.engine()
@@ -572,8 +698,8 @@ class TestScenarioLoading:
     # backwards, a mocap rate or seed the run cannot use, a non-finite filter
     # or grasp value, a gripper schedule that is empty or runs backwards, a
     # negative gain, a seed under a link (every link's derives from the
-    # scenario seed), a vector whose norm overflows and an integer too large
-    # for a float
+    # scenario seed), a vector whose norm overflows, an integer too large
+    # for a float and two outputs that name one file
     BAD_SECTIONS = [
         ("top", {"duraton_s": 1.0}, "unknown ScenarioConfig key 'duraton_s'"),
         ("leader", {"leader": {"centres": [0.0]}}, "leader: unknown"),
@@ -723,6 +849,14 @@ class TestScenarioLoading:
          "leader: .*gripper_schedule needs steps whose times do not decrease"),
         ("gripper-schedule-empty", {"leader": {"gripper_schedule": []}},
          "leader: .*gripper_schedule needs steps whose times do not decrease"),
+        # outputs that share a file, which simulate would write twice at once
+        ("log-trace-same-file", {"log_path": "run.out", "trace_path": "run.out"},
+         "log_path and trace_path resolve to the same file"),
+        ("log-stats-same-file", {"log_path": "run.out", "stats_path": "./run.out"},
+         "log_path and stats_path resolve to the same file"),
+        ("trace-stats-same-file", {"trace_path": "out/../run.csv", "stats_path": "run.csv",
+                                   "log_path": "run.dtrl"},
+         "trace_path and stats_path resolve to the same file"),
     ]
 
     @pytest.mark.parametrize("d, match", [case[1:] for case in BAD_SECTIONS],

@@ -173,6 +173,7 @@ def test_golden_bytes():
 GOLDEN_ARGS = {
     "telemetry": (2, 7, 123456789, [0.1, -0.2], [1.0, 2.0], [0.5, -0.5], 0.08, -0.01),
     "mocap": (3, 9, 55555, [1.0, 2.0, 3.0], [1.0, 0, 0, 0], 1),
+    "command": (4, 999, [1, 0, 0], 0.1, 500.0),
 }
 
 
@@ -192,6 +193,10 @@ def test_decoded_packets_have_the_constructors_types():
     assert m == MocapPacket(*GOLDEN_ARGS["mocap"])
     assert_float_tuples(m.position, m.quaternion)
     assert (m.object_id, m.seq, m.time_ns, m.quality) == (3, 9, 55555, 1)
+    c = decode_command(bytes.fromhex(GOLDEN_COMMAND))
+    built = CommandFrame(*GOLDEN_ARGS["command"])
+    assert type(c) is CommandFrame and c == built
+    assert_float_tuples(c.direction, built.direction, (c.depth, c.stiffness))
 
 
 # any double the wire can carry: NaN, infinities, -0.0, subnormals, and
