@@ -212,9 +212,11 @@ def simulate(config: ScenarioConfig) -> SimResult:
             sample = (k, t_ns, follower.q, follower.dq, tau,
                       latest_leader.gripper_width, latest_leader.gripper_velocity)
             for tick_time, s in throttle.offer(t_ns, sample):
-                recorder.record(s[0], Stage.INGRESS, tick_time)
                 pkt = TelemetryPacket(config.robot_id, *s)
-                telemetry_link.send(tick_time, encode_telemetry(pkt))
+                # a lost packet is never stamped, so it leaves the recorder
+                # nothing it would hold for the rest of the run
+                if telemetry_link.send(tick_time, encode_telemetry(pkt)):
+                    recorder.record(s[0], Stage.INGRESS, tick_time)
 
             # twin merge ticks due by now
             while merge_k <= merge_ticks and merge_tick_time(merge_k) <= t_ns:

@@ -4,6 +4,10 @@ Stages: Ingress (send-side scheduling), SocketRecv (socket delivery),
 Applied (processing done). Quantiles use linear interpolation at rank
 (n-1)*p, bit for bit ``numpy.quantile(..., method="linear")``; outliers
 fall outside the Tukey 1.5*IQR fences. The module needs no numpy.
+
+A completed sample costs the recorder its three deltas, packed as doubles
+(24 bytes), and its sequence number in the set that rejects a later stamp
+for it; only the sequences still missing a stage keep their stamps.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 NS_PER_MS = 1_000_000.0
@@ -20,9 +25,6 @@ class Stage(enum.IntEnum):
     INGRESS = 0
     SOCKET_RECV = 1
     APPLIED = 2
-
-
-_STAGES = tuple(Stage)  # iterating the enum class itself costs a call per member
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ def _quantile(xs: list[float], p: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _summarize(kind: str, deltas_ms: list[float]) -> DeltaSummary:
+def _summarize(kind: str, deltas_ms) -> DeltaSummary:
     xs = sorted(deltas_ms)
     q1, med, q3 = (_quantile(xs, p) for p in (0.25, 0.5, 0.75))
     iqr = q3 - q1
@@ -62,37 +64,68 @@ def _summarize(kind: str, deltas_ms: list[float]) -> DeltaSummary:
     return DeltaSummary(kind, len(xs), med, q1, q3, iqr, outliers)
 
 
+def _reject(seq: int, stage: Stage, time_ns: int, stamps) -> None:
+    """Raise the error of a stamp that the flat ``stamps`` of its sequence
+    do not admit, checked as ``record`` always has: a duplicate first, then
+    an earlier stage stamped after ``time_ns``, then a later stage held."""
+    held = dict(zip(stamps[::2], stamps[1::2]))
+    if stage in held:
+        raise ValueError(f"duplicate stamp for seq {seq} stage {stage.name}")
+    if any(s < stage and t > time_ns for s, t in held.items()):
+        raise ValueError(f"stage regression for seq {seq}")
+    later = min(s for s in held if s > stage)
+    raise ValueError(f"stage regression for seq {seq}: {later.name} already recorded")
+
+
 class LatencyRecorder:
-    """Collects per-sequence stage stamps and summarizes the deltas."""
+    """Collects per-sequence stage stamps and summarizes the deltas.
+
+    A sequence's stamps are kept until its third, ``APPLIED``, completes
+    it. Its deltas are then appended to three ``array('d')``, computed as
+    the summaries always have, and only its number is kept, so a further
+    stamp for it is still a duplicate. A stamp for a later stage than
+    one already recorded is a regression, so the stamps a sequence holds
+    are in stage order and in time order."""
 
     def __init__(self):
-        self._stamps: dict[int, dict[Stage, int]] = {}
+        # the stamps of each incomplete sequence, flat: stage, time, stage, time
+        self._open: dict[int, list] = {}
+        self._complete: set[int] = set()
+        # ingress_to_socket, socket_to_applied, ingress_to_applied, in ms
+        self._deltas = (array("d"), array("d"), array("d"))
 
     def record(self, seq: int, stage: Stage, time_ns: int) -> None:
-        stages = self._stamps.setdefault(seq, {})
-        if stage in stages:
-            raise ValueError(f"duplicate stamp for seq {seq} stage {stage.name}")
-        for earlier in _STAGES:
-            if earlier < stage and earlier in stages and stages[earlier] > time_ns:
-                raise ValueError(f"stage regression for seq {seq}")
-        for later in _STAGES:
-            if later > stage and later in stages:
-                raise ValueError(f"stage regression for seq {seq}: "
-                                 f"{later.name} already recorded")
-        stages[stage] = time_ns
+        stamps = self._open.get(seq)
+        if stamps is None:
+            if seq in self._complete:  # it holds every stage
+                raise ValueError(f"duplicate stamp for seq {seq} stage {stage.name}")
+            self._open[seq] = [stage, time_ns]
+            return
+        # the stamps held are in stage and time order, so the last one is
+        # the latest of both: a later stage at a time no earlier is valid
+        if not (stamps[-2] < stage and stamps[-1] <= time_ns):
+            _reject(seq, stage, time_ns, stamps)
+        if len(stamps) == 2:
+            stamps += stage, time_ns
+            return
+        # the third stamp: INGRESS and SOCKET_RECV are held, this is APPLIED
+        del self._open[seq]
+        self._complete.add(seq)
+        t0, t1 = stamps[1], stamps[3]
+        d01, d12, d02 = self._deltas
+        d01.append((t1 - t0) / NS_PER_MS)
+        d12.append((time_ns - t1) / NS_PER_MS)
+        d02.append((time_ns - t0) / NS_PER_MS)
 
     def complete_count(self) -> int:
-        return sum(1 for s in self._stamps.values() if len(s) == 3)
+        return len(self._complete)
 
     def compute_stats(self) -> LatencyStats:
         """Summaries over complete sequences (all three stages present)."""
-        complete = [s for s in self._stamps.values() if len(s) == 3]
-        if not complete:
+        if not self._complete:
             raise ValueError("no complete latency samples")
-        d01 = [(s[Stage.SOCKET_RECV] - s[Stage.INGRESS]) / NS_PER_MS for s in complete]
-        d12 = [(s[Stage.APPLIED] - s[Stage.SOCKET_RECV]) / NS_PER_MS for s in complete]
-        d02 = [(s[Stage.APPLIED] - s[Stage.INGRESS]) / NS_PER_MS for s in complete]
-        return LatencyStats(len(complete), (
+        d01, d12, d02 = self._deltas
+        return LatencyStats(len(d01), (
             _summarize("ingress_to_socket", d01),
             _summarize("socket_to_applied", d12),
             _summarize("ingress_to_applied", d02),

@@ -16,6 +16,14 @@ heaviest mocap stream is 600/s (120 Hz for the station and four assets).
 Channels fail apart: a malformed datagram is counted and skipped, a socket
 fault ends only its own channel's drain, and a command-stream disconnect
 marks that channel down until a peer reconnects, leaving telemetry alone.
+
+Each read asks for one byte more than the longest message its channel
+carries, as ``wire`` states it: 6,154 bytes for telemetry (255 joints), 74
+for mocap, and one 57-byte command frame at a time from the command stream.
+So a read allocates a few KiB, not 64 KiB, and a longer datagram, which the
+kernel cuts to that size, still fails its exact-length check and is counted
+malformed. ``run`` drains on absolute deadlines, ``start + k / MERGE_HZ`` on
+the monotonic clock, skipping those a slow drain missed.
 It imports only the twin side (``twin`` for ``MERGE_HZ``, never ``harness``),
 so a live process loads neither numpy nor yaml.
 """
@@ -28,8 +36,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .twin import MERGE_HZ
-from .wire import (TelemetryPacket, WireError, decode_mocap, decode_telemetry,
-                   encode_telemetry)
+from .wire import (COMMAND_SIZE, MOCAP_SIZE, TELEMETRY_MAX_SIZE, TelemetryPacket,
+                   WireError, decode_mocap, decode_telemetry, encode_telemetry)
 
 
 @dataclass
@@ -78,12 +86,14 @@ class LiveBridge:
     def start(self):
         self._command_sock.listen(1)
 
-    def _drain(self, sock: socket.socket, decoder) -> list:
-        """Every datagram ``sock`` holds, decoded; malformed ones are skipped."""
+    def _drain(self, sock: socket.socket, decoder, max_size: int) -> list:
+        """Every datagram ``sock`` holds, decoded; malformed ones are skipped.
+        Each is read with room for one byte more than ``max_size``, the
+        longest message ``decoder`` accepts, so a longer one is malformed."""
         msgs = []
         while True:
             try:
-                data = sock.recv(65536)
+                data = sock.recv(max_size + 1)
             except OSError:  # empty (BlockingIOError), or a fault on this socket
                 return msgs
             try:
@@ -97,7 +107,7 @@ class LiveBridge:
                 self._command_conn = self._command_sock.accept()[0]
                 self._command_conn.setblocking(False)
                 self.counters.command_channel_up = True
-            while self._command_conn.recv(65536):
+            while self._command_conn.recv(COMMAND_SIZE):
                 pass  # command bytes are discarded unread
         except BlockingIOError:  # no peer waiting, or no bytes yet
             return
@@ -110,18 +120,26 @@ class LiveBridge:
 
     def merge_once(self) -> int:
         """Drain every socket once; returns the number of applied messages."""
-        telemetry = self._drain(self._telemetry_sock, decode_telemetry)
-        mocap = self._drain(self._mocap_sock, decode_mocap)
+        telemetry = self._drain(self._telemetry_sock, decode_telemetry, TELEMETRY_MAX_SIZE)
+        mocap = self._drain(self._mocap_sock, decode_mocap, MOCAP_SIZE)
         self.counters.telemetry_applied += len(telemetry)
         self.counters.mocap_applied += len(mocap)
         self._read_commands()
         return len(telemetry) + len(mocap)
 
     def run(self, duration_s: float):
-        deadline = time.monotonic() + duration_s
-        while time.monotonic() < deadline:
+        """Drain at ``start + k / MERGE_HZ`` until ``duration_s`` has passed,
+        then once more. After a drain the loop sleeps until the first
+        deadline still ahead, so a drain that overran skips the ones it
+        missed instead of draining back to back to catch up."""
+        start = time.monotonic()
+        end = start + duration_s
+        k = 0
+        while time.monotonic() < end:
             self.merge_once()
-            time.sleep(1.0 / MERGE_HZ)
+            now = time.monotonic()
+            k = max(k + 1, int((now - start) * MERGE_HZ) + 1)
+            time.sleep(max(0.0, start + k / MERGE_HZ - now))
         self.merge_once()
 
     def stop(self):

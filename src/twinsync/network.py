@@ -120,7 +120,8 @@ class DatagramLink:
                           if config.loss == 0.0 and config.delay.kind == "constant"
                           else None)
 
-    def send(self, time_ns: int, payload) -> None:
+    def send(self, time_ns: int, payload) -> bool:
+        """Queue ``payload`` for delivery; False when the link lost it."""
         self.sent += 1
         wait_ns = self._fixed_ns
         if wait_ns is None:
@@ -129,10 +130,11 @@ class DatagramLink:
             wait_ns = delay_ns(self.config.delay, self._u)
             if lost:
                 self.dropped += 1
-                return
+                return False
         d = Delivery(time_ns + wait_ns, payload)
         heapq.heappush(self._heap, (d.time_ns, self._count, d))
         self._count += 1
+        return True
 
     def poll(self, now_ns: int) -> list[Delivery]:
         out = []

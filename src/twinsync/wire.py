@@ -24,6 +24,13 @@ _TELEMETRY_HEAD = struct.Struct("<HBBIQB")
 _MOCAP = struct.Struct("<HBBIQ3d4dB")
 _COMMAND_BODY = struct.Struct("<HBBBQ3ddd")
 
+# the longest message of each kind, in bytes: telemetry with the 255 joints
+# its header's count byte can state (6,153), a mocap sample (73) and a
+# length-prefixed command frame (57)
+TELEMETRY_MAX_SIZE = _TELEMETRY_HEAD.size + 255 * 24 + 16
+MOCAP_SIZE = _MOCAP.size
+COMMAND_SIZE = 4 + _COMMAND_BODY.size
+
 
 class WireError(ValueError):
     """Framing or validation failure while decoding a wire message."""
