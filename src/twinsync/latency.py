@@ -5,9 +5,9 @@ Applied (processing done). Quantiles use linear interpolation at rank
 (n-1)*p, bit for bit ``numpy.quantile(..., method="linear")``; outliers
 fall outside the Tukey 1.5*IQR fences. The module needs no numpy.
 
-A completed sample costs the recorder its three deltas, packed as doubles
-(24 bytes), and its sequence number in the set that rejects a later stamp
-for it; only the sequences still missing a stage keep their stamps.
+A completed sample costs the recorder 32 bytes: its three deltas as
+doubles and its sequence number as a 64-bit integer, which rejects a later
+stamp for it. Only the sequences still missing a stage keep their stamps.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import enum
 import json
 import math
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 NS_PER_MS = 1_000_000.0
@@ -81,23 +82,28 @@ class LatencyRecorder:
     """Collects per-sequence stage stamps and summarizes the deltas.
 
     A sequence's stamps are kept until its third, ``APPLIED``, completes
-    it. Its deltas are then appended to three ``array('d')``, computed as
-    the summaries always have, and only its number is kept, so a further
-    stamp for it is still a duplicate. A stamp for a later stage than
-    one already recorded is a regression, so the stamps a sequence holds
-    are in stage order and in time order."""
+    it. Its three deltas then go to three ``array('d')`` and its number to
+    a sorted ``array('q')``, so a further stamp for it is still a
+    duplicate: 32 bytes per completed sample, where a dict of stamps per
+    sequence held about 390. Sequence numbers must fit 64 bits, as the
+    wire's 32-bit ones and the emulator's tick indices do. A stamp for an
+    earlier stage than one already recorded is a regression, so the stamps
+    a sequence holds are in stage order and in time order."""
 
     def __init__(self):
         # the stamps of each incomplete sequence, flat: stage, time, stage, time
         self._open: dict[int, list] = {}
-        self._complete: set[int] = set()
+        # the numbers of the completed sequences, sorted
+        self._complete = array("q")
         # ingress_to_socket, socket_to_applied, ingress_to_applied, in ms
         self._deltas = (array("d"), array("d"), array("d"))
 
     def record(self, seq: int, stage: Stage, time_ns: int) -> None:
         stamps = self._open.get(seq)
         if stamps is None:
-            if seq in self._complete:  # it holds every stage
+            done = self._complete
+            if done and seq <= done[-1] and done[bisect_left(done, seq)] == seq:
+                # a completed sequence holds every stage
                 raise ValueError(f"duplicate stamp for seq {seq} stage {stage.name}")
             self._open[seq] = [stage, time_ns]
             return
@@ -110,7 +116,11 @@ class LatencyRecorder:
             return
         # the third stamp: INGRESS and SOCKET_RECV are held, this is APPLIED
         del self._open[seq]
-        self._complete.add(seq)
+        done = self._complete
+        if done and seq < done[-1]:  # completed out of order
+            insort(done, seq)
+        else:
+            done.append(seq)
         t0, t1 = stamps[1], stamps[3]
         d01, d12, d02 = self._deltas
         d01.append((t1 - t0) / NS_PER_MS)

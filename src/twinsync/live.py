@@ -128,14 +128,14 @@ class LiveBridge:
         return len(telemetry) + len(mocap)
 
     def run(self, duration_s: float):
-        """Drain at ``start + k / MERGE_HZ`` until ``duration_s`` has passed,
-        then once more. After a drain the loop sleeps until the first
-        deadline still ahead, so a drain that overran skips the ones it
-        missed instead of draining back to back to catch up."""
+        """Drain at the deadlines ``start + k / MERGE_HZ`` within
+        ``duration_s``, then once more at the first one past it. After a
+        drain the loop sleeps until the first deadline still ahead, so a
+        drain that overran skips the ones it missed instead of draining
+        back to back to catch up."""
         start = time.monotonic()
-        end = start + duration_s
-        k = 0
-        while time.monotonic() < end:
+        k = 0  # the deadline of the next drain
+        while k < duration_s * MERGE_HZ:
             self.merge_once()
             now = time.monotonic()
             k = max(k + 1, int((now - start) * MERGE_HZ) + 1)

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,10 +17,11 @@ import yaml
 
 from hypothesis import example, given, settings, strategies as st
 
+from latency_oracle import DictLatencyRecorder
 from twinsync import harness, recordlog, robot, twin
 from twinsync.grasp import AssetSource, GraspPhase
 from twinsync.harness import measure_latency, simulate
-from twinsync.latency import export_stats
+from twinsync.latency import LatencyRecorder, export_stats
 from twinsync.recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                                 CHANNEL_TELEMETRY, LogRecord, LogWriter, read_log)
 from twinsync.robot import parse_urdf
@@ -120,6 +122,26 @@ class TestSimulate:
         # deliverable before the final merge tick
         assert res.telemetry_sent <= 61
         assert res.telemetry_delivered == res.telemetry_sent
+
+    def test_lost_telemetry_is_never_stamped(self, robot_file, monkeypatch):
+        # the recorder ends holding only the packets still in flight, and
+        # its stats are those of the dict recorder it replaced
+        recorders = []
+
+        class Recorder(LatencyRecorder):
+            def __init__(self):
+                super().__init__()
+                recorders.append(self)
+
+        monkeypatch.setattr(harness, "LatencyRecorder", Recorder)
+        cfg = scenario(robot_file, duration_s=3.0, telemetry_link=LinkConfig(
+            delay=DelayModel.uniform(1.0, 30.0), loss=0.3))
+        res = simulate(cfg)
+        assert res.telemetry_sent - res.telemetry_delivered > 30
+        # at 60 Hz, at most two packets are sent within one 30 ms delay
+        assert len(recorders[0]._open) <= 2
+        monkeypatch.setattr(harness, "LatencyRecorder", DictLatencyRecorder)
+        assert export_stats(simulate(cfg).stats) == export_stats(res.stats)
 
     def test_stats_file_reparse(self, robot_file, tmp_path):
         stats_path = tmp_path / "stats.jsonl"
@@ -282,6 +304,41 @@ class TestOutputs:
         (sim_short, replay_short), (sim_long, replay_long) = map(peaks_mb, (0.2, 2.0))
         assert sim_long - sim_short < 0.25
         assert replay_long - replay_short < 0.05
+
+    def test_peak_rss_does_not_grow_with_the_run(self, tmp_path):
+        # a 30 s and a 3 s run of example.yaml with every output set, each
+        # followed by the replay of its log, in two processes at once: their
+        # peak RSS agree within 2 MB, where the 30 s trace alone is 8.2 MB
+        script = textwrap.dedent("""\
+            import dataclasses, resource, sys
+            from pathlib import Path
+            from twinsync.harness import simulate
+            from twinsync.scenario import load_config
+            from twinsync.twin import replay
+            config, duration, out = sys.argv[1], float(sys.argv[2]), Path(sys.argv[3])
+            cfg = dataclasses.replace(
+                load_config(config), duration_s=duration, log_path=str(out / "run.dtrl"),
+                trace_path=str(out / "run_trace.csv"), stats_path=str(out / "stats.jsonl"))
+            simulate(cfg)
+            replay(cfg.log_path, cfg)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
+            """)
+        # ru_maxrss outlives exec, so a process forked from this one would
+        # report at least this one's size: a bare interpreter starts each run
+        launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        runs = {}
+        for duration in (3, 30):
+            out = tmp_path / str(duration)
+            out.mkdir()
+            runs[out] = subprocess.Popen(
+                [sys.executable, "-c", launch, sys.executable, "-c", script,
+                 str(CONFIGS / "example.yaml"), str(duration), str(out)],
+                stdout=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        (_, short_kib), (long, long_kib) = [
+            (out, int(run.communicate(timeout=120)[0])) for out, run in runs.items()]
+        assert (long / "run_trace.csv").stat().st_size > 8_000_000
+        assert abs(long_kib - short_kib) < 2 * 1024
 
 
 # Pinned outcomes of configs/example.yaml, which never touches its zone, and

@@ -1,10 +1,10 @@
 """Static checks over the source tree: no import left unread, no dot
 product in the package outside ``geometry.dot``, no broad ``except`` in the
-package, no numpy ``Generator`` method but ``random`` in the package, no
-numpy or yaml on the twin side, no enum member read off its class in a
-function of the merge tick's modules, and no function, attribute,
-dataclass field or module-level constant of the package that only the
-tests read.
+package, no socket read of the package sized by a literal, no numpy
+``Generator`` method but ``random`` in the package, no numpy or yaml on the
+twin side, no enum member read off its class in a function of the merge
+tick's modules, and no function, attribute, dataclass field or module-level
+constant of the package that only the tests read.
 
 The last four match by name, so a name the package reads elsewhere keeps
 a dead one out of their sight. Each of these was deleted by hand instead:
@@ -295,6 +295,26 @@ def unread_constants(package, others=()):
                   if not dunder(name) and not within.get(name, set()) - {id(stmt)})
 
 
+# the socket reads whose first argument is the most bytes they take
+READS = {"recv", "recvfrom"}
+
+
+def literal_reads(tree):
+    """Lines of each ``recv`` or ``recvfrom`` call whose size, the first
+    argument or ``bufsize``, is written with literals only, as
+    ``sock.recv(65536)`` or ``recv(1 << 16)``: no name of a length."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in READS:
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "bufsize"), None)
+            if size is not None and not any(isinstance(n, (ast.Name, ast.Attribute))
+                                            for n in ast.walk(size)):
+                lines.append(node.lineno)
+    return lines
+
+
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
              for path, tree in modules(ROOT / "src", ROOT / "tests")
@@ -322,6 +342,15 @@ def test_only_random_of_numpys_generator():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path, tree in modules(PACKAGE)
              for line in generator_draws(tree)]
+    assert found == []
+
+
+def test_socket_reads_are_sized_by_the_wire():
+    # a read allocates its whole size first, so each is one more than the
+    # longest message of its channel, as ``wire`` states it
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in modules(PACKAGE)
+             for line in literal_reads(tree)]
     assert found == []
 
 
@@ -417,6 +446,11 @@ def test_checks_see_what_they_look_for():
                       "c = ss.spawn(2)\nk = np.random.default_rng(s).integers(5)\n"
                       "x = self._rng.choice(v)\ny = rng.standard_normal()\n")
     assert generator_draws(draws) == [2, 4, 5, 6]
+    # as live.py read every datagram and the command stream before
+    reads = ast.parse("data = sock.recv(65536)\nwhile conn.recv(1 << 16):\n    pass\n"
+                      "d, a = sock.recvfrom(bufsize=4096)\nd = sock.recv(MOCAP_SIZE + 1)\n"
+                      "d = sock.recv(wire.COMMAND_SIZE)\nd = f.read(65536)\n")
+    assert literal_reads(reads) == [1, 2, 4]
     # as the merge tick's modules read their enums before they held aliases
     reads = ast.parse("STABLE = PoseStatus.STABLE\n"
                       "class Tracker:\n    phase = GraspPhase.IDLE\n"

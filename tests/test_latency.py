@@ -1,16 +1,22 @@
 import dataclasses
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latency_oracle import DictLatencyRecorder
+from twinsync import harness
 from twinsync.latency import (DeltaSummary, LatencyRecorder, Stage, export_stats,
                               format_table)
+from twinsync.scenario import load_config
 
 # the oracles and the random inputs below use numpy; the module does not
 np = pytest.importorskip("numpy")
 
 MS = 1_000_000
+CONFIGS = Path(__file__).parent.parent / "configs"
 # the kinds of ``LatencyStats.deltas``, in its order
 KINDS = ("ingress_to_socket", "socket_to_applied", "ingress_to_applied")
 
@@ -152,6 +158,70 @@ def test_summaries_match_numpy_bit_for_bit(delays):
     assert got == tuple(want)
     # the same bits, not just equal values: -0.0 and 0.0 would compare equal
     assert [repr(d) for d in got] == [repr(d) for d in want]
+
+
+# a few sequence numbers and times, so that stamps collide: duplicates,
+# also of completed sequences, regressions and sequences left incomplete
+STAMP = st.tuples(st.integers(0, 5), st.sampled_from(Stage), st.integers(0, 40))
+# a sample stamped in order, so that many sequences complete, out of order
+SAMPLE = st.builds(lambda seq, t0, d1, d2: [(seq, Stage.INGRESS, t0),
+                                            (seq, Stage.SOCKET_RECV, t0 + d1),
+                                            (seq, Stage.APPLIED, t0 + d1 + d2)],
+                   st.integers(0, 12), st.integers(0, 40), st.integers(0, 9),
+                   st.integers(0, 9))
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@given(stamps=st.lists(STAMP.map(lambda x: [x]) | SAMPLE, max_size=40).map(
+    lambda groups: [x for g in groups for x in g]))
+@settings(max_examples=400, deadline=None)
+def test_recorder_matches_the_dict_oracle(stamps):
+    rec, oracle = LatencyRecorder(), DictLatencyRecorder()
+    for seq, stage, t in stamps:
+        assert outcome(lambda: rec.record(seq, stage, t)) == \
+            outcome(lambda: oracle.record(seq, stage, t))
+        assert rec.complete_count() == oracle.complete_count()
+        got, want = outcome(rec.compute_stats), outcome(oracle.compute_stats)
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed", [7, 1234, 31337])
+def test_measure_latency_exports_as_the_oracle(monkeypatch, seed):
+    cfg = dataclasses.replace(load_config(CONFIGS / "reference_latency.yaml"), seed=seed)
+    got = export_stats(harness.measure_latency(cfg))
+    monkeypatch.setattr(harness, "LatencyRecorder", DictLatencyRecorder)
+    assert got == export_stats(harness.measure_latency(cfg))
+
+
+def held_per_sample(recorder_class, n=20_000):
+    """The heap a recorder of ``n`` completed in-order samples holds, per sample."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = recorder_class()
+        for i in range(n):
+            t = i * 16_666_667
+            rec.record(i, Stage.INGRESS, t)
+            rec.record(i, Stage.SOCKET_RECV, t + 3_600_000)
+            rec.record(i, Stage.APPLIED, t + 4_000_000)
+        return (tracemalloc.get_traced_memory()[0] - base) / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_completed_samples_are_packed():
+    # each completed sample keeps its three deltas and its number as eight-
+    # byte values: about 34 bytes, where the dict of stamps held 389
+    held, oracle = held_per_sample(LatencyRecorder), held_per_sample(DictLatencyRecorder)
+    assert held <= oracle / 2
+    assert held < 40
 
 
 class TestExport:

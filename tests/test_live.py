@@ -1,16 +1,21 @@
 import gc
+import select
 import socket
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from twinsync import live
 from twinsync.live import LOOPBACK_WINDOW, LiveBridge, loopback_self_test
-from twinsync.wire import (MOCAP_MAGIC, TELEMETRY_MAGIC, WIRE_VERSION, MocapPacket,
-                           TelemetryPacket, encode_mocap, encode_telemetry)
+from twinsync.twin import MERGE_HZ
+from twinsync.wire import (COMMAND_SIZE, MOCAP_MAGIC, TELEMETRY_MAGIC, TELEMETRY_MAX_SIZE,
+                           WIRE_VERSION, MocapPacket, TelemetryPacket, encode_mocap,
+                           encode_telemetry)
 
 
 def wait_until(predicate, timeout_s=2.0):
@@ -245,3 +250,144 @@ def test_run_loop_drains_queue():
     finally:
         sender.close()
         bridge.stop()
+
+
+def telemetry(dof, seq=0):
+    zeros = (0.0,) * dof
+    return encode_telemetry(TelemetryPacket(0, seq, seq * 1_000_000, zeros, zeros, zeros,
+                                            0.08, 0.0))
+
+
+def valid_mocap(seq=0):
+    return encode_mocap(MocapPacket(1, seq, seq * 1_000_000, [0.0, 0.0, 0.0],
+                                    [1.0, 0, 0, 0], 1))
+
+
+@pytest.fixture
+def bridge():
+    b = LiveBridge()
+    b.start()
+    yield b
+    b.stop()
+
+
+@pytest.fixture
+def sender():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+        yield s
+
+
+def test_longest_telemetry_is_the_wire_bound():
+    assert len(telemetry(255)) == TELEMETRY_MAX_SIZE == 6153
+
+
+@pytest.mark.parametrize("channel, bad, good", [
+    ("telemetry_addr", telemetry(255) + b"\x00", telemetry(255)),
+    ("telemetry_addr", telemetry(255) * 2, telemetry(255)),  # cut by the kernel
+    ("mocap_addr", valid_mocap() + b"\x00", valid_mocap()),
+], ids=["telemetry_one_byte_long", "telemetry_twice_as_long", "mocap_one_byte_long"])
+def test_over_long_datagram_is_malformed(bridge, sender, channel, bad, good):
+    sender.sendto(bad, getattr(bridge, channel))
+    sender.sendto(good, getattr(bridge, channel))
+    c = bridge.counters
+    assert wait_until(lambda: (bridge.merge_once(), c.malformed + c.telemetry_applied
+                               + c.mocap_applied >= 2)[1])
+    assert c.malformed == 1
+    assert c.telemetry_applied + c.mocap_applied == 1
+
+
+def test_255_joint_telemetry_is_applied(bridge, sender):
+    for seq in range(3):
+        sender.sendto(telemetry(255, seq), bridge.telemetry_addr)
+    assert wait_until(lambda: (bridge.merge_once(),
+                               bridge.counters.telemetry_applied >= 3)[1])
+    assert bridge.counters.telemetry_applied == 3
+    assert bridge.counters.malformed == 0
+
+
+def test_command_peer_bytes_are_discarded(bridge):
+    with socket.create_connection(bridge.command_addr, timeout=2.0) as peer:
+        assert wait_until(lambda: (bridge.merge_once(),
+                                   bridge._command_conn is not None)[1])
+        # many frames' worth, and a part of one
+        sent = 100 * COMMAND_SIZE + 5
+        peer.sendall(b"\x01" * sent)
+        conn = bridge._command_conn
+
+        def drained():
+            bridge.merge_once()
+            try:
+                return not conn.recv(1, socket.MSG_PEEK)
+            except BlockingIOError:  # nothing left unread
+                return True
+
+        assert wait_until(drained)
+        assert bridge._command_conn is conn
+        assert bridge.counters.command_channel_up
+
+
+def test_one_datagram_drain_allocates_a_few_kib(bridge, sender):
+    # a Panda's telemetry: 7 arm joints and 2 fingers, 249 bytes; the read
+    # has room for the longest message, not 64 KiB
+    def one_datagram():
+        sender.sendto(telemetry(9), bridge.telemetry_addr)
+        assert select.select([bridge._telemetry_sock], [], [], 2.0)[0]
+
+    one_datagram()
+    bridge.merge_once()  # warm-up: the decoder's struct format is cached
+    one_datagram()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert bridge.merge_once() == 1
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000
+
+
+class FakeClock:
+    """``time.monotonic`` and ``time.sleep`` on a clock that only sleeps
+    and drains move: each drain takes ``drain_s``."""
+
+    def __init__(self, drain_s):
+        self.now, self.drain_s = 1000.0, drain_s
+        self.sleeps, self.drains = [], []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+    def merge_once(self):
+        self.drains.append(self.now)
+        self.now += self.drain_s
+        return 0
+
+
+@pytest.mark.parametrize("duration_s", [2.0, 0.5])
+def test_run_sleeps_to_absolute_deadlines(bridge, monkeypatch, duration_s):
+    clock = FakeClock(0.005)
+    monkeypatch.setattr(live, "time", clock)
+    monkeypatch.setattr(bridge, "merge_once", clock.merge_once)
+    bridge.run(duration_s)
+    # the period is 1/60 s, not the drain time plus 1/60 s
+    assert clock.sleeps == pytest.approx([1 / MERGE_HZ - 0.005] * len(clock.sleeps),
+                                         abs=1e-9)
+    assert abs(len(clock.drains) - duration_s * MERGE_HZ) <= 1
+    assert [round((t - 1000.0) * MERGE_HZ, 6) for t in clock.drains] == \
+        list(range(len(clock.drains)))
+
+
+def test_run_skips_the_deadlines_an_overrun_missed(bridge, monkeypatch):
+    # a drain of 1.5 periods misses one deadline; the next drain waits for
+    # the one after it instead of starting at once
+    clock = FakeClock(1.5 / MERGE_HZ)
+    monkeypatch.setattr(live, "time", clock)
+    monkeypatch.setattr(bridge, "merge_once", clock.merge_once)
+    bridge.run(1.0)
+    assert [round((t - 1000.0) * MERGE_HZ, 6) for t in clock.drains] == \
+        list(range(0, MERGE_HZ + 1, 2))
+    assert min(clock.sleeps) == pytest.approx(0.5 / MERGE_HZ)

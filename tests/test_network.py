@@ -129,6 +129,16 @@ class TestDatagramLink:
         assert len(payloads) == len(set(payloads))
         assert len(payloads) + link.dropped == 500
 
+    @pytest.mark.parametrize("config", [LinkConfig(delay=DelayModel.uniform(0, 10), loss=0.3),
+                                        LinkConfig(delay=DelayModel.constant(2.0))],
+                             ids=["lossy", "lossless"])
+    def test_send_says_whether_it_queued(self, config):
+        link = DatagramLink(config, 9)
+        queued = [k for k in range(500) if link.send(k * MS, k)]
+        assert queued == [d.payload for d in sorted(link.poll(10**12),
+                                                    key=lambda d: d.payload)]
+        assert len(queued) + link.dropped == 500
+
 
 class TestStreamLink:
     def test_head_of_line_blocking(self):
