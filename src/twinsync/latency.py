@@ -84,11 +84,11 @@ class LatencyRecorder:
     A sequence's stamps are kept until its third, ``APPLIED``, completes
     it. Its three deltas then go to three ``array('d')`` and its number to
     a sorted ``array('q')``, so a further stamp for it is still a
-    duplicate: 32 bytes per completed sample, where a dict of stamps per
-    sequence held about 390. Sequence numbers must fit 64 bits, as the
-    wire's 32-bit ones and the emulator's tick indices do. A stamp for an
-    earlier stage than one already recorded is a regression, so the stamps
-    a sequence holds are in stage order and in time order."""
+    duplicate: 32 bytes per completed sample. Sequence numbers must fit
+    64 bits, as the wire's 32-bit ones and the emulator's tick indices do.
+    A stamp for an earlier stage than one already recorded is a
+    regression, so the stamps a sequence holds are in stage order and in
+    time order."""
 
     def __init__(self):
         # the stamps of each incomplete sequence, flat: stage, time, stage, time

@@ -16,16 +16,17 @@ heaviest mocap stream is 600/s (120 Hz for the station and four assets).
 Channels fail apart: a malformed datagram is counted and skipped, a socket
 fault ends only its own channel's drain, and a command-stream disconnect
 marks that channel down until a peer reconnects, leaving telemetry alone.
+It imports only the twin side (``twin`` for ``MERGE_HZ``, never ``harness``),
+so a live process loads neither numpy nor yaml.
 
 Each read asks for one byte more than the longest message its channel
 carries, as ``wire`` states it: 6,154 bytes for telemetry (255 joints), 74
 for mocap, and one 57-byte command frame at a time from the command stream.
-So a read allocates a few KiB, not 64 KiB, and a longer datagram, which the
-kernel cuts to that size, still fails its exact-length check and is counted
-malformed. ``run`` drains on absolute deadlines, ``start + k / MERGE_HZ`` on
-the monotonic clock, skipping those a slow drain missed.
-It imports only the twin side (``twin`` for ``MERGE_HZ``, never ``harness``),
-so a live process loads neither numpy nor yaml.
+CPython allocates a read's whole size before the system call, so a read
+costs a few KiB at most, and a longer datagram, which the kernel cuts to
+that size, still fails its exact-length check and is counted malformed.
+``run`` drains on absolute deadlines, ``start + k / MERGE_HZ`` on the
+monotonic clock, skipping those a slow drain missed.
 """
 
 from __future__ import annotations

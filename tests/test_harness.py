@@ -280,9 +280,8 @@ class TestOutputs:
         # a run ten times as long needs about the same heap: the trace and
         # the log go to their files as the run goes, and replay holds one
         # block of the log. Measured on example.yaml, from 0.2 s to 2 s:
-        # simulate's peak grows by 0.07 MB (the latency stamps), replay's
-        # by 0.01 MB; with the whole trace and log held in memory they
-        # grew by 1.0 and 0.15 MB
+        # simulate's peak grows by 0.03 MB, replay's by 0.01 MB; with the
+        # whole trace and log held in memory they grew by 1.0 and 0.15 MB
         def peaks_mb(duration):
             """The heap peaks of ``simulate`` and of the replay of its log."""
             cfg = dataclasses.replace(example, duration_s=duration)
