@@ -6,17 +6,20 @@ stages.
 tick it logs the records that arrived and hands exactly those to the twin
 (``twin.merge_records``), whose ``replay`` merges the same slices of the log.
 
-``simulate`` streams its trace and log: at each merge tick the CSV rows of
-the control ticks since the last one are joined, encoded and passed once
-to the trace's SHA-256 and file, and the log goes out in chunks of whole
-records (``recordlog.LogWriter``). So a run of any length holds one merge
-tick's rows and one chunk of the log, and the hashes are those of the
-files, or of the files the run would write when no path is set.
+``simulate`` streams its trace and log. Each control tick keeps its trace
+row as values (the time, then the leader's and the follower's positions);
+at each merge tick the rows since the last one are rendered as CSV text by
+one ``%`` format, encoded and passed once to the trace's SHA-256 and file.
+The log goes out in chunks of whole records (``recordlog.LogWriter``). So
+a run of any length holds one merge tick's rows and one chunk of the log,
+and the hashes are those of the files, or of the files the run would
+write when no path is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +91,12 @@ def leader_profile(config: ScenarioConfig, model: RobotModel) -> LeaderConfig:
 def _mocap_schedule(config: ScenarioConfig, u):
     """Generator of tracker packets on the mocap clock: ground truth plus
     normal noise per axis, drawn from the double source ``u``."""
+    sigma = config.tracker_noise_sigma
+
     def noisy(position):
-        return tuple(x + normal(u, 0.0, config.tracker_noise_sigma) for x in position)
+        x, y, z = position
+        return (x + normal(u, 0.0, sigma), y + normal(u, 0.0, sigma),
+                z + normal(u, 0.0, sigma))
 
     period = 1_000_000_000 // config.mocap_rate_hz
     station_q = station_pose(config).rotation
@@ -105,6 +112,16 @@ def _mocap_schedule(config: ScenarioConfig, u):
             else:
                 yield t_ns, MocapPacket(a.object_id, m, t_ns,
                                         noisy(a.true_position(t)), IDENTITY_QUAT, 1)
+
+
+def trace_rows(values, dof: int) -> str:
+    """The trace CSV rows of ``values``, which hold for each control tick
+    its time in ns, then the leader's and the follower's ``dof`` joint
+    positions. One ``%`` format renders every row; ``%r`` is ``repr``, so
+    the text is that of ``f"{t_ns},"`` and the positions' ``repr``s joined
+    by commas, row by row."""
+    row = "%d," + ",".join(["%r"] * dof) + "," + ",".join(["%r"] * dof) + "\n"
+    return row * (len(values) // (1 + 2 * dof)) % tuple(values)
 
 
 def simulate(config: ScenarioConfig) -> SimResult:
@@ -142,20 +159,28 @@ def simulate(config: ScenarioConfig) -> SimResult:
     mocap_src = _mocap_schedule(config, noise_u)
     next_mocap = next(mocap_src, None)
     merge_k = 1
-    # the trace rows of the control ticks since the last merge tick
-    rows = ["time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
-            + ",".join(f"follower_q{i}" for i in range(dof)) + "\n"]
+    merge_ns = merge_tick_time(merge_k)  # the time of merge tick merge_k
+    # the trace values of the control ticks since the last flush
+    trace_values = []
+    trace_head = ("time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
+                  + ",".join(f"follower_q{i}" for i in range(dof)) + "\n")
+
+    def flush_trace() -> None:
+        # the header goes out with the first flush
+        nonlocal trace_head
+        trace.write((trace_head + trace_rows(trace_values, dof)).encode())
+        trace_head = ""
+        trace_values.clear()
 
     def run_merge_tick(mk_ns: int) -> None:
-        trace.write("".join(rows).encode())
-        rows.clear()
+        flush_trace()
         # log order is by time, then channel; the sort is stable, so each
         # link's records keep the delivery order it polled them in
         due = sorted([LogRecord(d.time_ns, CHANNEL_TELEMETRY, d.payload)
                       for d in telemetry_link.poll(mk_ns)]
                      + [LogRecord(d.time_ns, CHANNEL_MOCAP, d.payload)
                         for d in mocap_link.poll(mk_ns)],
-                     key=lambda r: (r.time_ns, r.channel))
+                     key=itemgetter(0, 1))  # (time_ns, channel)
         for rec in due:
             writer.append(rec)
         telemetry, commands, _ = merge_records(engine, mk_ns, due)
@@ -205,8 +230,9 @@ def simulate(config: ScenarioConfig) -> SimResult:
             tau_ext = ext_tau if t_ns < ext_expiry else no_torque
 
             tau, follower = pd_step(latest_leader, follower, kp, kd, tau_ext)
-            rows.append(f"{t_ns}," + ",".join(map(repr, latest_leader.positions))
-                        + "," + ",".join(map(repr, follower.q)) + "\n")
+            trace_values.append(t_ns)
+            trace_values += latest_leader.positions
+            trace_values += follower.q
 
             # the packet is built only for the samples the throttle emits
             sample = (k, t_ns, follower.q, follower.dq, tau,
@@ -219,16 +245,17 @@ def simulate(config: ScenarioConfig) -> SimResult:
                     recorder.record(s[0], Stage.INGRESS, tick_time)
 
             # twin merge ticks due by now
-            while merge_k <= merge_ticks and merge_tick_time(merge_k) <= t_ns:
-                run_merge_tick(merge_tick_time(merge_k))
+            while merge_ns <= t_ns and merge_k <= merge_ticks:
+                run_merge_tick(merge_ns)
                 merge_k += 1
+                merge_ns = merge_tick_time(merge_k)
 
         # ticks falling at or after the last control tick
         while merge_k <= merge_ticks:
             run_merge_tick(merge_tick_time(merge_k))
             merge_k += 1
 
-        trace.write("".join(rows).encode())
+        flush_trace()
         end_ns = merge_tick_time(merge_ticks)
         writer.append(LogRecord(max(end_ns, writer.last_time), CHANNEL_HEARTBEAT, b""))
 

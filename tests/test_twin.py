@@ -136,7 +136,8 @@ def test_link_poses_are_full_fk_at_the_final_inputs(ticks):
 def test_one_path_walk_per_merge_tick_and_one_full_walk_per_state_hash(tmp_path,
                                                                       monkeypatch):
     cfg = dataclasses.replace(load_config(CONFIGS / "multi_asset.yaml"),
-                              log_path=str(tmp_path / "run.dtrl"))
+                              log_path=str(tmp_path / "run.dtrl"), trace_path=None,
+                              stats_path=None)
     simulate(cfg)
     walks = []
     frames = Chain.frames
@@ -156,7 +157,8 @@ def test_one_path_walk_per_merge_tick_and_one_full_walk_per_state_hash(tmp_path,
 def test_each_filter_builds_one_pose_per_merge_tick_plus_one_per_relocation(tmp_path,
                                                                             monkeypatch):
     cfg = dataclasses.replace(load_config(CONFIGS / "multi_asset.yaml"),
-                              log_path=str(tmp_path / "run.dtrl"))
+                              log_path=str(tmp_path / "run.dtrl"), trace_path=None,
+                              stats_path=None)
     simulate(cfg)
     built = Counter()  # (filter, "mean" or "twist") -> calls in this tick
 
