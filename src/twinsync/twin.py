@@ -239,8 +239,9 @@ def load_model(config: ScenarioConfig) -> RobotModel:
     if config.robot_path is None:
         raise ValueError("scenario requires a robot description path")
     text = Path(config.robot_path).read_text()
-    if _last_model is not None and _last_model[0] == text:
-        model = _last_model[1]
+    last = _last_model
+    if last is not None and last[0] == text:
+        model = last[1]
     else:
         model = parse_urdf(text)
         _last_model = text, model
