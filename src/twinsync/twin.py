@@ -222,29 +222,10 @@ def merge_records(engine: TwinEngine, tick_ns: int, records,
     return telemetry, engine.merge_tick(tick_ns, telemetry, mocap), skipped
 
 
-# the last robot description parsed, as (URDF text, model)
-_last_model: tuple[str, RobotModel] | None = None
-
-
 def load_model(config: ScenarioConfig) -> RobotModel:
-    """The robot model of ``config.robot_path``, checked against ``ee_link``.
-
-    The file is read on every call. When its text equals the text of the
-    last successful parse in this process, that parse's model is returned
-    again: a ``RobotModel`` is frozen, and its ``Chain`` changes only a
-    cache of link paths that depends on nothing but the model. Any other
-    text is parsed afresh; a text that fails to parse is never kept.
-    """
-    global _last_model
     if config.robot_path is None:
         raise ValueError("scenario requires a robot description path")
-    text = Path(config.robot_path).read_text()
-    last = _last_model
-    if last is not None and last[0] == text:
-        model = last[1]
-    else:
-        model = parse_urdf(text)
-        _last_model = text, model
+    model = parse_urdf(Path(config.robot_path).read_text())
     if config.ee_link not in (None, *model.links):
         raise ConfigError(f"ee_link {config.ee_link!r} names no link of {model.name!r}")
     return model

@@ -690,60 +690,6 @@ def test_a_robot_without_movable_joints_traces_only_the_time(tmp_path):
     assert res.trace_hash == hashlib.sha256(text.encode()).hexdigest()
 
 
-class TestModelReuse:
-    @pytest.fixture
-    def parses(self, monkeypatch):
-        """The texts ``load_model`` hands to ``parse_urdf``, starting from
-        an empty cache."""
-        texts = []
-
-        def counted(text):
-            texts.append(text)
-            return parse_urdf(text)
-
-        monkeypatch.setattr(twin, "_last_model", None)
-        monkeypatch.setattr(twin, "parse_urdf", counted)
-        return texts
-
-    def test_the_same_text_gives_the_same_model_and_the_pins(self, parses, tmp_path):
-        names = ["example", "contact"]
-        configs = [load_config(CONFIGS / f"{name}.yaml") for name in names]
-        # the same text at another path is the same description
-        copy = tmp_path / "panda.urdf"
-        copy.write_text(Path(configs[0].robot_path).read_text())
-        models = [twin.load_model(c) for c in
-                  (*configs, dataclasses.replace(configs[0], robot_path=str(copy)))]
-        assert models[1] is models[0] and models[2] is models[0]
-        for name, cfg in zip(names * 2, configs * 2):
-            res = simulate(dataclasses.replace(cfg, log_path=None, trace_path=None,
-                                               stats_path=None))
-            assert (res.state_hash, res.trace_hash, res.log_hash) == GOLDEN[name]
-        assert len(parses) == 1
-
-    def test_an_edited_description_takes_effect(self, parses, robot_file):
-        cfg = scenario(robot_file)
-        before = simulate(cfg)
-        path = Path(robot_file)
-        path.write_text(path.read_text().replace("<origin xyz='0.5 0 0'/>",
-                                                 "<origin xyz='0.7 0 0'/>", 1))
-        after = simulate(cfg)
-        assert after.state_hash != before.state_hash
-        twin._last_model = None
-        assert simulate(cfg).state_hash == after.state_hash
-        assert len(parses) == 3
-
-    def test_a_malformed_description_raises_on_every_call(self, parses, robot_file):
-        cfg = scenario(robot_file)
-        good = twin.load_model(cfg)
-        Path(robot_file).write_text(PLANAR.replace("</robot>", ""))
-        for _ in range(2):
-            with pytest.raises(robot.UrdfError, match="malformed XML"):
-                twin.load_model(cfg)
-        Path(robot_file).write_text(PLANAR)
-        assert twin.load_model(cfg) is good
-        assert len(parses) == 3
-
-
 def test_reordering_mocap_link(tmp_path, monkeypatch):
     # a uniform 0-20 ms delay on 120 Hz frames delivers some out of order
     cfg = with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path)
