@@ -5,6 +5,10 @@ stages.
 ``simulate`` runs it on a simulated nanosecond clock; at each 60 Hz merge
 tick it logs the records that arrived and hands exactly those to the twin
 (``twin.merge_records``), whose ``replay`` merges the same slices of the log.
+The follower's telemetry goes out on the same schedule: at merge tick time
+T, before the tick runs, it sends the sample of control tick T // 1 ms.
+Tick 0, at t = 0, sends seq 0 and runs nothing; a tick after the last
+control tick sends nothing.
 
 ``simulate`` streams its trace and log. Each control tick keeps its trace
 row as values (the time, then the leader's and the follower's positions);
@@ -27,7 +31,7 @@ import numpy as np
 from . import twin
 from .geometry import IDENTITY_QUAT, ZERO3, dot
 from .latency import LatencyRecorder, LatencyStats, Stage, export_stats
-from .network import DatagramLink, StreamLink, Throttle, delay_ns, doubles, normal
+from .network import DatagramLink, StreamLink, delay_ns, doubles, normal
 from .recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                         CHANNEL_TELEMETRY, HashedFile, LogRecord, LogWriter)
 from .robot import RobotModel, jacobian
@@ -142,7 +146,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
     teleop_link = DatagramLink(config.teleop_link, seeds[3])
 
     engine = TwinEngine(model, config)
-    throttle = Throttle()
     recorder = LatencyRecorder()
 
     leader0 = leader_trajectory(0.0, leader)
@@ -158,8 +161,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
     merge_ticks = int(round(config.duration_s * MERGE_HZ))
     mocap_src = _mocap_schedule(config, noise_u)
     next_mocap = next(mocap_src, None)
-    merge_k = 1
-    merge_ns = merge_tick_time(merge_k)  # the time of merge tick merge_k
+    merge_k = merge_ns = 0  # the next merge tick and its time
     # the trace values of the control ticks since the last flush
     trace_values = []
     trace_head = ("time_ns," + ",".join(f"leader_q{i}" for i in range(dof)) + ","
@@ -234,24 +236,28 @@ def simulate(config: ScenarioConfig) -> SimResult:
             trace_values += latest_leader.positions
             trace_values += follower.q
 
-            # the packet is built only for the samples the throttle emits
+            # the packet is built only for the samples a merge tick sends
             sample = (k, t_ns, follower.q, follower.dq, tau,
                       latest_leader.gripper_width, latest_leader.gripper_velocity)
-            for tick_time, s in throttle.offer(t_ns, sample):
+            # merge ticks due by now: each first sends the sample of control
+            # tick floor(T / 1 ms), this tick's when T is its time, else the
+            # previous one's; tick 0 only sends
+            while merge_ns <= t_ns and merge_k <= merge_ticks:
+                s = sample if merge_ns == t_ns else last_sample
                 pkt = TelemetryPacket(config.robot_id, *s)
                 # a lost packet is never stamped, so it leaves the recorder
                 # nothing it would hold for the rest of the run
-                if telemetry_link.send(tick_time, encode_telemetry(pkt)):
-                    recorder.record(s[0], Stage.INGRESS, tick_time)
-
-            # twin merge ticks due by now
-            while merge_ns <= t_ns and merge_k <= merge_ticks:
-                run_merge_tick(merge_ns)
+                if telemetry_link.send(merge_ns, encode_telemetry(pkt)):
+                    recorder.record(s[0], Stage.INGRESS, merge_ns)
+                if merge_k:
+                    run_merge_tick(merge_ns)
                 merge_k += 1
                 merge_ns = merge_tick_time(merge_k)
+            last_sample = sample
 
-        # ticks falling at or after the last control tick
-        while merge_k <= merge_ticks:
+        # ticks after the last control tick send nothing; a
+        # run with no control tick runs no tick either
+        while 0 < merge_k <= merge_ticks:
             run_merge_tick(merge_tick_time(merge_k))
             merge_k += 1
 

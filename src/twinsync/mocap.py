@@ -121,7 +121,6 @@ class MocapFilter:
         self._time_ns: int | None = None
         self._output: FilteredPose | None = None  # once built
         self._warmed_up = False
-        self.relocations = 0
         self.stale = 0
 
     @property
@@ -181,7 +180,6 @@ class MocapFilter:
             self._dropped.clear()
             window.clear()
             window.append(mean)
-            self.relocations += 1
             # built now, as the window [mean] would average a -0.0 to +0.0
             self._pose = (mean, twist(raw.quaternion, self._up))
             status = RELOCATED

@@ -1,10 +1,11 @@
-"""Keep-latest throttling and deterministic emulated network links.
+"""Deterministic emulated network links.
 
 Links are driven by an external discrete-event clock in nanoseconds:
 ``send(t, payload)`` schedules deliveries, ``poll(now)`` drains everything
 due. All randomness comes from the seed each link is built with, through
 ``doubles``. A link's schema, ``LinkConfig`` and its ``DelayModel``, is
-declared in ``scenario``.
+declared in ``scenario``. A link carries whatever it is sent: ``simulate``
+sends telemetry at its own merge ticks, so nothing here downsamples.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .scenario import DelayModel, LinkConfig
-from .twin import merge_tick_time
 
 NS_PER_MS = 1_000_000
 
@@ -56,46 +56,6 @@ def delay_ms(delay: DelayModel, u) -> float:
 def delay_ns(delay: DelayModel, u) -> int:
     """``delay_ms``'s draw, rounded to whole nanoseconds."""
     return int(round(delay_ms(delay, u) * NS_PER_MS))
-
-
-class Throttle:
-    """Downsample a timestamped stream to ``merge_tick_time``'s ticks by keep-latest.
-
-    ``offer`` returns the (tick_time, sample) emissions due up to the
-    sample's timestamp. A tick with no new sample since the previous
-    emission emits nothing.
-    """
-
-    def __init__(self):
-        self._tick = 0
-        self._next_ns = 0
-        self._last_time = None
-        self._latest = None
-        self._fresh = False  # a sample was offered since the last emission
-
-    def _drain(self, until_ns: int, out: list):
-        while self._next_ns <= until_ns:
-            if self._fresh:
-                out.append((self._next_ns, self._latest))
-                self._fresh = False
-            self._tick += 1
-            self._next_ns = merge_tick_time(self._tick)
-
-    def offer(self, time_ns: int, sample) -> list:
-        if self._last_time is not None and time_ns < self._last_time:
-            raise ValueError("non-monotone input timestamps")
-        self._last_time = time_ns
-        if time_ns < self._next_ns:  # no tick is due
-            self._latest = sample
-            self._fresh = True
-            return []
-        out: list = []
-        # ticks strictly before this sample see only earlier samples
-        self._drain(time_ns - 1, out)
-        self._latest = sample
-        self._fresh = True
-        self._drain(time_ns, out)
-        return out
 
 
 class Delivery(NamedTuple):

@@ -67,8 +67,8 @@ class TwinEngine:
     with its zone id in ``active_repulsions``), and exposes a
     deterministic state hash. Pure function of the inbound packet
     sequence, which is what makes log replay exact. A tick walks the
-    chain along the end-effector's path only; ``link_poses`` runs the full
-    forward kinematics each time it is read.
+    chain along the end-effector's path only; ``state_hash`` runs the full
+    forward kinematics on each call.
     """
 
     def __init__(self, model: RobotModel, config: ScenarioConfig):
@@ -167,12 +167,6 @@ class TwinEngine:
         for i, tracker, pose in self._attached:
             self.to_zone[i] = tracker.pose.compose(pose).inverse()
 
-    @property
-    def link_poses(self) -> dict[str, Pose]:
-        """Every link's pose at the current joint positions and base pose:
-        one full forward-kinematics walk per read."""
-        return forward_kinematics(self.model, self.positions, self.base_pose)
-
     def state_hash(self) -> str:
         h = hashlib.sha256()
         h.update(struct.pack("<qq", self.tick, self.applied_seq))
@@ -180,7 +174,8 @@ class TwinEngine:
         def pose(p: Pose) -> bytes:
             return struct.pack("<3d4d", *p.translation, *p.rotation)
 
-        link_poses = self.link_poses
+        # every link's pose: the one full forward-kinematics walk
+        link_poses = forward_kinematics(self.model, self.positions, self.base_pose)
         for name in sorted(link_poses):
             h.update(name.encode())
             h.update(pose(link_poses[name]))

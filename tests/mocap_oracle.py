@@ -2,13 +2,26 @@
 builds its ``FilteredPose`` and ``process`` returns it, gating each frame
 with ``velocity_gate``. Kept as the reference that the state-keeping
 ``MocapFilter`` must match bit for bit, and ``output``, which feeds a frame
-to either and returns its pose."""
+to either and returns its pose; ``counting_relocations`` counts a filter's
+relocations from the statuses ``process`` returns."""
 
 from collections import deque
 
 from twinsync.geometry import twist, unit
 from twinsync.mocap import (QUALITY_LOST, FilterConfig, FilteredPose, PoseStatus,
                             _distance, _mean)
+
+
+def counting_relocations(process, counts):
+    """``process`` (``MocapFilter.process``) that also adds each relocation
+    to ``counts[filter]``: a RELOCATED status for a frame it did not drop as
+    stale, since a stale frame returns the status it leaves unchanged."""
+    def spy(filt, raw):
+        stale = filt.stale
+        status = process(filt, raw)
+        counts[filt] += status is PoseStatus.RELOCATED and filt.stale == stale
+        return status
+    return spy
 
 
 def velocity_gate(prev_accepted, candidate, dt: float, vmax: float) -> bool:

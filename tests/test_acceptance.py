@@ -6,7 +6,9 @@ kinematics, sorted-order quantiles, brute-force automata) and never call
 the code paths they judge.
 """
 
+import dataclasses
 import itertools
+import struct
 import time
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -21,7 +23,6 @@ from twinsync.grasp import (AssetTracker, FallbackState, GraspConfig,
 from twinsync.harness import measure_latency, simulate
 from twinsync.latency import LatencyRecorder, Stage
 from twinsync.mocap import FilteredPose, FilterConfig, MocapFilter, PoseStatus
-from twinsync.network import Throttle
 from twinsync.robot import forward_kinematics, parse_urdf
 from twinsync.scenario import (DelayModel, LeaderConfig, LinkConfig, ScenarioConfig,
                                load_config)
@@ -81,21 +82,40 @@ def test_01_latency_replication():
         assert time.perf_counter() - t0 < 10.0
 
 
-def test_02_throttle():
+def telemetry_records(log_path):
+    """(record time, seq, sample time) of each telemetry record of a log,
+    read with ``struct`` from the layout: a 22-byte header, then records of
+    time u64, channel u16 and payload length u32; a telemetry payload
+    begins magic u16, version u8, robot id u8, seq u32, time u64."""
+    data = Path(log_path).read_bytes()
+    out, off = [], 22
+    while off < len(data):
+        time_ns, channel, size = struct.unpack_from("<QHI", data, off)
+        off += 14
+        if channel == 1:
+            seq, sample_ns = struct.unpack_from("<4xIQ", data, off)
+            out.append((time_ns, seq, sample_ns))
+        off += size
+    return out
+
+
+def test_02_throttle(tmp_path):
     with criterion(2, "telemetry throttle"):
-        th = Throttle()
-        samples = {}
-        emissions = []
-        for k in range(10_000):  # 1000 Hz for 10 simulated seconds
-            t_ns = k * 1_000_000
-            samples[k] = t_ns
-            emissions += th.offer(t_ns, k)
-        th._drain(10_000_000_000, emissions)  # the ticks left, with no new input
-        assert 599 <= len(emissions) <= 601
-        for tick_time, k in emissions:
-            # the emitted sample is the most recent input at its tick
-            assert samples[k] <= tick_time
-            assert tick_time - samples[k] <= 1_000_000
+        # 10 simulated seconds of the 1 kHz follower, its telemetry sent at
+        # the 60 Hz merge ticks over a lossless link with no delay, so each
+        # record's time is its send time
+        cfg = dataclasses.replace(load_config(CONFIGS / "example.yaml"), duration_s=10.0,
+                                  telemetry_link=LinkConfig(delay=DelayModel.constant(0.0)),
+                                  log_path=str(tmp_path / "run.dtrl"), trace_path=None,
+                                  stats_path=None)
+        simulate(cfg)
+        packets = telemetry_records(cfg.log_path)
+        assert 599 <= len(packets) <= 601
+        for record_ns, seq, sample_ns in packets:
+            assert sample_ns == seq * 1_000_000
+            # the sent sample is the most recent control tick at its send
+            assert sample_ns <= record_ns
+            assert record_ns - sample_ns <= 1_000_000
 
 
 def test_03_fk_oracle():

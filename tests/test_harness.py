@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -9,6 +10,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,12 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from latency_oracle import DictLatencyRecorder
+from mocap_oracle import counting_relocations
 from twinsync import harness, recordlog, robot, twin
 from twinsync.grasp import AssetSource, GraspPhase
 from twinsync.harness import measure_latency, simulate
 from twinsync.latency import LatencyRecorder, export_stats
+from twinsync.mocap import MocapFilter
 from twinsync.recordlog import (CHANNEL_COMMAND, CHANNEL_HEARTBEAT, CHANNEL_MOCAP,
                                 CHANNEL_TELEMETRY, LogRecord, LogWriter, read_log)
 from twinsync.robot import parse_urdf
@@ -118,7 +122,7 @@ class TestSimulate:
         cfg = scenario(robot_file, duration_s=1.0,
                        telemetry_link=LinkConfig(delay=DelayModel.constant(1.0)))
         res = simulate(cfg)
-        # throttled to the merge rate; the constant delay keeps every send
+        # one send per merge tick; the constant delay keeps every send
         # deliverable before the final merge tick
         assert res.telemetry_sent <= 61
         assert res.telemetry_delivered == res.telemetry_sent
@@ -162,6 +166,36 @@ class TestSimulate:
         res = simulate(cfg)
         # the tip starts inside the zone: one command per merge tick
         assert res.commands_sent >= 1
+
+
+EXAMPLE = load_config(CONFIGS / "example.yaml")
+
+
+@given(duration_us=st.integers(0, 200_000), seed=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=100, deadline=None)
+@example(duration_us=0, seed=0)  # no control tick
+@example(duration_us=3_000, seed=0)  # seq 0 sent, no merge tick run to log it
+@example(duration_us=18_000, seed=0)  # tick 1 at 16.67 ms, between control ticks
+@example(duration_us=50_600, seed=0)  # tick 3 at 50 ms, on the last control tick
+def test_telemetry_goes_out_at_the_merge_ticks(duration_us, seed, tmp_path_factory):
+    # over a lossless link with no delay, every merge tick j at or before
+    # the last control tick, tick 0 included, sends one packet at its time
+    # T_j, carrying the sample of control tick T_j // 1 ms; the packets are
+    # logged by the merge ticks that run, so not in a run shorter than tick 1
+    log = tmp_path_factory.getbasetemp() / "schedule.dtrl"
+    cfg = dataclasses.replace(EXAMPLE, seed=seed, duration_s=duration_us / 1e6,
+                              telemetry_link=LinkConfig(), log_path=str(log),
+                              trace_path=None, stats_path=None)
+    res = simulate(cfg)
+    last_ns = (res.control_ticks - 1) * 1_000_000
+    ticks = list(itertools.takewhile(lambda t: t <= last_ns,
+                                     map(merge_tick_time, itertools.count())))
+    sent = [(r.time_ns, *struct.unpack_from("<4xIQ", r.payload))
+            for r in logged(log) if r.channel == CHANNEL_TELEMETRY]
+    assert res.telemetry_sent == len(ticks)
+    if res.merge_ticks == 0:
+        ticks = []
+    assert sent == [(t, t // 1_000_000, t // 1_000_000 * 1_000_000) for t in ticks]
 
 
 class TestReplay:
@@ -517,28 +551,30 @@ def test_pinned_logs_replay_on_every_python(tmp_path):
 def test_multi_asset_reaches_grasp_and_relocation(tmp_path, monkeypatch):
     # the multi_asset pin covers grasp attachment, the physics fallback, a
     # relocation and an attached zone; check the scenario still gets there
-    phases, sources, relocations = set(), set(), []
+    phases, sources, asset_filters, relocated = set(), set(), set(), Counter()
     merge_tick = TwinEngine.merge_tick
 
     def spy(self, *args):
         out = merge_tick(self, *args)
         phases.add(self.gripper.phase)
         sources.update(t.source for t in self.asset_trackers.values())
-        relocations.append(sum(f.relocations for f in self.asset_filters.values()))
+        asset_filters.update(self.asset_filters.values())
         return out
 
     monkeypatch.setattr(TwinEngine, "merge_tick", spy)
+    monkeypatch.setattr(MocapFilter, "process",
+                        counting_relocations(MocapFilter.process, relocated))
     cfg = with_outputs(load_config(CONFIGS / "multi_asset.yaml"), tmp_path)
     assert any(z.attached_asset == "tray" for z in cfg.zones)
     simulate(cfg)
     assert GraspPhase.GRASPED in phases
     assert {AssetSource.GRIPPER_ATTACHED, AssetSource.PHYSICS_FALLBACK} <= sources
-    assert relocations[-1] >= 1
+    assert sum(relocated[f] for f in asset_filters) >= 1
 
 
 def test_no_per_tick_packet_objects(tmp_path, monkeypatch):
-    # the control loop builds a telemetry packet only for the samples the
-    # throttle emits, and applies no joint state: only the merge tick does,
+    # the control loop builds a telemetry packet only for the samples its
+    # merge ticks send, and applies no joint state: only the merge tick does,
     # once per telemetry packet it applies
     built = {"telemetry": 0, "applied": 0, "advanced": 0}
 

@@ -416,6 +416,13 @@ def test_twin_side_imports_neither_numpy_nor_yaml():
     assert emulator & loaded == set()
 
 
+def test_the_links_load_no_twin_side_module():
+    # the emulated links only carry what they are sent: the merge schedule
+    # that downsamples telemetry is simulate's own
+    loaded = loaded_by(["twinsync.network"])
+    assert {"twinsync.twin", "twinsync.robot", "twinsync.recordlog"} & loaded == set()
+
+
 def test_latency_imports_no_numpy():
     # the emulator's latency summaries are plain Python, numpy's bits kept
     assert "numpy" not in loaded_by(["twinsync.latency"])

@@ -24,7 +24,7 @@ from twinsync import mocap
 from twinsync.geometry import (IDENTITY_QUAT, ZERO3, Pose, _rotate, dot, floats, norm,
                                quat_conjugate, quat_from_axis_angle, quat_multiply, twist,
                                unit, unit_quat)
-from twinsync.mocap import FilterConfig, MocapFilter
+from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus
 from twinsync.network import delay_ms, doubles, normal
 from twinsync.scenario import DelayModel, LeaderConfig, _linspace
 from twinsync.teleop import (FollowerState, LeaderSample, leader_samples, leader_trajectory,
@@ -374,7 +374,8 @@ def test_filter_matches_np_mean(window, stable_count, start, steps, quat):
 
     def run():
         f = MocapFilter(cfg)
-        return [output(f, p) for p in packets], f.relocations
+        outs = [output(f, p) for p in packets]
+        return outs, sum(o is not None and o.status is PoseStatus.RELOCATED for o in outs)
 
     got, relocations = run()
     with mock.patch.object(mocap, "_mean", oracle.filter_mean):

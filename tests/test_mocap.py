@@ -1,11 +1,12 @@
 import itertools
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mocap_oracle import EagerMocapFilter, output
+from mocap_oracle import EagerMocapFilter, counting_relocations, output
 from numpy_oracle import quat_to_matrix
 from twinsync.geometry import quat_from_axis_angle, quat_multiply
 from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus
@@ -160,17 +161,17 @@ class TestPipeline:
     def test_single_outlier_ages_out(self):
         f = MocapFilter(self.cfg())
         feed(f, [[0.0, 0, 0]] * 6)
-        f.process(packet(60_000_000, [5.0, 0, 0]))  # gated
+        assert f.process(packet(60_000_000, [5.0, 0, 0])) is PoseStatus.HOLDING  # gated
         outs = feed(f, [[0.0, 0, 0]] * 5, t0=70_000_000)
-        assert f.relocations == 0
+        assert PoseStatus.RELOCATED not in [o.status for o in outs]
         assert outs[-1].status is PoseStatus.STABLE
 
     def test_alternating_never_relocates(self):
         f = MocapFilter(self.cfg())
         feed(f, [[0.0, 0, 0]] * 6)
         pts = [[3.0, 0, 0], [6.0, 0, 0]] * 6
-        feed(f, pts, t0=60_000_000)
-        assert f.relocations == 0
+        outs = feed(f, pts, t0=60_000_000)
+        assert PoseStatus.RELOCATED not in [o.status for o in outs]
 
     def test_time_regression_rejected(self):
         # an older frame, as a reordering link delivers it, is dropped and
@@ -179,7 +180,7 @@ class TestPipeline:
         before = output(f, packet(100, [0, 0, 0]))
         assert f.process(packet(50, [1.0, 0, 0])) is before.status
         assert f.last_output is before
-        assert f.stale == 1 and f.relocations == 0
+        assert f.stale == 1
         out = output(f, packet(10_000_100, [0, 0, 0]))
         assert out.time_ns == 10_000_100 and f.stale == 1
 
@@ -243,9 +244,7 @@ def test_relocation_matches_oracle_exhaustively():
             oracle = OracleRelocator(vmax=0.5, dt=dt_ns / 1e9, k=k, tol=0.01)
             events = []
             for i, p in enumerate(seq):
-                before = f.relocations
-                f.process(packet(i * dt_ns, p))
-                if f.relocations > before:
+                if f.process(packet(i * dt_ns, p)) is PoseStatus.RELOCATED:
                     events.append(i)
                 oracle.step(i, p)
             assert events == oracle.events, (length, seq)
@@ -291,6 +290,8 @@ SPOT = st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)] * 3)
 def test_state_keeping_filter_matches_the_eager_one(window, stable_count, spot, frames):
     cfg = FilterConfig(window=window, vmax=0.5, stable_count=stable_count, stable_tol=0.01)
     ref, filt, sparse = EagerMocapFilter(cfg), MocapFilter(cfg), MocapFilter(cfg)
+    relocations = Counter()
+    process = counting_relocations(MocapFilter.process, relocations)
     t_ns = 0
     for i, (kind, offset, quat, read) in enumerate(frames):
         if kind == "jump":
@@ -304,11 +305,11 @@ def test_state_keeping_filter_matches_the_eager_one(window, stable_count, spot, 
         pos = spot if kind == "rest" else tuple(x + d for x, d in zip(spot, offset))
         pkt = MocapPacket(1, i, time_ns, pos, QUATS[quat], 0 if kind == "lost" else 1)
         want = ref.process(pkt)
-        status = (filt.process(pkt), sparse.process(pkt))
+        status = (process(filt, pkt), process(sparse, pkt))
         assert status == ((None if want is None else want.status),) * 2
         assert packed(filt.last_output) == packed(want)
         if read:
             assert packed(sparse.last_output) == packed(want)
         for f in (filt, sparse):
-            assert (f.stale, f.relocations) == (ref.stale, ref.relocations)
+            assert (f.stale, relocations[f]) == (ref.stale, ref.relocations)
     assert packed(sparse.last_output) == packed(ref.last_output)

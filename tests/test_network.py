@@ -1,99 +1,15 @@
 import dataclasses
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import numpy_oracle as oracle
 
-from twinsync.network import DatagramLink, StreamLink, Throttle, delay_ms, doubles
+from twinsync.network import DatagramLink, StreamLink, delay_ms, doubles
 from twinsync.scenario import DelayModel, LinkConfig
 
 MS = 1_000_000
-
-
-def flush(throttle, until_ns):
-    """The emissions of ``throttle``'s ticks up to ``until_ns``, with no new
-    input."""
-    out = []
-    throttle._drain(until_ns, out)
-    return out
-
-
-class TestThrottle:
-    def test_1khz_for_one_second(self):
-        th = Throttle()
-        emissions = []
-        for k in range(1000):
-            emissions += th.offer(k * MS, k)
-        assert 59 <= len(emissions) <= 61
-        # each emission is the most recent sample at its tick
-        for tick_time, sample in emissions:
-            assert sample * MS <= tick_time < (sample + 1) * MS
-
-    def test_10hz_no_duplication(self):
-        th = Throttle()
-        emissions = []
-        for k in range(10):
-            emissions += th.offer(k * 100 * MS, k)
-        emissions += flush(th, 1_000 * MS)
-        assert len(emissions) == 10
-        assert [s for _, s in emissions] == list(range(10))
-
-    def test_single_sample(self):
-        th = Throttle()
-        out = th.offer(0, "x")
-        out += flush(th, 10**9)
-        assert len(out) == 1 and out[0][1] == "x"
-
-    def test_non_monotone_rejected(self):
-        th = Throttle()
-        th.offer(100, 1)
-        with pytest.raises(ValueError):
-            th.offer(99, 2)
-
-    @given(gaps=st.lists(st.integers(0, 40 * MS) | st.sampled_from([0, 1, MS]),
-                         max_size=200),
-           start=st.integers(0, 10**9), until=st.integers(0, 10**8))
-    def test_offer_matches_the_two_drain_form(self, gaps, start, until):
-        # ``offer`` returns at once while no tick is due; the old form
-        # drained before and after storing every sample
-        class TwoDrain(Throttle):
-            def offer(self, time_ns, sample):
-                if self._last_time is not None and time_ns < self._last_time:
-                    raise ValueError("non-monotone input timestamps")
-                self._last_time = time_ns
-                out = []
-                self._drain(time_ns - 1, out)
-                self._latest = sample
-                self._fresh = True
-                self._drain(time_ns, out)
-                return out
-
-        th, ref = Throttle(), TwoDrain()
-        times = list(itertools.accumulate(gaps, initial=start))
-        for i, t in enumerate(times):
-            assert th.offer(t, i) == ref.offer(t, i)
-            assert vars(th) == vars(ref)
-        assert flush(th, times[-1] + until) == flush(ref, times[-1] + until)
-        with pytest.raises(ValueError):
-            th.offer(times[-1] - 1, None)
-
-    def test_rate_bound_any_window(self):
-        # random arrivals, rate over any 1 s window stays <= 60
-        rng = np.random.default_rng(3)
-        times = np.cumsum(rng.integers(1, 5 * MS, 5000))
-        th = Throttle()
-        emitted = []
-        offered = set()
-        for i, t in enumerate(times):
-            offered.add(i)
-            emitted += th.offer(int(t), i)
-        for j, (t0, _) in enumerate(emitted):
-            in_window = [e for e in emitted[j:] if e[0] < t0 + 10**9]
-            assert len(in_window) <= 60
-        assert all(s in offered for _, s in emitted)
 
 
 class TestDatagramLink:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mocap_oracle import EagerMocapFilter
+from mocap_oracle import EagerMocapFilter, counting_relocations
 from twinsync import mocap
 from twinsync.geometry import Pose, quat_from_axis_angle
 from twinsync.harness import simulate
@@ -128,7 +128,7 @@ def test_link_poses_are_full_fk_at_the_final_inputs(ticks):
             applied_seq = latest.seq
             positions = apply_joint_state(PANDA, latest.positions)[0]
     want = forward_kinematics(PANDA, positions, per_packet_base(CONFIG, frames))
-    got = engine.link_poses
+    got = forward_kinematics(PANDA, engine.positions, engine.base_pose)
     assert list(got) == list(want)
     assert [pose_bytes(p) for p in got.values()] == [pose_bytes(p) for p in want.values()]
 
@@ -170,18 +170,21 @@ def test_each_filter_builds_one_pose_per_merge_tick_plus_one_per_relocation(tmp_
 
     monkeypatch.setattr(mocap, "_mean", counted("mean", mocap._mean))
     monkeypatch.setattr(mocap, "twist", counted("twist", mocap.twist))
+    relocated = Counter()  # filter -> relocations in this tick
+    monkeypatch.setattr(MocapFilter, "process",
+                        counting_relocations(MocapFilter.process, relocated))
     merge_tick = TwinEngine.merge_tick
     totals = Counter()
 
     def tick(engine, *args):
         filters = [engine.station_filter, *engine.asset_filters.values()]
-        relocations = [f.relocations for f in filters]
         built.clear()
+        relocated.clear()
         commands = merge_tick(engine, *args)
-        for f, before in zip(filters, relocations):
-            allowed = 1 + f.relocations - before
+        for f in filters:
+            allowed = 1 + relocated[f]
             assert built[f, "mean"] <= allowed and built[f, "twist"] <= allowed
-            totals["relocations"] += f.relocations - before
+            totals["relocations"] += relocated[f]
         totals["frames"] += len(args[2])
         totals["poses"] += sum(built.values()) // 2
         return commands
