@@ -255,8 +255,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
                 merge_ns = merge_tick_time(merge_k)
             last_sample = sample
 
-        # ticks after the last control tick send nothing; a
-        # run with no control tick runs no tick either
+        # ticks after the last control tick send nothing; a run with no
+        # control tick runs no tick either
         while 0 < merge_k <= merge_ticks:
             run_merge_tick(merge_tick_time(merge_k))
             merge_k += 1
