@@ -149,7 +149,8 @@ class MocapFilter:
 
     def process(self, raw: MocapPacket) -> PoseStatus | None:
         """Feed one tracker frame; returns the status it leaves, or None
-        before any frame was ever accepted.
+        for a frame that changes nothing: a stale one, or any before a
+        frame was ever accepted. So each RELOCATED return is one relocation.
 
         A frame older than the last one processed, as a reordering link
         delivers, is stale: it is counted in ``stale`` and dropped, and the
@@ -157,7 +158,7 @@ class MocapFilter:
         """
         if self._prev_time_ns is not None and raw.time_ns < self._prev_time_ns:
             self.stale += 1
-            return self._status
+            return None
         dt = None
         if self._prev_time_ns is not None:
             dt = max((raw.time_ns - self._prev_time_ns) / 1e9, 1e-12)

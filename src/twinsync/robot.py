@@ -6,18 +6,19 @@ collision, transmission and vendor extensions are ignored.
 
 Each ``RobotModel`` compiles its tree into a ``Chain`` when it is built
 (``model.chain``): the joints in traversal order with their parent link's
-index, origin pose, axis as a float tuple, the axis's norm and each
-movable joint's position index, and whether its origin has a zero offset
-or no rotation; ``Chain.path`` gives a link's root-to-link joints, found
+index, origin pose, axis as a float tuple, the axis's norm, each movable
+joint's position index, and which components of its origin and its axis
+are exact zeros; ``Chain.path`` gives a link's root-to-link joints, found
 once per link. ``Chain.frames`` is the one kinematics walk: one loop that,
 at each joint, composes parent o origin and then that o motion on local
 floats, each operation in the order ``Pose.compose``,
 ``quat_from_axis_angle`` and ``Pose``'s renormalization take, less the
-products that cannot change a bit, so forward kinematics is bit-identical
-to composing ``Pose`` objects joint by joint. ``forward_kinematics`` reads
-the link frames off a walk of the whole tree, and ``jacobian`` the joint
-frames off a walk of one link's path. A path walk builds and returns only
-its end link's pose, which is all the twin's merge tick and ``jacobian``
+terms that an exact zero of the joint's constants makes zero and that
+cannot change a bit, so forward kinematics is bit-identical to composing
+``Pose`` objects joint by joint. ``forward_kinematics`` reads the link
+frames off a walk of the whole tree, and ``jacobian`` the joint frames
+off a walk of one link's path. A path walk builds and returns only its
+end link's pose, which is all the twin's merge tick and ``jacobian``
 read.
 """
 
@@ -26,9 +27,10 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
-from .geometry import ZERO3, Pose, _rotate, norm
+from .geometry import ZERO3, Pose, norm
 
 MOVABLE_KINDS = ("revolute", "prismatic")
 SUPPORTED_KINDS = MOVABLE_KINDS + ("fixed",)
@@ -180,7 +182,16 @@ IDENTITY = Pose()
 
 
 class ChainJoint(NamedTuple):
-    """One joint of a compiled chain, held as plain floats."""
+    """One joint of a compiled chain, held as plain floats.
+
+    The four classes say which components of the joint's constant factors
+    are zeros of either sign, for ``Chain.frames`` to drop the terms they
+    multiply: ``0``, ``1`` or ``2`` for a vector along x, y or z alone, or
+    a rotation of ``w`` and that vector component alone; ``-1`` for a zero
+    vector, or the identity rotation ``(1.0, 0, 0, 0)``; ``3`` for any
+    other. A revolute joint's motion rotation has its axis's zeros, and a
+    prismatic joint's shift too.
+    """
 
     parent: int  # index of the parent link in Chain.links
     kind: str
@@ -188,8 +199,32 @@ class ChainJoint(NamedTuple):
     axis: tuple[float, float, float]  # zeros for a fixed joint
     axis_norm: float  # norm(axis), as quat_from_axis_angle takes it
     dof: int  # index of the joint's position, -1 for a fixed joint
-    zero_offset: bool  # the origin's translation is zeros of either sign
-    identity_origin: bool  # the origin's rotation is 1.0 and zeros of either sign
+    offset: int  # the class of the origin's translation
+    turn: int  # the class of the origin's rotation
+    shift: int  # the class of the motion's translation, -1 unless prismatic
+    spin: int  # the class of the motion's rotation, -1 unless revolute
+    unit_axis: bool  # revolute about a coordinate axis, of length exactly 1.0
+
+
+def _zeros(v) -> int:
+    """A vector's class for ``ChainJoint``: the index of its one non-zero
+    component, -1 when it has none and 3 when it has more."""
+    nonzero = [k for k, c in enumerate(v) if c]
+    return -1 if not nonzero else nonzero[0] if len(nonzero) == 1 else 3
+
+
+def _classes(j: Joint, axis: tuple) -> tuple[int, int, int, int, bool]:
+    """``j``'s ``ChainJoint`` classes and whether it has a unit axis."""
+    v, (w, *u) = j.origin
+    turn = _zeros(u)
+    if turn == -1 and w != 1.0:
+        turn = 0  # (-1, 0, 0, 0) turns nothing but negates, as a turn about x
+    shift = spin = -1
+    if j.kind == "prismatic":
+        shift = _zeros(axis)
+    elif j.kind == "revolute":
+        spin = _zeros(axis)
+    return _zeros(v), turn, shift, spin, 0 <= spin < 3 and abs(axis[spin]) == 1.0
 
 
 class Chain:
@@ -199,6 +234,12 @@ class Chain:
     joints are in depth-first order from the root, so every parent precedes
     its children; ``forward_kinematics`` returns its poses in this order.
     ``index`` maps a link's name to its place in ``links``.
+
+    A chain is sound when its offsets and axes are finite and its origin
+    rotations within 1e-12 of the unit sphere, as ``Pose`` keeps them. Then
+    ``joints`` holds each joint's classes, for ``frames`` to drop the terms
+    that are zero; ``dense`` holds every joint as class 3, all terms kept,
+    and so does ``joints`` of a chain that is not sound.
     """
 
     def __init__(self, model: RobotModel):
@@ -217,16 +258,23 @@ class Chain:
                 index[j.child] = len(links)
                 links.append(j.child)
                 axis = j.axis or ZERO3
-                (vx, vy, vz), (bw, bx, by, bz) = j.origin
-                joints.append(ChainJoint(index[parent], j.kind, j.origin, axis,
-                                         norm(axis), movable.get(j.name, -1),
-                                         not (vx or vy or vz),
-                                         bw == 1.0 and not (bx or by or bz)))
+                joints.append(ChainJoint(index[parent], j.kind, j.origin, axis, norm(axis),
+                                         movable.get(j.name, -1), *_classes(j, axis)))
                 stack.append(j.child)
-        self.links: tuple[str, ...] = tuple(links)
         self.joints: tuple[ChainJoint, ...] = tuple(joints)
+        if not all(abs(norm(j.origin.rotation) - 1.0) <= 1e-12
+                   and all(map(math.isfinite, (*j.origin.translation, *j.axis)))
+                   for j in joints):
+            self.joints = self.dense
+        self.links: tuple[str, ...] = tuple(links)
         self.index = index
         self._paths: dict[str, tuple[int, ...]] = {}
+
+    @cached_property
+    def dense(self) -> tuple[ChainJoint, ...]:
+        """``joints``, every one as class 3; built on first use."""
+        return tuple([j._replace(offset=3, turn=3, shift=3, spin=3, unit_axis=False)
+                      for j in self.joints])
 
     def path(self, link: str) -> tuple[int, ...]:
         """The indices of the joints from the root down to ``link``, for
@@ -261,50 +309,125 @@ class Chain:
         None. A path that is not such a chain, one whose joint does not hang
         off the link the joint before it moves, raises ``ValueError``. With
         a list for ``joint_frames``, each walked joint's frame, parent o
-        origin, is appended to it as a pair.
+        origin, is appended to it as a pair. ``positions`` are finite, as
+        ``check`` returns them.
 
         ``Pose.compose`` is written out twice per joint, for parent o origin
         and then for that o motion, where the motion is a revolute joint's
         ``quat_from_axis_angle`` renormalized as ``Pose`` does, a prismatic
         joint's shift along its axis, or the identity for a fixed joint.
-        Rotating a zero offset, and multiplying by the identity rotation
-        (whose product a walked rotation renormalizes to itself), add
-        ``±0.0`` to each term, which keeps a non-zero one but can flip the
-        sign of a zero, so each is skipped only when all the components it
-        adds to are non-zero. That holds for finite rotations of norm within
-        1e-12 of 1, as ``Pose`` keeps them; any other base is walked in full.
+        Each compose multiplies by a factor of the joint twice: ``q * (0,
+        v)`` for the offset and ``q * b`` for the rotation. A revolute
+        joint's ``b`` has its axis's zeros, times ``sin``, and a prismatic
+        joint's ``v`` its axis's, times the position.
+
+        The zero-term rule: each component of such a product is a sum of
+        four terms, added left to right. The walk keeps, in their order, the
+        terms whose constant factor ``ChainJoint``'s classes do not name a
+        zero, and drops the others; a component that comes out zero is
+        taken from the full sum. That is the full product bit for bit. With
+        the running rotation finite, a dropped term is a finite value times
+        a zero, so a zero. Adding a zero to a non-zero value leaves it as it
+        is, and a sum of zeros is a zero, so each partial sum of the full
+        product equals that of the kept terms, or both are zeros that may
+        differ in sign. A non-zero component is thus the full sum's, and
+        only a zero one needs the full sum, for its sign. Two shortcuts
+        follow: a product with the identity rotation keeps ``q`` and skips
+        the renormalization, which ``q`` has passed; a zero offset leaves a
+        translation with no zero component as it is.
+
+        Unit axes: a revolute joint about a coordinate axis of length
+        exactly 1.0 skips its ``b``'s renormalization. That ``b`` is
+        ``c = cos(h)``, ``s = +-sin(h)`` (divided by the norm 1.0, which is
+        exact) and two zeros. For any ``sin`` and ``cos`` within 1000 ulps
+        of the true values, ``c * c + s * s``, its roundings included, is
+        within 4.5e-13 of 1 and its square root within 2.3e-13, inside
+        ``Pose``'s 1e-12: ``Pose`` would keep ``b`` as it is. Every other
+        axis is renormalized as ``Pose`` does.
+
+        The running rotation stays finite from a base within 1e-12 of the
+        unit sphere, as ``Pose`` keeps it, along a sound chain (``Chain``).
+        From any other base every term is kept (``dense``).
         """
         sin, cos, sqrt, new = math.sin, math.cos, math.sqrt, tuple.__new__
-        joints = self.joints
         (tx, ty, tz), (w, x, y, z) = base
-        exact = abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12
+        joints = self.joints if abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12 \
+            else self.dense
         full = path is None
         links = [base if full else None] + [None] * len(joints)
         built = 0  # the link whose frame the locals hold
         for i in range(len(joints)) if full else path:
             (parent, kind, ((vx, vy, vz), (bw, bx, by, bz)), (ax, ay, az), axis_norm,
-             dof, zero_offset, identity_origin) = joints[i]
+             dof, offset, turn, shift, spin, unit_axis) = joints[i]
             if parent != built:
                 if not full:
                     raise ValueError(f"path joint {i} hangs off {self.links[parent]!r}, "
                                      f"not {self.links[built]!r}: not a root-to-link chain")
                 (tx, ty, tz), (w, x, y, z) = links[parent]  # a branch of the tree
-            # parent o origin
-            if not (zero_offset and tx and ty and tz and exact):
-                rw = w * 0.0 - x * vx - y * vy - z * vz
-                rx = w * vx + x * 0.0 + y * vz - z * vy
-                ry = w * vy - x * vz + y * 0.0 + z * vx
-                rz = w * vz + x * vy - y * vx + z * 0.0
-                tx += rw * -x + rx * w + ry * -z - rz * -y
-                ty += rw * -y - rx * -z + ry * w + rz * -x
-                tz += rw * -z + rx * -y - ry * -x + rz * w
-            if identity_origin and w and x and y and z and exact:
-                qw, qx, qy, qz = w, x, y, z
+            # parent o origin: the offset's q * (0, v), a zero of either
+            # sign taken from the full sum, then that times conj(q)
+            if offset >= 0 or not (tx and ty and tz):
+                nx, ny, nz = -x, -y, -z
+                if offset == 2:
+                    rw = nz * vz
+                    rx = y * vz
+                    ry = nx * vz
+                    rz = w * vz
+                elif offset == 0:
+                    rw = nx * vx
+                    rx = w * vx
+                    ry = z * vx
+                    rz = ny * vx
+                elif offset == 1:
+                    rw = ny * vy
+                    rx = nz * vy
+                    ry = w * vy
+                    rz = x * vy
+                else:
+                    rw = rx = ry = rz = 0.0
+                if not rw:
+                    rw = w * 0.0 - x * vx - y * vy - z * vz
+                if not rx:
+                    rx = w * vx + x * 0.0 + y * vz - z * vy
+                if not ry:
+                    ry = w * vy - x * vz + y * 0.0 + z * vx
+                if not rz:
+                    rz = w * vz + x * vy - y * vx + z * 0.0
+                tx += rw * nx + rx * w + ry * nz - rz * ny
+                ty += rw * ny - rx * nz + ry * w + rz * nx
+                tz += rw * nz + rx * ny - ry * nx + rz * w
+            # and the rotation's q * b
+            if turn == 0:
+                qw = w * bw - x * bx
+                qx = w * bx + x * bw
+                qy = y * bw + z * bx
+                qz = z * bw - y * bx
+            elif turn < 0:
+                qw = w
+                qx = x
+                qy = y
+                qz = z
+            elif turn == 2:
+                qw = w * bw - z * bz
+                qx = x * bw + y * bz
+                qy = y * bw - x * bz
+                qz = w * bz + z * bw
+            elif turn == 1:
+                qw = w * bw - y * by
+                qx = x * bw - z * by
+                qy = w * by + y * bw
+                qz = x * by + z * bw
             else:
+                qw = qx = qy = qz = 0.0
+            if not qw:
                 qw = w * bw - x * bx - y * by - z * bz
+            if not qx:
                 qx = w * bx + x * bw + y * bz - z * by
+            if not qy:
                 qy = w * by - x * bz + y * bw + z * bx
+            if not qz:
                 qz = w * bz + x * by - y * bx + z * bw
+            if turn >= 0:
                 n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
                 if abs(n - 1.0) > 1e-12:
                     if n == 0.0:
@@ -317,31 +440,59 @@ class Chain:
             if kind == "revolute":
                 half = 0.5 * positions[dof]
                 s = sin(half) / axis_norm
-                bw, bx, by, bz = cos(half), ax * s, ay * s, az * s
-                n = sqrt(bw * bw + bx * bx + by * by + bz * bz)
-                if abs(n - 1.0) > 1e-12:
-                    bw, bx, by, bz = bw / n, bx / n, by / n, bz / n
+                bw = cos(half)
+                bx = ax * s
+                by = ay * s
+                bz = az * s
+                if not unit_axis:
+                    n = sqrt(bw * bw + bx * bx + by * by + bz * bz)
+                    if abs(n - 1.0) > 1e-12:
+                        bw, bx, by, bz = bw / n, bx / n, by / n, bz / n
             else:
                 if kind == "prismatic":
                     p = positions[dof]
                     vx, vy, vz = ax * p, ay * p, az * p
-                bw, bx, by, bz = 1.0, 0.0, 0.0, 0.0
-            # (parent o origin) o motion
-            if vx or vy or vz or not (tx and ty and tz and exact):
-                rw = qw * 0.0 - qx * vx - qy * vy - qz * vz
-                rx = qw * vx + qx * 0.0 + qy * vz - qz * vy
-                ry = qw * vy - qx * vz + qy * 0.0 + qz * vx
-                rz = qw * vz + qx * vy - qy * vx + qz * 0.0
-                tx += rw * -qx + rx * qw + ry * -qz - rz * -qy
-                ty += rw * -qy - rx * -qz + ry * qw + rz * -qx
-                tz += rw * -qz + rx * -qy - ry * -qx + rz * qw
-            if kind != "revolute" and qw and qx and qy and qz and exact:
-                w, x, y, z = qw, qx, qy, qz
+                bw = 1.0
+                bx = 0.0
+                by = 0.0
+                bz = 0.0
+            # (parent o origin) o motion, by the same rule
+            if shift >= 0 or not (tx and ty and tz):
+                dx, dy, dz = _turned((qw, qx, qy, qz), shift, vx, vy, vz)
+                tx += dx
+                ty += dy
+                tz += dz
+            if spin == 2:
+                w = qw * bw - qz * bz
+                x = qx * bw + qy * bz
+                y = qy * bw - qx * bz
+                z = qw * bz + qz * bw
+            elif spin < 0:
+                w = qw
+                x = qx
+                y = qy
+                z = qz
+            elif spin == 0:
+                w = qw * bw - qx * bx
+                x = qw * bx + qx * bw
+                y = qy * bw + qz * bx
+                z = qz * bw - qy * bx
+            elif spin == 1:
+                w = qw * bw - qy * by
+                x = qx * bw - qz * by
+                y = qw * by + qy * bw
+                z = qx * by + qz * bw
             else:
+                w = x = y = z = 0.0
+            if not w:
                 w = qw * bw - qx * bx - qy * by - qz * bz
+            if not x:
                 x = qw * bx + qx * bw + qy * bz - qz * by
+            if not y:
                 y = qw * by - qx * bz + qy * bw + qz * bx
+            if not z:
                 z = qw * bz + qx * by - qy * bx + qz * bw
+            if spin >= 0:
                 n = sqrt(w * w + x * x + y * y + z * z)
                 if abs(n - 1.0) > 1e-12:
                     if n == 0.0:
@@ -353,6 +504,42 @@ class Chain:
         if not full:
             links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
         return links
+
+
+def _turned(q: tuple, along: int, vx: float, vy: float, vz: float) -> tuple:
+    """``geometry._rotate(q, vx, vy, vz)`` bit for bit for a finite ``q``,
+    with ``q * (0, v)`` taken by the zero-term rule of ``Chain.frames``
+    for a vector of class ``along`` (``ChainJoint``)."""
+    w, x, y, z = q
+    nx, ny, nz = -x, -y, -z
+    if along == 2:
+        rw = nz * vz
+        rx = y * vz
+        ry = nx * vz
+        rz = w * vz
+    elif along == 1:
+        rw = ny * vy
+        rx = nz * vy
+        ry = w * vy
+        rz = x * vy
+    elif along == 0:
+        rw = nx * vx
+        rx = w * vx
+        ry = z * vx
+        rz = ny * vx
+    else:
+        rw = rx = ry = rz = 0.0
+    if not rw:
+        rw = w * 0.0 - x * vx - y * vy - z * vz
+    if not rx:
+        rx = w * vx + x * 0.0 + y * vz - z * vy
+    if not ry:
+        ry = w * vy - x * vz + y * 0.0 + z * vx
+    if not rz:
+        rz = w * vz + x * vy - y * vx + z * 0.0
+    return (rw * nx + rx * w + ry * nz - rz * ny,
+            rw * ny - rx * nz + ry * w + rz * nx,
+            rw * nz + rx * ny - ry * nx + rz * w)
 
 
 def forward_kinematics(model: RobotModel, positions,
@@ -375,19 +562,22 @@ def jacobian(model: RobotModel, positions, link: str,
 
     Read off one ``Chain.frames`` walk of the link's path only: for each
     joint on it, its frame is parent o origin, and its axis in the world is
-    ``a``. A revolute joint's column is ``a x (p_link - p_joint)``, a
-    prismatic joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
+    ``a``, the joint's axis rotated by ``_turned`` as ``frames`` classes it.
+    A revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
+    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
     """
     chain = model.chain
     path = chain.path(link)
     joint_frames = []
     px, py, pz = chain.frames(chain.check(positions), base, path,
                               joint_frames)[chain.index[link]].translation
+    joints = chain.joints if abs(norm(base.rotation) - 1.0) <= 1e-12 else chain.dense
     columns = [ZERO3] * chain.dof
     for k, ((jx, jy, jz), rotation) in zip(path, joint_frames):
-        j = chain.joints[k]
+        j = joints[k]
         if j.dof >= 0:
-            ax, ay, az = _rotate(rotation, *j.axis)
+            ax, ay, az = _turned(rotation, j.spin if j.kind == "revolute" else j.shift,
+                                 *j.axis)
             if j.kind == "prismatic":
                 columns[j.dof] = (ax, ay, az)
             else:

@@ -13,13 +13,11 @@ from twinsync.mocap import (QUALITY_LOST, FilterConfig, FilteredPose, PoseStatus
 
 
 def counting_relocations(process, counts):
-    """``process`` (``MocapFilter.process``) that also adds each relocation
-    to ``counts[filter]``: a RELOCATED status for a frame it did not drop as
-    stale, since a stale frame returns the status it leaves unchanged."""
+    """``process`` (``MocapFilter.process``) that also adds each relocation,
+    each RELOCATED status it returns, to ``counts[filter]``."""
     def spy(filt, raw):
-        stale = filt.stale
         status = process(filt, raw)
-        counts[filt] += status is PoseStatus.RELOCATED and filt.stale == stale
+        counts[filt] += status is PoseStatus.RELOCATED
         return status
     return spy
 

@@ -175,10 +175,10 @@ class TestPipeline:
 
     def test_time_regression_rejected(self):
         # an older frame, as a reordering link delivers it, is dropped and
-        # counted, and the output stays what it was
+        # counted, returns None and leaves the output what it was
         f = MocapFilter(self.cfg())
         before = output(f, packet(100, [0, 0, 0]))
-        assert f.process(packet(50, [1.0, 0, 0])) is before.status
+        assert f.process(packet(50, [1.0, 0, 0])) is None
         assert f.last_output is before
         assert f.stale == 1
         out = output(f, packet(10_000_100, [0, 0, 0]))
@@ -304,9 +304,11 @@ def test_state_keeping_filter_matches_the_eager_one(window, stable_count, spot, 
             t_ns = time_ns = t_ns + FRAME_NS
         pos = spot if kind == "rest" else tuple(x + d for x, d in zip(spot, offset))
         pkt = MocapPacket(1, i, time_ns, pos, QUATS[quat], 0 if kind == "lost" else 1)
+        stale = ref.stale
         want = ref.process(pkt)
         status = (process(filt, pkt), process(sparse, pkt))
-        assert status == ((None if want is None else want.status),) * 2
+        # the eager filter returns its unchanged output for a stale frame
+        assert status == ((None if want is None or ref.stale > stale else want.status),) * 2
         assert packed(filt.last_output) == packed(want)
         if read:
             assert packed(sparse.last_output) == packed(want)

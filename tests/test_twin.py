@@ -70,29 +70,39 @@ ONE_TICK = {
     "relocated-then-gated": walking(5) + [
         station((5 + i) * FRAME_NS, (1.5, 0.1, 0.0)) for i in range(3)] + [
         station(8 * FRAME_NS, (3.0, 0.1, 0.0))],
+    # a stale frame changes nothing, so the relocation is posed once
+    "relocated-then-stale": walking(5) + [
+        station((5 + i) * FRAME_NS, (1.5, 0.1, 0.0)) for i in range(3)] + [
+        station(6 * FRAME_NS, (1.5, 0.1, 0.0))],
     "warming-up-only": walking(3),
     # a relocation before warm-up, whose pose the next accepted frame
     # replaces with a WARMING_UP one
     "relocated-then-warming-up": walking(1) + [
         station((1 + i) * FRAME_NS, (1.5, 0.1, 0.0)) for i in range(4)],
 }
-LAST = {"stable-then-lost": PoseStatus.HOLDING, "stable-then-stale": PoseStatus.STABLE,
-        "relocated-then-gated": PoseStatus.HOLDING,
+LAST = {"stable-then-lost": PoseStatus.HOLDING, "stable-then-stale": None,
+        "relocated-then-gated": PoseStatus.HOLDING, "relocated-then-stale": None,
         "warming-up-only": PoseStatus.WARMING_UP,
         "relocated-then-warming-up": PoseStatus.WARMING_UP}
 
 
 @pytest.mark.parametrize("case", sorted(ONE_TICK))
-def test_station_pose_of_one_tick_matches_per_packet_update(case):
+def test_station_pose_of_one_tick_matches_per_packet_update(case, monkeypatch):
     packets = ONE_TICK[case]
     seen = statuses(packets)
     assert seen[-1] is LAST[case]
     if case.startswith("relocated"):
         assert seen[-2] is PoseStatus.RELOCATED
     engine = TwinEngine(PANDA, CONFIG)
+    builds = []
+    pose_base = TwinEngine._pose_base
+    monkeypatch.setattr(TwinEngine, "_pose_base",
+                        lambda self: builds.append(pose_base(self)))
     engine.merge_tick(merge_tick_time(1), [], packets)
     want = per_packet_base(CONFIG, packets)
     assert pose_bytes(engine.base_pose) == pose_bytes(want)
+    # the base is built once, from the tick's last usable output
+    assert len(builds) == (case != "warming-up-only")
     # the base moved off the configured station unless the filter never settled
     moved = pose_bytes(want) != pose_bytes(station_pose(CONFIG))
     assert moved == (case != "warming-up-only")
