@@ -19,9 +19,9 @@ inline, in the same order, so its poses are bit for bit those of the
 three calls; ``Pose.inverse`` writes ``quat_conjugate``, ``_rotate`` and
 ``unit_quat`` out the same way. ``robot.Chain.frames``, the kinematics
 walk, writes the same operations out once more per joint, so forward
-kinematics is bit for bit a chain of ``Pose.compose`` calls: it skips a
-product only where it adds ``±0.0`` to components that are all non-zero,
-which leaves them as they are.
+kinematics is bit for bit a chain of ``Pose.compose`` calls: it drops
+only the terms that an exact zero of the joint's constants makes ``±0.0``,
+and takes a component that comes out zero from the full sum, for its sign.
 """
 
 from __future__ import annotations

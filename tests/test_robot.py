@@ -345,6 +345,54 @@ def draw_signed_zero_positions(data, model):
                               min_size=model.dof, max_size=model.dof))
 
 
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# right angles, whose rotations hold exact zeros, and angles whose sign
+# leaves a -0.0 in the rotation that ``Pose.from_rpy`` builds
+ANGLES = st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]) | \
+    st.floats(-7.0, 7.0)
+
+
+@st.composite
+def vectors(draw, lengths, zero=True):
+    """A vector of each class ``ChainJoint`` names: zeros of either sign,
+    one non-zero component along a coordinate axis, or three drawn ones."""
+    v = [draw(SIGNED_ZERO) for _ in range(3)]
+    shape = draw(st.sampled_from(["zero", "along", "general"] if zero else ["along", "general"]))
+    if shape == "along":
+        v[draw(st.integers(0, 2))] = draw(lengths)
+    elif shape == "general":
+        v = [draw(lengths) for _ in range(3)]
+    return tuple(v)
+
+
+@st.composite
+def classed_chains(draw):
+    """A tree of up to five joints whose constants fall in every class the
+    walk tells apart: offsets of zeros, along one axis or general; origin
+    rotations of no angle, one rpy angle or three; axes along a coordinate
+    axis, of length 1.0 or another, or general. The joints are built as
+    they are, without ``parse_urdf``'s normalizing of the axis."""
+    links, joints = ["l0"], []
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["revolute", "prismatic", "fixed"]))
+        rpy = [draw(SIGNED_ZERO) for _ in range(3)]
+        turn = draw(st.sampled_from(["none", "one", "general"]))
+        if turn == "one":
+            rpy[draw(st.integers(0, 2))] = draw(ANGLES)
+        elif turn == "general":
+            rpy = [draw(ANGLES) for _ in range(3)]
+        axis = None
+        if kind != "fixed":
+            lengths = st.sampled_from([1.0, -1.0]) | st.floats(-3.0, 3.0).filter(
+                lambda a: abs(a) > 0.1)
+            axis = draw(vectors(lengths, zero=False))
+        origin = Pose.from_rpy(draw(vectors(st.floats(-1.0, 1.0))), rpy)
+        links.append(f"l{i + 1}")
+        joints.append(Joint(f"j{i}", kind, draw(st.sampled_from(links[:-1])), links[-1],
+                            origin, axis, -3.0, 3.0))
+    return RobotModel("classed", tuple(links), tuple(joints), "l0")
+
+
 def assert_fk_bytes(model, q, base):
     got = forward_kinematics(model, q, base)
     want = reference_fk(model, q, base)
@@ -359,11 +407,10 @@ def assert_jacobian_bytes(model, q, link, base):
         [struct.pack("<3d", *c) for c in compose_jacobian(model, q, link, base)]
 
 
-def compose_jacobian(model, q, link, base):
-    """The world-frame Jacobian of ``link`` from a ``Pose.compose`` walk of
-    its path: at each joint the joint frame is parent o origin, composed
-    with the joint's motion, and the columns are read as ``jacobian``
-    documents them. ``jacobian`` must match it byte for byte."""
+def compose_path(model, q, link, base):
+    """A ``Pose.compose`` walk of ``link``'s path: its frame, and for each
+    movable joint on the path the joint, its axis in the world and its
+    origin's place, the joint frame being parent o origin."""
     movable = [j.name for j in model.movable_joints]
     joint_of = {j.child: j for j in model.joints}
     path = []
@@ -385,6 +432,15 @@ def compose_jacobian(model, q, link, base):
         if j.kind != "fixed":
             moved.append((j, _rotate(joint_frame.rotation, *j.axis),
                           joint_frame.translation))
+    return frame, moved
+
+
+def compose_jacobian(model, q, link, base):
+    """The world-frame Jacobian of ``link`` from ``compose_path``, its
+    columns read as ``jacobian`` documents them. ``jacobian`` must match it
+    byte for byte."""
+    movable = [j.name for j in model.movable_joints]
+    frame, moved = compose_path(model, q, link, base)
     columns = [ZERO3] * model.dof
     for j, (ax, ay, az), origin in moved:
         dx, dy, dz = (p - o for p, o in zip(frame.translation, origin))
@@ -441,6 +497,120 @@ class TestCompiledChain:
         assert_fk_bytes(model, q, base)
         for link in model.chain.links:
             assert_jacobian_bytes(model, q, link, base)
+
+    # each zero fallback of the walk, named for the products whose zero
+    # components it recomputes: the offset's q * (0, v) ("offset"), the
+    # origin rotation's q * b ("turn"), the motion's ("spin"), the axis
+    # rotated for a Jacobian column ("axis"), and the guards that rotate a
+    # zero offset or shift when the translation has a zero ("guard"). A
+    # search over bases turned about a coordinate axis found these inputs;
+    # dropping any one fallback or guard flips the sign of a zero in one
+    @pytest.mark.parametrize("name, q, axis, angle, xyz", [
+        pytest.param("panda", [0.0] * 9, (0.0, 0.0, 1.0), 7.0, [0.0] * 3,
+                     id="station-yaw:offset-wxyz,turn-xy,axis-y"),
+        pytest.param("panda", [0.0] * 9, (-1.0, 0.0, 0.0), 7.0, [0.0] * 3,
+                     id="roll:spin-y,turn-z,axis-w"),
+        pytest.param("panda", [-0.0] * 9, (0.0, 0.0, -1.0), 7.0, [-0.0] * 3,
+                     id="negative-zeros:shift-guard,spin-x"),
+        pytest.param("panda", [0.0] * 9, (0.0, -1.0, 0.0), 7.0, [0.0] * 3,
+                     id="pitch:spin-z"),
+        pytest.param("panda", [0.0] * 9, (-1.0, 0.0, 0.0), 2 * np.pi, [0.0] * 3,
+                     id="full-roll:axis-x"),
+        pytest.param("planar", [0.0, 0.0], (0.0, 0.0, 1.0), 7.0, [-0.0] * 3,
+                     id="planar:offset-guard"),
+        pytest.param("shortcuts", [0.0] * 4, (0.0, 0.0, 1.0), 0.0, [0.0] * 3,
+                     id="identity:spin-w,turn-w,axis-z"),
+    ])
+    def test_each_zero_fallback_forced(self, name, q, axis, angle, xyz):
+        model = MODELS[name]
+        base = Pose(xyz, quat_from_axis_angle(axis, angle))
+        assert_fk_bytes(model, q, base)
+        for link in model.chain.links:
+            assert_jacobian_bytes(model, q, link, base)
+
+    @given(model=classed_chains(), data=st.data(), base=BASES | SIGNED_ZERO_BASES)
+    @settings(max_examples=150, deadline=None)
+    def test_classed_chains_match_compose_walk(self, model, data, base):
+        q = draw_signed_zero_positions(data, model)
+        assert_fk_bytes(model, q, base)
+        for link in model.links:
+            assert_jacobian_bytes(model, q, link, base or Pose())
+
+    def test_panda_joints_are_classed(self):
+        # by ChainJoint's classes: 0, 1, 2 along x, y, z alone; -1 none; 3 general
+        want = {  # joint: offset, turn, shift, spin, unit_axis
+            "panda_joint1": (2, -1, -1, 2, True),
+            "panda_joint2": (-1, 0, -1, 2, True),
+            "panda_joint3": (1, 0, -1, 2, True),
+            "panda_joint4": (0, 0, -1, 2, True),
+            "panda_joint5": (3, 0, -1, 2, True),
+            "panda_joint6": (-1, 0, -1, 2, True),
+            "panda_joint7": (0, 0, -1, 2, True),
+            "panda_joint8": (2, -1, -1, -1, False),
+            "panda_hand_joint": (-1, 2, -1, -1, False),
+            "panda_finger_joint1": (2, -1, 1, -1, False),
+            "panda_finger_joint2": (2, -1, 1, -1, False),
+        }
+        model = MODELS["panda"]
+        chain = model.chain
+        joint_of = {j.child: j.name for j in model.joints}
+        got = {joint_of[chain.links[i + 1]]: (j.offset, j.turn, j.shift, j.spin, j.unit_axis)
+               for i, j in enumerate(chain.joints)}
+        assert got == want
+        assert all((j.offset, j.turn, j.shift, j.spin) == (3, 3, 3, 3) for j in chain.dense)
+
+    # chains the walk must take with every term: a constant that is not
+    # finite, or an origin rotation that ``Pose.of`` left off the unit
+    # sphere, which the numpy oracle would renormalize; against the
+    # ``Pose.compose`` walk, then
+    @pytest.mark.parametrize("origin, axis", [
+        (Pose.of((math.inf, 0.0, 0.0), IDENTITY_QUAT), (0.0, 0.0, 1.0)),
+        (Pose.of((0.0, 0.0, 0.1), IDENTITY_QUAT), (0.0, math.nan, 1.0)),
+        (Pose.of((0.0, 0.0, 0.1), (0.5, 0.5, 0.0, 0.0)), (0.0, 0.0, 1.0)),
+        (Pose.of((0.0, 0.0, 0.1), (math.nan, 0.0, 0.0, 0.0)), (0.0, 0.0, 1.0)),
+    ])
+    def test_unsound_chain_walked_in_full(self, origin, axis):
+        joints = (Joint("a", "revolute", "l0", "l1", origin, axis, -3.0, 3.0),
+                  Joint("b", "revolute", "l1", "l2", Pose((0.0, 0.0, 0.2)), (0.0, 0.0, 1.0),
+                        -3.0, 3.0))
+        model = RobotModel("unsound", ("l0", "l1", "l2"), joints, "l0")
+        assert model.chain.joints == model.chain.dense
+        base = yawed_station(-0.3, (0.0, -0.0, 0.0))
+        for q in ([0.0, -0.0], [0.4, -0.7]):
+            got = forward_kinematics(model, q, base)
+            for link in model.links:
+                want = compose_path(model, q, link, base)[0]
+                assert struct.pack("<3d4d", *got[link].translation, *got[link].rotation) == \
+                    struct.pack("<3d4d", *want.translation, *want.rotation)
+                assert_jacobian_bytes(model, q, link, base)
+
+    # a revolute joint about a coordinate axis of length 1.0 keeps its
+    # motion quaternion unrenormalized: its norm, taken as the walk takes
+    # it, must be within 1e-12 of 1 for every finite position
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.pi)
+    @example(1e300)
+    @example(5e-324)
+    @settings(max_examples=2000)
+    def test_unit_axis_motion_needs_no_renormalizing(self, position):
+        half = 0.5 * position
+        s = math.sin(half) / 1.0
+        for a in (1.0, -1.0):
+            bw, bx, by, bz = math.cos(half), 0.0 * s, 0.0 * s, a * s
+            n = math.sqrt(bw * bw + bx * bx + by * by + bz * bz)
+            assert abs(n - 1.0) <= 1e-12
+
+    # any other axis is renormalized as ``Pose`` does: these norms overflow,
+    # so the motion quaternion is (cos, 0, 0, 0), which renormalizes to +-1
+    @pytest.mark.parametrize("axis", [(1e200, 1e200, 0.0), (0.0, 0.0, 1e200)])
+    def test_other_axes_renormalized(self, axis):
+        joint = Joint("a", "revolute", "l0", "l1", Pose((0.1, 0.0, 0.0)), axis, -3.0, 3.0)
+        model = RobotModel("wide", ("l0", "l1"), (joint,), "l0")
+        for q in (1.0, 4.0):
+            assert abs(forward_kinematics(model, [q])["l1"].rotation[0]) == 1.0
+            assert_fk_bytes(model, [q], yawed_station(0.3, (0.5, 0.2, 0.0)))
 
     def test_negated_identity_origin_not_skipped(self):
         # (-1, 0, 0, 0) turns nothing but negates a product; no URDF rpy gives it
