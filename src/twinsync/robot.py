@@ -336,6 +336,15 @@ class Chain:
         the renormalization, which ``q`` has passed; a zero offset leaves a
         translation with no zero component as it is.
 
+        By the same argument a whole walk of kept terms differs from the
+        full one only in the signs of zeros: squaring a zero drops its sign,
+        so every norm, renormalization and error is the same. So a path
+        walk without ``joint_frames``, which returns only its end pose,
+        takes no component from the full sum as it goes and skips the zero
+        offsets and motions outright; if its end pose has a zero component,
+        it walks again as a walk that returns more does, taking each zero
+        from the full sum.
+
         Unit axes: a revolute joint about a coordinate axis of length
         exactly 1.0 skips its ``b``'s renormalization. That ``b`` is
         ``c = cos(h)``, ``s = +-sin(h)`` (divided by the norm 1.0, which is
@@ -354,6 +363,9 @@ class Chain:
         joints = self.joints if abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12 \
             else self.dense
         full = path is None
+        # a walk that returns every link's pose or joint frame takes each
+        # zero from the full sum as it goes; a path walk checks its end pose
+        strict = full or joint_frames is not None
         links = [base if full else None] + [None] * len(joints)
         built = 0  # the link whose frame the locals hold
         for i in range(len(joints)) if full else path:
@@ -364,9 +376,8 @@ class Chain:
                     raise ValueError(f"path joint {i} hangs off {self.links[parent]!r}, "
                                      f"not {self.links[built]!r}: not a root-to-link chain")
                 (tx, ty, tz), (w, x, y, z) = links[parent]  # a branch of the tree
-            # parent o origin: the offset's q * (0, v), a zero of either
-            # sign taken from the full sum, then that times conj(q)
-            if offset >= 0 or not (tx and ty and tz):
+            # parent o origin: the offset's q * (0, v), then that times conj(q)
+            if offset >= 0 or strict and not (tx and ty and tz):
                 nx, ny, nz = -x, -y, -z
                 if offset == 2:
                     rw = nz * vz
@@ -384,15 +395,19 @@ class Chain:
                     ry = w * vy
                     rz = x * vy
                 else:
-                    rw = rx = ry = rz = 0.0
-                if not rw:
                     rw = w * 0.0 - x * vx - y * vy - z * vz
-                if not rx:
                     rx = w * vx + x * 0.0 + y * vz - z * vy
-                if not ry:
                     ry = w * vy - x * vz + y * 0.0 + z * vx
-                if not rz:
                     rz = w * vz + x * vy - y * vx + z * 0.0
+                if strict:
+                    if not rw:
+                        rw = w * 0.0 - x * vx - y * vy - z * vz
+                    if not rx:
+                        rx = w * vx + x * 0.0 + y * vz - z * vy
+                    if not ry:
+                        ry = w * vy - x * vz + y * 0.0 + z * vx
+                    if not rz:
+                        rz = w * vz + x * vy - y * vx + z * 0.0
                 tx += rw * nx + rx * w + ry * nz - rz * ny
                 ty += rw * ny - rx * nz + ry * w + rz * nx
                 tz += rw * nz + rx * ny - ry * nx + rz * w
@@ -418,15 +433,19 @@ class Chain:
                 qy = w * by + y * bw
                 qz = x * by + z * bw
             else:
-                qw = qx = qy = qz = 0.0
-            if not qw:
                 qw = w * bw - x * bx - y * by - z * bz
-            if not qx:
                 qx = w * bx + x * bw + y * bz - z * by
-            if not qy:
                 qy = w * by - x * bz + y * bw + z * bx
-            if not qz:
                 qz = w * bz + x * by - y * bx + z * bw
+            if strict:
+                if not qw:
+                    qw = w * bw - x * bx - y * by - z * bz
+                if not qx:
+                    qx = w * bx + x * bw + y * bz - z * by
+                if not qy:
+                    qy = w * by - x * bz + y * bw + z * bx
+                if not qz:
+                    qz = w * bz + x * by - y * bx + z * bw
             if turn >= 0:
                 n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
                 if abs(n - 1.0) > 1e-12:
@@ -457,7 +476,7 @@ class Chain:
                 by = 0.0
                 bz = 0.0
             # (parent o origin) o motion, by the same rule
-            if shift >= 0 or not (tx and ty and tz):
+            if shift >= 0 or strict and not (tx and ty and tz):
                 dx, dy, dz = _turned((qw, qx, qy, qz), shift, vx, vy, vz)
                 tx += dx
                 ty += dy
@@ -483,15 +502,19 @@ class Chain:
                 y = qw * by + qy * bw
                 z = qx * by + qz * bw
             else:
-                w = x = y = z = 0.0
-            if not w:
                 w = qw * bw - qx * bx - qy * by - qz * bz
-            if not x:
                 x = qw * bx + qx * bw + qy * bz - qz * by
-            if not y:
                 y = qw * by - qx * bz + qy * bw + qz * bx
-            if not z:
                 z = qw * bz + qx * by - qy * bx + qz * bw
+            if strict:
+                if not w:
+                    w = qw * bw - qx * bx - qy * by - qz * bz
+                if not x:
+                    x = qw * bx + qx * bw + qy * bz - qz * by
+                if not y:
+                    y = qw * by - qx * bz + qy * bw + qz * bx
+                if not z:
+                    z = qw * bz + qx * by - qy * bx + qz * bw
             if spin >= 0:
                 n = sqrt(w * w + x * x + y * y + z * z)
                 if abs(n - 1.0) > 1e-12:
@@ -502,6 +525,11 @@ class Chain:
             if full:
                 links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
         if not full:
+            if not (strict or tx and ty and tz and w and x and y and z):
+                # a zero of the end pose may have the other sign than the
+                # full sums give it: walk again, strictly (a list for
+                # joint_frames makes the walk strict)
+                return self.frames(positions, base, path, [])
             links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
         return links
 

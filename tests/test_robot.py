@@ -498,35 +498,44 @@ class TestCompiledChain:
         for link in model.chain.links:
             assert_jacobian_bytes(model, q, link, base)
 
-    # each zero fallback of the walk, named for the products whose zero
-    # components it recomputes: the offset's q * (0, v) ("offset"), the
-    # origin rotation's q * b ("turn"), the motion's ("spin"), the axis
-    # rotated for a Jacobian column ("axis"), and the guards that rotate a
-    # zero offset or shift when the translation has a zero ("guard"). A
-    # search over bases turned about a coordinate axis found these inputs;
-    # dropping any one fallback or guard flips the sign of a zero in one
-    @pytest.mark.parametrize("name, q, axis, angle, xyz", [
-        pytest.param("panda", [0.0] * 9, (0.0, 0.0, 1.0), 7.0, [0.0] * 3,
-                     id="station-yaw:offset-wxyz,turn-xy,axis-y"),
-        pytest.param("panda", [0.0] * 9, (-1.0, 0.0, 0.0), 7.0, [0.0] * 3,
-                     id="roll:spin-y,turn-z,axis-w"),
-        pytest.param("panda", [-0.0] * 9, (0.0, 0.0, -1.0), 7.0, [-0.0] * 3,
-                     id="negative-zeros:shift-guard,spin-x"),
-        pytest.param("panda", [0.0] * 9, (0.0, -1.0, 0.0), 7.0, [0.0] * 3,
-                     id="pitch:spin-z"),
-        pytest.param("panda", [0.0] * 9, (-1.0, 0.0, 0.0), 2 * np.pi, [0.0] * 3,
-                     id="full-roll:axis-x"),
-        pytest.param("planar", [0.0, 0.0], (0.0, 0.0, 1.0), 7.0, [-0.0] * 3,
-                     id="planar:offset-guard"),
-        pytest.param("shortcuts", [0.0] * 4, (0.0, 0.0, 1.0), 0.0, [0.0] * 3,
-                     id="identity:spin-w,turn-w,axis-z"),
+    # the walk's zero fallbacks, each named for the product whose zero
+    # components it takes from the full sum: the offset's q * (0, v)
+    # ("offset"), the origin rotation's q * b ("turn"), the motion's
+    # ("spin") and the axis rotated for a Jacobian column ("axis"); the
+    # guards that rotate a zero offset or shift when the translation has a
+    # zero ("guard"); and the path walk's check of its end pose ("end"). A
+    # search over stations turned about a coordinate axis found these
+    # inputs: dropping any of the named fallbacks flips the sign of a zero
+    # in one. No input was found for the offset's four or the turn's w,
+    # which the proof in ``Chain.frames`` keeps
+    @pytest.mark.parametrize("name, q, rotation, xyz", [
+        pytest.param("panda", [0.0] * 9, quat_from_axis_angle((0.0, 0.0, 1.0), 7.0),
+                     [0.0] * 3, id="station-yaw:turn-xy,axis-y,end"),
+        pytest.param("panda", [0.0] * 9, quat_from_axis_angle((-1.0, 0.0, 0.0), 7.0),
+                     [0.0] * 3, id="roll:spin-y,turn-z,axis-w"),
+        pytest.param("panda", [-0.0] * 9, quat_from_axis_angle((0.0, 0.0, -1.0), 7.0),
+                     [-0.0] * 3, id="negative-zeros:shift-guard,spin-x"),
+        pytest.param("panda", [0.0] * 9, quat_from_axis_angle((0.0, -1.0, 0.0), 7.0),
+                     [0.0] * 3, id="pitch:spin-z"),
+        pytest.param("panda", [0.0] * 9, quat_from_axis_angle((-1.0, 0.0, 0.0), 2 * np.pi),
+                     [0.0] * 3, id="full-roll:axis-x"),
+        pytest.param("panda", [2 * np.pi] + [0.0] * 8, (0.0, 0.0, -1.0, 0.0), [0.0] * 3,
+                     id="upside-down:spin-w"),
+        pytest.param("planar", [0.0, 0.0], quat_from_axis_angle((0.0, 0.0, 1.0), 7.0),
+                     [-0.0] * 3, id="planar:offset-guard"),
+        pytest.param("shortcuts", [0.0] * 4, IDENTITY_QUAT, [0.0] * 3, id="identity:axis-z"),
     ])
-    def test_each_zero_fallback_forced(self, name, q, axis, angle, xyz):
+    def test_each_zero_fallback_forced(self, name, q, rotation, xyz):
         model = MODELS[name]
-        base = Pose(xyz, quat_from_axis_angle(axis, angle))
+        chain = model.chain
+        base = Pose(xyz, rotation)
         assert_fk_bytes(model, q, base)
-        for link in model.chain.links:
+        for link in chain.links:
             assert_jacobian_bytes(model, q, link, base)
+            got = chain.frames(q, base, chain.path(link))[chain.index[link]]
+            want = compose_path(model, q, link, base)[0]
+            assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
+                struct.pack("<3d4d", *want.translation, *want.rotation)
 
     @given(model=classed_chains(), data=st.data(), base=BASES | SIGNED_ZERO_BASES)
     @settings(max_examples=150, deadline=None)
