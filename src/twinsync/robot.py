@@ -13,13 +13,16 @@ once per link. ``Chain.frames`` is the one kinematics walk: one loop that,
 at each joint, composes parent o origin and then that o motion on local
 floats, each operation in the order ``Pose.compose``,
 ``quat_from_axis_angle`` and ``Pose``'s renormalization take, less the
-terms that an exact zero of the joint's constants makes zero and that
-cannot change a bit, so forward kinematics is bit-identical to composing
-``Pose`` objects joint by joint. ``forward_kinematics`` reads the link
-frames off a walk of the whole tree, and ``jacobian`` the joint frames
-off a walk of one link's path. A path walk builds and returns only its
-end link's pose, which is all the twin's merge tick and ``jacobian``
-read.
+terms that an exact zero of the joint's constants makes zero. Every
+component it returns is canonical, ``+ 0.0`` added, so a zero is ``0.0``:
+forward kinematics is bit for bit a chain of ``Pose.compose`` calls with
+its zeros made canonical. A chain or base the walk cannot take is
+rejected: ``parse_urdf`` and ``Chain`` a joint with a non-finite constant
+(``UrdfError``), and ``frames`` a base off the unit sphere
+(``ValueError``). ``forward_kinematics`` reads the link frames off a walk
+of the whole tree, and ``jacobian`` the joint frames off a walk of one
+link's path. A path walk builds and returns only its end link's pose,
+which is all the twin's merge tick and ``jacobian`` read.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import ZERO3, Pose, norm
@@ -71,21 +73,25 @@ class RobotModel:
         return len(self.movable_joints)
 
 
-def _parse_floats(text: str, n: int, what: str) -> tuple:
+def _parse_floats(text: str, n: int, what: str, joint: str) -> tuple:
+    """``n`` finite floats from ``text``, the ``what`` of ``joint``."""
     parts = text.split()
     if len(parts) != n:
-        raise UrdfError(f"expected {n} values in {what}, got {text!r}")
-    return tuple(float(p) for p in parts)
+        raise UrdfError(f"expected {n} values in {what} of joint {joint!r}, got {text!r}")
+    values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise UrdfError(f"non-finite {what} on joint {joint!r}: {text!r}")
+    return values
 
 
-def _origin_pose(elem) -> Pose:
+def _origin_pose(elem, joint: str) -> Pose:
     origin = elem.find("origin")
     xyz = rpy = ZERO3
     if origin is not None:
         if origin.get("xyz"):
-            xyz = _parse_floats(origin.get("xyz"), 3, "origin xyz")
+            xyz = _parse_floats(origin.get("xyz"), 3, "origin xyz", joint)
         if origin.get("rpy"):
-            rpy = _parse_floats(origin.get("rpy"), 3, "origin rpy")
+            rpy = _parse_floats(origin.get("rpy"), 3, "origin rpy", joint)
     return Pose.from_rpy(xyz, rpy)
 
 
@@ -142,19 +148,22 @@ def parse_urdf(xml_text: str) -> RobotModel:
         lower = upper = 0.0
         if kind in MOVABLE_KINDS:
             axis_el = el.find("axis")
-            axis = _parse_floats(axis_el.get("xyz"), 3, "axis") if axis_el is not None \
+            axis = _parse_floats(axis_el.get("xyz"), 3, "axis", name) if axis_el is not None \
                 else (1.0, 0.0, 0.0)
             n = norm(axis)
             if n < 1e-12:
                 raise UrdfError(f"zero-length axis on joint {name!r}")
+            if n == math.inf:
+                raise UrdfError(f"the norm of the axis of joint {name!r} overflows")
             axis = tuple(a / n for a in axis)
             limit_el = el.find("limit")
             if limit_el is not None:
-                lower = float(limit_el.get("lower", 0.0))
-                upper = float(limit_el.get("upper", 0.0))
+                lower, = _parse_floats(limit_el.get("lower", "0"), 1, "limit lower", name)
+                upper, = _parse_floats(limit_el.get("upper", "0"), 1, "limit upper", name)
             if lower > upper:
                 raise UrdfError(f"joint {name!r} has lower > upper limit")
-        joints.append(Joint(name, kind, parent, child, _origin_pose(el), axis, lower, upper))
+        joints.append(Joint(name, kind, parent, child, _origin_pose(el, name), axis,
+                            lower, upper))
 
     roots = [name for name in links if name not in child_of]
     if len(roots) != 1:
@@ -185,12 +194,12 @@ class ChainJoint(NamedTuple):
     """One joint of a compiled chain, held as plain floats.
 
     The four classes say which components of the joint's constant factors
-    are zeros of either sign, for ``Chain.frames`` to drop the terms they
-    multiply: ``0``, ``1`` or ``2`` for a vector along x, y or z alone, or
-    a rotation of ``w`` and that vector component alone; ``-1`` for a zero
-    vector, or the identity rotation ``(1.0, 0, 0, 0)``; ``3`` for any
-    other. A revolute joint's motion rotation has its axis's zeros, and a
-    prismatic joint's shift too.
+    are zeros of either sign, for ``Chain.frames`` to keep only the terms
+    they do not multiply, returning each component canonical: ``0``, ``1``
+    or ``2`` for a vector along x, y or z alone, or a rotation of ``w`` and
+    that vector component alone; ``-1`` for a zero vector, or the identity
+    rotation ``(1.0, 0, 0, 0)``; ``3`` for any other. A revolute joint's
+    motion rotation has its axis's zeros, and a prismatic joint's shift too.
     """
 
     parent: int  # index of the parent link in Chain.links
@@ -235,11 +244,10 @@ class Chain:
     its children; ``forward_kinematics`` returns its poses in this order.
     ``index`` maps a link's name to its place in ``links``.
 
-    A chain is sound when its offsets and axes are finite and its origin
-    rotations within 1e-12 of the unit sphere, as ``Pose`` keeps them. Then
     ``joints`` holds each joint's classes, for ``frames`` to drop the terms
-    that are zero; ``dense`` holds every joint as class 3, all terms kept,
-    and so does ``joints`` of a chain that is not sound.
+    that are zero. A joint whose offset or axis is not finite, or whose
+    origin rotation is more than 1e-12 off the unit sphere, where ``Pose``
+    keeps it, raises ``UrdfError`` naming it.
     """
 
     def __init__(self, model: RobotModel):
@@ -258,23 +266,16 @@ class Chain:
                 index[j.child] = len(links)
                 links.append(j.child)
                 axis = j.axis or ZERO3
+                if not (abs(norm(j.origin.rotation) - 1.0) <= 1e-12
+                        and all(map(math.isfinite, (*j.origin.translation, *axis)))):
+                    raise UrdfError(f"joint {j.name!r}: non-finite constant or non-unit rotation")
                 joints.append(ChainJoint(index[parent], j.kind, j.origin, axis, norm(axis),
                                          movable.get(j.name, -1), *_classes(j, axis)))
                 stack.append(j.child)
         self.joints: tuple[ChainJoint, ...] = tuple(joints)
-        if not all(abs(norm(j.origin.rotation) - 1.0) <= 1e-12
-                   and all(map(math.isfinite, (*j.origin.translation, *j.axis)))
-                   for j in joints):
-            self.joints = self.dense
         self.links: tuple[str, ...] = tuple(links)
         self.index = index
         self._paths: dict[str, tuple[int, ...]] = {}
-
-    @cached_property
-    def dense(self) -> tuple[ChainJoint, ...]:
-        """``joints``, every one as class 3; built on first use."""
-        return tuple([j._replace(offset=3, turn=3, shift=3, spin=3, unit_axis=False)
-                      for j in self.joints])
 
     def path(self, link: str) -> tuple[int, ...]:
         """The indices of the joints from the root down to ``link``, for
@@ -310,7 +311,8 @@ class Chain:
         off the link the joint before it moves, raises ``ValueError``. With
         a list for ``joint_frames``, each walked joint's frame, parent o
         origin, is appended to it as a pair. ``positions`` are finite, as
-        ``check`` returns them.
+        ``check`` returns them; a base whose rotation is more than 1e-12 off
+        the unit sphere, where ``Pose`` keeps it, raises ``ValueError``.
 
         ``Pose.compose`` is written out twice per joint, for parent o origin
         and then for that o motion, where the motion is a revolute joint's
@@ -324,26 +326,19 @@ class Chain:
         The zero-term rule: each component of such a product is a sum of
         four terms, added left to right. The walk keeps, in their order, the
         terms whose constant factor ``ChainJoint``'s classes do not name a
-        zero, and drops the others; a component that comes out zero is
-        taken from the full sum. That is the full product bit for bit. With
-        the running rotation finite, a dropped term is a finite value times
-        a zero, so a zero. Adding a zero to a non-zero value leaves it as it
-        is, and a sum of zeros is a zero, so each partial sum of the full
-        product equals that of the kept terms, or both are zeros that may
-        differ in sign. A non-zero component is thus the full sum's, and
-        only a zero one needs the full sum, for its sign. Two shortcuts
-        follow: a product with the identity rotation keeps ``q`` and skips
-        the renormalization, which ``q`` has passed; a zero offset leaves a
-        translation with no zero component as it is.
-
-        By the same argument a whole walk of kept terms differs from the
-        full one only in the signs of zeros: squaring a zero drops its sign,
-        so every norm, renormalization and error is the same. So a path
-        walk without ``joint_frames``, which returns only its end pose,
-        takes no component from the full sum as it goes and skips the zero
-        offsets and motions outright; if its end pose has a zero component,
-        it walks again as a walk that returns more does, taking each zero
-        from the full sum.
+        zero. The running rotation is finite, from a unit base along a
+        ``Chain`` of finite constants, so a dropped term is a zero. Adding a
+        zero to a non-zero value leaves it as it is, and a sum of zeros is a
+        zero, so each partial sum of the full product equals that of the
+        kept terms, or both are zeros: a non-zero component is the full
+        sum's. The sign of a zero changes no non-zero value further on, and
+        squaring a zero drops it, so every norm, renormalization and error
+        is the full walk's too. Two shortcuts follow: a product with the
+        identity rotation keeps ``q`` and skips the renormalization, which
+        ``q`` has passed; a zero offset or shift leaves the translation as
+        it is. Each component is returned canonical, ``+ 0.0`` added, so a
+        zero is ``0.0``: the walk's bytes are those of the ``Pose.compose``
+        walk with its zeros made canonical.
 
         Unit axes: a revolute joint about a coordinate axis of length
         exactly 1.0 skips its ``b``'s renormalization. That ``b`` is
@@ -353,20 +348,17 @@ class Chain:
         within 4.5e-13 of 1 and its square root within 2.3e-13, inside
         ``Pose``'s 1e-12: ``Pose`` would keep ``b`` as it is. Every other
         axis is renormalized as ``Pose`` does.
-
-        The running rotation stays finite from a base within 1e-12 of the
-        unit sphere, as ``Pose`` keeps it, along a sound chain (``Chain``).
-        From any other base every term is kept (``dense``).
         """
         sin, cos, sqrt, new = math.sin, math.cos, math.sqrt, tuple.__new__
         (tx, ty, tz), (w, x, y, z) = base
-        joints = self.joints if abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12 \
-            else self.dense
+        if not abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12:
+            raise ValueError(f"base rotation {base.rotation} is off the unit sphere")
+        joints = self.joints
         full = path is None
-        # a walk that returns every link's pose or joint frame takes each
-        # zero from the full sum as it goes; a path walk checks its end pose
-        strict = full or joint_frames is not None
-        links = [base if full else None] + [None] * len(joints)
+        links = [None] * (len(joints) + 1)
+        if full:
+            links[0] = new(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
+                                  (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
         built = 0  # the link whose frame the locals hold
         for i in range(len(joints)) if full else path:
             (parent, kind, ((vx, vy, vz), (bw, bx, by, bz)), (ax, ay, az), axis_norm,
@@ -377,7 +369,7 @@ class Chain:
                                      f"not {self.links[built]!r}: not a root-to-link chain")
                 (tx, ty, tz), (w, x, y, z) = links[parent]  # a branch of the tree
             # parent o origin: the offset's q * (0, v), then that times conj(q)
-            if offset >= 0 or strict and not (tx and ty and tz):
+            if offset >= 0:
                 nx, ny, nz = -x, -y, -z
                 if offset == 2:
                     rw = nz * vz
@@ -399,15 +391,6 @@ class Chain:
                     rx = w * vx + x * 0.0 + y * vz - z * vy
                     ry = w * vy - x * vz + y * 0.0 + z * vx
                     rz = w * vz + x * vy - y * vx + z * 0.0
-                if strict:
-                    if not rw:
-                        rw = w * 0.0 - x * vx - y * vy - z * vz
-                    if not rx:
-                        rx = w * vx + x * 0.0 + y * vz - z * vy
-                    if not ry:
-                        ry = w * vy - x * vz + y * 0.0 + z * vx
-                    if not rz:
-                        rz = w * vz + x * vy - y * vx + z * 0.0
                 tx += rw * nx + rx * w + ry * nz - rz * ny
                 ty += rw * ny - rx * nz + ry * w + rz * nx
                 tz += rw * nz + rx * ny - ry * nx + rz * w
@@ -437,15 +420,6 @@ class Chain:
                 qx = w * bx + x * bw + y * bz - z * by
                 qy = w * by - x * bz + y * bw + z * bx
                 qz = w * bz + x * by - y * bx + z * bw
-            if strict:
-                if not qw:
-                    qw = w * bw - x * bx - y * by - z * bz
-                if not qx:
-                    qx = w * bx + x * bw + y * bz - z * by
-                if not qy:
-                    qy = w * by - x * bz + y * bw + z * bx
-                if not qz:
-                    qz = w * bz + x * by - y * bx + z * bw
             if turn >= 0:
                 n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
                 if abs(n - 1.0) > 1e-12:
@@ -476,7 +450,7 @@ class Chain:
                 by = 0.0
                 bz = 0.0
             # (parent o origin) o motion, by the same rule
-            if shift >= 0 or strict and not (tx and ty and tz):
+            if shift >= 0:
                 dx, dy, dz = _turned((qw, qx, qy, qz), shift, vx, vy, vz)
                 tx += dx
                 ty += dy
@@ -506,15 +480,6 @@ class Chain:
                 x = qw * bx + qx * bw + qy * bz - qz * by
                 y = qw * by - qx * bz + qy * bw + qz * bx
                 z = qw * bz + qx * by - qy * bx + qz * bw
-            if strict:
-                if not w:
-                    w = qw * bw - qx * bx - qy * by - qz * bz
-                if not x:
-                    x = qw * bx + qx * bw + qy * bz - qz * by
-                if not y:
-                    y = qw * by - qx * bz + qy * bw + qz * bx
-                if not z:
-                    z = qw * bz + qx * by - qy * bx + qz * bw
             if spin >= 0:
                 n = sqrt(w * w + x * x + y * y + z * z)
                 if abs(n - 1.0) > 1e-12:
@@ -523,21 +488,18 @@ class Chain:
                     w, x, y, z = w / n, x / n, y / n, z / n
             built = i + 1
             if full:
-                links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
+                links[built] = new(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
+                                          (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
         if not full:
-            if not (strict or tx and ty and tz and w and x and y and z):
-                # a zero of the end pose may have the other sign than the
-                # full sums give it: walk again, strictly (a list for
-                # joint_frames makes the walk strict)
-                return self.frames(positions, base, path, [])
-            links[built] = new(Pose, ((tx, ty, tz), (w, x, y, z)))
+            links[built] = new(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
+                                      (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
         return links
 
 
 def _turned(q: tuple, along: int, vx: float, vy: float, vz: float) -> tuple:
-    """``geometry._rotate(q, vx, vy, vz)`` bit for bit for a finite ``q``,
-    with ``q * (0, v)`` taken by the zero-term rule of ``Chain.frames``
-    for a vector of class ``along`` (``ChainJoint``)."""
+    """``geometry._rotate(q, vx, vy, vz)`` for a finite ``q``, with ``q * (0,
+    v)`` taken by the zero-term rule of ``Chain.frames`` for a vector of
+    class ``along`` (``ChainJoint``): every non-zero component bit for bit."""
     w, x, y, z = q
     nx, ny, nz = -x, -y, -z
     if along == 2:
@@ -556,14 +518,9 @@ def _turned(q: tuple, along: int, vx: float, vy: float, vz: float) -> tuple:
         ry = z * vx
         rz = ny * vx
     else:
-        rw = rx = ry = rz = 0.0
-    if not rw:
         rw = w * 0.0 - x * vx - y * vy - z * vz
-    if not rx:
         rx = w * vx + x * 0.0 + y * vz - z * vy
-    if not ry:
         ry = w * vy - x * vz + y * 0.0 + z * vx
-    if not rz:
         rz = w * vz + x * vy - y * vx + z * 0.0
     return (rw * nx + rx * w + ry * nz - rz * ny,
             rw * ny - rx * nz + ry * w + rz * nx,
@@ -592,25 +549,28 @@ def jacobian(model: RobotModel, positions, link: str,
     joint on it, its frame is parent o origin, and its axis in the world is
     ``a``, the joint's axis rotated by ``_turned`` as ``frames`` classes it.
     A revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
-    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1).
+    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1). Each component
+    is canonical, as ``frames`` returns them: a non-zero one is that of the
+    same columns read off a walk of ``Pose.compose`` calls, and a zero one
+    is ``0.0``. A base off the unit sphere raises ``ValueError``.
     """
     chain = model.chain
     path = chain.path(link)
     joint_frames = []
     px, py, pz = chain.frames(chain.check(positions), base, path,
                               joint_frames)[chain.index[link]].translation
-    joints = chain.joints if abs(norm(base.rotation) - 1.0) <= 1e-12 else chain.dense
     columns = [ZERO3] * chain.dof
     for k, ((jx, jy, jz), rotation) in zip(path, joint_frames):
-        j = joints[k]
+        j = chain.joints[k]
         if j.dof >= 0:
             ax, ay, az = _turned(rotation, j.spin if j.kind == "revolute" else j.shift,
                                  *j.axis)
             if j.kind == "prismatic":
-                columns[j.dof] = (ax, ay, az)
+                columns[j.dof] = (ax + 0.0, ay + 0.0, az + 0.0)
             else:
                 dx, dy, dz = px - jx, py - jy, pz - jz
-                columns[j.dof] = (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx)
+                columns[j.dof] = (ay * dz - az * dy + 0.0, az * dx - ax * dz + 0.0,
+                                  ax * dy - ay * dx + 0.0)
     return columns
 
 

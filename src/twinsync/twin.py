@@ -197,22 +197,33 @@ def merge_records(engine: TwinEngine, tick_ns: int, records,
                   ) -> tuple[list[TelemetryPacket], list[CommandFrame], int]:
     """Decode the log records due at a merge tick, in log order, and run
     the tick on their telemetry and mocap (command and heartbeat records
-    are twin output and markers). An undecodable payload raises
-    ``ValueError``, or with ``skip_bad`` is skipped and counted. Returns
-    the decoded telemetry, the tick's command frames and the skip count.
+    are twin output and markers). A bad record, an undecodable payload or
+    telemetry of another robot id or joint count than the twin's, raises
+    ``ValueError`` naming its channel and time, or with ``skip_bad`` is
+    skipped and counted. Returns the decoded telemetry, the tick's command
+    frames and the skip count.
     """
+    robot_id, dof = engine.config.robot_id, engine.model.dof
     telemetry, mocap = [], []
     skipped = 0
     for rec in records:
+        bad = None
         try:
             if rec.channel == CHANNEL_TELEMETRY:
-                telemetry.append(decode_telemetry(rec.payload))
+                pkt = decode_telemetry(rec.payload)
+                if pkt.robot_id == robot_id and len(pkt.positions) == dof:
+                    telemetry.append(pkt)
+                else:
+                    bad = (f"telemetry of robot {pkt.robot_id} with {len(pkt.positions)} "
+                           f"joints, not of robot {robot_id} with {dof}")
             elif rec.channel == CHANNEL_MOCAP:
                 mocap.append(decode_mocap(rec.payload))
         except WireError as e:
+            bad = f"undecodable payload: {e}"
+        if bad is not None:
             if not skip_bad:
-                raise ValueError(f"undecodable payload on channel {rec.channel} "
-                                 f"at {rec.time_ns} ns: {e}") from e
+                raise ValueError(f"bad record on channel {rec.channel} at {rec.time_ns} ns: "
+                                 f"{bad}")
             skipped += 1
     return telemetry, engine.merge_tick(tick_ns, telemetry, mocap), skipped
 

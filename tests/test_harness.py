@@ -32,8 +32,9 @@ from twinsync.robot import parse_urdf
 from twinsync.scenario import (AssetConfig, ConfigError, DelayModel, LeaderConfig,
                                LinkConfig, ScenarioConfig, config_from_dict,
                                load_config)
-from twinsync.twin import TwinEngine, merge_tick_time, replay, station_pose
-from twinsync.wire import CommandFrame, TelemetryPacket, decode_command, encode_command
+from twinsync.twin import TwinEngine, load_model, merge_tick_time, replay, station_pose
+from twinsync.wire import (CommandFrame, TelemetryPacket, decode_command, encode_command,
+                           encode_telemetry)
 from twinsync.zones import ProhibitedZone
 
 ROOT = Path(__file__).parent.parent
@@ -244,6 +245,34 @@ class TestReplay:
             replay(bad, cfg)
         rep = replay(bad, cfg, skip_bad=True)
         assert rep.skipped == 1
+        assert rep.state_hash == res.state_hash
+
+    # telemetry that is not the twin's: of robot 7, with a seq after the
+    # run's that would be applied as the latest, or of 3 joints where the
+    # Panda has 9; one is logged after the first telemetry record past each
+    # of two times
+    @pytest.mark.parametrize("robot_id, dof", [(7, 9), (0, 3)], ids=["foreign", "short"])
+    def test_skip_bad_drops_telemetry_of_another_robot(self, tmp_path, robot_id, dof):
+        cfg = with_outputs(load_config(CONFIGS / "example.yaml"), tmp_path)
+        res = simulate(cfg)
+        assert res.state_hash == GOLDEN["example"][0]
+        assert (cfg.robot_id, load_model(cfg).dof) == (0, 9)
+        times = [100_000_000, 300_000_000]
+        bad = tmp_path / "bad.dtrl"
+        with LogWriter(bad, cfg.seed) as writer:
+            for r in logged(cfg.log_path):
+                writer.append(r)
+                if times and r.channel == CHANNEL_TELEMETRY and r.time_ns > times[0]:
+                    times.pop(0)
+                    pkt = TelemetryPacket(robot_id, 10 ** 6, r.time_ns, [0.3] * dof,
+                                          [0.0] * dof, [0.0] * dof, 0.04, 0.0)
+                    writer.append(LogRecord(r.time_ns, CHANNEL_TELEMETRY,
+                                            encode_telemetry(pkt)))
+        assert not times
+        with pytest.raises(ValueError, match="bad record on channel 1 at"):
+            replay(bad, cfg)
+        rep = replay(bad, cfg, skip_bad=True)
+        assert rep.skipped == 2
         assert rep.state_hash == res.state_hash
 
     def test_empty_log(self, robot_file, tmp_path):

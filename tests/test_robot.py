@@ -73,6 +73,13 @@ FIXED_ONLY = """
 """
 
 
+def one_joint(origin="", axis="<axis xyz='0 0 1'/>", limit=""):
+    """A robot of one revolute joint 'j' with the given child elements."""
+    return ("<robot name='r'><link name='a'/><link name='b'/>"
+            f"<joint name='j' type='revolute'>{origin}<parent link='a'/><child link='b'/>"
+            f"{axis}{limit}</joint></robot>")
+
+
 class TestParse:
     def test_one_link(self):
         m = parse_urdf(ONE_LINK)
@@ -109,6 +116,18 @@ class TestParse:
         ("<robot name='r'><link name='a'/><link name='b'/>"
          "<joint name='j' type='revolute'><parent link='a'/><child link='b'/>"
          "<axis xyz='0 0 0'/></joint></robot>", "zero-length"),
+        pytest.param(one_joint(origin="<origin xyz='0 nan 0'/>"),
+                     "non-finite origin xyz on joint 'j'", id="nan-origin-xyz"),
+        pytest.param(one_joint(origin="<origin rpy='0 0 inf'/>"),
+                     "non-finite origin rpy on joint 'j'", id="inf-origin-rpy"),
+        pytest.param(one_joint(axis="<axis xyz='0 nan 1'/>"),
+                     "non-finite axis on joint 'j'", id="nan-axis"),
+        pytest.param(one_joint(axis="<axis xyz='1e308 1e308 0'/>"),
+                     "axis of joint 'j' overflows", id="overflowing-axis"),
+        pytest.param(one_joint(limit="<limit lower='nan' upper='1'/>"),
+                     "non-finite limit lower on joint 'j'", id="nan-limit-lower"),
+        pytest.param(one_joint(limit="<limit lower='-1' upper='inf'/>"),
+                     "non-finite limit upper on joint 'j'", id="inf-limit-upper"),
     ])
     def test_rejects(self, xml, err):
         with pytest.raises(UrdfError, match=err):
@@ -393,18 +412,34 @@ def classed_chains(draw):
     return RobotModel("classed", tuple(links), tuple(joints), "l0")
 
 
+def canonical(values) -> list:
+    """``values`` with ``+ 0.0`` added to each, as the walk returns them: a
+    zero of either sign becomes ``0.0`` and every other value stays."""
+    return [v + 0.0 for v in values]
+
+
 def assert_fk_bytes(model, q, base):
+    # the walk returns canonical zeros, so the oracle's are made canonical
     got = forward_kinematics(model, q, base)
     want = reference_fk(model, q, base)
     assert list(got) == list(want)
     for link, pose in want.items():
-        assert np.asarray(got[link].translation).tobytes() == pose.translation.tobytes()
-        assert np.asarray(got[link].rotation).tobytes() == pose.rotation.tobytes()
+        assert np.asarray(got[link].translation).tobytes() == \
+            (pose.translation + 0.0).tobytes()
+        assert np.asarray(got[link].rotation).tobytes() == (pose.rotation + 0.0).tobytes()
 
 
 def assert_jacobian_bytes(model, q, link, base):
     assert [struct.pack("<3d", *c) for c in jacobian(model, q, link, base)] == \
-        [struct.pack("<3d", *c) for c in compose_jacobian(model, q, link, base)]
+        [struct.pack("<3d", *canonical(c)) for c in compose_jacobian(model, q, link, base)]
+
+
+def assert_path_walk_bytes(model, q, link, base):
+    chain = model.chain
+    got = chain.frames(q, base, chain.path(link))[chain.index[link]]
+    want = compose_path(model, q, link, base)[0]
+    assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
+        struct.pack("<3d4d", *canonical((*want.translation, *want.rotation)))
 
 
 def compose_path(model, q, link, base):
@@ -451,13 +486,14 @@ def compose_jacobian(model, q, link, base):
 
 
 class TestCompiledChain:
-    """The compiled chain against the ``Pose.compose`` walk, byte for byte."""
+    """The compiled chain against the ``Pose.compose`` walk with its zeros
+    made canonical, byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
     @settings(max_examples=60, deadline=None)
     def test_fk_matches_compose_walk(self, name, data, base):
-        # zeros of both signs reach the walk's fallbacks from its skips
+        # zeros of both signs reach the products whose terms the walk drops
         model = MODELS[name]
         assert_fk_bytes(model, draw_signed_zero_positions(data, model), base)
 
@@ -483,8 +519,8 @@ class TestCompiledChain:
         link = data.draw(st.sampled_from(model.links))
         assert_jacobian_bytes(model, q, link, base)
 
-    # bases turned about a coordinate axis, on which a skip past a zero
-    # component would flip the sign of a zero somewhere, as a random search
+    # bases turned about a coordinate axis, on which the kept terms give a
+    # zero of the other sign than the full sum somewhere, as a random search
     # found: the draws above reach such inputs too rarely to count on
     @pytest.mark.parametrize("name, q, axis, angle, xyz", [
         ("planar", [0.0, -0.0], (0.0, 0.0, 1.0), -5.7, [-0.0, -0.0, -0.0]),
@@ -498,16 +534,15 @@ class TestCompiledChain:
         for link in model.chain.links:
             assert_jacobian_bytes(model, q, link, base)
 
-    # the walk's zero fallbacks, each named for the product whose zero
-    # components it takes from the full sum: the offset's q * (0, v)
-    # ("offset"), the origin rotation's q * b ("turn"), the motion's
-    # ("spin") and the axis rotated for a Jacobian column ("axis"); the
-    # guards that rotate a zero offset or shift when the translation has a
-    # zero ("guard"); and the path walk's check of its end pose ("end"). A
-    # search over stations turned about a coordinate axis found these
-    # inputs: dropping any of the named fallbacks flips the sign of a zero
-    # in one. No input was found for the offset's four or the turn's w,
-    # which the proof in ``Chain.frames`` keeps
+    # inputs on which the kept terms of a product give a zero of the other
+    # sign than its full sum, each named for the components where they do:
+    # the offset's q * (0, v) ("offset"), the origin rotation's q * b
+    # ("turn"), the motion's ("spin") and the axis rotated for a Jacobian
+    # column ("axis"); a zero offset or shift left unrotated on a
+    # translation with a zero ("guard"); and the path walk's end pose
+    # ("end"). A search over stations turned about a coordinate axis found
+    # them. The walk, its path walk and ``jacobian`` return those zeros as
+    # ``0.0``, the canonical compose walk's bytes
     @pytest.mark.parametrize("name, q, rotation, xyz", [
         pytest.param("panda", [0.0] * 9, quat_from_axis_angle((0.0, 0.0, 1.0), 7.0),
                      [0.0] * 3, id="station-yaw:turn-xy,axis-y,end"),
@@ -525,17 +560,13 @@ class TestCompiledChain:
                      [-0.0] * 3, id="planar:offset-guard"),
         pytest.param("shortcuts", [0.0] * 4, IDENTITY_QUAT, [0.0] * 3, id="identity:axis-z"),
     ])
-    def test_each_zero_fallback_forced(self, name, q, rotation, xyz):
+    def test_flipped_zeros_come_out_canonical(self, name, q, rotation, xyz):
         model = MODELS[name]
-        chain = model.chain
         base = Pose(xyz, rotation)
         assert_fk_bytes(model, q, base)
-        for link in chain.links:
+        for link in model.chain.links:
             assert_jacobian_bytes(model, q, link, base)
-            got = chain.frames(q, base, chain.path(link))[chain.index[link]]
-            want = compose_path(model, q, link, base)[0]
-            assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
-                struct.pack("<3d4d", *want.translation, *want.rotation)
+            assert_path_walk_bytes(model, q, link, base)
 
     @given(model=classed_chains(), data=st.data(), base=BASES | SIGNED_ZERO_BASES)
     @settings(max_examples=150, deadline=None)
@@ -566,32 +597,21 @@ class TestCompiledChain:
         got = {joint_of[chain.links[i + 1]]: (j.offset, j.turn, j.shift, j.spin, j.unit_axis)
                for i, j in enumerate(chain.joints)}
         assert got == want
-        assert all((j.offset, j.turn, j.shift, j.spin) == (3, 3, 3, 3) for j in chain.dense)
 
-    # chains the walk must take with every term: a constant that is not
-    # finite, or an origin rotation that ``Pose.of`` left off the unit
-    # sphere, which the numpy oracle would renormalize; against the
-    # ``Pose.compose`` walk, then
+    # chains the walk cannot take: a constant that is not finite, or an
+    # origin rotation that ``Pose.of`` left off the unit sphere
     @pytest.mark.parametrize("origin, axis", [
         (Pose.of((math.inf, 0.0, 0.0), IDENTITY_QUAT), (0.0, 0.0, 1.0)),
         (Pose.of((0.0, 0.0, 0.1), IDENTITY_QUAT), (0.0, math.nan, 1.0)),
         (Pose.of((0.0, 0.0, 0.1), (0.5, 0.5, 0.0, 0.0)), (0.0, 0.0, 1.0)),
         (Pose.of((0.0, 0.0, 0.1), (math.nan, 0.0, 0.0, 0.0)), (0.0, 0.0, 1.0)),
     ])
-    def test_unsound_chain_walked_in_full(self, origin, axis):
+    def test_unsound_joint_rejected(self, origin, axis):
         joints = (Joint("a", "revolute", "l0", "l1", origin, axis, -3.0, 3.0),
                   Joint("b", "revolute", "l1", "l2", Pose((0.0, 0.0, 0.2)), (0.0, 0.0, 1.0),
                         -3.0, 3.0))
-        model = RobotModel("unsound", ("l0", "l1", "l2"), joints, "l0")
-        assert model.chain.joints == model.chain.dense
-        base = yawed_station(-0.3, (0.0, -0.0, 0.0))
-        for q in ([0.0, -0.0], [0.4, -0.7]):
-            got = forward_kinematics(model, q, base)
-            for link in model.links:
-                want = compose_path(model, q, link, base)[0]
-                assert struct.pack("<3d4d", *got[link].translation, *got[link].rotation) == \
-                    struct.pack("<3d4d", *want.translation, *want.rotation)
-                assert_jacobian_bytes(model, q, link, base)
+        with pytest.raises(UrdfError, match="joint 'a'"):
+            RobotModel("unsound", ("l0", "l1", "l2"), joints, "l0")
 
     # a revolute joint about a coordinate axis of length 1.0 keeps its
     # motion quaternion unrenormalized: its norm, taken as the walk takes
@@ -619,7 +639,9 @@ class TestCompiledChain:
         model = RobotModel("wide", ("l0", "l1"), (joint,), "l0")
         for q in (1.0, 4.0):
             assert abs(forward_kinematics(model, [q])["l1"].rotation[0]) == 1.0
-            assert_fk_bytes(model, [q], yawed_station(0.3, (0.5, 0.2, 0.0)))
+            # the oracle's norm overflows, as the walk's does, on purpose
+            with np.errstate(over="ignore"):
+                assert_fk_bytes(model, [q], yawed_station(0.3, (0.5, 0.2, 0.0)))
 
     def test_negated_identity_origin_not_skipped(self):
         # (-1, 0, 0, 0) turns nothing but negates a product; no URDF rpy gives it
@@ -630,13 +652,33 @@ class TestCompiledChain:
                                         quat_from_axis_angle((0.3, 0.4, 0.5), 0.7)))
 
     # the skips take a rotation that renormalizes to itself; a base that
-    # ``Pose.of`` took off the unit sphere, or a NaN one, is walked in full
+    # ``Pose.of`` took off the unit sphere, or a NaN one, is rejected
     @pytest.mark.parametrize("rotation", [(0.9, 0.1, 0.2, 0.3), (math.nan, 0.5, 0.5, 0.5)])
-    def test_base_off_the_unit_sphere_walked_in_full(self, rotation):
+    def test_base_off_the_unit_sphere_rejected(self, rotation):
         base = Pose.of((0.1, -0.2, 0.3), rotation)
         for model in MODELS.values():
-            for link in model.chain.links:
-                assert_jacobian_bytes(model, [0.3] * model.dof, link, base)
+            chain, q = model.chain, [0.3] * model.dof
+            with pytest.raises(ValueError, match="unit sphere"):
+                forward_kinematics(model, q, base)
+            for link in chain.links:
+                with pytest.raises(ValueError, match="unit sphere"):
+                    jacobian(model, q, link, base)
+                with pytest.raises(ValueError, match="unit sphere"):
+                    chain.frames(q, base, chain.path(link))
+
+    @given(model=st.sampled_from(sorted(MODELS)).map(MODELS.get) | classed_chains(),
+           data=st.data(), base=SIGNED_ZERO_BASES)
+    @settings(max_examples=150, deadline=None)
+    def test_no_negative_zero_returned(self, model, data, base):
+        chain = model.chain
+        q = chain.check(draw_signed_zero_positions(data, model))
+        values = [c for pose in forward_kinematics(model, q, base).values()
+                  for c in (*pose.translation, *pose.rotation)]
+        for link in chain.links:
+            end = chain.frames(q, base, chain.path(link))[chain.index[link]]
+            values += [*end.translation, *end.rotation]
+            values += [c for column in jacobian(model, q, link, base) for c in column]
+        assert not [v for v in values if v == 0.0 and math.copysign(1.0, v) < 0.0]
 
     def test_jacobian_planar_closed_form(self):
         # the standard 2R formula for the tip
