@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log")
     common(p)
     p.add_argument("--skip-bad", action="store_true",
-                   help="skip undecodable payloads instead of halting")
+                   help="skip bad records instead of halting")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("parse-urdf", help="parse and summarize a robot description")

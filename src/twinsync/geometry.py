@@ -18,10 +18,11 @@ function: it writes ``_rotate``, ``quat_multiply`` and ``unit_quat`` out
 inline, in the same order, so its poses are bit for bit those of the
 three calls; ``Pose.inverse`` writes ``quat_conjugate``, ``_rotate`` and
 ``unit_quat`` out the same way. ``robot.Chain.frames``, the kinematics
-walk, writes the same operations out once more per joint, so forward
-kinematics is bit for bit a chain of ``Pose.compose`` calls: it drops
-only the terms that an exact zero of the joint's constants makes ``±0.0``,
-and takes a component that comes out zero from the full sum, for its sign.
+walk, writes the same operations out once more per joint, less the terms
+that an exact zero of the joint's constants makes ``±0.0``, and returns
+every component canonical (``+ 0.0``, so a zero is ``0.0``): forward
+kinematics is bit for bit a chain of ``Pose.compose`` calls with its zeros
+made canonical.
 """
 
 from __future__ import annotations

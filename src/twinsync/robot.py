@@ -16,12 +16,13 @@ floats, each operation in the order ``Pose.compose``,
 terms that an exact zero of the joint's constants makes zero. Every
 component it returns is canonical, ``+ 0.0`` added, so a zero is ``0.0``:
 forward kinematics is bit for bit a chain of ``Pose.compose`` calls with
-its zeros made canonical. A chain or base the walk cannot take is
-rejected: ``parse_urdf`` and ``Chain`` a joint with a non-finite constant
-(``UrdfError``), and ``frames`` a base off the unit sphere
-(``ValueError``). ``forward_kinematics`` reads the link frames off a walk
-of the whole tree, and ``jacobian`` the joint frames off a walk of one
-link's path. A path walk builds and returns only its end link's pose,
+its zeros made canonical. What the walk cannot take is rejected:
+``parse_urdf`` a non-finite value or an axis whose norm overflows,
+``Chain`` a joint with a non-finite constant or an origin rotation off the
+unit sphere (both ``UrdfError``), and ``frames`` a base off the unit
+sphere (``ValueError``). ``forward_kinematics`` reads the link frames off
+a walk of the whole tree, and ``jacobian`` the joint frames off a walk of
+one link's path. A path walk builds and returns only its end link's pose,
 which is all the twin's merge tick and ``jacobian`` read.
 """
 
@@ -549,10 +550,9 @@ def jacobian(model: RobotModel, positions, link: str,
     joint on it, its frame is parent o origin, and its axis in the world is
     ``a``, the joint's axis rotated by ``_turned`` as ``frames`` classes it.
     A revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
-    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1). Each component
-    is canonical, as ``frames`` returns them: a non-zero one is that of the
-    same columns read off a walk of ``Pose.compose`` calls, and a zero one
-    is ``0.0``. A base off the unit sphere raises ``ValueError``.
+    joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1). As in
+    ``frames``, only kept terms are summed and each component is returned
+    canonical; a base off the unit sphere raises ``ValueError``.
     """
     chain = model.chain
     path = chain.path(link)

@@ -289,8 +289,8 @@ SKEW = """
 </robot>
 """
 
-# a joint for each of the chain walk's skips and fallbacks: below the root,
-# whose rotation has zeros (identity or yawed), a zero-offset revolute
+# a joint for each of the chain walk's skips: below the root, whose
+# rotation has zeros (identity or yawed), a zero-offset revolute
 # joint, a zero-offset prismatic joint under an identity origin and a fixed
 # joint with only an offset; below those, a fixed joint with neither offset
 # nor rotation, a prismatic joint with only an offset and a revolute joint
@@ -560,7 +560,7 @@ class TestCompiledChain:
                      [-0.0] * 3, id="planar:offset-guard"),
         pytest.param("shortcuts", [0.0] * 4, IDENTITY_QUAT, [0.0] * 3, id="identity:axis-z"),
     ])
-    def test_flipped_zeros_come_out_canonical(self, name, q, rotation, xyz):
+    def test_flipped_zeros_canonical(self, name, q, rotation, xyz):
         model = MODELS[name]
         base = Pose(xyz, rotation)
         assert_fk_bytes(model, q, base)
