@@ -5,25 +5,23 @@ joints with origin, axis, limits and the parent/child wiring. Visual,
 collision, transmission and vendor extensions are ignored.
 
 Each ``RobotModel`` compiles its tree into a ``Chain`` when it is built
-(``model.chain``): the joints in traversal order with their parent link's
-index, origin pose, axis as a float tuple, the axis's norm, each movable
-joint's position index, and which components of its origin and its axis
-are exact zeros; ``Chain.path`` gives a link's root-to-link joints, found
-once per link. ``Chain.frames`` is the one kinematics walk: one loop that,
-at each joint, composes parent o origin and then that o motion on local
-floats, each operation in the order ``Pose.compose``,
-``quat_from_axis_angle`` and ``Pose``'s renormalization take, less the
-terms that an exact zero of the joint's constants makes zero. Every
-component it returns is canonical, ``+ 0.0`` added, so a zero is ``0.0``:
-forward kinematics is bit for bit a chain of ``Pose.compose`` calls with
-its zeros made canonical. What the walk cannot take is rejected:
-``parse_urdf`` a non-finite value or an axis whose norm overflows,
-``Chain`` a joint with a non-finite constant or an origin rotation off the
-unit sphere (both ``UrdfError``), and ``frames`` a base off the unit
-sphere (``ValueError``). ``forward_kinematics`` reads the link frames off
-a walk of the whole tree, and ``jacobian`` the joint frames off a walk of
-one link's path. A path walk builds and returns only its end link's pose,
-which is all the twin's merge tick and ``jacobian`` read.
+(``model.chain``): the joints in traversal order with their origin pose,
+axis as a float tuple, the axis's norm, each movable joint's position index,
+and which components of its origin and its axis are exact zeros; and
+``Chain.paths``, each link's root-to-link joints. ``Chain.pose`` is the one
+kinematics walk: it walks one link's path and, at each joint, composes
+parent o origin and then that o motion on local floats, each operation in
+the order ``Pose.compose``, ``quat_from_axis_angle`` and ``Pose``'s
+renormalization take, less the terms that an exact zero of the joint's
+constants makes zero. Every component it returns is canonical, ``+ 0.0``
+added, so a zero is ``0.0``: a link's pose is bit for bit a chain of
+``Pose.compose`` calls with its zeros made canonical. What the walk cannot
+take is rejected: ``parse_urdf`` a value that is not a finite number or an
+axis whose norm overflows, ``Chain`` a joint with a non-finite constant or
+an origin rotation off the unit sphere (both ``UrdfError``), and ``pose`` a
+base off the unit sphere (``ValueError``). ``forward_kinematics`` walks
+every link's path, ``jacobian`` reads the joint frames off one walk, and
+the twin's merge tick walks its end-effector's path alone.
 """
 
 from __future__ import annotations
@@ -79,7 +77,10 @@ def _parse_floats(text: str, n: int, what: str, joint: str) -> tuple:
     parts = text.split()
     if len(parts) != n:
         raise UrdfError(f"expected {n} values in {what} of joint {joint!r}, got {text!r}")
-    values = tuple(float(p) for p in parts)
+    try:
+        values = tuple(map(float, parts))
+    except ValueError:
+        raise UrdfError(f"non-numeric {what} on joint {joint!r}: {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise UrdfError(f"non-finite {what} on joint {joint!r}: {text!r}")
     return values
@@ -149,7 +150,7 @@ def parse_urdf(xml_text: str) -> RobotModel:
         lower = upper = 0.0
         if kind in MOVABLE_KINDS:
             axis_el = el.find("axis")
-            axis = _parse_floats(axis_el.get("xyz"), 3, "axis", name) if axis_el is not None \
+            axis = _parse_floats(axis_el.get("xyz", ""), 3, "axis", name) if axis_el is not None \
                 else (1.0, 0.0, 0.0)
             n = norm(axis)
             if n < 1e-12:
@@ -195,7 +196,7 @@ class ChainJoint(NamedTuple):
     """One joint of a compiled chain, held as plain floats.
 
     The four classes say which components of the joint's constant factors
-    are zeros of either sign, for ``Chain.frames`` to keep only the terms
+    are zeros of either sign, for ``Chain.pose`` to keep only the terms
     they do not multiply, returning each component canonical: ``0``, ``1``
     or ``2`` for a vector along x, y or z alone, or a rotation of ``w`` and
     that vector component alone; ``-1`` for a zero vector, or the identity
@@ -203,7 +204,6 @@ class ChainJoint(NamedTuple):
     motion rotation has its axis's zeros, and a prismatic joint's shift too.
     """
 
-    parent: int  # index of the parent link in Chain.links
     kind: str
     origin: Pose
     axis: tuple[float, float, float]  # zeros for a fixed joint
@@ -243,9 +243,10 @@ class Chain:
     ``links[0]`` is the root and ``joints[i]`` moves ``links[i + 1]``. The
     joints are in depth-first order from the root, so every parent precedes
     its children; ``forward_kinematics`` returns its poses in this order.
-    ``index`` maps a link's name to its place in ``links``.
+    ``paths`` maps each link's name to the indices of the joints from the
+    root down to it, ``()`` for the root.
 
-    ``joints`` holds each joint's classes, for ``frames`` to drop the terms
+    ``joints`` holds each joint's classes, for ``pose`` to drop the terms
     that are zero. A joint whose offset or axis is not finite, or whose
     origin rotation is more than 1e-12 off the unit sphere, where ``Pose``
     keeps it, raises ``UrdfError`` naming it.
@@ -257,40 +258,23 @@ class Chain:
         joints_of: dict[str, list[Joint]] = {}
         for j in model.joints:
             joints_of.setdefault(j.parent, []).append(j)
-        links = [model.root]
-        index = {model.root: 0}
+        paths = {model.root: ()}
         joints = []
         stack = [model.root]
         while stack:
             parent = stack.pop()
             for j in joints_of.get(parent, []):
-                index[j.child] = len(links)
-                links.append(j.child)
+                paths[j.child] = paths[parent] + (len(joints),)
                 axis = j.axis or ZERO3
                 if not (abs(norm(j.origin.rotation) - 1.0) <= 1e-12
                         and all(map(math.isfinite, (*j.origin.translation, *axis)))):
                     raise UrdfError(f"joint {j.name!r}: non-finite constant or non-unit rotation")
-                joints.append(ChainJoint(index[parent], j.kind, j.origin, axis, norm(axis),
+                joints.append(ChainJoint(j.kind, j.origin, axis, norm(axis),
                                          movable.get(j.name, -1), *_classes(j, axis)))
                 stack.append(j.child)
         self.joints: tuple[ChainJoint, ...] = tuple(joints)
-        self.links: tuple[str, ...] = tuple(links)
-        self.index = index
-        self._paths: dict[str, tuple[int, ...]] = {}
-
-    def path(self, link: str) -> tuple[int, ...]:
-        """The indices of the joints from the root down to ``link``, for
-        ``frames``; computed on the first call for each link. KeyError for
-        an unknown link."""
-        path = self._paths.get(link)
-        if path is None:
-            steps = []
-            i = self.index[link]
-            while i:
-                steps.append(i - 1)
-                i = self.joints[i - 1].parent
-            path = self._paths[link] = tuple(reversed(steps))
-        return path
+        self.links: tuple[str, ...] = tuple(paths)  # in the order they were reached
+        self.paths: dict[str, tuple[int, ...]] = paths
 
     def check(self, positions) -> list[float]:
         """Validated movable-joint positions as a list of floats."""
@@ -302,18 +286,15 @@ class Chain:
             raise ValueError("non-finite joint position")
         return positions
 
-    def frames(self, positions, base: Pose = IDENTITY, path: tuple | None = None,
-               joint_frames: list | None = None) -> list:
-        """The pose of every link, in ``links`` order; with ``path``, joint
-        indices from the root down as ``path(link)`` gives them, only those
-        joints are walked and only the end link's entry is filled, the root's
-        for an empty path: every other entry, the path's inner links too, is
-        None. A path that is not such a chain, one whose joint does not hang
-        off the link the joint before it moves, raises ``ValueError``. With
-        a list for ``joint_frames``, each walked joint's frame, parent o
-        origin, is appended to it as a pair. ``positions`` are finite, as
-        ``check`` returns them; a base whose rotation is more than 1e-12 off
-        the unit sphere, where ``Pose`` keeps it, raises ``ValueError``.
+    def pose(self, positions, base: Pose, link: str,
+             joint_frames: list | None = None) -> Pose:
+        """The pose of ``link``: a walk of its ``paths`` entry from the root
+        at ``base``, which the root's empty path returns as it is, made
+        canonical. KeyError for an unknown link. With a list for
+        ``joint_frames``, each walked joint's frame, parent o origin, is
+        appended to it as a pair. ``positions`` are finite, as ``check``
+        returns them; a base whose rotation is more than 1e-12 off the unit
+        sphere, where ``Pose`` keeps it, raises ``ValueError``.
 
         ``Pose.compose`` is written out twice per joint, for parent o origin
         and then for that o motion, where the motion is a revolute joint's
@@ -350,25 +331,14 @@ class Chain:
         ``Pose``'s 1e-12: ``Pose`` would keep ``b`` as it is. Every other
         axis is renormalized as ``Pose`` does.
         """
-        sin, cos, sqrt, new = math.sin, math.cos, math.sqrt, tuple.__new__
+        sin, cos, sqrt = math.sin, math.cos, math.sqrt
         (tx, ty, tz), (w, x, y, z) = base
         if not abs(sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12:
             raise ValueError(f"base rotation {base.rotation} is off the unit sphere")
         joints = self.joints
-        full = path is None
-        links = [None] * (len(joints) + 1)
-        if full:
-            links[0] = new(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
-                                  (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
-        built = 0  # the link whose frame the locals hold
-        for i in range(len(joints)) if full else path:
-            (parent, kind, ((vx, vy, vz), (bw, bx, by, bz)), (ax, ay, az), axis_norm,
-             dof, offset, turn, shift, spin, unit_axis) = joints[i]
-            if parent != built:
-                if not full:
-                    raise ValueError(f"path joint {i} hangs off {self.links[parent]!r}, "
-                                     f"not {self.links[built]!r}: not a root-to-link chain")
-                (tx, ty, tz), (w, x, y, z) = links[parent]  # a branch of the tree
+        for i in self.paths[link]:
+            (kind, ((vx, vy, vz), (bw, bx, by, bz)), (ax, ay, az), axis_norm, dof, offset,
+             turn, shift, spin, unit_axis) = joints[i]
             # parent o origin: the offset's q * (0, v), then that times conj(q)
             if offset >= 0:
                 nx, ny, nz = -x, -y, -z
@@ -487,19 +457,13 @@ class Chain:
                     if n == 0.0:
                         raise ValueError("zero quaternion")
                     w, x, y, z = w / n, x / n, y / n, z / n
-            built = i + 1
-            if full:
-                links[built] = new(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
-                                          (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
-        if not full:
-            links[built] = new(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
-                                      (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
-        return links
+        return tuple.__new__(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
+                                    (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
 
 
 def _turned(q: tuple, along: int, vx: float, vy: float, vz: float) -> tuple:
     """``geometry._rotate(q, vx, vy, vz)`` for a finite ``q``, with ``q * (0,
-    v)`` taken by the zero-term rule of ``Chain.frames`` for a vector of
+    v)`` taken by the zero-term rule of ``Chain.pose`` for a vector of
     class ``along`` (``ChainJoint``): every non-zero component bit for bit."""
     w, x, y, z = q
     nx, ny, nz = -x, -y, -z
@@ -530,14 +494,15 @@ def _turned(q: tuple, along: int, vx: float, vy: float, vz: float) -> tuple:
 
 def forward_kinematics(model: RobotModel, positions,
                        base_pose: Pose | None = None) -> dict[str, Pose]:
-    """Link poses for the given movable-joint positions.
+    """Link poses for the given movable-joint positions, in ``Chain.links``
+    order: one ``Chain.pose`` walk per link.
 
     Child pose = parent pose o joint origin o joint motion. The root link
     takes ``base_pose`` (identity by default).
     """
     chain = model.chain
-    return dict(zip(chain.links, chain.frames(chain.check(positions),
-                                              base_pose or IDENTITY)))
+    positions, base = chain.check(positions), base_pose or IDENTITY
+    return {link: chain.pose(positions, base, link) for link in chain.links}
 
 
 def jacobian(model: RobotModel, positions, link: str,
@@ -546,21 +511,19 @@ def jacobian(model: RobotModel, positions, link: str,
     ``base``: one 3-tuple column per movable joint, ``(0.0, 0.0, 0.0)`` for
     a joint off the link's path. KeyError for an unknown link.
 
-    Read off one ``Chain.frames`` walk of the link's path only: for each
-    joint on it, its frame is parent o origin, and its axis in the world is
-    ``a``, the joint's axis rotated by ``_turned`` as ``frames`` classes it.
-    A revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
+    Read off one ``Chain.pose`` walk of the link's path: for each joint on
+    it, its frame is parent o origin, and its axis in the world is ``a``,
+    the joint's axis rotated by ``_turned`` as ``pose`` classes it. A
+    revolute joint's column is ``a x (p_link - p_joint)``, a prismatic
     joint's is ``a`` (Lynch & Park, *Modern Robotics*, 5.1). As in
-    ``frames``, only kept terms are summed and each component is returned
+    ``pose``, only kept terms are summed and each component is returned
     canonical; a base off the unit sphere raises ``ValueError``.
     """
     chain = model.chain
-    path = chain.path(link)
     joint_frames = []
-    px, py, pz = chain.frames(chain.check(positions), base, path,
-                              joint_frames)[chain.index[link]].translation
+    px, py, pz = chain.pose(chain.check(positions), base, link, joint_frames).translation
     columns = [ZERO3] * chain.dof
-    for k, ((jx, jy, jz), rotation) in zip(path, joint_frames):
+    for k, ((jx, jy, jz), rotation) in zip(chain.paths[link], joint_frames):
         j = chain.joints[k]
         if j.dof >= 0:
             ax, ay, az = _turned(rotation, j.spin if j.kind == "revolute" else j.shift,

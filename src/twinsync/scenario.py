@@ -327,10 +327,14 @@ def load_config(path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     if path.suffix == ".json":
-        data = json.loads(path.read_text())
+        parse, malformed = json.loads, json.JSONDecodeError
     else:
         import yaml  # only for YAML files, so JSON configs load without it
-        data = yaml.safe_load(path.read_text())
+        parse, malformed = yaml.safe_load, yaml.YAMLError
+    try:
+        data = parse(path.read_text())
+    except malformed as e:
+        raise ConfigError(f"malformed config file {path}: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     cfg = config_from_dict(data)

@@ -5,10 +5,10 @@ so a log replays, its config loaded from JSON, on any Python 3.10+.
 
 A merge tick computes only what it reads: it walks the end-effector's
 root-to-link path alone, for the gripper pose and the zone queries; every
-link's pose, which only ``state_hash`` reads, is built on demand. Mocap
-frames only update their filter's state; a filtered pose is built when
-read, once per tick for each asset, by its tracker, and for the station
-when a frame of the tick left it STABLE or RELOCATED.
+link's pose, which only ``state_hash`` reads, is walked on demand, one path
+per link. Mocap frames only update their filter's state; a filtered pose
+is built when read, once per tick for each asset, by its tracker, and for
+the station when a frame of the tick left it STABLE or RELOCATED.
 """
 
 from __future__ import annotations
@@ -67,16 +67,17 @@ class TwinEngine:
     with its zone id in ``active_repulsions``), and exposes a
     deterministic state hash. Pure function of the inbound packet
     sequence, which is what makes log replay exact. A tick walks the
-    chain along the end-effector's path only; ``state_hash`` runs the full
-    forward kinematics on each call.
+    chain along the end-effector's path only; ``state_hash`` walks every
+    link's path on each call. An ``ee_link`` that names no link of the
+    model raises ``ConfigError`` when the engine is built.
     """
 
     def __init__(self, model: RobotModel, config: ScenarioConfig):
         self.model = model
         self.config = config
+        if config.ee_link not in (None, *model.links):
+            raise ConfigError(f"ee_link {config.ee_link!r} names no link of {model.name!r}")
         self.ee_link = config.ee_link or _deepest_link(model)
-        self._ee_path = model.chain.path(self.ee_link)
-        self._ee_index = model.chain.index[self.ee_link]
         self.tick = 0
         self.last_tick_ns = 0
         self.applied_seq = -1
@@ -134,8 +135,7 @@ class TwinEngine:
             self._pose_base()
 
         # apply_joint_state has checked and clamped the positions
-        gripper_pose = self.model.chain.frames(self.positions, self.base_pose,
-                                               self._ee_path)[self._ee_index]
+        gripper_pose = self.model.chain.pose(self.positions, self.base_pose, self.ee_link)
         grasped = self.gripper.phase is GRASPED
         for oid, tracker in self.asset_trackers.items():
             tracker.update(grasped, gripper_pose, asset_filters[oid].last_output, dt)
@@ -174,7 +174,7 @@ class TwinEngine:
         def pose(p: Pose) -> bytes:
             return struct.pack("<3d4d", *p.translation, *p.rotation)
 
-        # every link's pose: the one full forward-kinematics walk
+        # every link's pose, one path walk per link
         link_poses = forward_kinematics(self.model, self.positions, self.base_pose)
         for name in sorted(link_poses):
             h.update(name.encode())
@@ -231,10 +231,7 @@ def merge_records(engine: TwinEngine, tick_ns: int, records,
 def load_model(config: ScenarioConfig) -> RobotModel:
     if config.robot_path is None:
         raise ValueError("scenario requires a robot description path")
-    model = parse_urdf(Path(config.robot_path).read_text())
-    if config.ee_link not in (None, *model.links):
-        raise ConfigError(f"ee_link {config.ee_link!r} names no link of {model.name!r}")
-    return model
+    return parse_urdf(Path(config.robot_path).read_text())
 
 
 @dataclass

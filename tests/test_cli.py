@@ -78,6 +78,26 @@ def test_missing_model_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parse_urdf_reports_an_axis_without_xyz(capsys, tmp_path):
+    path = tmp_path / "bare_axis.urdf"
+    path.write_text(PLANAR.replace("<axis xyz='0 0 1'/>", "<axis/>"))
+    assert main(["parse-urdf", "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: expected 3 values in axis of joint 'j1'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text", [("bad.yaml", "seed: [1, 2\n"),
+                                        ("bad.json", '{"seed": [1, 2\n')])
+def test_malformed_config_file_reported(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: malformed config file {path}: ")
+    assert "Traceback" not in err
+
+
 def test_measure_latency_table(capsys):
     code = main(["measure-latency", "--config",
                  str(CONFIGS / "reference_latency.yaml"), "--samples", "20000"])

@@ -788,6 +788,10 @@ class TestTwinEngine:
         return TelemetryPacket(0, seq, t_ns, q, [0.0, 0.0], [0.0, 0.0],
                                0.08, 0.0)
 
+    def test_unknown_ee_link_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="ee_link 'tpi' names no link of 'planar'"):
+            self.engine(ee_link="tpi")
+
     def test_applied_seq_nondecreasing(self):
         eng = self.engine()
         eng.merge_tick(merge_tick_time(1), [self.tele(3), self.tele(5)], [])

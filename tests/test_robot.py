@@ -128,6 +128,14 @@ class TestParse:
                      "non-finite limit lower on joint 'j'", id="nan-limit-lower"),
         pytest.param(one_joint(limit="<limit lower='-1' upper='inf'/>"),
                      "non-finite limit upper on joint 'j'", id="inf-limit-upper"),
+        pytest.param(one_joint(origin="<origin xyz='0 0 q'/>"),
+                     "non-numeric origin xyz on joint 'j'", id="text-origin-xyz"),
+        pytest.param(one_joint(axis="<axis xyz='0 x 1'/>"),
+                     "non-numeric axis on joint 'j'", id="text-axis"),
+        pytest.param(one_joint(limit="<limit lower='x' upper='1'/>"),
+                     "non-numeric limit lower on joint 'j'", id="text-limit-lower"),
+        pytest.param(one_joint(axis="<axis/>"),
+                     "expected 3 values in axis of joint 'j'", id="axis-without-xyz"),
     ])
     def test_rejects(self, xml, err):
         with pytest.raises(UrdfError, match=err):
@@ -435,8 +443,7 @@ def assert_jacobian_bytes(model, q, link, base):
 
 
 def assert_path_walk_bytes(model, q, link, base):
-    chain = model.chain
-    got = chain.frames(q, base, chain.path(link))[chain.index[link]]
+    got = model.chain.pose(q, base, link)
     want = compose_path(model, q, link, base)[0]
     assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
         struct.pack("<3d4d", *canonical((*want.translation, *want.rotation)))
@@ -664,7 +671,7 @@ class TestCompiledChain:
                 with pytest.raises(ValueError, match="unit sphere"):
                     jacobian(model, q, link, base)
                 with pytest.raises(ValueError, match="unit sphere"):
-                    chain.frames(q, base, chain.path(link))
+                    chain.pose(q, base, link)
 
     @given(model=st.sampled_from(sorted(MODELS)).map(MODELS.get) | classed_chains(),
            data=st.data(), base=SIGNED_ZERO_BASES)
@@ -675,7 +682,7 @@ class TestCompiledChain:
         values = [c for pose in forward_kinematics(model, q, base).values()
                   for c in (*pose.translation, *pose.rotation)]
         for link in chain.links:
-            end = chain.frames(q, base, chain.path(link))[chain.index[link]]
+            end = chain.pose(q, base, link)
             values += [*end.translation, *end.rotation]
             values += [c for column in jacobian(model, q, link, base) for c in column]
         assert not [v for v in values if v == 0.0 and math.copysign(1.0, v) < 0.0]
@@ -727,46 +734,35 @@ class TestCompiledChain:
         chain = model.chain
         assert chain is model.chain  # compiled once per model
         assert list(chain.links) == list(forward_kinematics(model, np.zeros(model.dof)))
+        assert list(chain.paths) == list(chain.links)
         by_child = {j.child: j for j in model.joints}
-        for i, cj in enumerate(chain.joints):
-            joint = by_child[chain.links[i + 1]]
-            assert chain.links[cj.parent] == joint.parent
-            assert cj.parent <= i
+        for i, link in enumerate(chain.links[1:]):
+            # joints[i] moves links[i + 1], below its parent's path
+            parent = by_child[link].parent
+            assert chain.paths[link] == chain.paths[parent] + (i,)
+            assert chain.links.index(parent) <= i
+
+    @given(model=st.sampled_from(sorted(MODELS)).map(MODELS.get) | classed_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_paths_follow_the_model_parents(self, model):
+        # each joint of a link's path hangs off the link the joint before it
+        # moves, the first off the root, and the last moves the link
+        chain = model.chain
+        joint_of = {j.child: j for j in model.joints}
+        moved = [joint_of[link] for link in chain.links[1:]]
+        assert set(chain.paths) == set(model.links)
+        for link, path in chain.paths.items():
+            child = model.root
+            for k in path:
+                assert moved[k].parent == child
+                child = moved[k].child
+            assert child == link
 
     def test_path_of_unknown_link(self):
         with pytest.raises(KeyError):
             jacobian(MODELS["planar"], [0.0, 0.0], "nowhere")
         with pytest.raises(KeyError):
-            MODELS["planar"].chain.path("nowhere")
-
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
-    @settings(max_examples=40, deadline=None)
-    def test_path_walk_builds_only_the_end_pose(self, name, data, base):
-        # every link's path, the root's empty one too, gives the full walk's
-        # pose of that link byte for byte, and no other entry
-        model = MODELS[name]
-        chain = model.chain
-        base = base or Pose()
-        q = chain.check(draw_signed_zero_positions(data, model))
-        full = chain.frames(q, base)
-        for link in chain.links:
-            k = chain.index[link]
-            got = chain.frames(q, base, chain.path(link))
-            assert [i for i, pose in enumerate(got) if pose is not None] == [k]
-            assert struct.pack("<3d4d", *got[k].translation, *got[k].rotation) == \
-                struct.pack("<3d4d", *full[k].translation, *full[k].rotation)
-
-    def test_path_that_is_not_a_chain_rejected(self):
-        panda, shortcuts = MODELS["panda"].chain, MODELS["shortcuts"].chain
-        ee_path = panda.path("panda_hand")
-        branches = shortcuts.path("e") + shortcuts.path("f")  # both hang off the root
-        for chain, path in [(panda, ee_path[1:]), (panda, ee_path[::-1]),
-                            (panda, ee_path[:2] + ee_path[3:]),
-                            (panda, ee_path + ee_path[-1:]), (shortcuts, branches)]:
-            q = [0.1] * chain.dof
-            with pytest.raises(ValueError, match="not a root-to-link chain"):
-                chain.frames(q, Pose(), path)
+            MODELS["planar"].chain.pose([0.0, 0.0], Pose(), "nowhere")
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_path_is_the_parent_walk_computed_once(self, name):
@@ -778,28 +774,23 @@ class TestCompiledChain:
             while child in joint_of:
                 want.append(chain.links.index(child) - 1)
                 child = joint_of[child].parent
-            path = chain.path(link)
-            assert path == tuple(reversed(want))
-            assert chain.path(link) is path
-        assert chain.path(model.root) == ()
+            assert chain.paths[link] == tuple(reversed(want))
+        assert chain.paths[model.root] == ()
 
     @pytest.mark.parametrize("pinned", sorted(PINNED), ids=lambda key: f"{key[0]}-{key[1]}")
     @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
     @settings(max_examples=40, deadline=None)
     def test_path_walk_matches_fk(self, pinned, data, base):
         # the twin's walk for its end-effector, the root and a link halfway
-        # along the end-effector's path each give forward kinematics' pose
+        # along the end-effector's path each give the canonical compose walk
         model, ee_link = PINNED[pinned]
         chain = model.chain
-        ee_path = chain.path(ee_link)
+        ee_path = chain.paths[ee_link]
         links = [ee_link, model.root, chain.links[ee_path[len(ee_path) // 2] + 1]]
         assert len(set(links)) == 3
         q = chain.check(draw_signed_zero_positions(data, model))
-        want = forward_kinematics(model, q, base)
         for link in links:
-            got = chain.frames(q, base or Pose(), chain.path(link))[chain.index[link]]
-            assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
-                struct.pack("<3d4d", *want[link].translation, *want[link].rotation)
+            assert_path_walk_bytes(model, q, link, base or Pose())
 
     # finite values whose sum overflows, and non-finite ones at either end
     @given(st.lists(st.floats(), min_size=9, max_size=9))

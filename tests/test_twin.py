@@ -143,25 +143,25 @@ def test_link_poses_are_full_fk_at_the_final_inputs(ticks):
     assert [pose_bytes(p) for p in got.values()] == [pose_bytes(p) for p in want.values()]
 
 
-def test_one_path_walk_per_merge_tick_and_one_full_walk_per_state_hash(tmp_path,
-                                                                      monkeypatch):
+def test_one_ee_walk_per_merge_tick_and_one_walk_per_link_per_state_hash(tmp_path,
+                                                                         monkeypatch):
     cfg = dataclasses.replace(load_config(CONFIGS / "multi_asset.yaml"),
                               log_path=str(tmp_path / "run.dtrl"), trace_path=None,
                               stats_path=None)
     simulate(cfg)
     walks = []
-    frames = Chain.frames
+    pose = Chain.pose
 
-    def spy(self, positions, base, path=None, joint_frames=None):
-        walks.append(path)
-        return frames(self, positions, base, path, joint_frames)
+    def spy(self, positions, base, link, joint_frames=None):
+        walks.append(link)
+        return pose(self, positions, base, link, joint_frames)
 
-    monkeypatch.setattr(Chain, "frames", spy)
+    monkeypatch.setattr(Chain, "pose", spy)
     result = replay(cfg.log_path, cfg)
     model = load_model(cfg)
-    ee_path = model.chain.path(TwinEngine(model, cfg).ee_link)
+    ee_link = TwinEngine(model, cfg).ee_link
     assert result.merge_ticks > 0
-    assert walks == [ee_path] * result.merge_ticks + [None]
+    assert walks == [ee_link] * result.merge_ticks + list(model.chain.links)
 
 
 def test_each_filter_builds_one_pose_per_merge_tick_plus_one_per_relocation(tmp_path,
