@@ -17,12 +17,13 @@ only when its norm is more than 1e-12 from 1. ``Pose.compose`` is one
 function: it writes ``_rotate``, ``quat_multiply`` and ``unit_quat`` out
 inline, in the same order, so its poses are bit for bit those of the
 three calls; ``Pose.inverse`` writes ``quat_conjugate``, ``_rotate`` and
-``unit_quat`` out the same way. ``robot.Chain.pose``, the kinematics
-walk of one link's path, writes the same operations out once more per
-joint, less the terms that an exact zero of the joint's constants makes
-``±0.0``, and returns every component canonical (``+ 0.0``, so a zero is
-``0.0``): a link's pose is bit for bit a chain of ``Pose.compose`` calls
-with its zeros made canonical.
+``unit_quat`` out the same way. ``robot.RobotModel.pose``, the
+kinematics walk of one link's path, writes the same operations out once
+more per joint, less the terms that an exact zero of the joint's constants
+makes ``±0.0``, calls ``_rotate`` for a prismatic joint's shift, and
+returns every component canonical (``+ 0.0``, so a zero is ``0.0``): a
+link's pose is bit for bit a chain of ``Pose.compose`` calls with its
+zeros made canonical.
 """
 
 from __future__ import annotations

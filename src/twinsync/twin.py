@@ -135,7 +135,7 @@ class TwinEngine:
             self._pose_base()
 
         # apply_joint_state has checked and clamped the positions
-        gripper_pose = self.model.chain.pose(self.positions, self.base_pose, self.ee_link)
+        gripper_pose = self.model.pose(self.positions, self.base_pose, self.ee_link)
         grasped = self.gripper.phase is GRASPED
         for oid, tracker in self.asset_trackers.items():
             tracker.update(grasped, gripper_pose, asset_filters[oid].last_output, dt)

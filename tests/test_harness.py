@@ -175,14 +175,16 @@ EXAMPLE = load_config(CONFIGS / "example.yaml")
 @given(duration_us=st.integers(0, 200_000), seed=st.integers(0, 2 ** 64 - 1))
 @settings(max_examples=100, deadline=None)
 @example(duration_us=0, seed=0)  # no control tick
-@example(duration_us=3_000, seed=0)  # seq 0 sent, no merge tick run to log it
+@example(duration_us=3_000, seed=0)  # no merge tick 1, so seq 0 not sent
+@example(duration_us=8_333, seed=0)  # the longest run without merge tick 1
+@example(duration_us=9_000, seed=0)  # tick 1 runs after the last control tick
 @example(duration_us=18_000, seed=0)  # tick 1 at 16.67 ms, between control ticks
 @example(duration_us=50_600, seed=0)  # tick 3 at 50 ms, on the last control tick
 def test_telemetry_goes_out_at_the_merge_ticks(duration_us, seed, tmp_path_factory):
     # over a lossless link with no delay, every merge tick j at or before
     # the last control tick, tick 0 included, sends one packet at its time
-    # T_j, carrying the sample of control tick T_j // 1 ms; the packets are
-    # logged by the merge ticks that run, so not in a run shorter than tick 1
+    # T_j, carrying the sample of control tick T_j // 1 ms, and the merge
+    # ticks log them; a run without tick 1 runs no tick and sends nothing
     log = tmp_path_factory.getbasetemp() / "schedule.dtrl"
     cfg = dataclasses.replace(EXAMPLE, seed=seed, duration_s=duration_us / 1e6,
                               telemetry_link=LinkConfig(), log_path=str(log),
@@ -193,9 +195,9 @@ def test_telemetry_goes_out_at_the_merge_ticks(duration_us, seed, tmp_path_facto
                                      map(merge_tick_time, itertools.count())))
     sent = [(r.time_ns, *struct.unpack_from("<4xIQ", r.payload))
             for r in logged(log) if r.channel == CHANNEL_TELEMETRY]
-    assert res.telemetry_sent == len(ticks)
     if res.merge_ticks == 0:
         ticks = []
+    assert res.telemetry_sent == len(ticks)
     assert sent == [(t, t // 1_000_000, t // 1_000_000 * 1_000_000) for t in ticks]
 
 

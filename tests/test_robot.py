@@ -145,6 +145,13 @@ class TestParse:
         two_roots = ("<robot name='r'><link name='a'/><link name='b'/></robot>")
         with pytest.raises(UrdfError, match="root"):
             parse_urdf(two_roots)
+        # a loop c <-> d beside the tree: one root, r, that reaches neither
+        loop = ("<robot name='r'><link name='r'/><link name='c'/><link name='d'/>"
+                "<joint name='cd' type='fixed'><parent link='c'/><child link='d'/></joint>"
+                "<joint name='dc' type='fixed'><parent link='d'/><child link='c'/></joint>"
+                "</robot>")
+        with pytest.raises(UrdfError, match=r"links unreachable from root: \['c', 'd'\]"):
+            parse_urdf(loop)
 
 
 class TestForwardKinematics:
@@ -225,8 +232,7 @@ class TestForwardKinematics:
 
 def reference_fk(model, positions, base_pose=None):
     """Forward kinematics as a walk of the numpy oracle's ``Pose.compose``
-    over the tree, in the order the compiled chain keeps: the oracle it must
-    match bit for bit."""
+    over the tree, depth first: the oracle it must match bit for bit."""
     positions = np.asarray(positions, dtype=float)
     pos_of = {j.name: positions[i] for i, j in enumerate(model.movable_joints)}
     joints_of = {}
@@ -430,7 +436,7 @@ def assert_fk_bytes(model, q, base):
     # the walk returns canonical zeros, so the oracle's are made canonical
     got = forward_kinematics(model, q, base)
     want = reference_fk(model, q, base)
-    assert list(got) == list(want)
+    assert list(got) == list(model.links) and len(want) == len(got)
     for link, pose in want.items():
         assert np.asarray(got[link].translation).tobytes() == \
             (pose.translation + 0.0).tobytes()
@@ -443,7 +449,7 @@ def assert_jacobian_bytes(model, q, link, base):
 
 
 def assert_path_walk_bytes(model, q, link, base):
-    got = model.chain.pose(q, base, link)
+    got = model.pose(q, base, link)
     want = compose_path(model, q, link, base)[0]
     assert struct.pack("<3d4d", *got.translation, *got.rotation) == \
         struct.pack("<3d4d", *canonical((*want.translation, *want.rotation)))
@@ -538,7 +544,7 @@ class TestCompiledChain:
         model = MODELS[name]
         base = Pose(xyz, quat_from_axis_angle(axis, angle))
         assert_fk_bytes(model, q, base)
-        for link in model.chain.links:
+        for link in model.links:
             assert_jacobian_bytes(model, q, link, base)
 
     # inputs on which the kept terms of a product give a zero of the other
@@ -571,7 +577,7 @@ class TestCompiledChain:
         model = MODELS[name]
         base = Pose(xyz, rotation)
         assert_fk_bytes(model, q, base)
-        for link in model.chain.links:
+        for link in model.links:
             assert_jacobian_bytes(model, q, link, base)
             assert_path_walk_bytes(model, q, link, base)
 
@@ -585,24 +591,22 @@ class TestCompiledChain:
 
     def test_panda_joints_are_classed(self):
         # by ChainJoint's classes: 0, 1, 2 along x, y, z alone; -1 none; 3 general
-        want = {  # joint: offset, turn, shift, spin, unit_axis
-            "panda_joint1": (2, -1, -1, 2, True),
-            "panda_joint2": (-1, 0, -1, 2, True),
-            "panda_joint3": (1, 0, -1, 2, True),
-            "panda_joint4": (0, 0, -1, 2, True),
-            "panda_joint5": (3, 0, -1, 2, True),
-            "panda_joint6": (-1, 0, -1, 2, True),
-            "panda_joint7": (0, 0, -1, 2, True),
-            "panda_joint8": (2, -1, -1, -1, False),
-            "panda_hand_joint": (-1, 2, -1, -1, False),
-            "panda_finger_joint1": (2, -1, 1, -1, False),
-            "panda_finger_joint2": (2, -1, 1, -1, False),
+        want = {  # joint: offset, turn, spin, unit_axis
+            "panda_joint1": (2, -1, 2, True),
+            "panda_joint2": (-1, 0, 2, True),
+            "panda_joint3": (1, 0, 2, True),
+            "panda_joint4": (0, 0, 2, True),
+            "panda_joint5": (3, 0, 2, True),
+            "panda_joint6": (-1, 0, 2, True),
+            "panda_joint7": (0, 0, 2, True),
+            "panda_joint8": (2, -1, -1, False),
+            "panda_hand_joint": (-1, 2, -1, False),
+            "panda_finger_joint1": (2, -1, -1, False),
+            "panda_finger_joint2": (2, -1, -1, False),
         }
         model = MODELS["panda"]
-        chain = model.chain
-        joint_of = {j.child: j.name for j in model.joints}
-        got = {joint_of[chain.links[i + 1]]: (j.offset, j.turn, j.shift, j.spin, j.unit_axis)
-               for i, j in enumerate(chain.joints)}
+        got = {j.name: (s.offset, s.turn, s.spin, s.unit_axis)
+               for j, s in zip(model.joints, model.steps)}
         assert got == want
 
     # chains the walk cannot take: a constant that is not finite, or an
@@ -619,6 +623,64 @@ class TestCompiledChain:
                         -3.0, 3.0))
         with pytest.raises(UrdfError, match="joint 'a'"):
             RobotModel("unsound", ("l0", "l1", "l2"), joints, "l0")
+
+    # trees the walk from the root cannot take, built without ``parse_urdf``:
+    # a link with two parent joints, one of them in a loop below the root,
+    # and links the root does not reach
+    @pytest.mark.parametrize("links, wiring, err", [
+        (("r", "a", "b"), [("r", "a"), ("a", "b"), ("b", "a")], "link 'a' is reached twice"),
+        (("r", "a", "b"), [("r", "a"), ("r", "b"), ("a", "b")], "link 'b' is reached twice"),
+        (("r", "a", "b"), [("r", "a"), ("a", "r")], "link 'r' is reached twice"),
+        (("r", "a", "c", "d"), [("r", "a"), ("c", "d"), ("d", "c")],
+         r"links unreachable from root: \['c', 'd'\]"),
+        (("r", "a"), [], r"links unreachable from root: \['a'\]"),
+    ])
+    def test_unwalkable_tree_rejected(self, links, wiring, err):
+        joints = tuple(Joint(f"j{i}", "fixed", parent, child, Pose((0.1, 0.0, 0.0)))
+                       for i, (parent, child) in enumerate(wiring))
+        with pytest.raises(UrdfError, match=err):
+            RobotModel("unwalkable", links, joints, "r")
+
+    # the same robot with its <link> and <joint> elements in another order:
+    # paths index the joints in document order, and the poses and the
+    # Jacobian's columns, matched by name, keep every byte
+    @pytest.mark.parametrize("order", [
+        pytest.param(lambda n: list(reversed(range(n))), id="reversed"),
+        pytest.param(lambda n: list(np.random.default_rng(3).permutation(n)), id="shuffled-3"),
+        pytest.param(lambda n: list(np.random.default_rng(7).permutation(n)), id="shuffled-7"),
+    ])
+    @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
+    @settings(max_examples=20, deadline=None)
+    def test_document_order_does_not_matter(self, order, data, base):
+        model, base = MODELS["panda"], base or Pose()
+        robot = ET.fromstring((ASSETS / "panda.urdf").read_text())
+        elements = list(robot)
+        for el in elements:
+            robot.remove(el)
+        robot.extend([elements[k] for k in order(len(elements))])
+        shuffled = parse_urdf(ET.tostring(robot, encoding="unicode"))
+        assert shuffled.links != model.links and shuffled.joints != model.joints
+        q = model.check(draw_signed_zero_positions(data, model))
+        named = dict(zip([j.name for j in model.movable_joints], q))
+        q_shuffled = [named[j.name] for j in shuffled.movable_joints]
+
+        def pose_bytes(pose):
+            return struct.pack("<3d4d", *pose.translation, *pose.rotation)
+
+        def fk_bytes(m, positions):
+            return {link: pose_bytes(p)
+                    for link, p in forward_kinematics(m, positions, base).items()}
+
+        def columns(m, positions):
+            return dict(zip([j.name for j in m.movable_joints],
+                            [struct.pack("<3d", *c) for c in
+                             jacobian(m, positions, "panda_leftfinger", base)]))
+
+        assert fk_bytes(shuffled, q_shuffled) == fk_bytes(model, q)
+        for link in model.links:
+            assert pose_bytes(shuffled.pose(q_shuffled, base, link)) == \
+                pose_bytes(model.pose(q, base, link))
+        assert columns(shuffled, q_shuffled) == columns(model, q)
 
     # a revolute joint about a coordinate axis of length 1.0 keeps its
     # motion quaternion unrenormalized: its norm, taken as the walk takes
@@ -664,25 +726,24 @@ class TestCompiledChain:
     def test_base_off_the_unit_sphere_rejected(self, rotation):
         base = Pose.of((0.1, -0.2, 0.3), rotation)
         for model in MODELS.values():
-            chain, q = model.chain, [0.3] * model.dof
+            q = [0.3] * model.dof
             with pytest.raises(ValueError, match="unit sphere"):
                 forward_kinematics(model, q, base)
-            for link in chain.links:
+            for link in model.links:
                 with pytest.raises(ValueError, match="unit sphere"):
                     jacobian(model, q, link, base)
                 with pytest.raises(ValueError, match="unit sphere"):
-                    chain.pose(q, base, link)
+                    model.pose(q, base, link)
 
     @given(model=st.sampled_from(sorted(MODELS)).map(MODELS.get) | classed_chains(),
            data=st.data(), base=SIGNED_ZERO_BASES)
     @settings(max_examples=150, deadline=None)
     def test_no_negative_zero_returned(self, model, data, base):
-        chain = model.chain
-        q = chain.check(draw_signed_zero_positions(data, model))
+        q = model.check(draw_signed_zero_positions(data, model))
         values = [c for pose in forward_kinematics(model, q, base).values()
                   for c in (*pose.translation, *pose.rotation)]
-        for link in chain.links:
-            end = chain.pose(q, base, link)
+        for link in model.links:
+            end = model.pose(q, base, link)
             values += [*end.translation, *end.rotation]
             values += [c for column in jacobian(model, q, link, base) for c in column]
         assert not [v for v in values if v == 0.0 and math.copysign(1.0, v) < 0.0]
@@ -731,51 +792,43 @@ class TestCompiledChain:
 
     def test_chain_order_and_parents(self):
         model = MODELS["panda"]
-        chain = model.chain
-        assert chain is model.chain  # compiled once per model
-        assert list(chain.links) == list(forward_kinematics(model, np.zeros(model.dof)))
-        assert list(chain.paths) == list(chain.links)
-        by_child = {j.child: j for j in model.joints}
-        for i, link in enumerate(chain.links[1:]):
-            # joints[i] moves links[i + 1], below its parent's path
-            parent = by_child[link].parent
-            assert chain.paths[link] == chain.paths[parent] + (i,)
-            assert chain.links.index(parent) <= i
+        assert list(forward_kinematics(model, np.zeros(model.dof))) == list(model.links)
+        assert len(model.steps) == len(model.joints)
+        for i, j in enumerate(model.joints):
+            # joints[i] moves its child, below its parent's path
+            assert model.paths[j.child] == model.paths[j.parent] + (i,)
+            assert model.steps[i].kind == j.kind and model.steps[i].origin == j.origin
 
     @given(model=st.sampled_from(sorted(MODELS)).map(MODELS.get) | classed_chains())
     @settings(max_examples=100, deadline=None)
     def test_paths_follow_the_model_parents(self, model):
         # each joint of a link's path hangs off the link the joint before it
         # moves, the first off the root, and the last moves the link
-        chain = model.chain
-        joint_of = {j.child: j for j in model.joints}
-        moved = [joint_of[link] for link in chain.links[1:]]
-        assert set(chain.paths) == set(model.links)
-        for link, path in chain.paths.items():
+        assert set(model.paths) == set(model.links)
+        for link, path in model.paths.items():
             child = model.root
             for k in path:
-                assert moved[k].parent == child
-                child = moved[k].child
+                assert model.joints[k].parent == child
+                child = model.joints[k].child
             assert child == link
 
     def test_path_of_unknown_link(self):
         with pytest.raises(KeyError):
             jacobian(MODELS["planar"], [0.0, 0.0], "nowhere")
         with pytest.raises(KeyError):
-            MODELS["planar"].chain.pose([0.0, 0.0], Pose(), "nowhere")
+            MODELS["planar"].pose([0.0, 0.0], Pose(), "nowhere")
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_path_is_the_parent_walk_computed_once(self, name):
         model = MODELS[name]
-        chain = model.chain
         joint_of = {j.child: j for j in model.joints}
-        for link in chain.links:
+        for link in model.links:
             want, child = [], link
             while child in joint_of:
-                want.append(chain.links.index(child) - 1)
+                want.append(model.joints.index(joint_of[child]))
                 child = joint_of[child].parent
-            assert chain.paths[link] == tuple(reversed(want))
-        assert chain.paths[model.root] == ()
+            assert model.paths[link] == tuple(reversed(want))
+        assert model.paths[model.root] == ()
 
     @pytest.mark.parametrize("pinned", sorted(PINNED), ids=lambda key: f"{key[0]}-{key[1]}")
     @given(data=st.data(), base=BASES | SIGNED_ZERO_BASES)
@@ -784,11 +837,10 @@ class TestCompiledChain:
         # the twin's walk for its end-effector, the root and a link halfway
         # along the end-effector's path each give the canonical compose walk
         model, ee_link = PINNED[pinned]
-        chain = model.chain
-        ee_path = chain.paths[ee_link]
-        links = [ee_link, model.root, chain.links[ee_path[len(ee_path) // 2] + 1]]
+        ee_path = model.paths[ee_link]
+        links = [ee_link, model.root, model.joints[ee_path[len(ee_path) // 2]].child]
         assert len(set(links)) == 3
-        q = chain.check(draw_signed_zero_positions(data, model))
+        q = model.check(draw_signed_zero_positions(data, model))
         for link in links:
             assert_path_walk_bytes(model, q, link, base or Pose())
 
@@ -803,18 +855,18 @@ class TestCompiledChain:
     @example([-math.inf] + [0.5] * 8)
     @example([0.5] * 8 + [-math.inf])
     def test_check_rejects_exactly_the_non_finite(self, positions):
-        chain = MODELS["panda"].chain
+        model = MODELS["panda"]
         if all(map(math.isfinite, positions)):
             for given_as in (positions, np.array(positions)):
-                got = chain.check(given_as)
+                got = model.check(given_as)
                 assert got == positions and all(type(v) is float for v in got)
         else:
             with pytest.raises(ValueError, match="non-finite joint position"):
-                chain.check(positions)
+                model.check(positions)
 
     def test_check_tests_the_length_first(self):
         with pytest.raises(ValueError, match="expected 9 positions, got 8"):
-            MODELS["panda"].chain.check([math.nan] * 8)
+            MODELS["panda"].check([math.nan] * 8)
 
 
 def yawed_station(yaw, xyz):

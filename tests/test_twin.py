@@ -17,7 +17,7 @@ from twinsync import mocap
 from twinsync.geometry import Pose, quat_from_axis_angle
 from twinsync.harness import simulate
 from twinsync.mocap import FilterConfig, MocapFilter, PoseStatus
-from twinsync.robot import Chain, apply_joint_state, forward_kinematics
+from twinsync.robot import RobotModel, apply_joint_state, forward_kinematics
 from twinsync.scenario import ScenarioConfig, load_config
 from twinsync.twin import TwinEngine, load_model, merge_tick_time, replay, station_pose
 from twinsync.wire import MocapPacket, TelemetryPacket
@@ -150,18 +150,18 @@ def test_one_ee_walk_per_merge_tick_and_one_walk_per_link_per_state_hash(tmp_pat
                               stats_path=None)
     simulate(cfg)
     walks = []
-    pose = Chain.pose
+    pose = RobotModel.pose
 
     def spy(self, positions, base, link, joint_frames=None):
         walks.append(link)
         return pose(self, positions, base, link, joint_frames)
 
-    monkeypatch.setattr(Chain, "pose", spy)
+    monkeypatch.setattr(RobotModel, "pose", spy)
     result = replay(cfg.log_path, cfg)
     model = load_model(cfg)
     ee_link = TwinEngine(model, cfg).ee_link
     assert result.merge_ticks > 0
-    assert walks == [ee_link] * result.merge_ticks + list(model.chain.links)
+    assert walks == [ee_link] * result.merge_ticks + list(model.links)
 
 
 def test_each_filter_builds_one_pose_per_merge_tick_plus_one_per_relocation(tmp_path,
