@@ -161,8 +161,8 @@ def simulate(config: ScenarioConfig) -> SimResult:
     merge_ticks = int(round(config.duration_s * MERGE_HZ))
     mocap_src = _mocap_schedule(config, noise_u)
     next_mocap = next(mocap_src, None)
-    # the next merge tick and its time; tick 0 only sends, so a run without
-    # tick 1 starts there: tick 0's packet would reach no tick
+    # the next merge tick and its time; a run without tick 1 skips tick 0,
+    # which only sends: no tick would read its packet
     merge_k, merge_ns = (0, 0) if merge_ticks else (1, merge_tick_time(1))
     # the trace values of the control ticks since the last flush
     trace_values = []

@@ -54,6 +54,112 @@ class Joint:
     upper: float = 0.0
 
 
+def _parse_floats(text: str, n: int, what: str, joint: str) -> tuple:
+    """``n`` finite floats from ``text``, the ``what`` of ``joint``."""
+    parts = text.split()
+    if len(parts) != n:
+        raise UrdfError(f"expected {n} values in {what} of joint {joint!r}, got {text!r}")
+    try:
+        values = tuple(map(float, parts))
+    except ValueError:
+        raise UrdfError(f"non-numeric {what} on joint {joint!r}: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UrdfError(f"non-finite {what} on joint {joint!r}: {text!r}")
+    return values
+
+
+def _origin_pose(elem, joint: str) -> Pose:
+    origin = elem.find("origin")
+    xyz = rpy = ZERO3
+    if origin is not None:
+        if origin.get("xyz"):
+            xyz = _parse_floats(origin.get("xyz"), 3, "origin xyz", joint)
+        if origin.get("rpy"):
+            rpy = _parse_floats(origin.get("rpy"), 3, "origin rpy", joint)
+    return Pose.from_rpy(xyz, rpy)
+
+
+def parse_urdf(xml_text: str) -> RobotModel:
+    """Parse the supported URDF subset into a validated kinematic tree."""
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as e:
+        raise UrdfError(f"malformed XML: {e}") from e
+    if root.tag != "robot":
+        raise UrdfError(f"expected <robot> root element, got <{root.tag}>")
+
+    links: list[str] = []
+    seen_links: set[str] = set()
+    for el in root.findall("link"):
+        name = el.get("name")
+        if not name:
+            raise UrdfError("link without name")
+        if name in seen_links:
+            raise UrdfError(f"duplicate link name {name!r}")
+        seen_links.add(name)
+        links.append(name)
+    if not links:
+        raise UrdfError("robot has no links")
+
+    joints: list[Joint] = []
+    seen_joints: set[str] = set()
+    children: set[str] = set()
+    for el in root.findall("joint"):
+        name = el.get("name")
+        kind = el.get("type")
+        if not name:
+            raise UrdfError("joint without name")
+        if name in seen_joints:
+            raise UrdfError(f"duplicate joint name {name!r}")
+        seen_joints.add(name)
+        if kind not in SUPPORTED_KINDS:
+            # continuous etc. are outside the supported subset
+            raise UrdfError(f"unsupported joint type {kind!r} on {name!r}")
+        parent_el = el.find("parent")
+        child_el = el.find("child")
+        if parent_el is None or child_el is None:
+            raise UrdfError(f"joint {name!r} missing parent or child")
+        parent, child = parent_el.get("link"), child_el.get("link")
+        if parent not in seen_links:
+            raise UrdfError(f"joint {name!r} references unknown parent link {parent!r}")
+        if child not in seen_links:
+            raise UrdfError(f"joint {name!r} references unknown child link {child!r}")
+        if child in children:
+            raise UrdfError(f"link {child!r} has multiple parent joints")
+        children.add(child)
+
+        axis = None
+        lower = upper = 0.0
+        if kind in MOVABLE_KINDS:
+            axis_el = el.find("axis")
+            axis = _parse_floats(axis_el.get("xyz", ""), 3, "axis", name) if axis_el is not None \
+                else (1.0, 0.0, 0.0)
+            n = norm(axis)
+            if n < 1e-12:
+                raise UrdfError(f"zero-length axis on joint {name!r}")
+            if n == math.inf:
+                raise UrdfError(f"the norm of the axis of joint {name!r} overflows")
+            axis = tuple(a / n for a in axis)
+            limit_el = el.find("limit")
+            if limit_el is not None:
+                lower, = _parse_floats(limit_el.get("lower", "0"), 1, "limit lower", name)
+                upper, = _parse_floats(limit_el.get("upper", "0"), 1, "limit upper", name)
+            if lower > upper:
+                raise UrdfError(f"joint {name!r} has lower > upper limit")
+        joints.append(Joint(name, kind, parent, child, _origin_pose(el, name), axis,
+                            lower, upper))
+
+    roots = [name for name in links if name not in children]
+    if len(roots) != 1:
+        raise UrdfError(f"expected exactly one root link, found {roots}")
+
+    # the model's walk from the root rejects links it does not reach
+    return RobotModel(root.get("name", ""), tuple(links), tuple(joints), roots[0])
+
+
+IDENTITY = Pose()
+
+
 class ChainJoint(NamedTuple):
     """One joint of a ``RobotModel``, held as plain floats for ``pose``.
 
@@ -100,9 +206,6 @@ def _step(j: Joint, dof: int) -> ChainJoint:
     spin = _zeros(axis) if j.kind == "revolute" else -1
     return ChainJoint(j.kind, j.origin, axis, norm(axis), dof, _zeros(v), turn, spin,
                       0 <= spin < 3 and abs(axis[spin]) == 1.0)
-
-
-IDENTITY = Pose()
 
 
 @dataclass(frozen=True)
@@ -329,109 +432,6 @@ class RobotModel:
                     w, x, y, z = w / n, x / n, y / n, z / n
         return tuple.__new__(Pose, ((tx + 0.0, ty + 0.0, tz + 0.0),
                                     (w + 0.0, x + 0.0, y + 0.0, z + 0.0)))
-
-
-def _parse_floats(text: str, n: int, what: str, joint: str) -> tuple:
-    """``n`` finite floats from ``text``, the ``what`` of ``joint``."""
-    parts = text.split()
-    if len(parts) != n:
-        raise UrdfError(f"expected {n} values in {what} of joint {joint!r}, got {text!r}")
-    try:
-        values = tuple(map(float, parts))
-    except ValueError:
-        raise UrdfError(f"non-numeric {what} on joint {joint!r}: {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise UrdfError(f"non-finite {what} on joint {joint!r}: {text!r}")
-    return values
-
-
-def _origin_pose(elem, joint: str) -> Pose:
-    origin = elem.find("origin")
-    xyz = rpy = ZERO3
-    if origin is not None:
-        if origin.get("xyz"):
-            xyz = _parse_floats(origin.get("xyz"), 3, "origin xyz", joint)
-        if origin.get("rpy"):
-            rpy = _parse_floats(origin.get("rpy"), 3, "origin rpy", joint)
-    return Pose.from_rpy(xyz, rpy)
-
-
-def parse_urdf(xml_text: str) -> RobotModel:
-    """Parse the supported URDF subset into a validated kinematic tree."""
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as e:
-        raise UrdfError(f"malformed XML: {e}") from e
-    if root.tag != "robot":
-        raise UrdfError(f"expected <robot> root element, got <{root.tag}>")
-
-    links: list[str] = []
-    seen_links: set[str] = set()
-    for el in root.findall("link"):
-        name = el.get("name")
-        if not name:
-            raise UrdfError("link without name")
-        if name in seen_links:
-            raise UrdfError(f"duplicate link name {name!r}")
-        seen_links.add(name)
-        links.append(name)
-    if not links:
-        raise UrdfError("robot has no links")
-
-    joints: list[Joint] = []
-    seen_joints: set[str] = set()
-    children: set[str] = set()
-    for el in root.findall("joint"):
-        name = el.get("name")
-        kind = el.get("type")
-        if not name:
-            raise UrdfError("joint without name")
-        if name in seen_joints:
-            raise UrdfError(f"duplicate joint name {name!r}")
-        seen_joints.add(name)
-        if kind not in SUPPORTED_KINDS:
-            # continuous etc. are outside the supported subset
-            raise UrdfError(f"unsupported joint type {kind!r} on {name!r}")
-        parent_el = el.find("parent")
-        child_el = el.find("child")
-        if parent_el is None or child_el is None:
-            raise UrdfError(f"joint {name!r} missing parent or child")
-        parent, child = parent_el.get("link"), child_el.get("link")
-        if parent not in seen_links:
-            raise UrdfError(f"joint {name!r} references unknown parent link {parent!r}")
-        if child not in seen_links:
-            raise UrdfError(f"joint {name!r} references unknown child link {child!r}")
-        if child in children:
-            raise UrdfError(f"link {child!r} has multiple parent joints")
-        children.add(child)
-
-        axis = None
-        lower = upper = 0.0
-        if kind in MOVABLE_KINDS:
-            axis_el = el.find("axis")
-            axis = _parse_floats(axis_el.get("xyz", ""), 3, "axis", name) if axis_el is not None \
-                else (1.0, 0.0, 0.0)
-            n = norm(axis)
-            if n < 1e-12:
-                raise UrdfError(f"zero-length axis on joint {name!r}")
-            if n == math.inf:
-                raise UrdfError(f"the norm of the axis of joint {name!r} overflows")
-            axis = tuple(a / n for a in axis)
-            limit_el = el.find("limit")
-            if limit_el is not None:
-                lower, = _parse_floats(limit_el.get("lower", "0"), 1, "limit lower", name)
-                upper, = _parse_floats(limit_el.get("upper", "0"), 1, "limit upper", name)
-            if lower > upper:
-                raise UrdfError(f"joint {name!r} has lower > upper limit")
-        joints.append(Joint(name, kind, parent, child, _origin_pose(el, name), axis,
-                            lower, upper))
-
-    roots = [name for name in links if name not in children]
-    if len(roots) != 1:
-        raise UrdfError(f"expected exactly one root link, found {roots}")
-
-    # the model's walk from the root rejects links it does not reach
-    return RobotModel(root.get("name", ""), tuple(links), tuple(joints), roots[0])
 
 
 def forward_kinematics(model: RobotModel, positions,
